@@ -6,7 +6,7 @@ classification, convergence certificates in three homomorphism topologies,
 and a self-checking counterexample gallery.
 """
 
-from .elements import EvSeq, FinVec, canonical_evseq
+from .elements import EvSeq, FinVec
 from .errors import (
     DecompositionPrereqViolated,
     EmptyInput,
@@ -34,7 +34,6 @@ from .homs import (
     IdentityHom,
     MatrixHom,
     SeqHom,
-    apply,
     describe_hom,
     directed_sup,
     extend_from_cone,

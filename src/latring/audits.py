@@ -17,6 +17,7 @@ from .errors import UnknownInstance
 from .homs import (
     MatrixHom,
     SeqHom,
+    decomposition_failure,
     directed_sup,
     hom_join,
     hom_meet,
@@ -43,7 +44,6 @@ from .spaces import (
     abs_val,
     archimedean_witness,
     check_f_ring,
-    is_positive,
     join,
     matrix2_mul,
     meet,
@@ -223,16 +223,10 @@ def f_ring_suite(instance: LawInstance, seed: int = 0, cases: int = 250) -> Chec
     for _ in range(cases):
         z = rand_element(rng, space)
         w = rand_element(rng, space)
-        samples.append((pos_part(space, z), _neg(space, z), abs_val(space, w)))
+        samples.append((pos_part(space, z), neg_part(space, z), abs_val(space, w)))
     verdict = check_f_ring(space, samples, mul=instance.mul_override)
     detail = "" if verdict.holds else f"witness {verdict.witness!r}"
     return CheckResult("f-ring-axiom", verdict.holds, verdict.checked, detail, "disjointness axiom")
-
-
-def _neg(space: Space, z):
-    if space.kind is SpaceKind.Z_DISCRETE:
-        return max(-z, 0)
-    return z.neg_part()
 
 
 def canonical_idempotence_suite(seed: int = 0, cases: int = 250) -> CheckResult:
@@ -284,13 +278,7 @@ def decomposition_suite(seed: int = 0, cases: int = 1000, dim: int = 5) -> Check
         else:
             x = FinVec(tuple(Fraction(rng.randint(0, 24), 24) * c for c in cap))
         x1, x2 = riesz_decompose(space, x, y1, y2)
-        good = (
-            x1 + x2 == x
-            and abs(x1) <= abs(y1)
-            and abs(x2) <= abs(y2)
-            and (not is_positive(space, x) or (is_positive(space, x1) and is_positive(space, x2)))
-        )
-        if good:
+        if decomposition_failure(space, x, y1, y2, x1, x2) is None:
             ok += 1
         elif not detail:
             detail = f"postcondition failed at x={x!r}"

@@ -26,7 +26,15 @@ from .errors import (
     VacuousProduct,
 )
 from .gallery import run_all
-from .homs import MatrixHom, SeqHom, positive_part, sup_over_interval_oracle, truncation_matrix
+from .homs import (
+    MatrixHom,
+    SeqHom,
+    decomposition_failure,
+    positive_part,
+    riesz_decompose,
+    sup_over_interval_oracle,
+    truncation_matrix,
+)
 from .homspaces import br_converges, classify, cr_converges, nr_converges
 from .sampling import rand_pos_finvec, rng_for
 from .specfile import SpecDoc, element_to_obj, hom_to_obj, load_specdoc, nbhd_to_obj, set_to_obj
@@ -115,7 +123,9 @@ def _render_value(x):
 
 def cmd_posp(doc: SpecDoc, hom_name: str, seed: int, cases: int):
     _require_cases(cases)
-    T = doc.hom(hom_name).canonical()
+    T = doc.hom(hom_name)
+    if not isinstance(T, (MatrixHom, SeqHom)):
+        raise InvalidArgument(f"posp needs a matrix or sequence homomorphism; {hom_name!r} acts on the integers")
     pos = positive_part(T)
     rng = rng_for(seed)
     agree = 0
@@ -154,18 +164,10 @@ def cmd_posp(doc: SpecDoc, hom_name: str, seed: int, cases: int):
 
 
 def cmd_decompose(doc: SpecDoc, x_name: str, y1_name: str, y2_name: str):
-    from .homs import riesz_decompose
-    from .spaces import abs_val, is_positive
-
     space = doc.space
     x, y1, y2 = doc.element(x_name), doc.element(y1_name), doc.element(y2_name)
     x1, x2 = riesz_decompose(space, x, y1, y2)
-    audit = (
-        x1 + x2 == x
-        and abs_val(space, x1) <= abs_val(space, y1)
-        and abs_val(space, x2) <= abs_val(space, y2)
-        and (not is_positive(space, x) or (is_positive(space, x1) and is_positive(space, x2)))
-    )
+    audit = decomposition_failure(space, x, y1, y2, x1, x2) is None
     result = {
         "x1": _render_value(x1),
         "x2": _render_value(x2),

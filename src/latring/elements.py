@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator
 
 from .errors import InvalidElement
 from .scalars import as_rat
@@ -112,11 +112,6 @@ class FinVec:
 
     def __repr__(self) -> str:
         return "FinVec(" + ", ".join(str(a) for a in self.entries) + ")"
-
-
-def canonical_evseq(prefix: Iterable, tail) -> "EvSeq":
-    """Build an EvSeq, trimming trailing prefix entries equal to the tail."""
-    return EvSeq(tuple(prefix), tail)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Union
+from typing import Iterable, Union
 
 
 class _Infinity:
@@ -68,10 +68,6 @@ def ext_le(a: Extended, b: Extended) -> bool:
     return a <= b
 
 
-def format_ext(v: Extended) -> str:
-    return "inf" if is_inf(v) else str(v)
-
-
 @dataclass(frozen=True)
 class CoordBounds:
     """Per-coordinate bound function.
@@ -122,9 +118,6 @@ class CoordBounds:
             values.append(self.tail)
         return ext_max(values)
 
-    def all_finite(self) -> bool:
-        return not is_inf(self.overall_sup())
-
     def first_infinite_index(self) -> int | None:
         for i, v in enumerate(self.head):
             if is_inf(v):
@@ -132,13 +125,3 @@ class CoordBounds:
         if self.tail is not None and is_inf(self.tail):
             return len(self.head)
         return None
-
-    def map(self, fn: Callable[[Extended], Extended]) -> "CoordBounds":
-        tail = None if self.tail is None else fn(self.tail)
-        return CoordBounds(tuple(fn(v) for v in self.head), tail)
-
-    def render(self) -> dict:
-        doc = {"head": [format_ext(v) for v in self.head]}
-        if self.tail is not None:
-            doc["tail"] = format_ext(self.tail)
-        return doc

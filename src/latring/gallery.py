@@ -184,13 +184,6 @@ class SuiteReport:
     law_results: tuple
     passed: bool
 
-    def render(self) -> dict:
-        return {
-            "cases": [c.render() for c in self.cases],
-            "laws": [r.render() for r in self.law_results],
-            "passed": self.passed,
-        }
-
 
 def run_all(seed: int = 0, cases: int = 1000, registry: dict | None = None) -> SuiteReport:
     """All named cases plus the randomized law suites of every module."""

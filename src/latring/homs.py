@@ -1,10 +1,13 @@
 """Group homomorphisms between the shipped lattice rings, and their lattice calculus.
 
-Shipped forms: square rational matrices on Q^n, and diagonal-plus-finite-block
-operators on eventually-constant sequences.  Every form is additive, preserves
-negation, and is order bounded, so positive parts exist; they are computed in
-closed form (entrywise) and validated against an independent vertex-enumeration
-oracle wherever the two can meet.
+Shipped forms: square rational matrices on Q^n, diagonal-plus-finite-block
+operators on eventually-constant sequences, and the identity on the discrete
+integers.  The identity on Q^n or on sequences is built directly as the
+identity matrix or diagonal operator, so every homomorphism is concrete from
+construction on; only the integers keep a dedicated identity form.  Every form
+is additive, preserves negation, and is order bounded, so positive parts
+exist; they are computed in closed form (entrywise) and validated against an
+independent vertex-enumeration oracle wherever the two can meet.
 """
 
 from __future__ import annotations
@@ -113,17 +116,11 @@ class MatrixHom:
     def is_diagonal(self) -> bool:
         return all(a == 0 for i, row in enumerate(self.rows) for j, a in enumerate(row) if i != j)
 
-    def sup_rowsum(self) -> Fraction:
-        return max(sum(abs(a) for a in row) for row in self.rows)
-
     def finite_column_support(self) -> bool:
         return True
 
     def support_span(self) -> int:
         return self.n
-
-    def canonical(self) -> "MatrixHom":
-        return self
 
     def image_contains(self, base: SetDesc, x) -> bool:
         if isinstance(base, FiniteSet):
@@ -271,25 +268,11 @@ class SeqHom:
     def is_diagonal(self) -> bool:
         return not self.off
 
-    def sup_rowsum(self) -> Fraction:
-        k = self.block_size
-        span = max(k, len(self.diag.prefix))
-        sums = [abs(self.diag.tail)]
-        for i in range(span):
-            s = abs(self.diag.at(i))
-            if i < k:
-                s += sum(abs(a) for a in self.off[i])
-            sums.append(s)
-        return max(sums)
-
     def finite_column_support(self) -> bool:
         return self.diag.tail == 0
 
     def support_span(self) -> int:
         return max(self.block_size, len(self.diag.prefix))
-
-    def canonical(self) -> "SeqHom":
-        return self
 
     def image_contains(self, base: SetDesc, x: EvSeq) -> bool:
         from .topology import base_span, zero_clamped_value
@@ -333,43 +316,26 @@ class SeqHom:
 
 @dataclass(frozen=True)
 class IdentityHom:
-    """The identity map, kept symbolic until a concrete form is needed."""
+    """The identity map on the discrete integers.
 
-    kind: SpaceKind
-    dim: int | None = None
-
-    def __post_init__(self):
-        if (self.kind is SpaceKind.QN) != (self.dim is not None):
-            raise InvalidElement("identity on Q^n needs dim; other carriers none")
+    `on` builds the identity of any shipped space: the identity matrix on
+    Q^n, the unit diagonal operator on sequences, and an instance of this
+    class only on Z, where no matrix or sequence form applies.
+    """
 
     @classmethod
-    def on(cls, space: Space) -> "IdentityHom":
-        return cls(space.kind, space.dim)
+    def on(cls, space: Space) -> "Hom":
+        if space.kind is SpaceKind.QN:
+            return MatrixHom.identity(space.dim)
+        if space.kind is SpaceKind.EVSEQ:
+            return SeqHom.identity()
+        return cls()
 
     def apply(self, x):
         return x
 
     def propagate_bounds(self, b: CoordBounds) -> CoordBounds:
         return b
-
-    def canonical(self):
-        if self.kind is SpaceKind.QN:
-            return MatrixHom.identity(self.dim)
-        if self.kind is SpaceKind.EVSEQ:
-            return SeqHom.identity()
-        return self
-
-    def __add__(self, other):
-        return self.canonical() + other
-
-    def __sub__(self, other):
-        return self.canonical() - other
-
-    def __neg__(self):
-        return -self.canonical()
-
-    def scale(self, factor):
-        return self.canonical().scale(factor)
 
     def positive_part(self):
         return self
@@ -386,15 +352,6 @@ class IdentityHom:
     def is_diagonal(self) -> bool:
         return True
 
-    def sup_rowsum(self) -> Fraction:
-        return Fraction(1)
-
-    def finite_column_support(self) -> bool:
-        return self.kind is not SpaceKind.EVSEQ
-
-    def support_span(self) -> int:
-        return self.dim or 0
-
     def image_contains(self, base: SetDesc, x) -> bool:
         return set_contains(base, x)
 
@@ -406,37 +363,21 @@ Hom = MatrixHom | SeqHom | IdentityHom
 
 
 def _as_matrix(h, n: int) -> MatrixHom:
-    h = h.canonical() if isinstance(h, IdentityHom) else h
     if not isinstance(h, MatrixHom) or h.n != n:
         raise InvalidElement(f"expected a {n}x{n} matrix homomorphism, got {h!r}")
     return h
 
 
 def _as_seq_hom(h) -> SeqHom:
-    h = h.canonical() if isinstance(h, IdentityHom) else h
     if not isinstance(h, SeqHom):
         raise InvalidElement(f"expected a sequence homomorphism, got {h!r}")
     return h
 
 
-def canonical_hom(h: Hom) -> Hom:
-    return h.canonical()
-
-
-def hom_equal(a: Hom, b: Hom) -> bool:
-    return a.canonical() == b.canonical()
-
-
-def apply(T: Hom, x):
-    """Exact image of x under T."""
-    return T.apply(x)
-
-
 def zero_hom_like(T: Hom) -> Hom:
-    c = T.canonical()
-    if isinstance(c, MatrixHom):
-        return MatrixHom.zero(c.n)
-    if isinstance(c, SeqHom):
+    if isinstance(T, MatrixHom):
+        return MatrixHom.zero(T.n)
+    if isinstance(T, SeqHom):
         return SeqHom.zero()
     raise InvalidElement(f"no zero homomorphism for {T!r}")
 
@@ -617,26 +558,31 @@ def riesz_decompose(space: Space, x, y1, y2):
     for v in (x, y1, y2):
         space.validate(v)
     a1 = abs_val(space, y1)
-    if not _le(space, abs_val(space, x), a1 + abs_val(space, y2)):
+    if not abs_val(space, x) <= a1 + abs_val(space, y2):
         raise DecompositionPrereqViolated(f"|{x!r}| <= |y1| + |y2| fails")
     x1 = meet(space, join(space, x, -a1), a1)
     x2 = x - x1
-    _require(x1 + x2 == x, "x1 + x2 must reassemble x")
-    _require(_le(space, abs_val(space, x1), a1), "|x1| <= |y1| must hold")
-    _require(_le(space, abs_val(space, x2), abs_val(space, y2)), "|x2| <= |y2| must hold")
-    if is_positive(space, x):
-        _require(is_positive(space, x1) and is_positive(space, x2),
-                 "positive x must split into positive parts")
+    failure = decomposition_failure(space, x, y1, y2, x1, x2)
+    if failure is not None:
+        raise SoundnessBug(failure)
     return x1, x2
 
 
-def _le(space: Space, a, b) -> bool:
-    return a <= b
+def decomposition_failure(space: Space, x, y1, y2, x1, x2) -> str | None:
+    """The first postcondition of a split x = x1 + x2 that fails, or None.
 
-
-def _require(condition: bool, message: str):
-    if not condition:
-        raise SoundnessBug(message)
+    The postconditions: x1 + x2 = x, |x1| <= |y1|, |x2| <= |y2|, and x1, x2
+    positive whenever x is.
+    """
+    if x1 + x2 != x:
+        return "x1 + x2 must reassemble x"
+    if not abs_val(space, x1) <= abs_val(space, y1):
+        return "|x1| <= |y1| must hold"
+    if not abs_val(space, x2) <= abs_val(space, y2):
+        return "|x2| <= |y2| must hold"
+    if is_positive(space, x) and not (is_positive(space, x1) and is_positive(space, x2)):
+        return "positive x must split into positive parts"
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -662,14 +608,13 @@ def is_order_bounded(T: Hom, probe, samples: int = 25, seed: int = 0) -> OrderBo
 
     The containment is spot-verified on sampled y with |y| <= probe.
     """
-    c = T.canonical()
-    cap = modulus(c).apply(probe)
+    cap = modulus(T).apply(probe)
     lo, hi = -cap, cap
     rng = random.Random(seed)
     checked = 0
     for _ in range(samples):
         y = _sample_below(rng, probe)
-        img = c.apply(y)
+        img = T.apply(y)
         if not (lo <= img and img <= hi):
             raise SoundnessBug(f"|T y| escaped the modulus bound at y={y!r}")
         checked += 1
@@ -677,7 +622,7 @@ def is_order_bounded(T: Hom, probe, samples: int = 25, seed: int = 0) -> OrderBo
 
 
 def describe_hom(T: Hom, probe) -> HomVerdict:
-    return HomVerdict(True, T.canonical().is_positive(), is_order_bounded(T, probe))
+    return HomVerdict(True, T.is_positive(), is_order_bounded(T, probe))
 
 
 def _sample_below(rng: random.Random, probe):

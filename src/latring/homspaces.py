@@ -33,7 +33,6 @@ from .homs import (
     MatrixHom,
     OrderBoundedWitness,
     SeqHom,
-    hom_equal,
     is_order_bounded,
     positive_part,
     zero_hom_like,
@@ -185,7 +184,7 @@ def _br_verdict(T: Hom, domain: Space, codomain: Space, reading: str) -> Reading
     # per-coordinate bounds, and the shipped forms have finite coefficients,
     # so images stay finite; only a degenerate codomain criterion can fail.
     if codomain.kind is SpaceKind.Z_DISCRETE and reading == "group":
-        if T.canonical().is_zero():
+        if T.is_zero():
             return ReadingVerdict(True)
         bad = FiniteSet(domain, (5,)) if domain.kind is SpaceKind.Z_DISCRETE else None
         return ReadingVerdict(
@@ -201,7 +200,7 @@ def _continuity(T: Hom, domain: Space, codomain: Space):
     if domain.kind is SpaceKind.Z_DISCRETE:
         return True, None, "the base neighborhood {0} maps into every target"
     if codomain.kind is SpaceKind.Z_DISCRETE:
-        if T.canonical().is_zero():
+        if T.is_zero():
             return True, None, "the zero map lands in {0}"
         return False, Neighborhood.discrete_zero(), "no box maps into {0} under a nonzero map"
     if domain.kind is SpaceKind.QN and codomain.kind is SpaceKind.QN:
@@ -220,44 +219,18 @@ def _continuity(T: Hom, domain: Space, codomain: Space):
     raise InvalidElement("no shipped homomorphism crosses these carriers")
 
 
-def continuity_pullback(T: Hom, domain: Space, codomain: Space, W: Neighborhood) -> Neighborhood:
-    """A base neighborhood U with T(U) inside W; raises when none exists."""
-    ok, _, _ = _continuity(T, domain, codomain)
-    if not ok:
-        raise InvalidNeighborhood("the map is not continuous, no pullback exists")
-    scale = max(T.sup_rowsum(), Fraction(1))
-    if W.topology is TopologyId.Z_DISCRETE_TOP:
-        return Neighborhood.discrete_zero()
-    if domain.kind is SpaceKind.Z_DISCRETE:
-        return Neighborhood.discrete_zero()
-    if W.topology is TopologyId.QN_BOX:
-        eps = min(W.radii)
-        return Neighborhood.box((eps / scale,) * domain.dim)
-    if W.topology is TopologyId.EVSEQ_SUPNORM:
-        if domain.topology is TopologyId.EVSEQ_SUPNORM:
-            return Neighborhood.sup_ball(W.radius / scale)
-        span = max(T.support_span(), 1)
-        return Neighborhood.product(range(span), W.radius / scale)
-    # Product-topology target: constrain the inputs its coordinates depend on.
-    needed = _row_support(T, W.coords)
-    if domain.topology is TopologyId.EVSEQ_SUPNORM:
-        return Neighborhood.sup_ball(W.radius / scale)
-    return Neighborhood.product(needed or {0}, W.radius / scale)
-
-
 def _row_support(T: Hom, rows) -> set[int]:
-    c = T.canonical()
     support: set[int] = set()
-    if isinstance(c, SeqHom):
-        k = c.block_size
+    if isinstance(T, SeqHom):
+        k = T.block_size
         for i in rows:
-            if c.diag.at(i) != 0:
+            if T.diag.at(i) != 0:
                 support.add(i)
             if i < k:
-                support.update(j for j in range(k) if c.off[i][j] != 0)
-    elif isinstance(c, MatrixHom):
+                support.update(j for j in range(k) if T.off[i][j] != 0)
+    elif isinstance(T, MatrixHom):
         for i in rows:
-            support.update(j for j in range(c.n) if c.rows[i][j] != 0)
+            support.update(j for j in range(T.n) if T.rows[i][j] != 0)
     return support
 
 
@@ -287,12 +260,11 @@ def classify(T: Hom, domain: Space, codomain: Space) -> ClassLabel:
 
 
 def _check_hom_fits(T: Hom, space: Space):
-    c = T.canonical()
-    if space.kind is SpaceKind.QN and not (isinstance(c, MatrixHom) and c.n == space.dim):
+    if space.kind is SpaceKind.QN and not (isinstance(T, MatrixHom) and T.n == space.dim):
         raise InvalidElement(f"{T!r} does not act on Q^{space.dim}")
-    if space.kind is SpaceKind.EVSEQ and not isinstance(c, SeqHom):
+    if space.kind is SpaceKind.EVSEQ and not isinstance(T, SeqHom):
         raise InvalidElement(f"{T!r} does not act on sequences")
-    if space.kind is SpaceKind.Z_DISCRETE and not isinstance(c, IdentityHom):
+    if space.kind is SpaceKind.Z_DISCRETE and not isinstance(T, IdentityHom):
         raise InvalidElement(f"{T!r} does not act on the integers")
 
 
@@ -346,13 +318,13 @@ class HomNet:
         if alpha < 1:
             raise InvalidArgument("net indices start at 1")
         if self.is_closed_form:
-            return (self.base + self.decay.scale(Fraction(1, alpha))).canonical()
-        return self.terms[min(alpha, len(self.terms)) - 1].canonical()
+            return self.base + self.decay.scale(Fraction(1, alpha))
+        return self.terms[min(alpha, len(self.terms)) - 1]
 
     def eventual_term(self) -> Hom:
         if self.is_closed_form:
-            return self.base.canonical()
-        return self.terms[-1].canonical()
+            return self.base
+        return self.terms[-1]
 
     def diff(self, other: "HomNet") -> "HomNet":
         """Net of differences term(a) - other.term(a)."""
@@ -481,11 +453,11 @@ class ConvergenceCertificate:
 
     def _decay_hom(self) -> Hom:
         if self.net.is_closed_form:
-            return (self.net.decay).canonical()
+            return self.net.decay
         # Table nets: any coefficient ever touched matters for support.
-        acc = zero_hom_like(self.net.terms[0].canonical())
+        acc = zero_hom_like(self.net.terms[0])
         for t in self.net.terms:
-            d = t.canonical() - self.limit.canonical()
+            d = t - self.limit
             acc = acc + d.entrywise_abs()
         return acc
 
@@ -534,7 +506,7 @@ class ConvergenceCertificate:
 
     def verify_at(self, alpha: int, V: Neighborhood, W: Neighborhood | None = None) -> bool:
         """Exact recheck of the defining containment at one entry index."""
-        D = self.net.term(alpha) - self.limit.canonical()
+        D = self.net.term(alpha) - self.limit
         img = D.propagate_bounds(self._bounds_for(W))
         return _within(img, self._target(V, W))
 
@@ -573,7 +545,7 @@ def _uniform_convergence(
     region_bounds: CoordBounds,
     horizon: int,
 ) -> ConvergenceCertificate:
-    residual = (net.eventual_term() - limit.canonical()).canonical()
+    residual = net.eventual_term() - limit
     residual_img = residual.propagate_bounds(region_bounds)
     if not _is_zero_bounds(residual_img):
         return ConvergenceCertificate(
@@ -628,7 +600,7 @@ def cr_converges(net: HomNet, limit: Hom, horizon: int = 64) -> ConvergenceCerti
         raise InvalidElement("this convergence mode lives on endomorphism nets")
     if net.domain.multiplication is Multiplication.ZERO:
         raise VacuousProduct("V*W = {0} under zero multiplication; the check is vacuous")
-    residual = (net.eventual_term() - limit.canonical()).canonical()
+    residual = net.eventual_term() - limit
     # Every coordinate is constrained by some outer W, and the inner radius
     # shrinks at will, so the eventual term must agree with the limit outright.
     if not residual.is_zero():
@@ -687,7 +659,7 @@ def limit_uniqueness_audit(
             raise InvalidArgument(f"unknown mode {mode!r}")
         if not certs[name].convergent:
             return UniquenessReport(mode, False, name, None)
-    if not hom_equal(limit_a, limit_b):
+    if limit_a != limit_b:
         raise SoundnessBug("two limits certified for one net")
     return UniquenessReport(mode, True, None, True)
 

@@ -7,12 +7,9 @@ rejected at the boundary so no binary rounding can sneak in.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 from .errors import InvalidElement
-
-Rat = Fraction
 
 
 def as_rat(value) -> Fraction:
@@ -31,12 +28,3 @@ def as_rat(value) -> Fraction:
     if isinstance(value, float):
         raise InvalidElement(f"floats are not accepted (got {value!r}); pass 'p/q' strings")
     raise InvalidElement(f"cannot interpret {value!r} as a rational scalar")
-
-
-def format_rat(q: Fraction) -> str:
-    """Render exactly, as produced by Fraction: "3", "-1/2", ..."""
-    return str(q)
-
-
-def rat_ceil(q: Fraction) -> int:
-    return math.ceil(q)

@@ -70,17 +70,6 @@ def parse_space(obj: dict, section: str = "space") -> Space:
         raise SpecFileError(f"{section}: {exc}") from exc
 
 
-def space_to_obj(space: Space) -> dict:
-    doc = {
-        "kind": space.kind.value,
-        "multiplication": space.multiplication.value,
-        "topology": space.topology.value,
-    }
-    if space.dim is not None:
-        doc["dim"] = space.dim
-    return doc
-
-
 # ---------------------------------------------------------------------------
 # Elements.
 
@@ -93,7 +82,10 @@ def parse_element(obj, space: Space, section: str):
             _check_keys(obj, {"prefix", "tail"}, section)
             return EvSeq(tuple(_rat(v, section) for v in obj.get("prefix", [])), _rat(obj["tail"], section))
         _check_keys(obj, {"int"}, section)
-        return int(obj["int"])
+        value = obj.get("int")
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise SpecFileError(f"{section}: 'int' must be a JSON integer, got {value!r}")
+        return value
     raise SpecFileError(f"{section}: element must be an object")
 
 

@@ -51,8 +51,8 @@ def test_seq_hom_normal_form_identities():
     block = ((F(5), F(0)), (F(0), F(7)))
     h = SeqHom.diag_plus_block(a, block)
     assert h == SeqHom.diagonal(EvSeq.of(6, 9, tail=3))
-    assert IdentityHom.on(Space.evseq()).canonical() == SeqHom.identity()
-    assert IdentityHom.on(Space.qn(3)).canonical() == MatrixHom.identity(3)
+    assert IdentityHom.on(Space.evseq()) == SeqHom.identity()
+    assert IdentityHom.on(Space.qn(3)) == MatrixHom.identity(3)
     # Diagonal prefix longer than the block.
     g = SeqHom.diag_plus_block(EvSeq.of(1, 2, 3, tail=4), ((F(10),),))
     assert g == SeqHom.diagonal(EvSeq.of(11, 2, 3, tail=4))

@@ -106,6 +106,14 @@ def test_bad_rational_and_float_rejected():
         }))
 
 
+@pytest.mark.parametrize("value", [1.5, True, "abc"])
+def test_non_integer_z_element_exits_2(value, tmp_path, capsys):
+    path = tmp_path / "z.json"
+    path.write_text(json.dumps({"space": {"kind": "z"}, "elements": {"a": {"int": value}}}))
+    assert main(["run", "--spec", str(path)]) == 2
+    assert "elements.a" in capsys.readouterr().err
+
+
 def test_unresolved_name():
     from latring import UnknownName
 
@@ -138,6 +146,16 @@ def test_cli_classify_matches_gallery_labels(capsys):
     report = json.loads(capsys.readouterr().out)
     flags = report["results"]["classify:ident"]["flags"]
     assert flags["order_bounded"] and not flags["nr_group"] and flags["br_group"] and flags["continuous"]
+
+
+def test_cli_identity_on_integers(tmp_path, capsys):
+    path = tmp_path / "z.json"
+    path.write_text(json.dumps({"space": {"kind": "z"}, "homs": {"ident": {"kind": "identity"}}}))
+    assert main(["classify", "ident", "--spec", str(path), "--format", "machine"]) == 0
+    capsys.readouterr()
+    # No oracle cross-check exists on Z: an input error with a message, not a traceback.
+    assert main(["posp", "ident", "--spec", str(path)]) == 2
+    assert "'ident'" in capsys.readouterr().err
 
 
 def test_cli_posp_oracle_agreement(capsys):
