@@ -9,6 +9,7 @@ codes: 0 all checks pass, 1 an audit failed, 2 bad input.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -304,7 +305,9 @@ def render_machine(report: dict) -> str:
     return json.dumps(report, sort_keys=True, indent=2) + "\n"
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="latring",
         description="Exact lattice-ring calculator: laws, classification, positive parts, convergence, gallery.",

@@ -8,14 +8,21 @@ construction on; only the integers keep a dedicated identity form.  Every form
 is additive, preserves negation, and is order bounded, so positive parts
 exist; they are computed in closed form (entrywise) and validated against an
 independent vertex-enumeration oracle wherever the two can meet.
+
+A matrix applies, and pushes per-coordinate bounds through, in exact integer
+arithmetic: each row and each input are put over one common denominator, the
+numerators are summed as integers, and each output entry is normalised once.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from operator import mul
 from typing import Iterable, Sequence
 
 from .elements import EvSeq, FinVec
@@ -27,7 +34,7 @@ from .errors import (
     OracleTooLarge,
     SoundnessBug,
 )
-from .extended import CoordBounds, ext_add, ext_mul
+from .extended import INF, CoordBounds, ext_add, ext_mul, is_inf
 from .sampling import rand_in_interval, rand_pos_element
 from .scalars import as_rat
 from .spaces import Space, SpaceKind, abs_val, is_positive, join, meet, neg_part, pos_part
@@ -36,6 +43,12 @@ from .topology import FiniteSet, SetDesc, set_contains
 
 def _rows_tuple(rows: Iterable[Iterable]) -> tuple[tuple[Fraction, ...], ...]:
     return tuple(tuple(as_rat(v) for v in row) for row in rows)
+
+
+def _over_common_den(values: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """(d, nums) with d the lcm of the denominators and values[i] == nums[i] / d."""
+    d = math.lcm(*(v.denominator for v in values))
+    return d, [v.numerator * (d // v.denominator) for v in values]
 
 
 @dataclass(frozen=True)
@@ -63,23 +76,30 @@ class MatrixHom:
     def n(self) -> int:
         return len(self.rows)
 
+    @cached_property
+    def _int_rows(self) -> tuple[tuple[int, list[int]], ...]:
+        """Each row over its own common denominator, built on first use."""
+        return tuple(_over_common_den(row) for row in self.rows)
+
     def apply(self, x: FinVec) -> FinVec:
         if not isinstance(x, FinVec) or x.dim != self.n:
             raise InvalidElement(f"expected a {self.n}-dim FinVec, got {x!r}")
-        return FinVec(
-            tuple(sum((t * v for t, v in zip(row, x.entries)), Fraction(0)) for row in self.rows)
-        )
+        xd, xs = _over_common_den(x.entries)
+        return FinVec(tuple(Fraction(sum(map(mul, nums, xs)), d * xd) for d, nums in self._int_rows))
 
     def propagate_bounds(self, b: CoordBounds) -> CoordBounds:
+        """Per row, the sum of |t_ij| * b_j, with 0 * INF = 0 as in `ext_mul`."""
         if b.tail is not None:
             raise InvalidElement("matrix homomorphisms act on finite-dimensional bounds")
-        out = []
-        for row in self.rows:
-            acc = Fraction(0)
-            for j, t in enumerate(row):
-                acc = ext_add(acc, ext_mul(abs(t), b.at(j)))
-            out.append(acc)
-        return CoordBounds.finite_dim(out)
+        if len(b.head) != self.n:
+            raise InvalidElement(f"expected a {self.n}-dim bound, got {len(b.head)} coordinates")
+        unbounded = [j for j, v in enumerate(b.head) if is_inf(v)]
+        bd, bs = _over_common_den([Fraction(0) if is_inf(v) else v for v in b.head])
+        return CoordBounds.finite_dim(
+            INF if any(nums[j] for j in unbounded)
+            else Fraction(sum(map(mul, map(abs, nums), bs)), d * bd)
+            for d, nums in self._int_rows
+        )
 
     def _zip(self, other: "MatrixHom", op) -> "MatrixHom":
         if other.n != self.n:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .elements import EvSeq, FinVec
-from .errors import LatringError, SpecFileError, UnknownName
+from .errors import InvalidElement, LatringError, SpecFileError, UnknownName
 from .homs import Hom, IdentityHom, MatrixHom, SeqHom
 from .homspaces import HomNet
 from .scalars import as_rat
@@ -77,16 +77,26 @@ def parse_element(obj, space: Space, section: str):
     if isinstance(obj, dict):
         if space.kind is SpaceKind.QN:
             _check_keys(obj, {"entries"}, section)
-            return FinVec(tuple(_rat(v, section) for v in obj["entries"]))
+            entries = obj.get("entries")
+            if not isinstance(entries, list) or len(entries) != space.dim:
+                raise SpecFileError(f"{section}: 'entries' must list {space.dim} rationals")
+            return FinVec(tuple(_rat(v, section) for v in entries))
         if space.kind is SpaceKind.EVSEQ:
             _check_keys(obj, {"prefix", "tail"}, section)
-            return EvSeq(tuple(_rat(v, section) for v in obj.get("prefix", [])), _rat(obj["tail"], section))
+            return _evseq(obj, section)
         _check_keys(obj, {"int"}, section)
         value = obj.get("int")
         if isinstance(value, bool) or not isinstance(value, int):
             raise SpecFileError(f"{section}: 'int' must be a JSON integer, got {value!r}")
         return value
     raise SpecFileError(f"{section}: element must be an object")
+
+
+def _evseq(obj: dict, section: str) -> EvSeq:
+    """An eventually-constant sequence from its `prefix` and `tail` keys."""
+    if "tail" not in obj:
+        raise SpecFileError(f"{section}: missing 'tail'")
+    return EvSeq(tuple(_rat(v, section) for v in obj.get("prefix", [])), _rat(obj["tail"], section))
 
 
 def element_to_obj(x) -> dict:
@@ -100,22 +110,39 @@ def element_to_obj(x) -> dict:
 # ---------------------------------------------------------------------------
 # Homomorphisms.
 
+def _square_rows(rows, section: str, side: int | None = None) -> tuple:
+    """A square list of lists of rationals, `side` by `side` when `side` is given."""
+    if not isinstance(rows, list):
+        raise SpecFileError(f"{section}: rows must be a list of lists")
+    side = len(rows) if side is None else side
+    if len(rows) != side or any(not isinstance(row, list) or len(row) != side for row in rows):
+        raise SpecFileError(f"{section}: rows must form a {side}x{side} list of lists")
+    return tuple(tuple(_rat(v, section) for v in row) for row in rows)
+
+
+def _require_kind(space: Space, kind: SpaceKind, hom_kind: str, section: str):
+    if space.kind is not kind:
+        raise SpecFileError(
+            f"{section}: a {hom_kind} homomorphism needs a {kind.value} space, not {space.kind.value}"
+        )
+
+
 def parse_hom(obj: dict, space: Space, section: str) -> Hom:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise SpecFileError(f"{section}: homomorphism needs a kind")
     kind = obj["kind"]
     if kind == "matrix":
         _check_keys(obj, {"kind", "rows"}, section)
-        return MatrixHom(tuple(tuple(_rat(v, section) for v in row) for row in obj["rows"]))
+        _require_kind(space, SpaceKind.QN, kind, section)
+        return MatrixHom(_square_rows(obj.get("rows"), section, space.dim))
     if kind == "diagonal":
         _check_keys(obj, {"kind", "prefix", "tail"}, section)
-        coeffs = EvSeq(tuple(_rat(v, section) for v in obj.get("prefix", [])), _rat(obj["tail"], section))
-        return SeqHom.diagonal(coeffs)
+        _require_kind(space, SpaceKind.EVSEQ, kind, section)
+        return SeqHom.diagonal(_evseq(obj, section))
     if kind == "diag_plus_finite":
         _check_keys(obj, {"kind", "prefix", "tail", "block"}, section)
-        coeffs = EvSeq(tuple(_rat(v, section) for v in obj.get("prefix", [])), _rat(obj["tail"], section))
-        block = tuple(tuple(_rat(v, section) for v in row) for row in obj["block"])
-        return SeqHom.diag_plus_block(coeffs, block)
+        _require_kind(space, SpaceKind.EVSEQ, kind, section)
+        return SeqHom.diag_plus_block(_evseq(obj, section), _square_rows(obj.get("block"), section))
     if kind == "identity":
         _check_keys(obj, {"kind"}, section)
         return IdentityHom.on(space)
@@ -222,7 +249,10 @@ def _parse_set(obj: dict, doc: SpecDoc, section: str) -> SetDesc:
         return SolidHull(space, tuple(resolve_element(v) for v in obj["generators"]))
     if kind == "nbhd":
         _check_keys(obj, {"kind", "nbhd"}, section)
-        return NbhdSet(space, parse_nbhd(obj["nbhd"], section))
+        try:
+            return NbhdSet(space, parse_nbhd(obj["nbhd"], section))
+        except InvalidElement as exc:
+            raise SpecFileError(f"{section}: {exc}") from exc
     if kind == "image":
         _check_keys(obj, {"kind", "hom", "base"}, section)
         hom = doc.hom(obj["hom"]) if isinstance(obj["hom"], str) else parse_hom(obj["hom"], space, section)
@@ -278,7 +308,11 @@ def parse_specdoc(text: str) -> SpecDoc:
     for name, obj in raw.get("sets", {}).items():
         doc.sets[name] = _parse_set(obj, doc, f"sets.{name}")
     for name, obj in raw.get("nets", {}).items():
-        doc.nets[name] = _parse_net(obj, doc, f"nets.{name}")
+        try:
+            doc.nets[name] = _parse_net(obj, doc, f"nets.{name}")
+        except InvalidElement as exc:
+            # The net does not fit the space, e.g. any net on the integers.
+            raise SpecFileError(f"nets.{name}: {exc}") from exc
     tasks = raw.get("tasks", [])
     if not isinstance(tasks, list):
         raise SpecFileError("section 'tasks' must be a list")

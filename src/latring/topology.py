@@ -209,6 +209,9 @@ class NbhdSet(SetDesc):
     def __post_init__(self):
         if self.nbhd.topology is not self.space.topology:
             raise InvalidElement("neighborhood belongs to a different base")
+        radii, dim = self.nbhd.radii, self.space.dim
+        if radii is not None and len(radii) != dim:
+            raise InvalidElement(f"a box in a {dim}-dim space needs {dim} radii, got {len(radii)}")
 
 
 @dataclass(frozen=True)

@@ -3,13 +3,18 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from latring import (
+    INF,
     ConeMap,
+    CoordBounds,
     DecompositionPrereqViolated,
     EvSeq,
     FinVec,
     IdentityHom,
+    InvalidElement,
     MatrixHom,
     NotAdditiveOnCone,
     NotBoundedAbove,
@@ -28,6 +33,7 @@ from latring import (
     sup_over_interval_oracle,
     truncation_matrix,
 )
+from latring.extended import ext_add, ext_mul
 from latring.sampling import rand_finvec, rand_matrix_rows, rand_pos_finvec, rng_for
 
 T_EXAMPLE = MatrixHom(((1, -2), (-3, 4)))
@@ -245,3 +251,63 @@ def test_is_order_bounded_witness():
     p = EvSeq.of(1, 2, tail=1)
     w = is_order_bounded(d, p)
     assert w.hi == abs(EvSeq.of(-2, tail=F(1, 2))) * p
+
+
+# ---------------------------------------------------------------------------
+# The integer kernel against the entrywise Fraction formula.
+
+def _fraction_apply(T, x):
+    return FinVec(tuple(sum((t * v for t, v in zip(row, x.entries)), F(0)) for row in T.rows))
+
+
+def _fraction_bounds(T, b):
+    out = []
+    for row in T.rows:
+        acc = F(0)
+        for j, t in enumerate(row):
+            acc = ext_add(acc, ext_mul(abs(t), b.at(j)))
+        out.append(acc)
+    return CoordBounds.finite_dim(out)
+
+
+# Denominators 3, 5, 7 and 8 are pairwise coprime: a row mixing them has lcm 840.
+kernel_rats = st.builds(F, st.integers(-30, 30), st.sampled_from([1, 3, 5, 7, 8]))
+
+
+@st.composite
+def kernel_cases(draw):
+    n = draw(st.integers(1, 8))
+    rows = [
+        [F(0)] * n if draw(st.integers(0, 3)) == 0 else draw(st.lists(kernel_rats, min_size=n, max_size=n))
+        for _ in range(n)
+    ]
+    x = FinVec(tuple(draw(st.lists(kernel_rats, min_size=n, max_size=n))))
+    bound = st.one_of(st.just(INF), kernel_rats.map(abs))
+    b = CoordBounds.finite_dim(draw(st.lists(bound, min_size=n, max_size=n)))
+    return MatrixHom(tuple(map(tuple, rows))), x, b
+
+
+@given(kernel_cases())
+def test_integer_kernel_matches_fraction_formula(case):
+    T, x, b = case
+    assert T.apply(x) == _fraction_apply(T, x)
+    assert T.propagate_bounds(b) == _fraction_bounds(T, b)
+
+
+def test_integer_kernel_examples():
+    T = MatrixHom(((F(1, 3), F(-2, 5), F(3, 7), F(-1, 8)), (0, 0, 0, 0), (1, 0, 0, 0), (0, 0, -1, 2)))
+    x = FinVec.of(F(1, 2), 3, F(-5, 9), 1)
+    assert T.apply(x) == _fraction_apply(T, x)
+    # A zero coefficient kills an unbounded coordinate; a nonzero one propagates it.
+    b = CoordBounds.finite_dim((F(1), INF, F(2, 3), F(4)))
+    assert T.propagate_bounds(b).head == (INF, F(0), F(1), F(26, 3))
+    assert T.propagate_bounds(b) == _fraction_bounds(T, b)
+    # The cached integer rows leave equality, hash and rendering alone.
+    fresh = MatrixHom(T.rows)
+    assert T == fresh and hash(T) == hash(fresh) and repr(T) == repr(fresh) and T.render() == fresh.render()
+
+
+@pytest.mark.parametrize("length", [1, 3])
+def test_propagate_bounds_rejects_wrong_length(length):
+    with pytest.raises(InvalidElement):
+        MatrixHom.identity(2).propagate_bounds(CoordBounds.finite_dim((F(1),) * length))

@@ -114,6 +114,76 @@ def test_non_integer_z_element_exits_2(value, tmp_path, capsys):
     assert "elements.a" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "space, hom",
+    [
+        ({"kind": "qn", "dim": 2}, {"kind": "matrix", "rows": [["1", "0", "0"]] * 3}),
+        ({"kind": "qn", "dim": 2}, {"kind": "matrix", "rows": [["1", "0"], ["0"]]}),
+        ({"kind": "qn", "dim": 2}, {"kind": "matrix", "rows": "12"}),
+        ({"kind": "evseq"}, {"kind": "matrix", "rows": [["1"]]}),
+        ({"kind": "qn", "dim": 2}, {"kind": "diagonal", "prefix": ["1"], "tail": "1"}),
+        ({"kind": "qn", "dim": 2}, {"kind": "diag_plus_finite", "tail": "1", "block": [["0"]]}),
+        ({"kind": "z"}, {"kind": "diagonal", "tail": "1"}),
+        ({"kind": "evseq"}, {"kind": "diag_plus_finite", "tail": "1", "block": [["0", "1"], ["1"]]}),
+    ],
+)
+@pytest.mark.parametrize("command", ["posp", "classify"])
+def test_hom_that_does_not_fit_the_space_exits_2(space, hom, command, tmp_path, capsys):
+    path = tmp_path / "misfit.json"
+    path.write_text(json.dumps({"space": space, "homs": {"t": hom}}))
+    assert main([command, "t", "--spec", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert "homs.t" in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "nbhd",
+    [
+        {"topology": "qn_box", "radii": ["1"]},
+        {"topology": "qn_box", "radii": ["1", "1", "1"]},
+        {"topology": "qn_box", "radii": ["1", "-1"]},
+        {"topology": "evseq_supnorm", "radius": "1"},
+    ],
+)
+def test_neighborhood_that_does_not_fit_the_space_exits_2(nbhd, tmp_path, capsys):
+    spec = json.loads(Path(QN2_SPEC).read_text())
+    spec["sets"]["unit_box"]["nbhd"] = nbhd
+    path = tmp_path / "misfit.json"
+    path.write_text(json.dumps(spec))
+    argv = ["converge", "shrinking", "--mode", "nr", "--region", "unit_box", "--spec", str(path)]
+    assert main(argv) == 2
+    assert "sets.unit_box" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "spec, section",
+    [
+        ({"space": {"kind": "qn", "dim": 2}, "elements": {"x": {"entries": ["1", "2", "3"]}}}, "elements.x"),
+        ({"space": {"kind": "qn", "dim": 2}, "elements": {"x": {"entries": []}}}, "elements.x"),
+        ({"space": {"kind": "qn", "dim": 2}, "elements": {"x": {}}}, "elements.x"),
+        ({"space": {"kind": "evseq"}, "elements": {"x": {"prefix": ["1"]}}}, "elements.x"),
+        ({"space": {"kind": "evseq"}, "homs": {"t": {"kind": "diagonal", "prefix": ["1"]}}}, "homs.t"),
+    ],
+)
+def test_element_or_coefficients_of_wrong_shape_exit_2(spec, section, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(spec))
+    assert main(["run", "--spec", str(path)]) == 2
+    assert section in capsys.readouterr().err
+
+
+def test_net_on_integers_exits_2(tmp_path, capsys):
+    path = tmp_path / "z.json"
+    path.write_text(json.dumps({
+        "space": {"kind": "z"},
+        "homs": {"ident": {"kind": "identity"}},
+        "nets": {"n": {"kind": "constant", "term": "ident"}},
+    }))
+    assert main(["converge", "n", "--mode", "cr", "--spec", str(path)]) == 2
+    assert "nets.n" in capsys.readouterr().err
+
+
 def test_unresolved_name():
     from latring import UnknownName
 
@@ -219,3 +289,14 @@ def test_cli_gallery_four_pass_lines(capsys):
 
 def test_cli_missing_spec_is_input_error(capsys):
     assert main(["classify", "ident", "--spec", "/nonexistent.json"]) == 2
+
+
+def test_reused_parser_after_argument_error(capsys):
+    # The parser is built once per process; a rejected argument must not leave state behind.
+    with pytest.raises(SystemExit) as exc:
+        main(["converge", "net", "--mode", "bogus", "--spec", QN2_SPEC])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert main(["run", "--spec", QN2_SPEC, "--format", "machine"]) == 0
+    golden = _REPO / "tests" / "golden" / "run_qn2_demo.json"
+    assert capsys.readouterr().out.encode("utf-8") == golden.read_bytes()

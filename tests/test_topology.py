@@ -241,3 +241,6 @@ def test_neighborhood_validation():
         Neighborhood.product({0}, 0)
     with pytest.raises(InvalidElement):
         NbhdSet(PROD, Neighborhood.sup_ball(1))  # wrong base for the space
+    for radii in ((1,), (1, 1, 1)):
+        with pytest.raises(InvalidElement):
+            NbhdSet(Q2, Neighborhood.box(radii))  # one radius per coordinate
