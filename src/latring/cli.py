@@ -28,6 +28,7 @@ from .errors import (
 )
 from .gallery import run_all
 from .homs import (
+    ORACLE_DIM_CAP,
     MatrixHom,
     SeqHom,
     decomposition_failure,
@@ -127,15 +128,20 @@ def cmd_posp(doc: SpecDoc, hom_name: str, seed: int, cases: int):
     T = doc.hom(hom_name)
     if not isinstance(T, (MatrixHom, SeqHom)):
         raise InvalidArgument(f"posp needs a matrix or sequence homomorphism; {hom_name!r} acts on the integers")
+    if isinstance(T, MatrixHom):
+        oracle_n = T.n
+    else:
+        oracle_n = max(T.block_size, min(T.support_span() + 1, 8), 1)
+    if oracle_n > ORACLE_DIM_CAP:
+        raise InvalidArgument(
+            f"posp {hom_name!r} needs the vertex oracle at dimension {oracle_n}, "
+            f"above its cap of {ORACLE_DIM_CAP}"
+        )
     pos = positive_part(T)
     rng = rng_for(seed)
     agree = 0
     total = 0
-    if isinstance(T, MatrixHom):
-        checker, oracle_n = T, T.n
-    else:
-        oracle_n = max(T.block_size, min(T.support_span() + 1, 8), 1)
-        checker = truncation_matrix(T, oracle_n)
+    checker = T if isinstance(T, MatrixHom) else truncation_matrix(T, oracle_n)
     pos_checker = checker.positive_part()
     for _ in range(cases):
         x = rand_pos_finvec(rng, oracle_n)
@@ -255,7 +261,7 @@ def cmd_gallery(seed: int, cases: int):
 
 
 def cmd_run(doc: SpecDoc, seed: int, cases: int):
-    """Execute every task listed in the spec file."""
+    """Execute every task listed in the spec file (their arguments are checked at parse time)."""
     merged: dict = {}
     all_passed = True
     for i, task in enumerate(doc.tasks):
@@ -271,12 +277,8 @@ def cmd_run(doc: SpecDoc, seed: int, cases: int):
             sub, ok = cmd_decompose(doc, task["x"], task["y1"], task["y2"])
         elif op == "converge":
             sub, ok = cmd_converge(doc, task["net"], task["mode"], task.get("region"), t_seed)
-        elif op == "laws":
-            if "instance" not in task:
-                raise SpecFileError(f"tasks[{i}]: laws tasks need an 'instance'")
-            sub, ok = cmd_laws(task["instance"], t_seed, t_cases)
         else:
-            raise SpecFileError(f"tasks[{i}]: unknown op {op!r}")
+            sub, ok = cmd_laws(task["instance"], t_seed, t_cases)
         for key, value in sub["results"].items():
             merged[f"{name}:{key}"] = value
         all_passed = all_passed and ok

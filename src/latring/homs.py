@@ -9,9 +9,12 @@ is additive, preserves negation, and is order bounded, so positive parts
 exist; they are computed in closed form (entrywise) and validated against an
 independent vertex-enumeration oracle wherever the two can meet.
 
-A matrix applies, and pushes per-coordinate bounds through, in exact integer
-arithmetic: each row and each input are put over one common denominator, the
-numerators are summed as integers, and each output entry is normalised once.
+A matrix works on its integer rows: each row is held as integer numerators
+over one common denominator, with their gcd divided out, so every matrix has
+exactly one integer form.  Its lattice arithmetic (sums, differences, scaling,
+positive parts, moduli, joins, meets, directed suprema), `==` and hash run on
+those integers.  Applying it puts the input over one common denominator too,
+sums numerators as integers, and normalises each output entry once.
 """
 
 from __future__ import annotations
@@ -19,10 +22,9 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
-from functools import cached_property
-from operator import mul
+from operator import add, mul, sub
 from typing import Iterable, Sequence
 
 from .elements import EvSeq, FinVec
@@ -51,41 +53,93 @@ def _over_common_den(values: Sequence[Fraction]) -> tuple[int, list[int]]:
     return d, [v.numerator * (d // v.denominator) for v in values]
 
 
-@dataclass(frozen=True)
+IntRow = tuple[int, tuple[int, ...]]
+
+
+def _reduced(d: int, nums: Sequence[int]) -> IntRow:
+    """The row nums / d with gcd(d, *nums) divided out, so equal rows are equal pairs."""
+    g = math.gcd(d, *nums)
+    if g == 1:
+        return d, tuple(nums)
+    return d // g, tuple(a // g for a in nums)
+
+
 class MatrixHom:
-    """n x n rational matrix acting on Q^n."""
+    """n x n rational matrix acting on Q^n.
 
-    rows: tuple[tuple[Fraction, ...], ...]
+    The working form is `int_rows`: row i as `(d_i, nums_i)` with entries
+    nums_i[j] / d_i, d_i > 0 and gcd(d_i, *nums_i) == 1, so each matrix has
+    exactly one such form and `==` and hash compare it directly.  Arithmetic
+    results are built from integer rows; the Fraction `rows` of such a result
+    are made only when read (`render`, `repr`).  A matrix built from `rows`
+    makes its integer rows on first use.  Instances are immutable.
+    """
 
-    def __post_init__(self):
-        rows = _rows_tuple(self.rows)
+    __slots__ = ("_rows", "_ints")
+
+    def __init__(self, rows: Iterable[Iterable]):
+        rows = _rows_tuple(rows)
         n = len(rows)
         if n == 0 or any(len(r) != n for r in rows):
             raise InvalidElement("matrix homomorphisms must be square and nonempty")
-        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "_ints", None)
+
+    @classmethod
+    def _from_int_rows(cls, ints: tuple[IntRow, ...]) -> "MatrixHom":
+        T = object.__new__(cls)
+        object.__setattr__(T, "_rows", None)
+        object.__setattr__(T, "_ints", ints)
+        return T
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return MatrixHom, (self.rows,)
 
     @classmethod
     def identity(cls, n: int) -> "MatrixHom":
-        return cls(tuple(tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)))
+        return cls._from_int_rows(tuple((1, tuple(int(i == j) for j in range(n))) for i in range(n)))
 
     @classmethod
     def zero(cls, n: int) -> "MatrixHom":
-        return cls(((Fraction(0),) * n,) * n)
+        return cls._from_int_rows(((1, (0,) * n),) * n)
+
+    @property
+    def rows(self) -> tuple[tuple[Fraction, ...], ...]:
+        if self._rows is None:
+            rows = tuple(tuple(Fraction(a, d) for a in nums) for d, nums in self._ints)
+            object.__setattr__(self, "_rows", rows)
+        return self._rows
+
+    @property
+    def int_rows(self) -> tuple[IntRow, ...]:
+        if self._ints is None:
+            ints = tuple((d, tuple(nums)) for d, nums in map(_over_common_den, self._rows))
+            object.__setattr__(self, "_ints", ints)
+        return self._ints
 
     @property
     def n(self) -> int:
-        return len(self.rows)
+        return len(self._ints if self._rows is None else self._rows)
 
-    @cached_property
-    def _int_rows(self) -> tuple[tuple[int, list[int]], ...]:
-        """Each row over its own common denominator, built on first use."""
-        return tuple(_over_common_den(row) for row in self.rows)
+    def __eq__(self, other):
+        if other.__class__ is not MatrixHom:
+            return NotImplemented
+        return self.int_rows == other.int_rows
+
+    def __hash__(self) -> int:
+        return hash(self.int_rows)
 
     def apply(self, x: FinVec) -> FinVec:
         if not isinstance(x, FinVec) or x.dim != self.n:
             raise InvalidElement(f"expected a {self.n}-dim FinVec, got {x!r}")
         xd, xs = _over_common_den(x.entries)
-        return FinVec(tuple(Fraction(sum(map(mul, nums, xs)), d * xd) for d, nums in self._int_rows))
+        return FinVec(tuple(Fraction(sum(map(mul, nums, xs)), d * xd) for d, nums in self.int_rows))
 
     def propagate_bounds(self, b: CoordBounds) -> CoordBounds:
         """Per row, the sum of |t_ij| * b_j, with 0 * INF = 0 as in `ext_mul`."""
@@ -98,43 +152,52 @@ class MatrixHom:
         return CoordBounds.finite_dim(
             INF if any(nums[j] for j in unbounded)
             else Fraction(sum(map(mul, map(abs, nums), bs)), d * bd)
-            for d, nums in self._int_rows
+            for d, nums in self.int_rows
         )
 
-    def _zip(self, other: "MatrixHom", op) -> "MatrixHom":
-        if other.n != self.n:
-            raise InvalidElement("matrix size mismatch")
-        return MatrixHom(
-            tuple(tuple(op(a, b) for a, b in zip(r1, r2)) for r1, r2 in zip(self.rows, other.rows))
-        )
+    def _combine(self, other, op) -> "MatrixHom":
+        """Entrywise `op` (add or sub) of two matrices, row by row over a common denominator."""
+        other = _as_matrix(other, self.n)
+        rows = []
+        for (d1, a), (d2, b) in zip(self.int_rows, other.int_rows):
+            if d1 == d2:
+                rows.append(_reduced(d1, list(map(op, a, b))))
+            else:
+                g = math.gcd(d1, d2)
+                m1, m2 = d2 // g, d1 // g
+                rows.append(_reduced(d1 * m1, [op(u * m1, v * m2) for u, v in zip(a, b)]))
+        return MatrixHom._from_int_rows(tuple(rows))
 
     def __add__(self, other):
-        return self._zip(_as_matrix(other, self.n), lambda a, b: a + b)
+        return self._combine(other, add)
 
     def __sub__(self, other):
-        return self._zip(_as_matrix(other, self.n), lambda a, b: a - b)
+        return self._combine(other, sub)
 
     def __neg__(self) -> "MatrixHom":
-        return self.scale(-1)
+        return MatrixHom._from_int_rows(tuple((d, tuple(-a for a in nums)) for d, nums in self.int_rows))
 
     def scale(self, factor) -> "MatrixHom":
         q = as_rat(factor)
-        return MatrixHom(tuple(tuple(q * a for a in row) for row in self.rows))
+        p, r = q.numerator, q.denominator
+        return MatrixHom._from_int_rows(tuple(_reduced(d * r, [p * a for a in nums]) for d, nums in self.int_rows))
 
     def positive_part(self) -> "MatrixHom":
-        return MatrixHom(tuple(tuple(max(a, Fraction(0)) for a in row) for row in self.rows))
+        return MatrixHom._from_int_rows(
+            tuple(_reduced(d, [a if a > 0 else 0 for a in nums]) for d, nums in self.int_rows)
+        )
 
     def entrywise_abs(self) -> "MatrixHom":
-        return MatrixHom(tuple(tuple(abs(a) for a in row) for row in self.rows))
+        return MatrixHom._from_int_rows(tuple((d, tuple(map(abs, nums))) for d, nums in self.int_rows))
 
     def is_zero(self) -> bool:
-        return all(a == 0 for row in self.rows for a in row)
+        return not any(any(nums) for _, nums in self.int_rows)
 
     def is_positive(self) -> bool:
-        return all(a >= 0 for row in self.rows for a in row)
+        return all(min(nums) >= 0 for _, nums in self.int_rows)
 
     def is_diagonal(self) -> bool:
-        return all(a == 0 for i, row in enumerate(self.rows) for j, a in enumerate(row) if i != j)
+        return all(a == 0 for i, (_, nums) in enumerate(self.int_rows) for j, a in enumerate(nums) if i != j)
 
     def finite_column_support(self) -> bool:
         return True
@@ -481,13 +544,14 @@ def directed_sup(homs: Sequence[MatrixHom], bound: MatrixHom) -> MatrixHom:
         raise InvalidElement("directed supremum of an empty family")
     n = homs[0].n
     for T in homs:
-        gap = _as_matrix(bound, n) - _as_matrix(T, n)
-        if gap.positive_part() != gap:
+        if not (_as_matrix(bound, n) - _as_matrix(T, n)).is_positive():
             raise NotBoundedAbove(T)
-    rows = tuple(
-        tuple(max(T.rows[i][j] for T in homs) for j in range(n)) for i in range(n)
-    )
-    return MatrixHom(rows)
+    rows = []
+    for row_i in zip(*(T.int_rows for T in homs)):
+        d = math.lcm(*(d_T for d_T, _ in row_i))
+        scaled = [[a * (d // d_T) for a in nums] for d_T, nums in row_i]
+        rows.append(_reduced(d, [max(column) for column in zip(*scaled)]))
+    return MatrixHom._from_int_rows(tuple(rows))
 
 
 # ---------------------------------------------------------------------------

@@ -230,7 +230,7 @@ def _row_support(T: Hom, rows) -> set[int]:
                 support.update(j for j in range(k) if T.off[i][j] != 0)
     elif isinstance(T, MatrixHom):
         for i in rows:
-            support.update(j for j in range(T.n) if T.rows[i][j] != 0)
+            support.update(j for j, a in enumerate(T.int_rows[i][1]) if a)
     return support
 
 

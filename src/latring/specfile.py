@@ -44,6 +44,23 @@ def _check_keys(obj: dict, allowed: set[str], section: str):
         raise SpecFileError(f"unknown key(s) {sorted(unknown)} in section {section!r}")
 
 
+def _require(obj: dict, key: str, section: str):
+    if key not in obj:
+        raise SpecFileError(f"{section}: missing {key!r}")
+    return obj[key]
+
+
+def _list(obj: dict, key: str, section: str) -> list:
+    value = _require(obj, key, section)
+    if not isinstance(value, list):
+        raise SpecFileError(f"{section}: {key!r} must be a list, got {value!r}")
+    return value
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _rat(value, section: str) -> Fraction:
     try:
         return as_rat(value)
@@ -63,9 +80,16 @@ def parse_space(obj: dict, section: str = "space") -> Space:
     if mul not in ("pointwise", "zero"):
         raise SpecFileError(f"{section}: multiplication must be pointwise or zero")
     top_name = obj.get("topology")
-    topology = TopologyId(top_name) if top_name else _DEFAULT_TOPOLOGY[kind]
     try:
-        return Space(SpaceKind(kind), topology, Multiplication(mul), obj.get("dim"))
+        topology = _DEFAULT_TOPOLOGY[kind] if top_name is None else TopologyId(top_name)
+    except ValueError:
+        names = "/".join(t.value for t in TopologyId)
+        raise SpecFileError(f"{section}: topology must be one of {names}, got {top_name!r}") from None
+    dim = obj.get("dim")
+    if dim is not None and not _is_int(dim):
+        raise SpecFileError(f"{section}: dim must be a JSON integer, got {dim!r}")
+    try:
+        return Space(SpaceKind(kind), topology, Multiplication(mul), dim)
     except (LatringError, ValueError) as exc:
         raise SpecFileError(f"{section}: {exc}") from exc
 
@@ -86,7 +110,7 @@ def parse_element(obj, space: Space, section: str):
             return _evseq(obj, section)
         _check_keys(obj, {"int"}, section)
         value = obj.get("int")
-        if isinstance(value, bool) or not isinstance(value, int):
+        if not _is_int(value):
             raise SpecFileError(f"{section}: 'int' must be a JSON integer, got {value!r}")
         return value
     raise SpecFileError(f"{section}: element must be an object")
@@ -94,9 +118,8 @@ def parse_element(obj, space: Space, section: str):
 
 def _evseq(obj: dict, section: str) -> EvSeq:
     """An eventually-constant sequence from its `prefix` and `tail` keys."""
-    if "tail" not in obj:
-        raise SpecFileError(f"{section}: missing 'tail'")
-    return EvSeq(tuple(_rat(v, section) for v in obj.get("prefix", [])), _rat(obj["tail"], section))
+    prefix = _list(obj, "prefix", section) if "prefix" in obj else []
+    return EvSeq(tuple(_rat(v, section) for v in prefix), _rat(_require(obj, "tail", section), section))
 
 
 def element_to_obj(x) -> dict:
@@ -162,13 +185,16 @@ def parse_nbhd(obj: dict, section: str) -> Neighborhood:
     top = obj["topology"]
     if top == "qn_box":
         _check_keys(obj, {"topology", "radii"}, section)
-        return Neighborhood.box(tuple(_rat(v, section) for v in obj["radii"]))
+        return Neighborhood.box(tuple(_rat(v, section) for v in _list(obj, "radii", section)))
     if top == "evseq_product":
         _check_keys(obj, {"topology", "coords", "radius"}, section)
-        return Neighborhood.product(frozenset(obj["coords"]), _rat(obj["radius"], section))
+        coords = _list(obj, "coords", section)
+        if not all(_is_int(c) and c >= 0 for c in coords):
+            raise SpecFileError(f"{section}: 'coords' must list coordinate indices >= 0, got {coords!r}")
+        return Neighborhood.product(frozenset(coords), _rat(_require(obj, "radius", section), section))
     if top == "evseq_supnorm":
         _check_keys(obj, {"topology", "radius"}, section)
-        return Neighborhood.sup_ball(_rat(obj["radius"], section))
+        return Neighborhood.sup_ball(_rat(_require(obj, "radius", section), section))
     if top == "z_discrete":
         _check_keys(obj, {"topology"}, section)
         return Neighborhood.discrete_zero()
@@ -240,23 +266,25 @@ def _parse_set(obj: dict, doc: SpecDoc, section: str) -> SetDesc:
 
     if kind == "interval":
         _check_keys(obj, {"kind", "lo", "hi"}, section)
-        return Interval(space, resolve_element(obj["lo"]), resolve_element(obj["hi"]))
+        lo, hi = (resolve_element(_require(obj, key, section)) for key in ("lo", "hi"))
+        return Interval(space, lo, hi)
     if kind == "finite":
         _check_keys(obj, {"kind", "elements"}, section)
-        return FiniteSet(space, tuple(resolve_element(v) for v in obj["elements"]))
+        return FiniteSet(space, tuple(resolve_element(v) for v in _list(obj, "elements", section)))
     if kind == "solid_hull":
         _check_keys(obj, {"kind", "generators"}, section)
-        return SolidHull(space, tuple(resolve_element(v) for v in obj["generators"]))
+        return SolidHull(space, tuple(resolve_element(v) for v in _list(obj, "generators", section)))
     if kind == "nbhd":
         _check_keys(obj, {"kind", "nbhd"}, section)
         try:
-            return NbhdSet(space, parse_nbhd(obj["nbhd"], section))
+            return NbhdSet(space, parse_nbhd(_require(obj, "nbhd", section), section))
         except InvalidElement as exc:
             raise SpecFileError(f"{section}: {exc}") from exc
     if kind == "image":
         _check_keys(obj, {"kind", "hom", "base"}, section)
-        hom = doc.hom(obj["hom"]) if isinstance(obj["hom"], str) else parse_hom(obj["hom"], space, section)
-        base = doc.set_desc(obj["base"]) if isinstance(obj["base"], str) else _parse_set(obj["base"], doc, section)
+        hom, base = _require(obj, "hom", section), _require(obj, "base", section)
+        hom = doc.hom(hom) if isinstance(hom, str) else parse_hom(hom, space, section)
+        base = doc.set_desc(base) if isinstance(base, str) else _parse_set(base, doc, section)
         return ImageSet(doc.codomain_space, hom, base)
     raise SpecFileError(f"{section}: unknown set kind {kind!r}")
 
@@ -274,20 +302,55 @@ def _parse_net(obj: dict, doc: SpecDoc, section: str) -> HomNet:
     if kind == "closed":
         _check_keys(obj, {"kind", "base", "decay", "target"}, section)
         target = resolve_hom(obj["target"]) if "target" in obj else None
-        return HomNet.closed(
-            doc.space, doc.codomain_space, resolve_hom(obj["base"]), resolve_hom(obj["decay"]), target
-        )
+        base, decay = (resolve_hom(_require(obj, key, section)) for key in ("base", "decay"))
+        return HomNet.closed(doc.space, doc.codomain_space, base, decay, target)
     if kind == "constant":
         _check_keys(obj, {"kind", "term"}, section)
-        return HomNet.constant(doc.space, doc.codomain_space, resolve_hom(obj["term"]))
+        return HomNet.constant(doc.space, doc.codomain_space, resolve_hom(_require(obj, "term", section)))
     if kind == "table":
         _check_keys(obj, {"kind", "terms", "target"}, section)
         target = resolve_hom(obj["target"]) if "target" in obj else None
-        return HomNet.table(doc.space, doc.codomain_space, [resolve_hom(t) for t in obj["terms"]], target)
+        terms = [resolve_hom(t) for t in _list(obj, "terms", section)]
+        return HomNet.table(doc.space, doc.codomain_space, terms, target)
     raise SpecFileError(f"{section}: unknown net kind {kind!r}")
 
 
-_TASK_KEYS = {"name", "op", "hom", "x", "y1", "y2", "net", "mode", "region", "instance", "seed", "cases"}
+# Each op's required arguments, all names.  Any task may also carry a `name`,
+# `seed` and `cases` (integers), and a converge task a `region`.
+_TASK_ARGS = {
+    "classify": ("hom",),
+    "posp": ("hom",),
+    "decompose": ("x", "y1", "y2"),
+    "converge": ("net", "mode"),
+    "laws": ("instance",),
+}
+_TASK_KEYS = {"name", "op", "region", "seed", "cases"}.union(*_TASK_ARGS.values())
+
+
+def _parse_task(task, section: str) -> dict:
+    _check_keys(task, _TASK_KEYS, section)
+    op = _require(task, "op", section)
+    if not isinstance(op, str) or op not in _TASK_ARGS:
+        raise SpecFileError(f"{section}: unknown op {op!r}")
+    for key in _TASK_ARGS[op]:
+        if key not in task:
+            raise SpecFileError(f"{section}: a {op} task needs {key!r}")
+        if not isinstance(task[key], str):
+            raise SpecFileError(f"{section}: {key!r} must be a name, got {task[key]!r}")
+    for key in ("name", "region"):
+        if key in task and not isinstance(task[key], str):
+            raise SpecFileError(f"{section}: {key!r} must be a string, got {task[key]!r}")
+    for key in ("seed", "cases"):
+        if key in task and not _is_int(task[key]):
+            raise SpecFileError(f"{section}: {key!r} must be a JSON integer, got {task[key]!r}")
+    return task
+
+
+def _section(raw: dict, key: str) -> dict:
+    obj = raw.get(key, {})
+    if not isinstance(obj, dict):
+        raise SpecFileError(f"section {key!r} must be an object mapping names to entries")
+    return obj
 
 
 def parse_specdoc(text: str) -> SpecDoc:
@@ -301,13 +364,13 @@ def parse_specdoc(text: str) -> SpecDoc:
     space = parse_space(raw["space"])
     codomain = parse_space(raw["codomain_space"], "codomain_space") if "codomain_space" in raw else space
     doc = SpecDoc(space, codomain)
-    for name, obj in raw.get("elements", {}).items():
+    for name, obj in _section(raw, "elements").items():
         doc.elements[name] = parse_element(obj, space, f"elements.{name}")
-    for name, obj in raw.get("homs", {}).items():
+    for name, obj in _section(raw, "homs").items():
         doc.homs[name] = parse_hom(obj, space, f"homs.{name}")
-    for name, obj in raw.get("sets", {}).items():
+    for name, obj in _section(raw, "sets").items():
         doc.sets[name] = _parse_set(obj, doc, f"sets.{name}")
-    for name, obj in raw.get("nets", {}).items():
+    for name, obj in _section(raw, "nets").items():
         try:
             doc.nets[name] = _parse_net(obj, doc, f"nets.{name}")
         except InvalidElement as exc:
@@ -316,11 +379,7 @@ def parse_specdoc(text: str) -> SpecDoc:
     tasks = raw.get("tasks", [])
     if not isinstance(tasks, list):
         raise SpecFileError("section 'tasks' must be a list")
-    for i, task in enumerate(tasks):
-        _check_keys(task, _TASK_KEYS, f"tasks[{i}]")
-        if "op" not in task:
-            raise SpecFileError(f"tasks[{i}]: missing op")
-        doc.tasks.append(task)
+    doc.tasks = [_parse_task(task, f"tasks[{i}]") for i, task in enumerate(tasks)]
     return doc
 
 

@@ -311,3 +311,88 @@ def test_integer_kernel_examples():
 def test_propagate_bounds_rejects_wrong_length(length):
     with pytest.raises(InvalidElement):
         MatrixHom.identity(2).propagate_bounds(CoordBounds.finite_dim((F(1),) * length))
+
+
+# ---------------------------------------------------------------------------
+# Integer-native operator arithmetic against entrywise Fraction formulas.
+
+op_rats = st.builds(F, st.one_of(st.integers(-2, 2), st.integers(-30, 30)), st.integers(1, 8))
+scale_factors = st.one_of(st.just(F(0)), st.builds(F, st.integers(-6, 6), st.integers(1, 8)))
+
+
+@st.composite
+def fraction_rows(draw, n):
+    # A quarter of the rows are zero; rows over 3, 5, 7 and 8 reach lcm 840.
+    return tuple(
+        (F(0),) * n if draw(st.integers(0, 3)) == 0 else tuple(draw(st.lists(op_rats, min_size=n, max_size=n)))
+        for _ in range(n)
+    )
+
+
+@st.composite
+def operand_pairs(draw):
+    n = draw(st.integers(1, 6))
+    rows_t, rows_s = draw(fraction_rows(n)), draw(fraction_rows(n))
+
+    def build(rows):
+        # Either construction path: from Fraction rows, or the result of integer arithmetic.
+        T = MatrixHom(rows)
+        return T.scale(1) if draw(st.booleans()) else T
+
+    return rows_t, rows_s, build(rows_t), build(rows_s), draw(scale_factors)
+
+
+def _entrywise(f, *row_sets):
+    return tuple(tuple(map(f, *rows)) for rows in zip(*row_sets))
+
+
+def _same_hom(result, rows):
+    fresh = MatrixHom(result.rows)
+    assert result.rows == rows
+    assert result == fresh == MatrixHom(rows) and hash(result) == hash(fresh) == hash(MatrixHom(rows))
+    assert repr(result) == repr(fresh) and result.render() == fresh.render()
+
+
+@given(operand_pairs())
+def test_integer_ops_match_entrywise_fraction_formulas(case):
+    rows_t, rows_s, T, S, q = case
+    _same_hom(T + S, _entrywise(lambda a, b: a + b, rows_t, rows_s))
+    _same_hom(T - S, _entrywise(lambda a, b: a - b, rows_t, rows_s))
+    _same_hom(-T, _entrywise(lambda a: -a, rows_t))
+    _same_hom(T.scale(q), _entrywise(lambda a: q * a, rows_t))
+    _same_hom(T.positive_part(), _entrywise(lambda a: max(a, F(0)), rows_t))
+    _same_hom(T.entrywise_abs(), _entrywise(abs, rows_t))
+    bound = T.entrywise_abs() + S.entrywise_abs()
+    _same_hom(directed_sup([T, S], bound), _entrywise(max, rows_t, rows_s))
+    assert T.is_zero() == all(a == 0 for row in rows_t for a in row)
+    assert T.is_positive() == all(a >= 0 for row in rows_t for a in row)
+    assert T.is_diagonal() == all(a == 0 for i, row in enumerate(rows_t) for j, a in enumerate(row) if i != j)
+    # One canonical form whatever the path that built it.
+    n = T.n
+    assert (T + S) - S == T and hash((T + S) - S) == hash(T)
+    assert T - T == MatrixHom.zero(n) and hash(T - T) == hash(MatrixHom.zero(n))
+    assert T.scale(0) == MatrixHom.zero(n) and (T - T).is_zero()
+    assert T == MatrixHom(T.rows) and hash(T) == hash(MatrixHom(T.rows))
+    identity = MatrixHom(tuple(tuple(F(int(i == j)) for j in range(n)) for i in range(n)))
+    assert MatrixHom.identity(n) == identity and hash(MatrixHom.identity(n)) == hash(identity)
+
+
+def test_integer_ops_examples():
+    T = MatrixHom(((F(1, 2), F(-1, 6)), (F(1, 3), F(2, 3))))
+    assert T.int_rows == ((6, (3, -1)), (3, (1, 2)))
+    # Dropping the -1/6 leaves 3/6 = 1/2: the row is reduced to denominator 2.
+    assert T.positive_part().int_rows == ((2, (1, 0)), (3, (1, 2)))
+    assert T.positive_part() == MatrixHom(((F(1, 2), 0), (F(1, 3), F(2, 3))))
+    assert (T + (-T).positive_part()).int_rows == ((2, (1, 0)), (3, (1, 2)))
+    assert T.scale(F(-3, 2)).rows == ((F(-3, 4), F(1, 4)), (F(-1, 2), -1))
+    assert repr(T - T) == "MatrixHom([['0', '0'], ['0', '0']])"
+
+
+def test_matrix_hom_is_immutable():
+    T = T_EXAMPLE + T_EXAMPLE
+    for name in ("rows", "n", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(T, name, None)
+    with pytest.raises(AttributeError):
+        del T.rows
+    assert T.rows == ((2, -4), (-6, 8))

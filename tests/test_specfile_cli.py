@@ -8,6 +8,7 @@ import pytest
 
 from latring import EvSeq, FinVec, MatrixHom, Neighborhood, SeqHom, Space, SpecFileError
 from latring.cli import main
+from latring.homs import ORACLE_DIM_CAP
 from latring.specfile import (
     element_to_obj,
     hom_to_obj,
@@ -300,3 +301,73 @@ def test_reused_parser_after_argument_error(capsys):
     assert main(["run", "--spec", QN2_SPEC, "--format", "machine"]) == 0
     golden = _REPO / "tests" / "golden" / "run_qn2_demo.json"
     assert capsys.readouterr().out.encode("utf-8") == golden.read_bytes()
+
+
+def _assert_input_error(argv, section, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert section in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "spec, section",
+    [
+        ({"space": {"kind": "qn", "dim": 2, "topology": "bogus"}}, "space: topology"),
+        ({"space": {"kind": "qn", "dim": "2"}}, "space: dim"),
+        ({"space": {"kind": "qn", "dim": 2}, "codomain_space": {"kind": "evseq", "topology": 3}},
+         "codomain_space: topology"),
+        ({"space": {"kind": "qn", "dim": 2}, "elements": []}, "'elements'"),
+        ({"space": {"kind": "evseq"}, "homs": "t"}, "'homs'"),
+        ({"space": {"kind": "evseq"},
+          "sets": {"u": {"kind": "nbhd", "nbhd": {"topology": "evseq_product", "coords": "ab", "radius": "1"}}}},
+         "sets.u: 'coords'"),
+        ({"space": {"kind": "evseq"},
+          "sets": {"u": {"kind": "nbhd", "nbhd": {"topology": "evseq_product", "coords": [-1], "radius": "1"}}}},
+         "sets.u: 'coords'"),
+        ({"space": {"kind": "qn", "dim": 2},
+          "sets": {"u": {"kind": "nbhd", "nbhd": {"topology": "qn_box", "radii": "12"}}}}, "sets.u: 'radii'"),
+        ({"space": {"kind": "qn", "dim": 2}, "sets": {"u": {"kind": "finite"}}}, "sets.u: missing 'elements'"),
+        ({"space": {"kind": "evseq"}, "elements": {"x": {"prefix": "12", "tail": "0"}}}, "elements.x: 'prefix'"),
+        ({"space": {"kind": "evseq"}, "sets": {"u": {"kind": "nbhd", "nbhd": {"topology": "evseq_supnorm"}}}},
+         "sets.u: missing 'radius'"),
+        ({"space": {"kind": "qn", "dim": 1}, "nets": {"n": {"kind": "constant"}}}, "nets.n: missing 'term'"),
+    ],
+)
+def test_space_and_section_types_exit_2(spec, section, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(spec))
+    _assert_input_error(["run", "--spec", str(path)], section, capsys)
+
+
+@pytest.mark.parametrize(
+    "task, message",
+    [
+        ({"op": "classify"}, "tasks[0]: a classify task needs 'hom'"),
+        ({"op": "posp"}, "tasks[0]: a posp task needs 'hom'"),
+        ({"op": "converge", "net": "n"}, "tasks[0]: a converge task needs 'mode'"),
+        ({"op": "decompose", "x": "x", "y1": "y1"}, "tasks[0]: a decompose task needs 'y2'"),
+        ({"op": "laws"}, "tasks[0]: a laws task needs 'instance'"),
+        ({"op": "classify", "hom": ["t"]}, "tasks[0]: 'hom' must be a name"),
+        ({"op": "laws", "instance": "q2_pointwise", "cases": "5"}, "tasks[0]: 'cases' must be a JSON integer"),
+        ({"op": ["classify"]}, "tasks[0]: unknown op"),
+    ],
+)
+def test_task_missing_or_mistyped_argument_exits_2(task, message, tmp_path, capsys):
+    path = tmp_path / "tasks.json"
+    path.write_text(json.dumps({"space": {"kind": "qn", "dim": 2}, "tasks": [task]}))
+    _assert_input_error(["run", "--spec", str(path)], message, capsys)
+
+
+@pytest.mark.parametrize(
+    "space, hom, dim",
+    [
+        ({"kind": "qn", "dim": 17}, {"kind": "matrix", "rows": [["1"] * 17] * 17}, 17),
+        ({"kind": "evseq"}, {"kind": "diag_plus_finite", "tail": "1", "block": [["0", "1"] * 9] * 18}, 18),
+    ],
+)
+def test_posp_beyond_the_oracle_cap_exits_2(space, hom, dim, tmp_path, capsys):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"space": space, "homs": {"big": hom}}))
+    message = f"posp 'big' needs the vertex oracle at dimension {dim}, above its cap of {ORACLE_DIM_CAP}"
+    _assert_input_error(["posp", "big", "--spec", str(path)], message, capsys)
