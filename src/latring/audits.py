@@ -12,7 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .elements import EvSeq, FinVec
+from .elements import EvSeq, FinVec, coords
+from .extended import CoordBounds
 from .errors import UnknownInstance
 from .homs import (
     MatrixHom,
@@ -27,15 +28,7 @@ from .homs import (
     sup_over_interval_oracle,
 )
 from .homspaces import HomNet, br_converges, cr_converges, lattice_continuity_audit, nr_converges
-from .sampling import (
-    rand_element,
-    rand_evseq,
-    rand_finvec,
-    rand_matrix_rows,
-    rand_pos_finvec,
-    rand_rat,
-    rng_for,
-)
+from .sampling import rand_element, rand_matrix_rows, rand_pos_element, rand_rat, rng_for
 from .spaces import (
     Multiplication,
     Space,
@@ -253,7 +246,7 @@ def rk_agreement_suite(seed: int = 0, cases: int = 500) -> CheckResult:
     for _ in range(cases):
         n = rng.randint(1, 6)
         T = MatrixHom(rand_matrix_rows(rng, n))
-        x = rand_pos_finvec(rng, n)
+        x = rand_pos_element(rng, Space.qn(n))
         if positive_part(T).apply(x) == sup_over_interval_oracle(T, x):
             ok += 1
         elif not detail:
@@ -270,8 +263,8 @@ def decomposition_suite(seed: int = 0, cases: int = 1000, dim: int = 5) -> Check
     ok = 0
     detail = ""
     for i in range(cases):
-        y1 = rand_finvec(rng, dim)
-        y2 = rand_finvec(rng, dim)
+        y1 = rand_element(rng, space)
+        y2 = rand_element(rng, space)
         cap = abs(y1) + abs(y2)
         if i % 2 == 0:
             x = FinVec(tuple(Fraction(rng.randint(-24, 24), 24) * c for c in cap))
@@ -299,7 +292,7 @@ def cone_extension_suite(seed: int = 0, cases: int = 200) -> list[CheckResult]:
         T = MatrixHom(rand_matrix_rows(rng, n))
         space = Space.qn(n)
         ext = extend_from_cone(ConeMap(space, hom=T), samples=5, seed=rng.randint(0, 10**6))
-        x = rand_finvec(rng, n)
+        x = rand_element(rng, space)
         if ext.apply(x) == T.apply(x):
             ok += 1
         elif not detail:
@@ -363,7 +356,7 @@ def directed_sup_suite(seed: int = 0, cases: int = 100) -> CheckResult:
         bound = envelope + MatrixHom(rand_matrix_rows(rng, n)).positive_part()
         S = directed_sup(family, bound)
         upper = S + MatrixHom(rand_matrix_rows(rng, n)).positive_part()
-        x = rand_pos_finvec(rng, n)
+        x = rand_pos_element(rng, Space.qn(n))
         dominates = all((S - T).positive_part() == S - T for T in family)
         below = (upper - S).positive_part() == upper - S
         pointwise = S.apply(x) == _coordmax(T.apply(x) for T in family + [S])
@@ -422,7 +415,7 @@ def rand_setdesc(rng: random.Random, space: Space) -> SetDesc:
     if space.kind is SpaceKind.QN:
         hom = MatrixHom(rand_matrix_rows(rng, space.dim, span=4))
     else:
-        hom = SeqHom.diagonal(rand_evseq(rng, max_prefix=3, span=4))
+        hom = SeqHom.diagonal(rand_element(rng, space, span=4, max_prefix=3))
     return ImageSet(space, hom, base)
 
 
@@ -454,7 +447,6 @@ def boundedness_agreement_suite(seed: int = 0, cases: int = 500) -> CheckResult:
 
 def sampler_bound_suite(seed: int = 0, cases: int = 300) -> CheckResult:
     """Every sampled member respects the set's coordinate bound function."""
-    from .extended import ext_le
     from .topology import sample_member
 
     rng = rng_for(seed)
@@ -465,12 +457,7 @@ def sampler_bound_suite(seed: int = 0, cases: int = 300) -> CheckResult:
         S = rand_setdesc(rng, inst.space)
         beta = coordinate_bounds(S)
         x = sample_member(S, rng)
-        if isinstance(x, FinVec):
-            good = all(ext_le(abs(v), beta.at(j)) for j, v in enumerate(x.entries))
-        else:
-            span = max(len(x.prefix), beta.span()) + 1
-            good = all(ext_le(abs(x.at(j)), beta.at(j)) for j in range(span))
-        if good:
+        if CoordBounds(*coords(abs(x))).within(beta):
             ok += 1
         elif not detail:
             detail = f"sample escaped bounds on {S!r}"
@@ -560,8 +547,8 @@ def uniqueness_suite(seed: int = 0, cases: int = 50) -> CheckResult:
     ok = 0
     detail = ""
     for _ in range(cases):
-        base = SeqHom.diagonal(rand_evseq(rng, max_prefix=3))
-        decay = SeqHom.diagonal(rand_evseq(rng, max_prefix=3))
+        base = SeqHom.diagonal(rand_element(rng, seq_space, max_prefix=3))
+        decay = SeqHom.diagonal(rand_element(rng, seq_space, max_prefix=3))
         net = HomNet.closed(seq_space, seq_space, base, decay, target=base)
         # The same limit in a syntactically different presentation.
         k = len(base.diag.prefix) + 1

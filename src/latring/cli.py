@@ -38,7 +38,8 @@ from .homs import (
     truncation_matrix,
 )
 from .homspaces import br_converges, classify, cr_converges, nr_converges
-from .sampling import rand_pos_finvec, rng_for
+from .sampling import rand_pos_element, rng_for
+from .spaces import Space
 from .specfile import SpecDoc, element_to_obj, hom_to_obj, load_specdoc, nbhd_to_obj, set_to_obj
 from .topology import NbhdSet, canonical_generator
 
@@ -143,8 +144,9 @@ def cmd_posp(doc: SpecDoc, hom_name: str, seed: int, cases: int):
     total = 0
     checker = T if isinstance(T, MatrixHom) else truncation_matrix(T, oracle_n)
     pos_checker = checker.positive_part()
+    window = Space.qn(oracle_n)
     for _ in range(cases):
-        x = rand_pos_finvec(rng, oracle_n)
+        x = rand_pos_element(rng, window)
         total += 1
         if pos_checker.apply(x) == sup_over_interval_oracle(checker, x):
             agree += 1

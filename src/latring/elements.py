@@ -3,6 +3,16 @@
 Both carry the coordinatewise order, so join/meet/absolute value are
 computed entrywise and all lattice identities hold exactly.  Values are
 immutable and hashable; binary operations require matching shapes.
+
+The coordinate view.  Every shipped carrier is read one coordinate at a
+time, and `coords` is the one place that knows how: an element is a `head`
+of explicit coordinates and a `tail` that every later coordinate repeats.
+A vector in Q^n is its entries with no tail, a sequence is its prefix and
+tail, and an integer (the carrier Z) is one coordinate with no tail.
+`from_coords` rebuilds an element of a given carrier from such a pair, and
+`aligned` lines several elements up over one shared index range.  Jobs that
+work coordinatewise (bounds, sampling, solidity witnesses, preimages) are
+written once against this view.
 """
 
 from __future__ import annotations
@@ -220,3 +230,47 @@ class EvSeq:
     def __repr__(self) -> str:
         inner = ", ".join(str(a) for a in self.prefix)
         return f"EvSeq([{inner}], tail={self.tail})"
+
+
+def coords(x) -> tuple[tuple, Fraction | None]:
+    """(head, tail): the explicit coordinates of x, then the value of every later one.
+
+    Q^n gives its entries and no tail, a sequence its prefix and tail, and an
+    integer the single coordinate (x,) and no tail.
+    """
+    if isinstance(x, FinVec):
+        return x.entries, None
+    if isinstance(x, EvSeq):
+        return x.prefix, x.tail
+    return (x,), None
+
+
+def from_coords(like, head, tail):
+    """The element of like's carrier with coordinates head, then tail for ever.
+
+    The inverse of `coords`; the tail is ignored on carriers that have none.
+    """
+    if isinstance(like, FinVec):
+        return FinVec(tuple(head))
+    if isinstance(like, EvSeq):
+        return EvSeq(tuple(head), tail)
+    (x,) = head
+    return x
+
+
+def aligned(*xs) -> list[tuple]:
+    """The coordinates of each x over one shared index range.
+
+    Heads are padded with their own tail to a common length, and elements
+    with a tail get one more index that stands for the tail itself, so index
+    i means the same coordinate in every row and the tail comes last.
+    """
+    views = [coords(x) for x in xs]
+    n = max(len(head) for head, _ in views)
+    return [head if tail is None else head + (tail,) * (n + 1 - len(head)) for head, tail in views]
+
+
+def coord(x, i: int):
+    """Coordinate i of x."""
+    head, tail = coords(x)
+    return tail if tail is not None and i >= len(head) else head[i]

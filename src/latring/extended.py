@@ -118,6 +118,11 @@ class CoordBounds:
             values.append(self.tail)
         return ext_max(values)
 
+    def within(self, other: "CoordBounds") -> bool:
+        """Every coordinate of self is at most the same coordinate of other."""
+        n = max(self.span(), other.span()) + (self.tail is not None)
+        return all(ext_le(self.at(i), other.at(i)) for i in range(n))
+
     def first_infinite_index(self) -> int | None:
         for i, v in enumerate(self.head):
             if is_inf(v):

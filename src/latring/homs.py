@@ -37,10 +37,9 @@ from .errors import (
     SoundnessBug,
 )
 from .extended import INF, CoordBounds, ext_add, ext_mul, is_inf
-from .sampling import rand_in_interval, rand_pos_element
+from .sampling import rand_between, rand_pos_element
 from .scalars import as_rat
 from .spaces import Space, SpaceKind, abs_val, is_positive, join, meet, neg_part, pos_part
-from .topology import FiniteSet, SetDesc, set_contains
 
 
 def _rows_tuple(rows: Iterable[Iterable]) -> tuple[tuple[Fraction, ...], ...]:
@@ -199,17 +198,6 @@ class MatrixHom:
     def is_diagonal(self) -> bool:
         return all(a == 0 for i, (_, nums) in enumerate(self.int_rows) for j, a in enumerate(nums) if i != j)
 
-    def finite_column_support(self) -> bool:
-        return True
-
-    def support_span(self) -> int:
-        return self.n
-
-    def image_contains(self, base: SetDesc, x) -> bool:
-        if isinstance(base, FiniteSet):
-            return any(self.apply(u) == x for u in base.elements)
-        raise InvalidElement("membership through a matrix image is only decided for finite bases")
-
     def render(self) -> dict:
         return {"kind": "matrix", "rows": [[str(a) for a in row] for row in self.rows]}
 
@@ -357,32 +345,6 @@ class SeqHom:
     def support_span(self) -> int:
         return max(self.block_size, len(self.diag.prefix))
 
-    def image_contains(self, base: SetDesc, x: EvSeq) -> bool:
-        from .topology import base_span, zero_clamped_value
-
-        if isinstance(base, FiniteSet):
-            return any(self.apply(u) == x for u in base.elements)
-        if self.off:
-            raise InvalidElement("membership through a block image is only decided for finite bases")
-        a = self.diag
-        span = max(len(a.prefix), len(x.prefix), base_span(base))
-        entries = []
-        for i in range(span):
-            if a.at(i) != 0:
-                entries.append(x.at(i) / a.at(i))
-            elif x.at(i) != 0:
-                return False
-            else:
-                # Coefficient zero leaves the preimage coordinate free.
-                entries.append(zero_clamped_value(base, i))
-        if a.tail != 0:
-            tail = x.tail / a.tail
-        elif x.tail != 0:
-            return False
-        else:
-            tail = zero_clamped_value(base, span)
-        return set_contains(base, EvSeq(tuple(entries), tail))
-
     def render(self) -> dict:
         doc: dict = {
             "kind": "diagonal" if not self.off else "diag_plus_finite",
@@ -420,23 +382,11 @@ class IdentityHom:
     def propagate_bounds(self, b: CoordBounds) -> CoordBounds:
         return b
 
-    def positive_part(self):
-        return self
-
-    def entrywise_abs(self):
-        return self
-
     def is_zero(self) -> bool:
         return False
 
-    def is_positive(self) -> bool:
-        return True
-
     def is_diagonal(self) -> bool:
         return True
-
-    def image_contains(self, base: SetDesc, x) -> bool:
-        return set_contains(base, x)
 
     def render(self) -> dict:
         return {"kind": "identity"}
@@ -694,10 +644,13 @@ def is_order_bounded(T: Hom, probe, samples: int = 25, seed: int = 0) -> OrderBo
     """
     cap = modulus(T).apply(probe)
     lo, hi = -cap, cap
+    below = -probe
+    if not below <= probe:
+        raise InvalidElement("probe must be positive")
     rng = random.Random(seed)
     checked = 0
     for _ in range(samples):
-        y = _sample_below(rng, probe)
+        y = rand_between(rng, below, probe)
         img = T.apply(y)
         if not (lo <= img and img <= hi):
             raise SoundnessBug(f"|T y| escaped the modulus bound at y={y!r}")
@@ -707,16 +660,3 @@ def is_order_bounded(T: Hom, probe, samples: int = 25, seed: int = 0) -> OrderBo
 
 def describe_hom(T: Hom, probe) -> HomVerdict:
     return HomVerdict(True, T.is_positive(), is_order_bounded(T, probe))
-
-
-def _sample_below(rng: random.Random, probe):
-    if isinstance(probe, FinVec):
-        if not (FinVec.zero(probe.dim) <= probe):
-            raise InvalidElement("probe must be positive")
-        return FinVec(tuple(rand_in_interval(rng, -p, p) for p in probe))
-    if isinstance(probe, EvSeq):
-        if not (EvSeq.zero() <= probe):
-            raise InvalidElement("probe must be positive")
-        entries = tuple(rand_in_interval(rng, -probe.at(i), probe.at(i)) for i in range(len(probe.prefix)))
-        return EvSeq(entries, rand_in_interval(rng, -probe.tail, probe.tail))
-    raise InvalidElement(f"cannot sample below {probe!r}")

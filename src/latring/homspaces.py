@@ -12,7 +12,6 @@ table nets.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -38,7 +37,7 @@ from .homs import (
     zero_hom_like,
 )
 from .sampling import rng_for
-from .spaces import Multiplication, Space, SpaceKind, TopologyId
+from .spaces import Multiplication, Space, SpaceKind, TopologyId, pos_part
 from .topology import (
     FiniteSet,
     Neighborhood,
@@ -727,7 +726,7 @@ def lattice_continuity_audit(
             s_pos = positive_part(net_s.term(alpha))
             d_pos = positive_part(net_t.term(alpha) - net_s.term(alpha))
             for _ in range(x_samples):
-                x = _positive_member(region_set, rng)
+                x = pos_part(region_set.space, sample_member(region_set, rng))
                 lhs = t_pos.apply(x) - s_pos.apply(x)
                 rhs = d_pos.apply(x)
                 if not lhs <= rhs:
@@ -737,8 +736,3 @@ def lattice_continuity_audit(
                     raise SoundnessBug(f"positive-part difference escaped the target at alpha={alpha}")
                 members += 1
     return ContinuityAuditReport(mode, ineqs, members)
-
-
-def _positive_member(region: SetDesc, rng: random.Random):
-    x = sample_member(region, rng)
-    return x.pos_part() if not isinstance(x, int) else max(x, 0)

@@ -1,16 +1,19 @@
 """Seeded random generators for law-checking suites.
 
 Suites default to a fixed seed so every report is reproducible; callers
-override the seed to explore.
+override the seed to explore.  Elements are drawn one coordinate at a time
+through the coordinate view of `elements`, head first and tail last, with
+integer draws on the integers.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import cache, partial
 
-from .elements import EvSeq, FinVec
-from .spaces import Space, SpaceKind
+from .elements import aligned, coords, from_coords
+from .spaces import Space
 
 DEFAULT_SEED = 0
 
@@ -23,42 +26,38 @@ def rand_rat(rng: random.Random, span: int = 12, max_den: int = 8) -> Fraction:
     return Fraction(rng.randint(-span, span), rng.randint(1, max_den))
 
 
-def rand_nonneg_rat(rng: random.Random, span: int = 12, max_den: int = 8) -> Fraction:
-    return Fraction(rng.randint(0, span), rng.randint(1, max_den))
+def _rand_coord(rng: random.Random, like, low: int, high: int):
+    n = rng.randint(low, high)
+    return n if isinstance(like, int) else Fraction(n, rng.randint(1, 8))
 
 
-def rand_finvec(rng: random.Random, dim: int, span: int = 12) -> FinVec:
-    return FinVec(tuple(rand_rat(rng, span) for _ in range(dim)))
+# Each space's zero is the template for its coordinate layout; `Space.zero`
+# builds a new element per call, so it is kept rather than rebuilt per draw.
+_zero = cache(Space.zero)
 
 
-def rand_pos_finvec(rng: random.Random, dim: int, span: int = 12) -> FinVec:
-    return FinVec(tuple(rand_nonneg_rat(rng, span) for _ in range(dim)))
+def _rand_element(rng: random.Random, space: Space, low: int, high: int, max_prefix: int):
+    zero = _zero(space)
+    head, tail = coords(zero)
+    if tail is not None:
+        head = (tail,) * rng.randint(0, max_prefix)
+    drawn = tuple(_rand_coord(rng, c, low, high) for c in head)
+    drawn_tail = None if tail is None else _rand_coord(rng, tail, low, high)
+    return from_coords(zero, drawn, drawn_tail)
 
 
-def rand_evseq(rng: random.Random, max_prefix: int = 5, span: int = 12) -> EvSeq:
-    prefix = tuple(rand_rat(rng, span) for _ in range(rng.randint(0, max_prefix)))
-    return EvSeq(prefix, rand_rat(rng, span))
+def rand_element(rng: random.Random, space: Space, span: int = 12, max_prefix: int = 5):
+    """A random element: each coordinate n/d with |n| <= span and 1 <= d <= 8.
+
+    On Z the one coordinate is an integer n; a sequence gets up to
+    `max_prefix` head coordinates before its tail.
+    """
+    return _rand_element(rng, space, -span, span, max_prefix)
 
 
-def rand_pos_evseq(rng: random.Random, max_prefix: int = 5, span: int = 12) -> EvSeq:
-    prefix = tuple(rand_nonneg_rat(rng, span) for _ in range(rng.randint(0, max_prefix)))
-    return EvSeq(prefix, rand_nonneg_rat(rng, span))
-
-
-def rand_element(rng: random.Random, space: Space):
-    if space.kind is SpaceKind.QN:
-        return rand_finvec(rng, space.dim)
-    if space.kind is SpaceKind.EVSEQ:
-        return rand_evseq(rng)
-    return rng.randint(-12, 12)
-
-
-def rand_pos_element(rng: random.Random, space: Space):
-    if space.kind is SpaceKind.QN:
-        return rand_pos_finvec(rng, space.dim)
-    if space.kind is SpaceKind.EVSEQ:
-        return rand_pos_evseq(rng)
-    return rng.randint(0, 12)
+def rand_pos_element(rng: random.Random, space: Space, span: int = 12):
+    """As `rand_element`, with every coordinate nonnegative."""
+    return _rand_element(rng, space, 0, span, 5)
 
 
 def rand_matrix_rows(rng: random.Random, n: int, span: int = 9) -> tuple:
@@ -69,3 +68,15 @@ def rand_in_interval(rng: random.Random, lo: Fraction, hi: Fraction) -> Fraction
     """Uniform-ish exact rational in [lo, hi]."""
     t = Fraction(rng.randint(0, 24), 24)
     return lo + t * (hi - lo)
+
+
+def rand_between(rng: random.Random, lo, hi):
+    """A random element of the interval [lo, hi], drawn coordinate by coordinate, tail last.
+
+    Integer coordinates take a uniform integer; rational ones a multiple of
+    (hi_i - lo_i) / 24 above lo_i.
+    """
+    lo_row, hi_row = aligned(lo, hi)
+    draw = rng.randint if isinstance(lo_row[0], int) else partial(rand_in_interval, rng)
+    row = list(map(draw, lo_row, hi_row))
+    return from_coords(lo, row, row[-1])

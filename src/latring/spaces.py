@@ -8,13 +8,12 @@ topology layer.  All operations are pure and exact.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Callable, Iterable
 
-from .elements import EvSeq, FinVec
+from .elements import EvSeq, FinVec, aligned
 from .errors import InvalidElement
 
 
@@ -238,7 +237,7 @@ class ArchimedeanWitness:
 def _least_exceeding(x: Fraction, y: Fraction) -> int | None:
     """Smallest positive n with n*x > y, or None if there is none."""
     if x > 0:
-        return max(1, math.floor(y / x) + 1)
+        return max(1, y // x + 1)
     # x <= 0: n*x is nonincreasing in n, so n=1 is the only chance.
     return 1 if x > y else None
 
@@ -248,13 +247,6 @@ def archimedean_witness(space: Space, x, y) -> ArchimedeanWitness:
     space.validate(x), space.validate(y)
     if leq(space, x, space.zero()):
         return ArchimedeanWitness(None)
-    if space.kind is SpaceKind.QN:
-        pairs = list(zip(x.entries, y.entries))
-    elif space.kind is SpaceKind.EVSEQ:
-        n = max(len(x.prefix), len(y.prefix))
-        pairs = [(x.at(i), y.at(i)) for i in range(n)] + [(x.tail, y.tail)]
-    else:
-        pairs = [(Fraction(x), Fraction(y))]
-    candidates = [n for n in (_least_exceeding(a, b) for a, b in pairs) if n is not None]
+    candidates = [n for n in (_least_exceeding(a, b) for a, b in zip(*aligned(x, y))) if n is not None]
     # x not<= 0 guarantees a strictly positive coordinate, hence a finite witness.
     return ArchimedeanWitness(min(candidates))

@@ -7,6 +7,13 @@ through per-coordinate bound functions, never by sampling: box containments
 reduce to finitely many rational inequalities per parametric family of base
 neighborhoods.  Negative verdicts always carry a concrete refuting
 neighborhood.
+
+Sets are read through the coordinate view of `elements` (a head of explicit
+coordinates and an optional tail), so bounds, member sampling, non-solid
+witnesses and image membership are each one body for Q^n, sequences and Z.
+Membership in an image is decided over a finite base for every form, and
+over any base for the identity and for diagonal sequence operators; a matrix
+or block image of an infinite base is refused.
 """
 
 from __future__ import annotations
@@ -17,12 +24,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .elements import EvSeq, FinVec
+from .elements import EvSeq, FinVec, aligned, coord, coords, from_coords
 from .errors import EmptyInput, InvalidElement, NotBounded
 from .extended import INF, CoordBounds, is_inf
-from .sampling import rand_in_interval, rand_rat
+from .homs import IdentityHom, SeqHom
+from .sampling import rand_between, rand_in_interval, rand_rat
 from .scalars import as_rat
-from .spaces import Multiplication, Space, SpaceKind, TopologyId, abs_val
+from .spaces import Multiplication, Space, TopologyId, abs_val
 
 
 # ---------------------------------------------------------------------------
@@ -237,13 +245,16 @@ def solid_hull(space: Space, points: Sequence) -> SolidHull:
 # ---------------------------------------------------------------------------
 # Per-coordinate bounds.
 
-def _element_bounds(space: Space, x) -> CoordBounds:
-    if space.kind is SpaceKind.QN:
-        return CoordBounds.finite_dim(abs(e) for e in x.entries)
-    if space.kind is SpaceKind.EVSEQ:
-        a = abs(x)
-        return CoordBounds.sequence(a.prefix, a.tail)
-    return CoordBounds.finite_dim((Fraction(abs(x)),))
+def _element_bounds(x) -> CoordBounds:
+    head, tail = coords(x)
+    return CoordBounds(tuple(map(abs, head)), None if tail is None else abs(tail))
+
+
+def _points(S: SetDesc) -> tuple:
+    """The elements spanning an interval, finite set or solid hull."""
+    if isinstance(S, Interval):
+        return S.lo, S.hi
+    return S.elements if isinstance(S, FiniteSet) else S.generators
 
 
 def _merge_max(bounds: Iterable[CoordBounds]) -> CoordBounds:
@@ -263,13 +274,8 @@ def _merge_max(bounds: Iterable[CoordBounds]) -> CoordBounds:
 
 def coordinate_bounds(S: SetDesc) -> CoordBounds:
     """Exact supremum of |x_i| over x in S, per coordinate (INF when unconstrained)."""
-    if isinstance(S, Interval):
-        lo_b = _element_bounds(S.space, S.lo)
-        hi_b = _element_bounds(S.space, S.hi)
-        return _merge_max([lo_b, hi_b])
-    if isinstance(S, (FiniteSet, SolidHull)):
-        points = S.elements if isinstance(S, FiniteSet) else S.generators
-        return _merge_max([_element_bounds(S.space, x) for x in points])
+    if isinstance(S, (Interval, FiniteSet, SolidHull)):
+        return _merge_max([_element_bounds(x) for x in _points(S)])
     if isinstance(S, NbhdSet):
         return S.nbhd.bounds()
     if isinstance(S, ImageSet):
@@ -296,7 +302,7 @@ def is_solid(S: SetDesc) -> bool:
     if isinstance(S, ImageSet):
         # A diagonal image of a solid box is again a symmetric box; matrix
         # images are generally slanted, so they are not claimed solid.
-        return getattr(S.hom, "is_diagonal", lambda: False)() and is_solid(S.base)
+        return S.hom.is_diagonal() and is_solid(S.base)
     raise InvalidElement(f"unknown set form {S!r}")
 
 
@@ -316,40 +322,29 @@ def non_solid_witness(S: SetDesc) -> tuple | None:
     if is_solid(S):
         return None
     if isinstance(S, Interval):
-        space = S.space
-        lo_b, hi_b = S.lo, S.hi
-        if space.kind is SpaceKind.QN:
-            for i in range(space.dim):
-                if lo_b[i] != -hi_b[i]:
-                    y = hi_b if abs(hi_b[i]) >= abs(lo_b[i]) else lo_b
-                    entries = list(y.entries)
-                    entries[i] = -entries[i]
-                    x = FinVec(tuple(entries))
-                    if not set_contains(S, x):
-                        return (x, y)
-        else:
-            span = max(len(lo_b.prefix), len(hi_b.prefix)) + 1
-            for i in range(span):
-                if lo_b.at(i) != -hi_b.at(i):
-                    y = hi_b if abs(hi_b.at(i)) >= abs(lo_b.at(i)) else lo_b
-                    entries = [y.at(j) for j in range(max(span, len(y.prefix)))]
-                    entries[i] = -entries[i]
-                    x = EvSeq(tuple(entries), y.tail)
-                    if not set_contains(S, x):
-                        return (x, y)
+        # Flip the sign of the first coordinate where lo and hi are not
+        # mirror images, on whichever endpoint has the larger modulus there.
+        lo_row, hi_row = aligned(S.lo, S.hi)
+        for i, (a, b) in enumerate(zip(lo_row, hi_row)):
+            if a != -b:
+                y, row = (S.hi, hi_row) if abs(b) >= abs(a) else (S.lo, lo_row)
+                x = from_coords(y, row[:i] + (-row[i],) + row[i + 1:], coords(y)[1])
+                if not set_contains(S, x):
+                    return (x, y)
         return None
     if isinstance(S, FiniteSet):
         for y in S.elements:
             if y == S.space.zero():
                 continue
-            for x in _shrink_candidates(S.space, y):
+            for x in _shrink_candidates(y):
                 if not set_contains(S, x):
                     return (x, y)
     return None
 
 
-def _shrink_candidates(space: Space, y):
-    if space.kind is SpaceKind.Z_DISCRETE:
+def _shrink_candidates(y):
+    """Points between y and 0, nearest y first: unit steps for an integer, sevenths of y otherwise."""
+    if isinstance(y, int):
         step = 1 if y > 0 else -1
         return [y - step * k for k in range(1, abs(y) + 1)]
     return [y.scale(Fraction(num, 7)) for num in range(6, -1, -1)]
@@ -364,21 +359,18 @@ def zero_clamped_value(S: SetDesc, i: int) -> Fraction:
     if isinstance(S, (NbhdSet, SolidHull)):
         return Fraction(0)
     if isinstance(S, Interval):
-        lo = S.lo.at(i) if isinstance(S.lo, EvSeq) else S.lo[i]
-        hi = S.hi.at(i) if isinstance(S.hi, EvSeq) else S.hi[i]
-        return min(max(Fraction(0), lo), hi)
+        return min(max(Fraction(0), coord(S.lo, i)), coord(S.hi, i))
     raise InvalidElement(f"no coordinatewise filler for {S!r}")
 
 
 def base_span(S: SetDesc) -> int:
-    """Indices from this one on all share the same per-coordinate constraint."""
-    if isinstance(S, Interval):
-        if isinstance(S.lo, EvSeq):
-            return max(len(S.lo.prefix), len(S.hi.prefix))
-        return 0
-    if isinstance(S, (FiniteSet, SolidHull)):
-        pts = S.elements if isinstance(S, FiniteSet) else S.generators
-        return max((len(p.prefix) for p in pts if isinstance(p, EvSeq)), default=0)
+    """Indices from this one on all share the same per-coordinate constraint.
+
+    On sequences that is past every explicit head; on Q^n and Z it is the
+    number of coordinates, past which there are none.
+    """
+    if isinstance(S, (Interval, FiniteSet, SolidHull)):
+        return max(len(coords(p)[0]) for p in _points(S))
     if isinstance(S, NbhdSet):
         return S.nbhd.bounds().span()
     if isinstance(S, ImageSet):
@@ -401,31 +393,46 @@ def set_contains(S: SetDesc, x) -> bool:
     if isinstance(S, NbhdSet):
         return S.nbhd.member(x)
     if isinstance(S, ImageSet):
-        return S.hom.image_contains(S.base, x)
+        return _image_contains(S, x)
     raise InvalidElement(f"unknown set form {S!r}")
+
+
+def _image_contains(S: ImageSet, x) -> bool:
+    """x in T(B): search a finite base, else pull x back through T.
+
+    Only the identity and diagonal sequence operators are pulled back; a
+    matrix or block image of an infinite base raises InvalidElement.
+    """
+    T, base = S.hom, S.base
+    if isinstance(base, FiniteSet):
+        return any(T.apply(u) == x for u in base.elements)
+    if isinstance(T, IdentityHom):
+        return set_contains(base, x)
+    if not isinstance(T, SeqHom) or T.off:
+        raise InvalidElement("membership through a matrix or block image is only decided for finite bases")
+    a = T.diag
+    span = max(len(a.prefix), len(x.prefix), base_span(base))
+    entries = []
+    for i in range(span + 1):  # index span stands for the tail
+        if a.at(i) != 0:
+            entries.append(x.at(i) / a.at(i))
+        elif x.at(i) != 0:
+            return False
+        else:
+            # Coefficient zero leaves the preimage coordinate free.
+            entries.append(zero_clamped_value(base, i))
+    return set_contains(base, EvSeq(tuple(entries), entries[-1]))
 
 
 def sample_member(S: SetDesc, rng: random.Random):
     """A random element of S; every sample respects coordinate_bounds(S)."""
-    space = S.space
     if isinstance(S, Interval):
-        if space.kind is SpaceKind.QN:
-            return FinVec(tuple(rand_in_interval(rng, a, b) for a, b in zip(S.lo, S.hi)))
-        if space.kind is SpaceKind.Z_DISCRETE:
-            return rng.randint(S.lo, S.hi)
-        span = max(len(S.lo.prefix), len(S.hi.prefix))
-        entries = tuple(rand_in_interval(rng, S.lo.at(i), S.hi.at(i)) for i in range(span))
-        return EvSeq(entries, rand_in_interval(rng, S.lo.tail, S.hi.tail))
+        return rand_between(rng, S.lo, S.hi)
     if isinstance(S, FiniteSet):
         return rng.choice(S.elements)
     if isinstance(S, SolidHull):
-        y = abs_val(space, rng.choice(S.generators))
-        if space.kind is SpaceKind.QN:
-            return FinVec(tuple(rand_in_interval(rng, -a, a) for a in y))
-        if space.kind is SpaceKind.Z_DISCRETE:
-            return rng.randint(-y, y)
-        entries = tuple(rand_in_interval(rng, -y.at(i), y.at(i)) for i in range(len(y.prefix)))
-        return EvSeq(entries, rand_in_interval(rng, -y.tail, y.tail))
+        y = abs_val(S.space, rng.choice(S.generators))
+        return rand_between(rng, -y, y)
     if isinstance(S, NbhdSet):
         return _sample_nbhd(S.nbhd, rng)
     if isinstance(S, ImageSet):

@@ -26,7 +26,7 @@ from latring.audits import INSTANCES, lattice_continuity_suite
 from latring.cli import main
 from latring.gallery import CASE_IDS, run_case
 from latring.homs import ConeMap, extend_from_cone
-from latring.sampling import rand_evseq, rand_finvec, rand_matrix_rows, rand_pos_finvec, rng_for
+from latring.sampling import rand_element, rand_matrix_rows, rand_pos_element, rng_for
 
 
 def _verdict(number: int, name: str, passed: bool, elapsed: float, budget: float):
@@ -43,7 +43,7 @@ def test_criterion_1_positive_part_oracle_agreement():
     for _ in range(500):
         n = rng.randint(1, 6)
         T = MatrixHom(rand_matrix_rows(rng, n))
-        x = rand_pos_finvec(rng, n)
+        x = rand_pos_element(rng, Space.qn(n))
         ok = ok and positive_part(T).apply(x) == sup_over_interval_oracle(T, x)
     _verdict(1, "positive-part vs 2^n vertex oracle, exact", ok, time.monotonic() - t0, 10)
 
@@ -54,7 +54,7 @@ def test_criterion_2_decomposition_postconditions():
     t0 = time.monotonic()
     ok = True
     for i in range(1000):
-        y1, y2 = rand_finvec(rng, 5), rand_finvec(rng, 5)
+        y1, y2 = rand_element(rng, Space.qn(5)), rand_element(rng, Space.qn(5))
         cap = abs(y1) + abs(y2)
         scale = F(rng.randint(0, 24), 24) if i % 2 else F(rng.randint(-24, 24), 24)
         x = FinVec(tuple(scale * c for c in cap))
@@ -73,7 +73,7 @@ def test_criterion_3_cone_extension():
         n = rng.randint(1, 4)
         T = MatrixHom(rand_matrix_rows(rng, n))
         ext = extend_from_cone(ConeMap(Space.qn(n), hom=T), samples=3, seed=rng.randint(0, 999))
-        x = rand_finvec(rng, n)  # mixed-sign input
+        x = rand_element(rng, Space.qn(n))  # mixed-sign input
         ok = ok and ext.apply(x) == T.apply(x)
     planted = ConeMap(
         Space.qn(2),
@@ -147,10 +147,7 @@ def test_criterion_8_solid_hull():
     ok = True
     for i in range(500):
         inst = INSTANCES[names[i % len(names)]]
-        if inst.space.kind.value == "qn":
-            pts = tuple(rand_finvec(rng, inst.space.dim) for _ in range(rng.randint(1, 4)))
-        else:
-            pts = tuple(rand_evseq(rng) for _ in range(rng.randint(1, 4)))
+        pts = tuple(rand_element(rng, inst.space) for _ in range(rng.randint(1, 4)))
         S = FiniteSet(inst.space, pts)
         rep = hull_bounded_preservation(S)
         ok = ok and rep.hull_verdict.bounded and rep.bounds_equal

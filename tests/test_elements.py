@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from latring import EvSeq, FinVec, InvalidElement
-from latring.sampling import rand_evseq, rand_finvec, rng_for
+from latring import EvSeq, FinVec, InvalidElement, Space
+from latring.sampling import rand_element, rng_for
 
 rats = st.fractions(min_value=-20, max_value=20, max_denominator=9)
 
@@ -100,7 +100,7 @@ def test_evseq_split_identities(x):
 def test_split_identities_random_suite():
     rng = rng_for(7)
     for _ in range(1000):
-        x = rand_finvec(rng, 4)
+        x = rand_element(rng, Space.qn(4))
         assert x.pos_part() - x.neg_part() == x
         assert x.pos_part() + x.neg_part() == abs(x)
         assert x.pos_part().meet(x.neg_part()) == FinVec.zero(4)
@@ -109,7 +109,7 @@ def test_split_identities_random_suite():
 def test_triangle_and_product_compat_random_suite():
     rng = rng_for(11)
     for _ in range(500):
-        x, y = rand_evseq(rng), rand_evseq(rng)
+        x, y = rand_element(rng, Space.evseq()), rand_element(rng, Space.evseq())
         assert abs(x + y) <= abs(x) + abs(y)
         assert abs(x * y) == abs(x) * abs(y)  # pointwise equality implies the inequality
 

@@ -34,7 +34,7 @@ from latring import (
     truncation_matrix,
 )
 from latring.extended import ext_add, ext_mul
-from latring.sampling import rand_finvec, rand_matrix_rows, rand_pos_finvec, rng_for
+from latring.sampling import rand_element, rand_matrix_rows, rand_pos_element, rng_for
 
 T_EXAMPLE = MatrixHom(((1, -2), (-3, 4)))
 
@@ -83,7 +83,7 @@ def test_positive_part_examples_and_oracle_agreement():
     assert positive_part(pos) == pos
     rng = rng_for(13)
     for _ in range(200):
-        x = rand_pos_finvec(rng, 2)
+        x = rand_pos_element(rng, Space.qn(2))
         assert positive_part(T_EXAMPLE).apply(x) == sup_over_interval_oracle(T_EXAMPLE, x)
 
 
@@ -104,7 +104,7 @@ def test_seq_hom_positive_part_matches_truncation_oracle():
         block = rand_matrix_rows(rng, 3, span=5)
         h = SeqHom.diag_plus_block(coeffs, block)
         trunc = truncation_matrix(h, 4)
-        x = rand_pos_finvec(rng, 4)
+        x = rand_pos_element(rng, Space.qn(4))
         assert truncation_matrix(positive_part(h), 4).apply(x) == sup_over_interval_oracle(trunc, x)
 
 
@@ -161,7 +161,7 @@ def test_cone_extension_reproduces_matrices():
         T = MatrixHom(rand_matrix_rows(rng, n))
         ext = extend_from_cone(ConeMap(Space.qn(n), hom=T), samples=3, seed=rng.randint(0, 999))
         for _ in range(3):
-            x = rand_finvec(rng, n)
+            x = rand_element(rng, Space.qn(n))
             assert ext.apply(x) == T.apply(x)
 
 
@@ -186,7 +186,7 @@ def test_decompose_random_audit():
     q5 = Space.qn(5)
     rng = rng_for(41)
     for i in range(1000):
-        y1, y2 = rand_finvec(rng, 5), rand_finvec(rng, 5)
+        y1, y2 = rand_element(rng, Space.qn(5)), rand_element(rng, Space.qn(5))
         cap = abs(y1) + abs(y2)
         scale = F(rng.randint(0, 24), 24) if i % 2 else F(rng.randint(-24, 24), 24)
         x = FinVec(tuple(scale * c for c in cap))
@@ -217,7 +217,7 @@ def test_directed_sup_pointwise_supremum():
             envelope = hom_join(envelope, T)
         S = directed_sup(family, envelope)
         assert S == envelope
-        x = rand_pos_finvec(rng, 3)
+        x = rand_pos_element(rng, Space.qn(3))
         best = family[0].apply(x)
         for T in family[1:]:
             best = best.join(T.apply(x))

@@ -276,6 +276,21 @@ def test_cr_product_topology_picks_u_per_w():
     assert cert.verify_at(alpha0, V, W)
 
 
+def test_cr_table_net_with_a_block_on_product_topology():
+    # The table's decay support comes from every term's difference, block
+    # entries included: row 2 of the block reaches back to coordinate 0.
+    block = SeqHom.diag_plus_block(EvSeq.of(1, tail=0), ((0, 2, 0), (0, 0, 0), (3, 0, 0)))
+    steps = [block, SeqHom.diagonal(EvSeq.of(0, 0, F(1, 4), tail=0)), SeqHom.zero()]
+    net = HomNet.table(PROD, PROD, steps, target=SeqHom.zero())
+    cert = cr_converges(net, SeqHom.zero())
+    assert cert.convergent
+    W = Neighborhood.product({2, 5}, F(1, 2))
+    assert cert.choose_U(W).coords == frozenset({0, 2, 5})
+    assert cert.alpha0_for(Neighborhood.product({2}, F(1, 2)), W) == 2   # 1/4 <= 1/2 * 1/2
+    assert cert.alpha0_for(Neighborhood.product({2}, F(1, 3)), W) == 3   # 1/4 > 1/3 * 1/2
+    assert not cert.verify_at(1, Neighborhood.product({2}, 1), W)       # the block puts 3 at coordinate 2
+
+
 def test_cr_zero_multiplication_is_vacuous():
     net = HomNet.constant(PROD_ZERO, PROD_ZERO, SeqHom.identity())
     with pytest.raises(VacuousProduct):

@@ -165,13 +165,13 @@ def test_non_solid_witnesses_check_out():
         Interval(Q2, FinVec.zero(2), FinVec.of(1, 1)),
         Interval(Q2, FinVec.of(-2, -1), FinVec.of(1, 1)),
         FiniteSet(ZD, (5,)),
+        Interval(ZD, -1, 3),
     ):
         x, y = non_solid_witness(S)
         assert set_contains(S, y)
         assert not set_contains(S, x)
-        ax = abs(x) if not isinstance(x, int) else abs(x)
-        ay = abs(y) if not isinstance(y, int) else abs(y)
-        assert ax <= ay
+        assert abs(x) <= abs(y)
+    assert non_solid_witness(Interval(ZD, -1, 3)) == (-3, 3)
 
 
 def test_solid_sets_pass_spot_checks():
