@@ -70,8 +70,10 @@ class MatrixHom:
     nums_i[j] / d_i, d_i > 0 and gcd(d_i, *nums_i) == 1, so each matrix has
     exactly one such form and `==` and hash compare it directly.  Arithmetic
     results are built from integer rows; the Fraction `rows` of such a result
-    are made only when read (`render`, `repr`).  A matrix built from `rows`
-    makes its integer rows on first use.  Instances are immutable.
+    are made only when read (`render`, `repr`), and so are those of a matrix
+    read from integer pairs (`from_int_pairs`, the spec-file path).  A matrix
+    built from `rows` makes its integer rows on first use.  Instances are
+    immutable.
     """
 
     __slots__ = ("_rows", "_ints")
@@ -90,6 +92,21 @@ class MatrixHom:
         object.__setattr__(T, "_rows", None)
         object.__setattr__(T, "_ints", ints)
         return T
+
+    @classmethod
+    def from_int_pairs(cls, rows: Iterable[Sequence[tuple[int, int]]]) -> "MatrixHom":
+        """The matrix with entries p/q, from rows of integer pairs (p, q), q != 0, in any terms.
+
+        Each row is put over the lcm of its denominators and reduced there; no
+        Fraction is made until `rows` is read.
+        """
+        ints = []
+        for row in rows:
+            d = math.lcm(*(q for _, q in row))
+            ints.append(_reduced(d, [p * (d // q) for p, q in row]))
+        if not ints or any(len(nums) != len(ints) for _, nums in ints):
+            raise InvalidElement("matrix homomorphisms must be square and nonempty")
+        return cls._from_int_rows(tuple(ints))
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -382,8 +399,14 @@ class IdentityHom:
     def propagate_bounds(self, b: CoordBounds) -> CoordBounds:
         return b
 
+    def entrywise_abs(self) -> "IdentityHom":
+        return self
+
     def is_zero(self) -> bool:
         return False
+
+    def is_positive(self) -> bool:
+        return True
 
     def is_diagonal(self) -> bool:
         return True
@@ -472,7 +495,8 @@ def negative_part(T: Hom) -> Hom:
 
 
 def modulus(T: Hom) -> Hom:
-    return T.positive_part() + negative_part(T)
+    """|T| = T+ + T-, which is the entrywise absolute value for the shipped forms."""
+    return T.entrywise_abs()
 
 
 def hom_join(T: Hom, S: Hom) -> Hom:

@@ -1,10 +1,13 @@
 """Structured input files for the command-line front end.
 
 The format is JSON with sections `space`, `codomain_space`, `elements`,
-`homs`, `sets`, `nets`, and `tasks`.  Rational literals are "p/q" strings
-(or integers) parsed exactly; unknown keys are errors, not warnings; every
-named reference must resolve.  Serializing any shipped descriptor and
-re-parsing it yields an equal descriptor.
+`homs`, `sets`, `nets`, and `tasks`.  A rational literal is a JSON integer
+or a string of the grammar `[+-]?[0-9]+(/[0-9]+)?` (see `scalars.read_rat`);
+decimal points, exponents, spaces and non-ASCII digits are refused, and a
+refused literal names its section.  A matrix is read straight into reduced
+integer rows, one common denominator per row.  Unknown keys are errors, not
+warnings; every named reference must resolve.  Serializing any shipped
+descriptor and re-parsing it yields an equal descriptor.
 """
 
 from __future__ import annotations
@@ -14,10 +17,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .elements import EvSeq, FinVec
-from .errors import InvalidElement, LatringError, SpecFileError, UnknownName
+from .errors import EmptyInput, InvalidElement, LatringError, SpecFileError, UnknownName
 from .homs import Hom, IdentityHom, MatrixHom, SeqHom
 from .homspaces import HomNet
-from .scalars import as_rat
+from .scalars import read_rat
 from .spaces import Multiplication, Space, SpaceKind, TopologyId
 from .topology import (
     FiniteSet,
@@ -61,11 +64,15 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _rat(value, section: str) -> Fraction:
+def _read(value, section: str) -> tuple[int, int]:
     try:
-        return as_rat(value)
-    except LatringError as exc:
+        return read_rat(value)
+    except InvalidElement as exc:
         raise SpecFileError(f"bad rational literal in {section!r}: {exc}") from exc
+
+
+def _rat(value, section: str) -> Fraction:
+    return Fraction(*_read(value, section))
 
 
 # ---------------------------------------------------------------------------
@@ -133,14 +140,14 @@ def element_to_obj(x) -> dict:
 # ---------------------------------------------------------------------------
 # Homomorphisms.
 
-def _square_rows(rows, section: str, side: int | None = None) -> tuple:
-    """A square list of lists of rationals, `side` by `side` when `side` is given."""
+def _square_rows(rows, read, section: str, side: int | None = None) -> list:
+    """A square list of lists of literals, each read by `read`, `side` by `side` when `side` is given."""
     if not isinstance(rows, list):
         raise SpecFileError(f"{section}: rows must be a list of lists")
     side = len(rows) if side is None else side
     if len(rows) != side or any(not isinstance(row, list) or len(row) != side for row in rows):
         raise SpecFileError(f"{section}: rows must form a {side}x{side} list of lists")
-    return tuple(tuple(_rat(v, section) for v in row) for row in rows)
+    return [[read(v, section) for v in row] for row in rows]
 
 
 def _require_kind(space: Space, kind: SpaceKind, hom_kind: str, section: str):
@@ -157,7 +164,7 @@ def parse_hom(obj: dict, space: Space, section: str) -> Hom:
     if kind == "matrix":
         _check_keys(obj, {"kind", "rows"}, section)
         _require_kind(space, SpaceKind.QN, kind, section)
-        return MatrixHom(_square_rows(obj.get("rows"), section, space.dim))
+        return MatrixHom.from_int_pairs(_square_rows(obj.get("rows"), _read, section, space.dim))
     if kind == "diagonal":
         _check_keys(obj, {"kind", "prefix", "tail"}, section)
         _require_kind(space, SpaceKind.EVSEQ, kind, section)
@@ -165,7 +172,7 @@ def parse_hom(obj: dict, space: Space, section: str) -> Hom:
     if kind == "diag_plus_finite":
         _check_keys(obj, {"kind", "prefix", "tail", "block"}, section)
         _require_kind(space, SpaceKind.EVSEQ, kind, section)
-        return SeqHom.diag_plus_block(_evseq(obj, section), _square_rows(obj.get("block"), section))
+        return SeqHom.diag_plus_block(_evseq(obj, section), _square_rows(obj.get("block"), _rat, section))
     if kind == "identity":
         _check_keys(obj, {"kind"}, section)
         return IdentityHom.on(space)
@@ -276,10 +283,7 @@ def _parse_set(obj: dict, doc: SpecDoc, section: str) -> SetDesc:
         return SolidHull(space, tuple(resolve_element(v) for v in _list(obj, "generators", section)))
     if kind == "nbhd":
         _check_keys(obj, {"kind", "nbhd"}, section)
-        try:
-            return NbhdSet(space, parse_nbhd(_require(obj, "nbhd", section), section))
-        except InvalidElement as exc:
-            raise SpecFileError(f"{section}: {exc}") from exc
+        return NbhdSet(space, parse_nbhd(_require(obj, "nbhd", section), section))
     if kind == "image":
         _check_keys(obj, {"kind", "hom", "base"}, section)
         hom, base = _require(obj, "hom", section), _require(obj, "base", section)
@@ -356,7 +360,8 @@ def _section(raw: dict, key: str) -> dict:
 def parse_specdoc(text: str) -> SpecDoc:
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # A JSONDecodeError, or an integer beyond the interpreter's digit limit.
         raise SpecFileError(f"not valid JSON: {exc}") from exc
     _check_keys(raw, {"space", "codomain_space", "elements", "homs", "sets", "nets", "tasks"}, "top level")
     if "space" not in raw:
@@ -369,12 +374,16 @@ def parse_specdoc(text: str) -> SpecDoc:
     for name, obj in _section(raw, "homs").items():
         doc.homs[name] = parse_hom(obj, space, f"homs.{name}")
     for name, obj in _section(raw, "sets").items():
-        doc.sets[name] = _parse_set(obj, doc, f"sets.{name}")
+        try:
+            doc.sets[name] = _parse_set(obj, doc, f"sets.{name}")
+        except (InvalidElement, EmptyInput, UnknownName) as exc:
+            # The set does not fit the space, is empty or inverted, or names a missing entry.
+            raise SpecFileError(f"sets.{name}: {exc}") from exc
     for name, obj in _section(raw, "nets").items():
         try:
             doc.nets[name] = _parse_net(obj, doc, f"nets.{name}")
-        except InvalidElement as exc:
-            # The net does not fit the space, e.g. any net on the integers.
+        except (InvalidElement, UnknownName) as exc:
+            # The net does not fit the space (any net on the integers) or names a missing hom.
             raise SpecFileError(f"nets.{name}: {exc}") from exc
     tasks = raw.get("tasks", [])
     if not isinstance(tasks, list):

@@ -1,7 +1,9 @@
 """Golden machine reports: refactors must leave the canonical output byte-identical.
 
 The stored files are the `--format machine` output of `run` on the two demo
-specs; the gallery reports and the `laws` report of every instance are pinned
+specs, and of `classify`, `posp`, `converge --mode br` and `decompose` on
+`specs/q12_literals.json`, whose literals are written unreduced, signed,
+zero-padded and over coprime denominators; the gallery reports and the `laws` report of every instance are pinned
 by their sha256.  If a change alters one of
 these on purpose, regenerate the file (or digest) with the command in the
 test and say why in the change description.
@@ -54,6 +56,20 @@ def _machine_report(argv, capsys, exit_code: int = 0) -> bytes:
 )
 def test_run_demo_spec_matches_golden(spec, golden, capsys):
     out = _machine_report(["run", "--spec", str(_REPO / "specs" / spec)], capsys)
+    assert out == (_GOLDEN / golden).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        (["classify", "t"], "q12_literals_classify.json"),
+        (["posp", "t", "--cases", "1"], "q12_literals_posp.json"),
+        (["converge", "shrinking", "--mode", "br", "--region", "probe_interval"], "q12_literals_converge_br.json"),
+        (["decompose", "x", "y1", "y2"], "q12_literals_decompose.json"),
+    ],
+)
+def test_q12_literal_spec_matches_golden(argv, golden, capsys):
+    out = _machine_report([*argv, "--spec", str(_REPO / "specs" / "q12_literals.json")], capsys)
     assert out == (_GOLDEN / golden).read_bytes()
 
 

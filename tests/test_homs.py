@@ -240,6 +240,17 @@ def test_hom_verdict_positive_implies_order_bounded():
     assert v.order_bounded and not v.positive
 
 
+def test_identity_on_the_integers_is_positive_and_order_bounded():
+    from latring import describe_hom
+
+    ident = IdentityHom()
+    assert modulus(ident) == ident
+    w = is_order_bounded(ident, 3)
+    assert w.bounded and (w.lo, w.hi) == (-3, 3) and w.spot_checked == 25
+    v = describe_hom(ident, 1)
+    assert v.order_bounded and v.positive and (v.witness.lo, v.witness.hi) == (-1, 1)
+
+
 def test_is_order_bounded_witness():
     probe = FinVec.of(1, 1)
     w = is_order_bounded(T_EXAMPLE, probe)

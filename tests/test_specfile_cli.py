@@ -310,6 +310,35 @@ def _assert_input_error(argv, section, capsys):
     assert captured.out == ""
 
 
+# Strings outside the literal grammar [+-]?[0-9]+(/[0-9]+)?: exponents that a
+# general-purpose parser would expand digit by digit, decimals, spaces,
+# underscores, a non-ASCII digit, zero or signed denominators, and digit
+# strings beyond the 4300 digits that int() converts.
+BAD_LITERALS = (
+    "1e10000000", "1e100000", "1.5", " 3", "3 / 4", "3_000", "\u0663", "1/0", "/3", "1/-2", "",
+    "9" * 5000, "1/" + "7" * 5000,
+)
+
+
+def _literal_cases():
+    """Each bad literal in five places that take a literal, with the section it must name."""
+    qn2, seq = {"kind": "qn", "dim": 2}, {"kind": "evseq"}
+    for i, bad in enumerate(BAD_LITERALS):
+        places = [
+            ("matrix", {"space": qn2, "homs": {"t": {"kind": "matrix", "rows": [["1", bad], ["0", "1"]]}}},
+             "homs.t"),
+            ("entries", {"space": qn2, "elements": {"x": {"entries": ["0", bad]}}}, "elements.x"),
+            ("block", {"space": seq, "homs": {"b": {"kind": "diag_plus_finite", "tail": "1",
+                                                    "block": [["0", bad], ["1", "0"]]}}}, "homs.b"),
+            ("tail", {"space": seq, "elements": {"s": {"prefix": ["1"], "tail": bad}}}, "elements.s"),
+            ("radius", {"space": seq, "sets": {"u": {"kind": "nbhd",
+                                                     "nbhd": {"topology": "evseq_supnorm", "radius": bad}}}},
+             "sets.u"),
+        ]
+        for place, spec, section in places:
+            yield pytest.param(spec, f"bad rational literal in {section!r}", id=f"literal{i}-{place}")
+
+
 @pytest.mark.parametrize(
     "spec, section",
     [
@@ -332,12 +361,28 @@ def _assert_input_error(argv, section, capsys):
         ({"space": {"kind": "evseq"}, "sets": {"u": {"kind": "nbhd", "nbhd": {"topology": "evseq_supnorm"}}}},
          "sets.u: missing 'radius'"),
         ({"space": {"kind": "qn", "dim": 1}, "nets": {"n": {"kind": "constant"}}}, "nets.n: missing 'term'"),
+        ({"space": {"kind": "qn", "dim": 1}, "nets": {"n": {"kind": "constant", "term": "ghost"}}},
+         "nets.n: no homomorphism named 'ghost'"),
+        ({"space": {"kind": "qn", "dim": 1}, "sets": {"u": {"kind": "finite", "elements": ["ghost"]}}},
+         "sets.u: no element named 'ghost'"),
+        ({"space": {"kind": "qn", "dim": 1}, "sets": {"u": {"kind": "finite", "elements": []}}},
+         "sets.u: finite set needs at least one element"),
+        ({"space": {"kind": "qn", "dim": 1},
+          "sets": {"u": {"kind": "interval", "lo": {"entries": ["2"]}, "hi": {"entries": ["1"]}}}},
+         "sets.u: interval needs lo <= hi"),
+        *_literal_cases(),
     ],
 )
 def test_space_and_section_types_exit_2(spec, section, tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(spec))
     _assert_input_error(["run", "--spec", str(path)], section, capsys)
+
+
+def test_json_integer_beyond_the_digit_limit_exits_2(tmp_path, capsys):
+    path = tmp_path / "big.json"
+    path.write_text('{"space": {"kind": "qn", "dim": 1}, "elements": {"x": {"entries": [%s]}}}' % ("9" * 5000))
+    _assert_input_error(["run", "--spec", str(path)], "not valid JSON", capsys)
 
 
 @pytest.mark.parametrize(
