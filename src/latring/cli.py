@@ -375,13 +375,21 @@ def main(argv=None) -> int:
             report, passed = cmd_gallery(args.seed, args.cases)
         else:
             report, passed = cmd_run(load_specdoc(args.spec), args.seed, args.cases)
+        out = render_machine(report) if args.format == "machine" else render_text(report)
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except LatringError as exc:
         print(f"audit failure: {exc}", file=sys.stderr)
         return 1
-    out = render_machine(report) if args.format == "machine" else render_text(report)
+    except ValueError as exc:
+        # Arithmetic on long literals can outgrow the digit limit that
+        # `scalars.read_rat` enforces on input; such a result cannot be printed.
+        if "integer string conversion" not in str(exc):
+            raise
+        limit = sys.get_int_max_str_digits()
+        print(f"error: a result has an integer beyond the {limit}-digit limit for printing", file=sys.stderr)
+        return 2
     sys.stdout.write(out)
     return 0 if passed else 1
 

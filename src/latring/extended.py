@@ -118,10 +118,17 @@ class CoordBounds:
             values.append(self.tail)
         return ext_max(values)
 
+    def paired(self, other: "CoordBounds"):
+        """(self.at(i), other.at(i)) once for every distinct pair of coordinates.
+
+        On sequences the last index stands for every later one.
+        """
+        n = max(self.span(), other.span()) + (self.tail is not None)
+        return ((self.at(i), other.at(i)) for i in range(n))
+
     def within(self, other: "CoordBounds") -> bool:
         """Every coordinate of self is at most the same coordinate of other."""
-        n = max(self.span(), other.span()) + (self.tail is not None)
-        return all(ext_le(self.at(i), other.at(i)) for i in range(n))
+        return all(ext_le(a, b) for a, b in self.paired(other))
 
     def first_infinite_index(self) -> int | None:
         for i, v in enumerate(self.head):

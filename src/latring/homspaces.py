@@ -11,7 +11,6 @@ table nets.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -25,7 +24,7 @@ from .errors import (
     SoundnessBug,
     VacuousProduct,
 )
-from .extended import CoordBounds, ext_le, is_inf
+from .extended import CoordBounds
 from .homs import (
     Hom,
     IdentityHom,
@@ -44,10 +43,12 @@ from .topology import (
     NbhdSet,
     SetDesc,
     bounds_group_bounded,
+    bounds_multiplier,
     bounds_ring_bounded,
     canonical_generator,
     coordinate_bounds,
     nbhd_member,
+    refuting_nbhd,
     sample_member,
     set_ring_bounded,
 )
@@ -114,11 +115,8 @@ def _nr_candidate(T: Hom, domain: Space) -> Neighborhood | None:
     coefficients to vanish eventually; then constraining the whole support
     works, and otherwise nothing does.
     """
-    top = domain.topology
-    if top is TopologyId.QN_BOX:
-        return canonical_generator(top, domain.dim)
-    if top in (TopologyId.EVSEQ_SUPNORM, TopologyId.Z_DISCRETE_TOP):
-        return canonical_generator(top)
+    if domain.topology is not TopologyId.EVSEQ_PRODUCT:
+        return canonical_generator(domain.topology, domain.dim)
     if T.finite_column_support():
         span = max(T.support_span(), 1)
         return Neighborhood.product(range(span), 1)
@@ -347,21 +345,6 @@ class HomNet:
 # ---------------------------------------------------------------------------
 # Convergence.
 
-def _is_zero_bounds(b: CoordBounds) -> bool:
-    return all(v == 0 for v in b.head) and (b.tail is None or b.tail == 0)
-
-
-def _within(bounds: CoordBounds, V: Neighborhood) -> bool:
-    """Does a set with these coordinate bounds sit inside the box V?"""
-    if V.topology is TopologyId.QN_BOX:
-        return all(ext_le(bounds.at(j), r) for j, r in enumerate(V.radii))
-    if V.topology is TopologyId.EVSEQ_PRODUCT:
-        return all(ext_le(bounds.at(j), V.radius) for j in V.coords)
-    if V.topology is TopologyId.EVSEQ_SUPNORM:
-        return ext_le(bounds.overall_sup(), V.radius)
-    return bounds.overall_sup() == 0
-
-
 def vw_box(V: Neighborhood, W: Neighborhood) -> Neighborhood:
     """The product set V*W of two base boxes, as a box (radius products)."""
     if V.topology is not W.topology:
@@ -375,35 +358,6 @@ def vw_box(V: Neighborhood, W: Neighborhood) -> Neighborhood:
     if V.topology is TopologyId.EVSEQ_SUPNORM:
         return Neighborhood.sup_ball(V.radius * W.radius)
     return Neighborhood.discrete_zero()
-
-
-def _refuting_nbhd(bounds: CoordBounds, topology: TopologyId) -> Neighborhood:
-    """A codomain base neighborhood that a set with these bounds escapes.
-
-    Prefers an unconstrained coordinate; otherwise halves a nonzero bound.
-    """
-    if topology is TopologyId.EVSEQ_PRODUCT:
-        j = bounds.first_infinite_index()
-        if j is not None:
-            return Neighborhood.product({j}, 1)
-        for j in range(bounds.span() + 1):
-            v = bounds.at(j)
-            if v != 0:
-                return Neighborhood.product({j}, v / 2)
-        raise SoundnessBug("no escaping coordinate found")
-    if topology is TopologyId.EVSEQ_SUPNORM:
-        sup = bounds.overall_sup()
-        return Neighborhood.sup_ball(1 if is_inf(sup) else sup / 2)
-    if topology is TopologyId.QN_BOX:
-        radii = []
-        for j in range(len(bounds.head)):
-            v = bounds.at(j)
-            if is_inf(v) or v == 0:
-                radii.append(Fraction(1))
-            else:
-                radii.append(v / 2)
-        return Neighborhood.box(radii)
-    raise SoundnessBug("nothing escapes the discrete base")
 
 
 @dataclass(frozen=True)
@@ -474,48 +428,26 @@ class ConvergenceCertificate:
                 else:
                     break
             return best
-        bounds = self._decay_img(W)
-        ratios = self._ratios(bounds, target)
-        if not ratios:
-            return 1
-        return max(1, max(math.ceil(r) for r in ratios))
-
-    def _decay_img(self, W: Neighborhood | None) -> CoordBounds:
-        return self.net.decay.propagate_bounds(self._bounds_for(W))
-
-    @staticmethod
-    def _ratios(bounds: CoordBounds, target: Neighborhood) -> list[Fraction]:
-        ratios: list[Fraction] = []
-
-        def push(value, radius):
-            if is_inf(value):
-                raise SoundnessBug("a convergent certificate cannot carry unbounded decay")
-            if value != 0:
-                ratios.append(value / radius)
-
-        if target.topology is TopologyId.QN_BOX:
-            for j, r in enumerate(target.radii):
-                push(bounds.at(j), r)
-        elif target.topology is TopologyId.EVSEQ_PRODUCT:
-            for j in target.coords:
-                push(bounds.at(j), target.radius)
-        elif target.topology is TopologyId.EVSEQ_SUPNORM:
-            push(bounds.overall_sup(), target.radius)
-        return ratios
+        # The term difference is decay/alpha, so alpha0 is the least
+        # multiple of the target that holds the decay image.
+        alpha0 = bounds_multiplier(self.net.decay.propagate_bounds(self._bounds_for(W)), target)
+        if alpha0 is None:
+            raise SoundnessBug("a convergent certificate cannot carry unbounded decay")
+        return alpha0
 
     def verify_at(self, alpha: int, V: Neighborhood, W: Neighborhood | None = None) -> bool:
         """Exact recheck of the defining containment at one entry index."""
         D = self.net.term(alpha) - self.limit
         img = D.propagate_bounds(self._bounds_for(W))
-        return _within(img, self._target(V, W))
+        return img.within(self._target(V, W).bounds())
 
     def witness_refutes(self) -> bool:
         """Index-free recheck of a negative verdict: the eventual difference
         (or an unbounded decay coordinate) escapes the recorded witness."""
         if self.convergent or self.witness is None:
             return False
-        if self.residual_bounds is not None and not _is_zero_bounds(self.residual_bounds):
-            return not _within(self.residual_bounds, self.witness)
+        if self.residual_bounds is not None and self.residual_bounds.overall_sup() != 0:
+            return not self.residual_bounds.within(self.witness.bounds())
         # Residual vanished, so divergence came from unbounded decay: the
         # containment fails at every index.
         return not self.verify_at(1, self.witness, None if self.mode != "cr" else self.witness)
@@ -546,7 +478,7 @@ def _uniform_convergence(
 ) -> ConvergenceCertificate:
     residual = net.eventual_term() - limit
     residual_img = residual.propagate_bounds(region_bounds)
-    if not _is_zero_bounds(residual_img):
+    if residual_img.overall_sup() != 0:
         return ConvergenceCertificate(
             mode,
             False,
@@ -555,7 +487,7 @@ def _uniform_convergence(
             region=region,
             region_bounds=region_bounds,
             residual_bounds=residual_img,
-            witness=_refuting_nbhd(residual_img, net.codomain.topology),
+            witness=refuting_nbhd(residual_img, net.codomain.topology),
             horizon=horizon,
         )
     decay_img = None
@@ -571,9 +503,7 @@ def _uniform_convergence(
                 region_bounds=region_bounds,
                 residual_bounds=residual_img,
                 decay_bounds=decay_img,
-                witness=Neighborhood.product({decay_img.first_infinite_index()}, 1)
-                if net.codomain.topology is TopologyId.EVSEQ_PRODUCT
-                else _refuting_nbhd(decay_img, net.codomain.topology),
+                witness=refuting_nbhd(decay_img, net.codomain.topology),
                 horizon=horizon,
             )
     return ConvergenceCertificate(
@@ -603,22 +533,18 @@ def cr_converges(net: HomNet, limit: Hom, horizon: int = 64) -> ConvergenceCerti
     # Every coordinate is constrained by some outer W, and the inner radius
     # shrinks at will, so the eventual term must agree with the limit outright.
     if not residual.is_zero():
-        residual_img = residual.propagate_bounds(_full_region_bounds(net.domain))
+        unit = canonical_generator(net.domain.topology, net.domain.dim)
+        residual_img = residual.propagate_bounds(unit.bounds())
         return ConvergenceCertificate(
             "cr",
             False,
             net,
             limit,
             residual_bounds=residual_img,
-            witness=_refuting_nbhd(residual_img, net.codomain.topology),
+            witness=refuting_nbhd(residual_img, net.codomain.topology),
             horizon=horizon,
         )
     return ConvergenceCertificate("cr", True, net, limit, horizon=horizon)
-
-
-def _full_region_bounds(space: Space) -> CoordBounds:
-    """Bounds of the canonical unit neighborhood, used to exhibit residuals."""
-    return canonical_generator(space.topology, space.dim).bounds()
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,11 @@ from .topology import (
     SolidHull,
 )
 
+# The largest coordinate index a product neighborhood may name.  A
+# neighborhood is decided through its radius function, which lists every
+# coordinate up to the largest index, so this caps that work (about 0.1 s).
+MAX_COORD_INDEX = 10_000
+
 _DEFAULT_TOPOLOGY = {
     "qn": TopologyId.QN_BOX,
     "evseq": TopologyId.EVSEQ_PRODUCT,
@@ -198,6 +203,10 @@ def parse_nbhd(obj: dict, section: str) -> Neighborhood:
         coords = _list(obj, "coords", section)
         if not all(_is_int(c) and c >= 0 for c in coords):
             raise SpecFileError(f"{section}: 'coords' must list coordinate indices >= 0, got {coords!r}")
+        if coords and max(coords) > MAX_COORD_INDEX:
+            raise SpecFileError(
+                f"{section}: coordinate index {max(coords)} is above the cap of {MAX_COORD_INDEX}"
+            )
         return Neighborhood.product(frozenset(coords), _rat(_require(obj, "radius", section), section))
     if top == "evseq_supnorm":
         _check_keys(obj, {"topology", "radius"}, section)
@@ -368,6 +377,10 @@ def parse_specdoc(text: str) -> SpecDoc:
         raise SpecFileError("missing required section 'space'")
     space = parse_space(raw["space"])
     codomain = parse_space(raw["codomain_space"], "codomain_space") if "codomain_space" in raw else space
+    if (codomain.kind, codomain.dim) != (space.kind, space.dim):
+        # Homs are read on `space`, so they map it to itself.
+        raise SpecFileError("codomain_space: must have the kind and dim of 'space'; only its topology "
+                            "and multiplication may differ")
     doc = SpecDoc(space, codomain)
     for name, obj in _section(raw, "elements").items():
         doc.elements[name] = parse_element(obj, space, f"elements.{name}")

@@ -8,6 +8,14 @@ reduce to finitely many rational inequalities per parametric family of base
 neighborhoods.  Negative verdicts always carry a concrete refuting
 neighborhood.
 
+A base neighborhood {x : |x_i| <= r_i} is described completely by its radius
+function `Neighborhood.bounds()`: INF on a coordinate a product neighborhood
+leaves free, 0 for the discrete {0}.  Membership, containment of a bound
+function (`CoordBounds.within`) and the least multiple of a neighborhood that
+holds a set (`bounds_multiplier`) are each one body over that function for
+all four bases; only construction, rendering, sampling and the choice of a
+refuting neighborhood branch on the topology.
+
 Sets are read through the coordinate view of `elements` (a head of explicit
 coordinates and an optional tail), so bounds, member sampling, non-solid
 witnesses and image membership are each one body for Q^n, sequences and Z.
@@ -25,7 +33,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .elements import EvSeq, FinVec, aligned, coord, coords, from_coords
-from .errors import EmptyInput, InvalidElement, NotBounded
+from .errors import EmptyInput, InvalidElement, NotBounded, SoundnessBug
 from .extended import INF, CoordBounds, is_inf
 from .homs import IdentityHom, SeqHom
 from .sampling import rand_between, rand_in_interval, rand_rat
@@ -87,6 +95,10 @@ class Neighborhood:
         return cls(TopologyId.Z_DISCRETE_TOP)
 
     def bounds(self) -> CoordBounds:
+        """The radius of each coordinate: INF where the box leaves it free.
+
+        Every decision about a neighborhood reads it through this function.
+        """
         if self.topology is TopologyId.QN_BOX:
             return CoordBounds.finite_dim(self.radii)
         if self.topology is TopologyId.EVSEQ_PRODUCT:
@@ -98,22 +110,9 @@ class Neighborhood:
         return CoordBounds.finite_dim((Fraction(0),))
 
     def member(self, x) -> bool:
-        if self.topology is TopologyId.QN_BOX:
-            if not isinstance(x, FinVec) or x.dim != len(self.radii):
-                raise InvalidElement(f"expected a {len(self.radii)}-dim FinVec, got {x!r}")
-            return all(abs(a) <= r for a, r in zip(x.entries, self.radii))
-        if self.topology is TopologyId.EVSEQ_PRODUCT:
-            if not isinstance(x, EvSeq):
-                raise InvalidElement(f"expected an EvSeq, got {x!r}")
-            return all(abs(x.at(i)) <= self.radius for i in self.coords)
-        if self.topology is TopologyId.EVSEQ_SUPNORM:
-            if not isinstance(x, EvSeq):
-                raise InvalidElement(f"expected an EvSeq, got {x!r}")
-            span = len(x.prefix)
-            return all(abs(x.at(i)) <= self.radius for i in range(span)) and abs(x.tail) <= self.radius
-        if isinstance(x, bool) or not isinstance(x, int):
-            raise InvalidElement(f"expected an integer, got {x!r}")
-        return x == 0
+        radii = self.bounds()
+        _space_for(self.topology, len(radii.head)).validate(x)
+        return _element_bounds(x).within(radii)
 
     def render(self) -> dict:
         if self.topology is TopologyId.QN_BOX:
@@ -488,13 +487,33 @@ class GroupBoundedVerdict:
     n_unit: int | None = None
 
 
-def _infinite_coord_witness(bounds: CoordBounds, topology: TopologyId) -> Neighborhood:
-    j = bounds.first_infinite_index()
+def refuting_nbhd(bounds: CoordBounds, topology: TopologyId) -> Neighborhood:
+    """A base neighborhood of `topology` that a set with these bounds escapes.
+
+    Prefers an unconstrained coordinate; otherwise halves a nonzero bound.
+    """
     if topology is TopologyId.EVSEQ_PRODUCT:
-        return Neighborhood.product({j if j is not None else 0}, 1)
+        j = bounds.first_infinite_index()
+        if j is not None:
+            return Neighborhood.product({j}, 1)
+        for j in range(bounds.span() + 1):
+            v = bounds.at(j)
+            if v != 0:
+                return Neighborhood.product({j}, v / 2)
+        raise SoundnessBug("no escaping coordinate found")
     if topology is TopologyId.EVSEQ_SUPNORM:
-        return Neighborhood.sup_ball(1)
-    raise InvalidElement("no unbounded coordinate to refute with")
+        sup = bounds.overall_sup()
+        return Neighborhood.sup_ball(1 if is_inf(sup) else sup / 2)
+    if topology is TopologyId.QN_BOX:
+        radii = []
+        for j in range(len(bounds.head)):
+            v = bounds.at(j)
+            if is_inf(v) or v == 0:
+                radii.append(Fraction(1))
+            else:
+                radii.append(v / 2)
+        return Neighborhood.box(radii)
+    raise SoundnessBug("nothing escapes the discrete base")
 
 
 def bounds_ring_bounded(
@@ -506,12 +525,10 @@ def bounds_ring_bounded(
     if topology is TopologyId.Z_DISCRETE_TOP:
         # V = {0} multiplies everything to {0}.
         return RingBoundedVerdict(True, scale=Fraction(1))
-    if topology in (TopologyId.QN_BOX, TopologyId.EVSEQ_PRODUCT, TopologyId.EVSEQ_SUPNORM):
-        sup = bounds.overall_sup()
-        if is_inf(sup):
-            return RingBoundedVerdict(False, witness=_infinite_coord_witness(bounds, topology))
-        return RingBoundedVerdict(True, scale=max(sup, Fraction(1)))
-    raise InvalidElement(f"unknown topology {topology}")
+    sup = bounds.overall_sup()
+    if is_inf(sup):
+        return RingBoundedVerdict(False, witness=refuting_nbhd(bounds, topology))
+    return RingBoundedVerdict(True, scale=max(sup, Fraction(1)))
 
 
 def bounds_group_bounded(bounds: CoordBounds, topology: TopologyId) -> GroupBoundedVerdict:
@@ -523,7 +540,7 @@ def bounds_group_bounded(bounds: CoordBounds, topology: TopologyId) -> GroupBoun
         return GroupBoundedVerdict(False, witness=Neighborhood.discrete_zero())
     sup = bounds.overall_sup()
     if is_inf(sup):
-        return GroupBoundedVerdict(False, witness=_infinite_coord_witness(bounds, topology))
+        return GroupBoundedVerdict(False, witness=refuting_nbhd(bounds, topology))
     return GroupBoundedVerdict(True, n_unit=max(1, math.ceil(sup)))
 
 
@@ -546,26 +563,23 @@ def set_group_bounded(S: SetDesc, topology: TopologyId | None = None) -> GroupBo
 
 def group_bound_multiplier(S: SetDesc, U: Neighborhood) -> int | None:
     """Minimal n with S inside n*U, or None when no multiple suffices."""
-    b = coordinate_bounds(S)
-    if U.topology is TopologyId.Z_DISCRETE_TOP:
-        return 1 if b.overall_sup() == 0 else None
-    if U.topology is TopologyId.QN_BOX:
-        ratios = [b.at(i) / r for i, r in enumerate(U.radii)]
-    elif U.topology is TopologyId.EVSEQ_PRODUCT:
-        ratios = []
-        for i in U.coords:
-            v = b.at(i)
-            if is_inf(v):
-                return None
-            ratios.append(v / U.radius)
-    else:
-        sup = b.overall_sup()
-        if is_inf(sup):
+    return bounds_multiplier(coordinate_bounds(S), U)
+
+
+def bounds_multiplier(bounds: CoordBounds, U: Neighborhood) -> int | None:
+    """Minimal n >= 1 with every coordinate bound at most n times U's radius.
+
+    A free coordinate (radius INF) takes any bound; a finite radius refuses
+    an INF bound, and a radius of 0 (the discrete {0}) refuses any nonzero one.
+    """
+    n = 1
+    for v, r in bounds.paired(U.bounds()):
+        if is_inf(r) or v == 0:
+            continue
+        if is_inf(v) or r == 0:
             return None
-        ratios = [sup / U.radius]
-    if any(is_inf(r) for r in ratios):
-        return None
-    return max(1, *(math.ceil(r) for r in ratios)) if ratios else 1
+        n = max(n, math.ceil(v / r))
+    return n
 
 
 def fatou_check(topology: TopologyId) -> bool:
@@ -578,9 +592,10 @@ def fatou_check(topology: TopologyId) -> bool:
     return True
 
 
-def _space_for(topology: TopologyId) -> Space:
+def _space_for(topology: TopologyId, dim: int = 2) -> Space:
+    """The carrier a base lives on; `dim` sizes Q^n and is ignored elsewhere."""
     if topology is TopologyId.QN_BOX:
-        return Space.qn(2)
+        return Space.qn(dim)
     if topology is TopologyId.Z_DISCRETE_TOP:
         return Space.z_discrete()
     return Space.evseq(topology)

@@ -3,8 +3,11 @@
 Each coordinatewise job (bounds, member sampling, solidity, non-solid
 witnesses, membership through an image) is pinned on all three carriers, so
 a change to how a job reads coordinates, or to the order in which it draws
-them, fails here.  The pinned values are the output of the code before the
-jobs shared one coordinate view; regenerate them only for an intended change.
+them, fails here.  Every set is also measured against each base neighborhood
+of its carrier (`group_bound_multiplier`), and every such neighborhood is
+probed for membership.  The pinned values are the output of the code before
+the jobs shared one coordinate view, and before neighborhoods were decided
+through their radius function; regenerate them only for an intended change.
 """
 
 from fractions import Fraction as F
@@ -27,12 +30,13 @@ from latring import (
     Space,
     TopologyId,
     coordinate_bounds,
+    group_bound_multiplier,
     is_solid,
     sample_member,
     set_contains,
 )
 from latring.sampling import rng_for
-from latring.topology import non_solid_witness
+from latring.topology import base_generators, non_solid_witness
 
 Q2 = Space.qn(2)
 SEQ = Space.evseq(TopologyId.EVSEQ_PRODUCT)
@@ -77,6 +81,18 @@ IMAGES = {
     for hom_name, hom in HOMS[_carrier(base_name)].items()
 }
 SETS = {**BASES, **IMAGES}
+
+# Each carrier's base neighborhoods as `base_generators` spreads them; the
+# sequence carrier carries both the product and the sup-norm base.
+NBHD_SPACES = {"q2": [Q2], "seq": [SEQ, Space.evseq(TopologyId.EVSEQ_SUPNORM)], "z": [ZD]}
+NBHDS = {
+    carrier: {
+        f"{space.topology.value}[{k}]": NbhdSet(space, U)
+        for space in spaces
+        for k, U in enumerate(base_generators(space.topology, dim=space.dim))
+    }
+    for carrier, spaces in NBHD_SPACES.items()
+}
 
 PROBES = {
     "q2": (FinVec.of(1, -2), FinVec.of(0, 0), FinVec.of(-3, 2), FinVec.of(F(3, 2), F(-3, 4))),
@@ -283,6 +299,133 @@ EXPECTED_IMAGE_MEMBERSHIP: dict = {'block(seq-finite)': [True, False, False, Fal
  'matrix(q2-nbhd)': ['InvalidElement', 'InvalidElement', 'InvalidElement', 'InvalidElement'],
  'matrix(q2-zero)': [False, True, False, False]}
 
+EXPECTED_MULTIPLIERS: dict = {'block(seq-finite)': {'evseq_product[0]': 3,
+                       'evseq_product[1]': 14,
+                       'evseq_product[2]': 1,
+                       'evseq_supnorm[0]': 5,
+                       'evseq_supnorm[1]': 23,
+                       'evseq_supnorm[2]': 2},
+ 'block(seq-hull)': {'evseq_product[0]': 3,
+                     'evseq_product[1]': 18,
+                     'evseq_product[2]': 1,
+                     'evseq_supnorm[0]': 6,
+                     'evseq_supnorm[1]': 30,
+                     'evseq_supnorm[2]': 2},
+ 'block(seq-interval)': {'evseq_product[0]': 7,
+                         'evseq_product[1]': 29,
+                         'evseq_product[2]': 1,
+                         'evseq_supnorm[0]': 10,
+                         'evseq_supnorm[1]': 48,
+                         'evseq_supnorm[2]': 4},
+ 'block(seq-nbhd)': {'evseq_product[0]': None,
+                     'evseq_product[1]': None,
+                     'evseq_product[2]': None,
+                     'evseq_supnorm[0]': None,
+                     'evseq_supnorm[1]': None,
+                     'evseq_supnorm[2]': None},
+ 'block(seq-zero)': {'evseq_product[0]': 1,
+                     'evseq_product[1]': 1,
+                     'evseq_product[2]': 1,
+                     'evseq_supnorm[0]': 1,
+                     'evseq_supnorm[1]': 1,
+                     'evseq_supnorm[2]': 1},
+ 'diagonal(seq-finite)': {'evseq_product[0]': 2,
+                          'evseq_product[1]': 6,
+                          'evseq_product[2]': 1,
+                          'evseq_supnorm[0]': 2,
+                          'evseq_supnorm[1]': 10,
+                          'evseq_supnorm[2]': 1},
+ 'diagonal(seq-hull)': {'evseq_product[0]': 4,
+                        'evseq_product[1]': 27,
+                        'evseq_product[2]': 1,
+                        'evseq_supnorm[0]': 9,
+                        'evseq_supnorm[1]': 45,
+                        'evseq_supnorm[2]': 3},
+ 'diagonal(seq-interval)': {'evseq_product[0]': 6,
+                            'evseq_product[1]': 18,
+                            'evseq_product[2]': 1,
+                            'evseq_supnorm[0]': 6,
+                            'evseq_supnorm[1]': 30,
+                            'evseq_supnorm[2]': 2},
+ 'diagonal(seq-nbhd)': {'evseq_product[0]': 3,
+                        'evseq_product[1]': 14,
+                        'evseq_product[2]': None,
+                        'evseq_supnorm[0]': None,
+                        'evseq_supnorm[1]': None,
+                        'evseq_supnorm[2]': None},
+ 'diagonal(seq-zero)': {'evseq_product[0]': 1,
+                        'evseq_product[1]': 1,
+                        'evseq_product[2]': 1,
+                        'evseq_supnorm[0]': 1,
+                        'evseq_supnorm[1]': 1,
+                        'evseq_supnorm[2]': 1},
+ 'identity(z-finite)': {'z_discrete[0]': None},
+ 'identity(z-hull)': {'z_discrete[0]': None},
+ 'identity(z-interval)': {'z_discrete[0]': None},
+ 'identity(z-nbhd)': {'z_discrete[0]': 1},
+ 'identity(z-zero)': {'z_discrete[0]': 1},
+ 'identity-matrix(q2-finite)': {'qn_box[0]': 2, 'qn_box[1]': 4, 'qn_box[2]': 1},
+ 'identity-matrix(q2-hull)': {'qn_box[0]': 3, 'qn_box[1]': 6, 'qn_box[2]': 2},
+ 'identity-matrix(q2-interval)': {'qn_box[0]': 3, 'qn_box[1]': 4, 'qn_box[2]': 2},
+ 'identity-matrix(q2-nbhd)': {'qn_box[0]': 3, 'qn_box[1]': 5, 'qn_box[2]': 1},
+ 'identity-matrix(q2-zero)': {'qn_box[0]': 1, 'qn_box[1]': 1, 'qn_box[2]': 1},
+ 'matrix(q2-finite)': {'qn_box[0]': 5, 'qn_box[1]': 5, 'qn_box[2]': 2},
+ 'matrix(q2-hull)': {'qn_box[0]': 8, 'qn_box[1]': 8, 'qn_box[2]': 4},
+ 'matrix(q2-interval)': {'qn_box[0]': 7, 'qn_box[1]': 7, 'qn_box[2]': 3},
+ 'matrix(q2-nbhd)': {'qn_box[0]': 6, 'qn_box[1]': 6, 'qn_box[2]': 3},
+ 'matrix(q2-zero)': {'qn_box[0]': 1, 'qn_box[1]': 1, 'qn_box[2]': 1},
+ 'q2-finite': {'qn_box[0]': 2, 'qn_box[1]': 4, 'qn_box[2]': 1},
+ 'q2-hull': {'qn_box[0]': 3, 'qn_box[1]': 6, 'qn_box[2]': 2},
+ 'q2-interval': {'qn_box[0]': 3, 'qn_box[1]': 4, 'qn_box[2]': 2},
+ 'q2-nbhd': {'qn_box[0]': 3, 'qn_box[1]': 5, 'qn_box[2]': 1},
+ 'q2-zero': {'qn_box[0]': 1, 'qn_box[1]': 1, 'qn_box[2]': 1},
+ 'seq-finite': {'evseq_product[0]': 1,
+                'evseq_product[1]': 6,
+                'evseq_product[2]': 1,
+                'evseq_supnorm[0]': 2,
+                'evseq_supnorm[1]': 10,
+                'evseq_supnorm[2]': 1},
+ 'seq-hull': {'evseq_product[0]': 2,
+              'evseq_product[1]': 9,
+              'evseq_product[2]': 1,
+              'evseq_supnorm[0]': 3,
+              'evseq_supnorm[1]': 15,
+              'evseq_supnorm[2]': 1},
+ 'seq-interval': {'evseq_product[0]': 3,
+                  'evseq_product[1]': 12,
+                  'evseq_product[2]': 1,
+                  'evseq_supnorm[0]': 4,
+                  'evseq_supnorm[1]': 20,
+                  'evseq_supnorm[2]': 2},
+ 'seq-nbhd': {'evseq_product[0]': 2,
+              'evseq_product[1]': None,
+              'evseq_product[2]': None,
+              'evseq_supnorm[0]': None,
+              'evseq_supnorm[1]': None,
+              'evseq_supnorm[2]': None},
+ 'seq-zero': {'evseq_product[0]': 1,
+              'evseq_product[1]': 1,
+              'evseq_product[2]': 1,
+              'evseq_supnorm[0]': 1,
+              'evseq_supnorm[1]': 1,
+              'evseq_supnorm[2]': 1},
+ 'z-finite': {'z_discrete[0]': None},
+ 'z-hull': {'z_discrete[0]': None},
+ 'z-interval': {'z_discrete[0]': None},
+ 'z-nbhd': {'z_discrete[0]': 1},
+ 'z-zero': {'z_discrete[0]': 1}}
+
+EXPECTED_NBHD_MEMBERSHIP: dict = {'q2:qn_box[0]': [False, True, False, False],
+ 'q2:qn_box[1]': [False, True, False, False],
+ 'q2:qn_box[2]': [True, True, False, True],
+ 'seq:evseq_product[0]': [True, False, False, True],
+ 'seq:evseq_product[1]': [True, False, False, False],
+ 'seq:evseq_product[2]': [True, True, True, True],
+ 'seq:evseq_supnorm[0]': [True, False, False, True],
+ 'seq:evseq_supnorm[1]': [True, False, False, False],
+ 'seq:evseq_supnorm[2]': [True, True, False, True],
+ 'z:z_discrete[0]': [True, False, False, False]}
+
 
 @pytest.mark.parametrize("name", sorted(SETS))
 def test_coordinate_bounds_pinned(name):
@@ -319,3 +462,16 @@ def test_image_membership_pinned(name):
         except InvalidElement:
             answers.append("InvalidElement")
     assert answers == EXPECTED_IMAGE_MEMBERSHIP[name]
+
+
+@pytest.mark.parametrize("name", sorted(SETS))
+def test_group_bound_multiplier_pinned(name):
+    nbhds = NBHDS[_carrier(name)]
+    got = {key: group_bound_multiplier(SETS[name], N.nbhd) for key, N in nbhds.items()}
+    assert got == EXPECTED_MULTIPLIERS[name]
+
+
+@pytest.mark.parametrize("carrier, key", [(c, k) for c in sorted(NBHDS) for k in sorted(NBHDS[c])])
+def test_nbhd_membership_pinned(carrier, key):
+    N = NBHDS[carrier][key]
+    assert [set_contains(N, x) for x in PROBES[carrier]] == EXPECTED_NBHD_MEMBERSHIP[f"{carrier}:{key}"]

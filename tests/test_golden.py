@@ -1,11 +1,12 @@
 """Golden machine reports: refactors must leave the canonical output byte-identical.
 
-The stored files are the `--format machine` output of `run` on the two demo
-specs, and of `classify`, `posp`, `converge --mode br` and `decompose` on
+The stored files are the `--format machine` output of `run` on the three demo
+specs (the sup-norm one prints `nr` certificates and sup-norm witnesses), and
+of `classify`, `posp`, `converge --mode br` and `decompose` on
 `specs/q12_literals.json`, whose literals are written unreduced, signed,
-zero-padded and over coprime denominators; the gallery reports and the `laws` report of every instance are pinned
-by their sha256.  If a change alters one of
-these on purpose, regenerate the file (or digest) with the command in the
+zero-padded and over coprime denominators; the gallery reports and the `laws`
+report of every instance are pinned by their sha256.  If a change alters one
+of these on purpose, regenerate the file (or digest) with the command in the
 test and say why in the change description.
 """
 
@@ -52,7 +53,11 @@ def _machine_report(argv, capsys, exit_code: int = 0) -> bytes:
 
 @pytest.mark.parametrize(
     "spec, golden",
-    [("qn2_demo.json", "run_qn2_demo.json"), ("evseq_demo.json", "run_evseq_demo.json")],
+    [
+        ("qn2_demo.json", "run_qn2_demo.json"),
+        ("evseq_demo.json", "run_evseq_demo.json"),
+        ("evseq_supnorm_demo.json", "run_evseq_supnorm_demo.json"),
+    ],
 )
 def test_run_demo_spec_matches_golden(spec, golden, capsys):
     out = _machine_report(["run", "--spec", str(_REPO / "specs" / spec)], capsys)

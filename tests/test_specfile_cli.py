@@ -1,6 +1,7 @@
 """Spec-file parsing, round-trip serialization, and the CLI contract."""
 
 import json
+import time
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -10,6 +11,7 @@ from latring import EvSeq, FinVec, MatrixHom, Neighborhood, SeqHom, Space, SpecF
 from latring.cli import main
 from latring.homs import ORACLE_DIM_CAP
 from latring.specfile import (
+    MAX_COORD_INDEX,
     element_to_obj,
     hom_to_obj,
     nbhd_to_obj,
@@ -354,6 +356,10 @@ def _literal_cases():
         ({"space": {"kind": "evseq"},
           "sets": {"u": {"kind": "nbhd", "nbhd": {"topology": "evseq_product", "coords": [-1], "radius": "1"}}}},
          "sets.u: 'coords'"),
+        ({"space": {"kind": "evseq"},
+          "sets": {"u": {"kind": "nbhd", "nbhd": {"topology": "evseq_product", "coords": [0, 10**9],
+                                                  "radius": "1"}}}},
+         f"sets.u: coordinate index 1000000000 is above the cap of {MAX_COORD_INDEX}"),
         ({"space": {"kind": "qn", "dim": 2},
           "sets": {"u": {"kind": "nbhd", "nbhd": {"topology": "qn_box", "radii": "12"}}}}, "sets.u: 'radii'"),
         ({"space": {"kind": "qn", "dim": 2}, "sets": {"u": {"kind": "finite"}}}, "sets.u: missing 'elements'"),
@@ -363,6 +369,10 @@ def _literal_cases():
         ({"space": {"kind": "qn", "dim": 1}, "nets": {"n": {"kind": "constant"}}}, "nets.n: missing 'term'"),
         ({"space": {"kind": "qn", "dim": 1}, "nets": {"n": {"kind": "constant", "term": "ghost"}}},
          "nets.n: no homomorphism named 'ghost'"),
+        ({"space": {"kind": "qn", "dim": 1}, "codomain_space": {"kind": "z"}},
+         "codomain_space: must have the kind and dim of 'space'"),
+        ({"space": {"kind": "qn", "dim": 1}, "codomain_space": {"kind": "qn", "dim": 2}},
+         "codomain_space: must have the kind and dim of 'space'"),
         ({"space": {"kind": "qn", "dim": 1}, "sets": {"u": {"kind": "finite", "elements": ["ghost"]}}},
          "sets.u: no element named 'ghost'"),
         ({"space": {"kind": "qn", "dim": 1}, "sets": {"u": {"kind": "finite", "elements": []}}},
@@ -416,3 +426,34 @@ def test_posp_beyond_the_oracle_cap_exits_2(space, hom, dim, tmp_path, capsys):
     path.write_text(json.dumps({"space": space, "homs": {"big": hom}}))
     message = f"posp 'big' needs the vertex oracle at dimension {dim}, above its cap of {ORACLE_DIM_CAP}"
     _assert_input_error(["posp", "big", "--spec", str(path)], message, capsys)
+
+
+def _with_coords(coords, tmp_path):
+    spec = json.loads(Path(EVSEQ_SPEC).read_text())
+    spec["sets"]["u0"]["nbhd"]["coords"] = coords
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps(spec))
+    return ["converge", "vanishing", "--mode", "nr", "--region", "u0", "--spec", str(path)]
+
+
+def test_far_product_coordinate_exits_2_at_once(tmp_path, capsys):
+    start = time.perf_counter()
+    _assert_input_error(_with_coords([1000000], tmp_path), f"above the cap of {MAX_COORD_INDEX}", capsys)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_product_coordinate_at_the_cap_is_decided(tmp_path, capsys):
+    assert main(_with_coords([MAX_COORD_INDEX], tmp_path)) == 0
+    assert "PASS" in capsys.readouterr().out
+
+
+def test_result_beyond_the_printable_digit_limit_exits_2(tmp_path, capsys):
+    # 10^4000 + 1 and 10^4000 + 3 are odd and differ by 2, so they are coprime:
+    # the order witness |T| 1 then has a denominator of about 8000 digits.
+    a, b = "1" + "0" * 3999 + "1", "1" + "0" * 3999 + "3"
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps({
+        "space": {"kind": "qn", "dim": 2},
+        "homs": {"t": {"kind": "matrix", "rows": [[f"1/{a}", f"1/{b}"], ["0", "1"]]}},
+    }))
+    _assert_input_error(["classify", "t", "--spec", str(path)], "4300-digit limit", capsys)
