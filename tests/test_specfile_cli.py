@@ -356,10 +356,6 @@ def _literal_cases():
         ({"space": {"kind": "evseq"},
           "sets": {"u": {"kind": "nbhd", "nbhd": {"topology": "evseq_product", "coords": [-1], "radius": "1"}}}},
          "sets.u: 'coords'"),
-        ({"space": {"kind": "evseq"},
-          "sets": {"u": {"kind": "nbhd", "nbhd": {"topology": "evseq_product", "coords": [0, 10**9],
-                                                  "radius": "1"}}}},
-         f"sets.u: coordinate index 1000000000 is above the cap of {MAX_COORD_INDEX}"),
         ({"space": {"kind": "qn", "dim": 2},
           "sets": {"u": {"kind": "nbhd", "nbhd": {"topology": "qn_box", "radii": "12"}}}}, "sets.u: 'radii'"),
         ({"space": {"kind": "qn", "dim": 2}, "sets": {"u": {"kind": "finite"}}}, "sets.u: missing 'elements'"),
@@ -369,10 +365,6 @@ def _literal_cases():
         ({"space": {"kind": "qn", "dim": 1}, "nets": {"n": {"kind": "constant"}}}, "nets.n: missing 'term'"),
         ({"space": {"kind": "qn", "dim": 1}, "nets": {"n": {"kind": "constant", "term": "ghost"}}},
          "nets.n: no homomorphism named 'ghost'"),
-        ({"space": {"kind": "qn", "dim": 1}, "codomain_space": {"kind": "z"}},
-         "codomain_space: must have the kind and dim of 'space'"),
-        ({"space": {"kind": "qn", "dim": 1}, "codomain_space": {"kind": "qn", "dim": 2}},
-         "codomain_space: must have the kind and dim of 'space'"),
         ({"space": {"kind": "qn", "dim": 1}, "sets": {"u": {"kind": "finite", "elements": ["ghost"]}}},
          "sets.u: no element named 'ghost'"),
         ({"space": {"kind": "qn", "dim": 1}, "sets": {"u": {"kind": "finite", "elements": []}}},
@@ -380,6 +372,14 @@ def _literal_cases():
         ({"space": {"kind": "qn", "dim": 1},
           "sets": {"u": {"kind": "interval", "lo": {"entries": ["2"]}, "hi": {"entries": ["1"]}}}},
          "sets.u: interval needs lo <= hi"),
+        ({"space": {"kind": "evseq"},
+          "sets": {"u": {"kind": "nbhd", "nbhd": {"topology": "evseq_product", "coords": [0, 10**9],
+                                                  "radius": "1"}}}},
+         f"sets.u: coordinate index 1000000000 is above the cap of {MAX_COORD_INDEX}"),
+        ({"space": {"kind": "qn", "dim": 1}, "codomain_space": {"kind": "z"}},
+         "codomain_space: must have the kind and dim of 'space'"),
+        ({"space": {"kind": "qn", "dim": 1}, "codomain_space": {"kind": "qn", "dim": 2}},
+         "codomain_space: must have the kind and dim of 'space'"),
         *_literal_cases(),
     ],
 )
