@@ -109,7 +109,7 @@ class FinVec:
     def __le__(self, other: "FinVec") -> bool:
         if not isinstance(other, FinVec) or other.dim != self.dim:
             raise InvalidElement(f"dimension mismatch: {self!r} vs {other!r}")
-        return all(a <= b for a, b in zip(self.entries, other.entries))
+        return _all_le(self.entries, other.entries)
 
     def __ge__(self, other: "FinVec") -> bool:
         return other.__le__(self)
@@ -215,8 +215,7 @@ class EvSeq:
     def __le__(self, other: "EvSeq") -> bool:
         if not isinstance(other, EvSeq):
             raise InvalidElement(f"expected EvSeq, got {other!r}")
-        n = max(len(self.prefix), len(other.prefix))
-        return all(self.at(i) <= other.at(i) for i in range(n)) and self.tail <= other.tail
+        return _all_le(*aligned(self, other))
 
     def __ge__(self, other: "EvSeq") -> bool:
         return other.__le__(self)
@@ -230,6 +229,11 @@ class EvSeq:
     def __repr__(self) -> str:
         inner = ", ".join(str(a) for a in self.prefix)
         return f"EvSeq([{inner}], tail={self.tail})"
+
+
+def _all_le(xs, ys) -> bool:
+    """xs[i] <= ys[i] at every i, compared as integer cross-products."""
+    return all(a.numerator * b.denominator <= b.numerator * a.denominator for a, b in zip(xs, ys))
 
 
 def coords(x) -> tuple[tuple, Fraction | None]:
@@ -258,15 +262,16 @@ def from_coords(like, head, tail):
     return x
 
 
-def aligned(*xs) -> list[tuple]:
+def aligned(*xs, min_head: int = 0) -> list[tuple]:
     """The coordinates of each x over one shared index range.
 
-    Heads are padded with their own tail to a common length, and elements
-    with a tail get one more index that stands for the tail itself, so index
-    i means the same coordinate in every row and the tail comes last.
+    Heads are padded with their own tail to a common length, at least
+    `min_head`, and elements with a tail get one more index that stands for
+    the tail itself, so index i means the same coordinate in every row and
+    the tail comes last.  Heads without a tail are never padded.
     """
     views = [coords(x) for x in xs]
-    n = max(len(head) for head, _ in views)
+    n = max(min_head, *(len(head) for head, _ in views))
     return [head if tail is None else head + (tail,) * (n + 1 - len(head)) for head, tail in views]
 
 

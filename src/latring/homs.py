@@ -14,7 +14,8 @@ over one common denominator, with their gcd divided out, so every matrix has
 exactly one integer form.  Its lattice arithmetic (sums, differences, scaling,
 positive parts, moduli, joins, meets, directed suprema), `==` and hash run on
 those integers.  Applying it puts the input over one common denominator too,
-sums numerators as integers, and normalises each output entry once.
+sums numerators as integers, and normalises each output entry once; a
+sequence operator applies its block the same way.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import math
 import random
 from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
+from functools import cached_property
 from operator import add, mul, sub
 from typing import Iterable, Sequence
 
@@ -229,7 +231,9 @@ class SeqHom:
     Normal form: `diag` holds the full diagonal (as an EvSeq) and `off` is a
     square block of the off-diagonal entries with zero diagonal, trimmed to
     the last row or column that carries a nonzero entry.  Two operators act
-    identically exactly when their normal forms are equal.
+    identically exactly when their normal forms are equal.  `apply` works on
+    the block with the diagonal folded back in, held as integer rows over
+    common denominators and made on first use.
     """
 
     diag: EvSeq
@@ -283,18 +287,30 @@ class SeqHom:
     def block_size(self) -> int:
         return len(self.off)
 
+    @cached_property
+    def _int_block(self) -> tuple[tuple[int, list[int]], ...]:
+        """The block with the diagonal folded back in, each row over its common denominator."""
+        diag = self.diag.at
+        return tuple(
+            _over_common_den(row[:i] + (diag(i),) + row[i + 1:]) for i, row in enumerate(self.off)
+        )
+
     def apply(self, x: EvSeq) -> EvSeq:
         if not isinstance(x, EvSeq):
             raise InvalidElement(f"expected an EvSeq, got {x!r}")
         k = self.block_size
-        span = max(k, len(self.diag.prefix), len(x.prefix))
-        entries = []
-        for i in range(span):
-            v = self.diag.at(i) * x.at(i)
-            if i < k:
-                v += sum((self.off[i][j] * x.at(j) for j in range(k)), Fraction(0))
-            entries.append(v)
-        return EvSeq(tuple(entries), self.diag.tail * x.tail)
+        (dp, dt), (xp, xt) = (self.diag.prefix, self.diag.tail), (x.prefix, x.tail)
+        span = max(k, len(dp), len(xp))
+        d_row, x_row = dp + (dt,) * (span - len(dp)), xp + (xt,) * (span - len(xp))
+        head = []
+        if k:
+            xd, xs = _over_common_den(x_row[:k])
+            head = [Fraction(sum(map(mul, nums, xs)), d * xd) for d, nums in self._int_block]
+        head += [
+            Fraction(a.numerator * v.numerator, a.denominator * v.denominator)
+            for a, v in zip(d_row[k:], x_row[k:])
+        ]
+        return EvSeq(tuple(head), dt * xt)
 
     def propagate_bounds(self, b: CoordBounds) -> CoordBounds:
         if b.tail is None:
@@ -664,17 +680,22 @@ class HomVerdict:
 def is_order_bounded(T: Hom, probe, samples: int = 25, seed: int = 0) -> OrderBoundedWitness:
     """Witness interval [-|T| probe, |T| probe] for the image of [-probe, probe].
 
-    The containment is spot-verified on sampled y with |y| <= probe.
+    The containment is spot-checked on `samples` seeded y in [-probe, probe]:
+    `T.apply(y)` is compared with the bound that `modulus(T).apply` gave, so
+    two code paths meet.  Each y is drawn coordinate by coordinate: every
+    coordinate of Q^n, the one of Z, and on sequences each coordinate below
+    `T.support_span()` and then the tail.
     """
     cap = modulus(T).apply(probe)
     lo, hi = -cap, cap
     below = -probe
     if not below <= probe:
         raise InvalidElement("probe must be positive")
+    head = T.support_span() if isinstance(T, SeqHom) else 0
     rng = random.Random(seed)
     checked = 0
     for _ in range(samples):
-        y = rand_between(rng, below, probe)
+        y = rand_between(rng, below, probe, min_head=head)
         img = T.apply(y)
         if not (lo <= img and img <= hi):
             raise SoundnessBug(f"|T y| escaped the modulus bound at y={y!r}")

@@ -65,18 +65,26 @@ def rand_matrix_rows(rng: random.Random, n: int, span: int = 9) -> tuple:
 
 
 def rand_in_interval(rng: random.Random, lo: Fraction, hi: Fraction) -> Fraction:
-    """Uniform-ish exact rational in [lo, hi]."""
-    t = Fraction(rng.randint(0, 24), 24)
-    return lo + t * (hi - lo)
+    """One of the 25 points lo + k (hi - lo) / 24, k = 0..24, drawn uniformly.
+
+    With lo = a/b and hi = c/d the point is (24ad + k(cb - ad)) / (24bd),
+    worked out on integers and built as one `Fraction`.
+    """
+    k = rng.randrange(25)  # the same draw as rng.randint(0, 24), one call shallower
+    a, b = lo.numerator, lo.denominator
+    c, d = hi.numerator, hi.denominator
+    ad = a * d
+    return Fraction(24 * ad + k * (c * b - ad), 24 * b * d)
 
 
-def rand_between(rng: random.Random, lo, hi):
+def rand_between(rng: random.Random, lo, hi, min_head: int = 0):
     """A random element of the interval [lo, hi], drawn coordinate by coordinate, tail last.
 
-    Integer coordinates take a uniform integer; rational ones a multiple of
-    (hi_i - lo_i) / 24 above lo_i.
+    Integer coordinates take a uniform integer; rational ones a point of
+    `rand_in_interval`.  On sequences the first `min_head` coordinates are
+    drawn one by one even where lo and hi are constant there (see `aligned`).
     """
-    lo_row, hi_row = aligned(lo, hi)
+    lo_row, hi_row = aligned(lo, hi, min_head=min_head)
     draw = rng.randint if isinstance(lo_row[0], int) else partial(rand_in_interval, rng)
     row = list(map(draw, lo_row, hi_row))
     return from_coords(lo, row, row[-1])

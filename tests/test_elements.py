@@ -119,3 +119,59 @@ def test_partial_order_is_coordinatewise():
     assert not (FinVec.of(1, 2) <= FinVec.of(2, 1))
     assert not (FinVec.of(2, 1) <= FinVec.of(1, 2))
     assert EvSeq.of(1, tail=0) <= EvSeq.of(1, tail=1)
+
+
+# ---------------------------------------------------------------------------
+# The order on integer cross-products against Fraction comparison.
+
+def _fraction_le(x, y):
+    if isinstance(x, FinVec):
+        return all(a <= b for a, b in zip(x.entries, y.entries))
+    n = max(len(x.prefix), len(y.prefix))
+    return all(x.at(i) <= y.at(i) for i in range(n)) and x.tail <= y.tail
+
+
+# Mixed denominators, so cross-products differ from numerator comparison.
+order_rats = st.builds(F, st.integers(-12, 12), st.sampled_from([1, 2, 3, 4, 6, 7, 8]))
+
+
+@st.composite
+def nearby(draw, values):
+    """Each value kept, or moved up or down a little: pairs that tie at many coordinates."""
+    step = st.one_of(st.just(F(0)), st.builds(F, st.integers(-2, 2), st.sampled_from([1, 3, 8])))
+    return [v + draw(step) for v in values]
+
+
+@st.composite
+def order_pairs(draw):
+    if draw(st.booleans()):
+        xs = draw(st.lists(order_rats, min_size=1, max_size=8))
+        return FinVec(tuple(xs)), FinVec(tuple(draw(nearby(xs))))
+    # Sequences written with prefixes of unequal length, some padded with their own tail.
+    xs = draw(st.lists(order_rats, min_size=1, max_size=7))
+    ys = draw(nearby(xs))
+    x_len, y_len = draw(st.integers(0, len(xs) - 1)), draw(st.integers(0, len(xs) - 1))
+    return EvSeq(tuple(xs[:x_len]), xs[-1]), EvSeq(tuple(ys[:y_len]) + (ys[-1],) * draw(st.integers(0, 2)), ys[-1])
+
+
+@given(order_pairs())
+def test_order_matches_fraction_comparison(pair):
+    x, y = pair
+    assert (x <= y) == _fraction_le(x, y)
+    assert (y <= x) == _fraction_le(y, x)
+    assert (x >= y) == _fraction_le(y, x)
+    assert (x < y) == (_fraction_le(x, y) and x != y)
+
+
+def test_order_examples():
+    # Equal values over different denominators; a single cross-product decides.
+    assert FinVec.of(F(2, 6), F(-1, 2)) <= FinVec.of(F(1, 3), F(-3, 6))
+    assert FinVec.of(F(1, 3)) <= FinVec.of(F(2, 5)) and not FinVec.of(F(2, 5)) <= FinVec.of(F(1, 3))
+    assert not FinVec.of(F(-1, 3), 0) <= FinVec.of(F(-2, 5), 1)
+    # Prefixes of unequal length: the shorter one is padded with its tail.
+    assert EvSeq.of(1, 2, 3, tail=0) <= EvSeq.of(1, 2, 3, 3, 3, tail=F(1, 2))
+    assert not EvSeq.of(1, 2, tail=5) <= EvSeq.of(1, 2, 3, 4, tail=5)
+    assert EvSeq.of(tail=F(1, 3)) <= EvSeq.of(F(1, 3), F(1, 3), tail=F(2, 6))
+    # The tail alone decides when the prefixes agree.
+    assert EvSeq.of(1, F(-1, 7), tail=F(2, 7)) <= EvSeq.of(1, F(-1, 7), tail=F(1, 3))
+    assert not EvSeq.of(1, F(-1, 7), tail=F(1, 3)) <= EvSeq.of(1, F(-1, 7), tail=F(2, 7))

@@ -20,6 +20,7 @@ from latring import (
     NotBoundedAbove,
     OracleTooLarge,
     SeqHom,
+    SoundnessBug,
     Space,
     directed_sup,
     extend_from_cone,
@@ -407,3 +408,94 @@ def test_matrix_hom_is_immutable():
     with pytest.raises(AttributeError):
         del T.rows
     assert T.rows == ((2, -4), (-6, 8))
+
+
+# ---------------------------------------------------------------------------
+# The integer sequence apply against the entrywise Fraction formula.
+
+def _fraction_seq_apply(h, x):
+    k = h.block_size
+    span = max(k, len(h.diag.prefix), len(x.prefix))
+    entries = []
+    for i in range(span):
+        v = h.diag.at(i) * x.at(i)
+        if i < k:
+            v += sum((h.off[i][j] * x.at(j) for j in range(k)), F(0))
+        entries.append(v)
+    return EvSeq(tuple(entries), h.diag.tail * x.tail)
+
+
+@st.composite
+def seq_apply_cases(draw):
+    """A block of up to 6 (a quarter of them zero) and a diagonal prefix of up to
+    8, over mixed denominators; inputs longer and shorter than the support."""
+    k = draw(st.integers(0, 6))
+    rows = draw(fraction_rows(k)) if draw(st.integers(0, 3)) else ((F(0),) * k,) * k
+    diag = EvSeq(tuple(draw(st.lists(kernel_rats, max_size=8))), draw(kernel_rats))
+    x = EvSeq(tuple(draw(st.lists(kernel_rats, max_size=12))), draw(kernel_rats))
+    return SeqHom.diag_plus_block(diag, rows), x
+
+
+@given(seq_apply_cases())
+def test_seq_apply_matches_fraction_formula(case):
+    h, x = case
+    assert h.apply(x) == _fraction_seq_apply(h, x)
+    # The cached integer block leaves equality, hash and rendering alone.
+    fresh = SeqHom(h.diag, h.off)
+    assert h == fresh and hash(h) == hash(fresh) and repr(h) == repr(fresh) and h.render() == fresh.render()
+
+
+def test_seq_apply_examples():
+    h = SeqHom.diag_plus_block(EvSeq.of(F(1, 3), tail=F(-1, 2)), ((0, F(2, 5), 0), (F(-1, 7), 0, 0), (0, 0, 0)))
+    assert h.block_size == 2 and h.support_span() == 2
+    # Shorter than the block, as long as it, and longer than the support.
+    for x in (EvSeq.constant(F(3, 4)), EvSeq.of(1, F(-5, 8), tail=0), EvSeq.of(F(1, 9), 2, 3, F(-4, 3), tail=7)):
+        assert h.apply(x) == _fraction_seq_apply(h, x)
+    assert h.apply(EvSeq.of(1, F(-5, 8), tail=0)) == EvSeq.of(F(1, 3) - F(1, 4), F(-1, 7) + F(5, 16), tail=0)
+    assert SeqHom.zero().apply(EvSeq.of(1, 2, tail=3)) == EvSeq.zero()
+
+
+# ---------------------------------------------------------------------------
+# The order-boundedness spot check on sequences.
+
+def _sampled_inputs(monkeypatch, T, probe):
+    from latring import homs
+
+    drawn = []
+    draw = homs.rand_between
+
+    def recording(*args, **kwargs):
+        drawn.append(draw(*args, **kwargs))
+        return drawn[-1]
+
+    monkeypatch.setattr(homs, "rand_between", recording)
+    w = is_order_bounded(T, probe)
+    assert w.spot_checked == len(drawn) == 25
+    return drawn
+
+
+def test_spot_check_draws_each_coordinate_of_the_support(monkeypatch):
+    T = SeqHom.diag_plus_block(EvSeq.of(2, tail=F(1, 2)), ((0, 1, -3), (4, 0, 0), (0, F(1, 3), 0)))
+    assert T.render()["kind"] == "diag_plus_finite"
+    ys = _sampled_inputs(monkeypatch, T, EvSeq.constant(1))
+    # Not constant over the block: off-diagonal entries meet independent coordinates.
+    assert any(len({y.at(0), y.at(1), y.at(2)}) > 1 for y in ys)
+    assert sum(len({y.at(0), y.at(1), y.at(2)}) == 3 for y in ys) > 15
+    # Vectors keep drawing every coordinate.
+    vs = _sampled_inputs(monkeypatch, T_EXAMPLE, FinVec.of(1, 1))
+    assert any(v[0] != v[1] for v in vs)
+
+
+class _BlockFault(SeqHom):
+    """Correct on constant sequences; off by 10 (y_1 - y_0) at index 0 elsewhere."""
+
+    def apply(self, x):
+        y = super().apply(x)
+        return y + EvSeq.of(10 * (x.at(1) - x.at(0)))
+
+
+def test_spot_check_catches_a_fault_seen_only_off_the_constants():
+    T = _BlockFault(EvSeq.of(1, 1, tail=1), ((0, F(1, 2)), (F(1, 2), 0)))
+    assert T.apply(EvSeq.constant(1)) == SeqHom(T.diag, T.off).apply(EvSeq.constant(1))
+    with pytest.raises(SoundnessBug):
+        is_order_bounded(T, EvSeq.constant(1))
