@@ -270,8 +270,12 @@ def aligned(*xs, min_head: int = 0) -> list[tuple]:
     the tail itself, so index i means the same coordinate in every row and
     the tail comes last.  Heads without a tail are never padded.
     """
-    views = [coords(x) for x in xs]
-    n = max(min_head, *(len(head) for head, _ in views))
+    views, n = [], min_head
+    for x in xs:
+        view = coords(x)
+        views.append(view)
+        if len(view[0]) > n:
+            n = len(view[0])
     return [head if tail is None else head + (tail,) * (n + 1 - len(head)) for head, tail in views]
 
 

@@ -40,7 +40,7 @@ from .errors import (
 )
 from .extended import INF, CoordBounds, ext_add, ext_mul, is_inf
 from .sampling import rand_between, rand_pos_element
-from .scalars import as_rat
+from .scalars import IntRow, as_rat, reduced_row
 from .spaces import Space, SpaceKind, abs_val, is_positive, join, meet, neg_part, pos_part
 
 
@@ -54,17 +54,6 @@ def _over_common_den(values: Sequence[Fraction]) -> tuple[int, list[int]]:
     return d, [v.numerator * (d // v.denominator) for v in values]
 
 
-IntRow = tuple[int, tuple[int, ...]]
-
-
-def _reduced(d: int, nums: Sequence[int]) -> IntRow:
-    """The row nums / d with gcd(d, *nums) divided out, so equal rows are equal pairs."""
-    g = math.gcd(d, *nums)
-    if g == 1:
-        return d, tuple(nums)
-    return d // g, tuple(a // g for a in nums)
-
-
 class MatrixHom:
     """n x n rational matrix acting on Q^n.
 
@@ -73,9 +62,9 @@ class MatrixHom:
     exactly one such form and `==` and hash compare it directly.  Arithmetic
     results are built from integer rows; the Fraction `rows` of such a result
     are made only when read (`render`, `repr`), and so are those of a matrix
-    read from integer pairs (`from_int_pairs`, the spec-file path).  A matrix
-    built from `rows` makes its integer rows on first use.  Instances are
-    immutable.
+    built from integer rows read from a spec file (`from_int_rows`).  A
+    matrix built from `rows` makes its integer rows on first use.  Instances
+    are immutable.
     """
 
     __slots__ = ("_rows", "_ints")
@@ -89,26 +78,12 @@ class MatrixHom:
         object.__setattr__(self, "_ints", None)
 
     @classmethod
-    def _from_int_rows(cls, ints: tuple[IntRow, ...]) -> "MatrixHom":
+    def from_int_rows(cls, ints: tuple[IntRow, ...]) -> "MatrixHom":
+        """The matrix whose `int_rows` are `ints`: n reduced rows of n numerators each, n >= 1."""
         T = object.__new__(cls)
         object.__setattr__(T, "_rows", None)
         object.__setattr__(T, "_ints", ints)
         return T
-
-    @classmethod
-    def from_int_pairs(cls, rows: Iterable[Sequence[tuple[int, int]]]) -> "MatrixHom":
-        """The matrix with entries p/q, from rows of integer pairs (p, q), q != 0, in any terms.
-
-        Each row is put over the lcm of its denominators and reduced there; no
-        Fraction is made until `rows` is read.
-        """
-        ints = []
-        for row in rows:
-            d = math.lcm(*(q for _, q in row))
-            ints.append(_reduced(d, [p * (d // q) for p, q in row]))
-        if not ints or any(len(nums) != len(ints) for _, nums in ints):
-            raise InvalidElement("matrix homomorphisms must be square and nonempty")
-        return cls._from_int_rows(tuple(ints))
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -121,11 +96,11 @@ class MatrixHom:
 
     @classmethod
     def identity(cls, n: int) -> "MatrixHom":
-        return cls._from_int_rows(tuple((1, tuple(int(i == j) for j in range(n))) for i in range(n)))
+        return cls.from_int_rows(tuple((1, tuple(int(i == j) for j in range(n))) for i in range(n)))
 
     @classmethod
     def zero(cls, n: int) -> "MatrixHom":
-        return cls._from_int_rows(((1, (0,) * n),) * n)
+        return cls.from_int_rows(((1, (0,) * n),) * n)
 
     @property
     def rows(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -179,12 +154,12 @@ class MatrixHom:
         rows = []
         for (d1, a), (d2, b) in zip(self.int_rows, other.int_rows):
             if d1 == d2:
-                rows.append(_reduced(d1, list(map(op, a, b))))
+                rows.append(reduced_row(d1, list(map(op, a, b))))
             else:
                 g = math.gcd(d1, d2)
                 m1, m2 = d2 // g, d1 // g
-                rows.append(_reduced(d1 * m1, [op(u * m1, v * m2) for u, v in zip(a, b)]))
-        return MatrixHom._from_int_rows(tuple(rows))
+                rows.append(reduced_row(d1 * m1, [op(u * m1, v * m2) for u, v in zip(a, b)]))
+        return MatrixHom.from_int_rows(tuple(rows))
 
     def __add__(self, other):
         return self._combine(other, add)
@@ -193,20 +168,20 @@ class MatrixHom:
         return self._combine(other, sub)
 
     def __neg__(self) -> "MatrixHom":
-        return MatrixHom._from_int_rows(tuple((d, tuple(-a for a in nums)) for d, nums in self.int_rows))
+        return MatrixHom.from_int_rows(tuple((d, tuple(-a for a in nums)) for d, nums in self.int_rows))
 
     def scale(self, factor) -> "MatrixHom":
         q = as_rat(factor)
         p, r = q.numerator, q.denominator
-        return MatrixHom._from_int_rows(tuple(_reduced(d * r, [p * a for a in nums]) for d, nums in self.int_rows))
+        return MatrixHom.from_int_rows(tuple(reduced_row(d * r, [p * a for a in nums]) for d, nums in self.int_rows))
 
     def positive_part(self) -> "MatrixHom":
-        return MatrixHom._from_int_rows(
-            tuple(_reduced(d, [a if a > 0 else 0 for a in nums]) for d, nums in self.int_rows)
+        return MatrixHom.from_int_rows(
+            tuple(reduced_row(d, [a if a > 0 else 0 for a in nums]) for d, nums in self.int_rows)
         )
 
     def entrywise_abs(self) -> "MatrixHom":
-        return MatrixHom._from_int_rows(tuple((d, tuple(map(abs, nums))) for d, nums in self.int_rows))
+        return MatrixHom.from_int_rows(tuple((d, tuple(map(abs, nums))) for d, nums in self.int_rows))
 
     def is_zero(self) -> bool:
         return not any(any(nums) for _, nums in self.int_rows)
@@ -540,8 +515,8 @@ def directed_sup(homs: Sequence[MatrixHom], bound: MatrixHom) -> MatrixHom:
     for row_i in zip(*(T.int_rows for T in homs)):
         d = math.lcm(*(d_T for d_T, _ in row_i))
         scaled = [[a * (d // d_T) for a in nums] for d_T, nums in row_i]
-        rows.append(_reduced(d, [max(column) for column in zip(*scaled)]))
-    return MatrixHom._from_int_rows(tuple(rows))
+        rows.append(reduced_row(d, [max(column) for column in zip(*scaled)]))
+    return MatrixHom.from_int_rows(tuple(rows))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Exact rational scalars.
+"""Exact rational scalars, and rows of them over one integer denominator.
 
 Every quantity in the library is a `fractions.Fraction`: normalized
 (positive denominator, gcd 1) and exact under all arithmetic.  Floats are
@@ -6,29 +6,47 @@ rejected at the boundary so no binary rounding can sneak in.
 
 A rational literal is a JSON integer (not a boolean) or a string of the
 grammar `[+-]?[0-9]+(/[0-9]+)?` with a nonzero denominator: ASCII digits
-only, no spaces, underscores, decimal points or exponents.  `read_rat`
-reads one literal into integers; `as_rat` builds the `Fraction`.
+only, no spaces, underscores, decimal points or exponents.  The grammar is
+written once, in `_GRAMMAR`.  `read_rat` reads one literal into integers;
+`as_rat` builds the `Fraction`.
+
+An integer row `(d, nums)` holds the values nums[j] / d with d > 0 and
+gcd(d, *nums) == 1, so equal rows are equal pairs (`reduced_row`).
+`read_row` reads a list of literals straight into one: the whole row is
+checked against the grammar in one match and split at `/`, and a row that
+fails anywhere on that path is read again literal by literal through
+`read_rat`, so it accepts exactly what `read_rat` accepts and raises the
+error of its first bad literal.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
+from itertools import repeat
+from operator import mul
+from typing import Sequence
 
 from .errors import InvalidElement
 
-_LITERAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+_GRAMMAR = r"[+-]?[0-9]+(?:/[0-9]+)?"
+_LITERAL = re.compile(_GRAMMAR)
+# A row's literals joined by a character no literal holds, matched at once.
+_SEP = "\x00"
+_ROW = re.compile(f"{_GRAMMAR}(?:{_SEP}{_GRAMMAR})*")
+
+IntRow = tuple[int, tuple[int, ...]]
 
 
 def read_rat(value) -> tuple[int, int]:
     """The literal `value` as integers (p, q) with q > 0, not necessarily in lowest terms."""
     if isinstance(value, str):
-        match = _LITERAL.fullmatch(value)
-        if match is None:
+        if _LITERAL.fullmatch(value) is None:
             raise InvalidElement(f"cannot parse rational literal {value!r}; expected p or p/q in ASCII digits")
-        num, den = match.groups()
+        num, _, den = value.partition("/")
         try:
-            p, q = int(num), 1 if den is None else int(den)
+            p, q = int(num), int(den) if den else 1
         except ValueError as exc:
             # int() refuses digit strings beyond the interpreter's length limit.
             raise InvalidElement(f"rational literal too long ({len(value)} characters)") from exc
@@ -49,3 +67,40 @@ def as_rat(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
     return Fraction(*read_rat(value))
+
+
+def reduced_row(d: int, nums: Sequence[int]) -> IntRow:
+    """The row nums / d with gcd(d, *nums) divided out, so equal rows are equal pairs."""
+    g = math.gcd(d, *nums)
+    if g == 1:
+        return d, tuple(nums)
+    return d // g, tuple(a // g for a in nums)
+
+
+def _split_row(values: list) -> tuple[list[int], list[int]] | None:
+    """Numerators and denominators of a row of literal strings, or None where `read_rat` must decide."""
+    try:
+        if _ROW.fullmatch(_SEP.join(values)) is None:
+            return None
+        nums, _, dens = zip(*map(str.partition, values, repeat("/")))
+        # Each distinct denominator string is read once; an integer literal has "".
+        den_of = {q: int(q or 1) for q in set(dens)}
+        if 0 in den_of.values():
+            return None
+        return list(map(int, nums)), list(map(den_of.__getitem__, dens))
+    except (TypeError, ValueError):
+        # A non-string entry, or a literal int() refuses: past its digit limit, or holding _SEP.
+        return None
+
+
+def read_row(values: list) -> IntRow:
+    """The literals `values` as one integer row over the lcm of their denominators, reduced."""
+    parts = _split_row(values)
+    if parts is None:
+        pairs = [read_rat(v) for v in values]
+        parts = [p for p, _ in pairs], [q for _, q in pairs]
+    nums, dens = parts
+    distinct = set(dens)
+    d = math.lcm(*distinct)
+    scale = {q: d // q for q in distinct}
+    return reduced_row(d, list(map(mul, nums, map(scale.__getitem__, dens))))

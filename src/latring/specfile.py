@@ -4,15 +4,20 @@ The format is JSON with sections `space`, `codomain_space`, `elements`,
 `homs`, `sets`, `nets`, and `tasks`.  A rational literal is a JSON integer
 or a string of the grammar `[+-]?[0-9]+(/[0-9]+)?` (see `scalars.read_rat`);
 decimal points, exponents, spaces and non-ASCII digits are refused, and a
-refused literal names its section.  A matrix is read straight into reduced
-integer rows, one common denominator per row.  Unknown keys are errors, not
-warnings; every named reference must resolve.  Serializing any shipped
+refused literal names its section.  Each row of a matrix or of a sequence
+operator's block is read in one pass (`scalars.read_row`) into one reduced
+integer row over a common denominator, and refused, naming its section,
+when that denominator or a numerator has more digits than the interpreter
+prints (4300 by default): no work is done on a result that could not be
+reported.  Unknown keys are errors, not warnings; every named reference must
+resolve, and every entry is read, used or not.  Serializing any shipped
 descriptor and re-parsing it yields an equal descriptor.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -20,7 +25,7 @@ from .elements import EvSeq, FinVec
 from .errors import EmptyInput, InvalidElement, LatringError, SpecFileError, UnknownName
 from .homs import Hom, IdentityHom, MatrixHom, SeqHom
 from .homspaces import HomNet
-from .scalars import read_rat
+from .scalars import IntRow, read_rat, read_row
 from .spaces import Multiplication, Space, SpaceKind, TopologyId
 from .topology import (
     FiniteSet,
@@ -69,15 +74,16 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _read(value, section: str) -> tuple[int, int]:
+def _read(read, value, section: str):
+    """read(value), with a refused literal reported against its section."""
     try:
-        return read_rat(value)
+        return read(value)
     except InvalidElement as exc:
         raise SpecFileError(f"bad rational literal in {section!r}: {exc}") from exc
 
 
 def _rat(value, section: str) -> Fraction:
-    return Fraction(*_read(value, section))
+    return Fraction(*_read(read_rat, value, section))
 
 
 # ---------------------------------------------------------------------------
@@ -145,14 +151,25 @@ def element_to_obj(x) -> dict:
 # ---------------------------------------------------------------------------
 # Homomorphisms.
 
-def _square_rows(rows, read, section: str, side: int | None = None) -> list:
-    """A square list of lists of literals, each read by `read`, `side` by `side` when `side` is given."""
+def _int_row(values: list, section: str) -> IntRow:
+    """One matrix or block row of literals as a reduced integer row, within the printing limit."""
+    d, nums = row = _read(read_row, values, section)
+    limit = sys.get_int_max_str_digits()
+    big = max(d, max(nums), -min(nums))
+    # Beyond `limit` digits means big >= 10**limit, so big has over 3 * limit bits.
+    if limit and big.bit_length() > 3 * limit and big >= 10**limit:
+        raise SpecFileError(f"{section}: a row has an integer beyond the {limit}-digit limit for printing")
+    return row
+
+
+def _square_rows(rows, section: str, side: int | None = None) -> list[IntRow]:
+    """A square list of lists of literals, `side` by `side` when `side` is given, read row by row."""
     if not isinstance(rows, list):
         raise SpecFileError(f"{section}: rows must be a list of lists")
     side = len(rows) if side is None else side
     if len(rows) != side or any(not isinstance(row, list) or len(row) != side for row in rows):
         raise SpecFileError(f"{section}: rows must form a {side}x{side} list of lists")
-    return [[read(v, section) for v in row] for row in rows]
+    return [_int_row(row, section) for row in rows]
 
 
 def _require_kind(space: Space, kind: SpaceKind, hom_kind: str, section: str):
@@ -169,7 +186,7 @@ def parse_hom(obj: dict, space: Space, section: str) -> Hom:
     if kind == "matrix":
         _check_keys(obj, {"kind", "rows"}, section)
         _require_kind(space, SpaceKind.QN, kind, section)
-        return MatrixHom.from_int_pairs(_square_rows(obj.get("rows"), _read, section, space.dim))
+        return MatrixHom.from_int_rows(tuple(_square_rows(obj.get("rows"), section, space.dim)))
     if kind == "diagonal":
         _check_keys(obj, {"kind", "prefix", "tail"}, section)
         _require_kind(space, SpaceKind.EVSEQ, kind, section)
@@ -177,7 +194,8 @@ def parse_hom(obj: dict, space: Space, section: str) -> Hom:
     if kind == "diag_plus_finite":
         _check_keys(obj, {"kind", "prefix", "tail", "block"}, section)
         _require_kind(space, SpaceKind.EVSEQ, kind, section)
-        return SeqHom.diag_plus_block(_evseq(obj, section), _square_rows(obj.get("block"), _rat, section))
+        block = [[Fraction(a, d) for a in nums] for d, nums in _square_rows(obj.get("block"), section)]
+        return SeqHom.diag_plus_block(_evseq(obj, section), block)
     if kind == "identity":
         _check_keys(obj, {"kind"}, section)
         return IdentityHom.on(space)

@@ -230,21 +230,21 @@ def _outcome(f, *args):
         return "InvalidElement"
 
 
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=400)
 @given(nbhd_and_element())
 def test_member_agrees_with_reference(case):
     U, x = case
     assert _outcome(U.member, x) == _outcome(ref_member, U, x)
 
 
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=400)
 @given(set_and_nbhd())
 def test_group_bound_multiplier_agrees_with_reference(case):
     S, U = case
     assert group_bound_multiplier(S, U) == ref_multiplier(coordinate_bounds(S), U)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(certificates())
 def test_threshold_and_recheck_agree_with_reference(case):
     cert, V, W = case

@@ -105,7 +105,7 @@ def _run(text: str):
     return code, out.getvalue(), err.getvalue()
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(mutations())
 def test_mutated_spec_keeps_the_exit_code_contract(mutation):
     name, kind, path, doc, must_refuse, section = mutation

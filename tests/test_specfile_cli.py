@@ -1,6 +1,8 @@
 """Spec-file parsing, round-trip serialization, and the CLI contract."""
 
 import json
+import math
+import sys
 import time
 from fractions import Fraction as F
 from pathlib import Path
@@ -457,3 +459,27 @@ def test_result_beyond_the_printable_digit_limit_exits_2(tmp_path, capsys):
         "homs": {"t": {"kind": "matrix", "rows": [[f"1/{a}", f"1/{b}"], ["0", "1"]]}},
     }))
     _assert_input_error(["classify", "t", "--spec", str(path)], "4300-digit limit", capsys)
+
+
+def _coprime_odd(count: int, digits: int) -> list[int]:
+    """`count` pairwise coprime odd integers of `digits` digits or one more.
+
+    With m a multiple of every integer up to `count`, gcd(2im + 1, 2jm + 1)
+    divides j - i, whose prime factors all divide m and so none of 2im + 1.
+    """
+    m = math.lcm(*range(1, count + 1)) * 10 ** (digits - 6)
+    return [2 * i * m + 1 for i in range(1, count + 1)]
+
+
+@pytest.mark.parametrize("digits", [500, 2000])
+@pytest.mark.parametrize("argv", [["classify", "t"], ["posp", "t", "--cases", "1"]], ids=["classify", "posp"])
+def test_long_literal_matrix_exits_2_at_once(argv, digits, tmp_path, capsys):
+    # Each row of 1/d entries has a common denominator of about 16 * digits digits.
+    row = [f"1/{d}" for d in _coprime_odd(16, digits)]
+    path = tmp_path / "long.json"
+    spec = {"space": {"kind": "qn", "dim": 16}, "homs": {"t": {"kind": "matrix", "rows": [row] * 16}}}
+    path.write_text(json.dumps(spec))
+    message = f"homs.t: a row has an integer beyond the {sys.get_int_max_str_digits()}-digit limit"
+    start = time.perf_counter()
+    _assert_input_error([*argv, "--spec", str(path)], message, capsys)
+    assert time.perf_counter() - start < 1.0
