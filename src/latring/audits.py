@@ -12,8 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .elements import EvSeq, FinVec, coords
-from .extended import CoordBounds
+from .elements import EvSeq, FinVec
 from .errors import UnknownInstance
 from .homs import (
     MatrixHom,
@@ -53,6 +52,7 @@ from .topology import (
     SetDesc,
     SolidHull,
     coordinate_bounds,
+    element_bounds,
     fatou_check,
     hull_bounded_preservation,
     set_group_bounded,
@@ -266,10 +266,9 @@ def decomposition_suite(seed: int = 0, cases: int = 1000, dim: int = 5) -> Check
         y1 = rand_element(rng, space)
         y2 = rand_element(rng, space)
         cap = abs(y1) + abs(y2)
-        if i % 2 == 0:
-            x = FinVec(tuple(Fraction(rng.randint(-24, 24), 24) * c for c in cap))
-        else:
-            x = FinVec(tuple(Fraction(rng.randint(0, 24), 24) * c for c in cap))
+        # Odd cases draw a positive x, which must split into positive parts.
+        low = -24 if i % 2 == 0 else 0
+        x = FinVec(tuple(Fraction(rng.randint(low, 24), 24) * c for c in cap))
         x1, x2 = riesz_decompose(space, x, y1, y2)
         if decomposition_failure(space, x, y1, y2, x1, x2) is None:
             ok += 1
@@ -457,7 +456,7 @@ def sampler_bound_suite(seed: int = 0, cases: int = 300) -> CheckResult:
         S = rand_setdesc(rng, inst.space)
         beta = coordinate_bounds(S)
         x = sample_member(S, rng)
-        if CoordBounds(*coords(abs(x))).within(beta):
+        if element_bounds(x).within(beta):
             ok += 1
         elif not detail:
             detail = f"sample escaped bounds on {S!r}"
@@ -552,13 +551,8 @@ def uniqueness_suite(seed: int = 0, cases: int = 50) -> CheckResult:
         net = HomNet.closed(seq_space, seq_space, base, decay, target=base)
         # The same limit in a syntactically different presentation.
         k = len(base.diag.prefix) + 1
-        other = SeqHom.diag_plus_block(
-            EvSeq(tuple(Fraction(0) for _ in range(k)), base.diag.tail),
-            tuple(
-                tuple(base.diag.at(i) if i == j else Fraction(0) for j in range(k))
-                for i in range(k)
-            ),
-        )
+        block = [[base.diag.at(i) if i == j else 0 for j in range(k)] for i in range(k)]
+        other = SeqHom.diag_plus_block(EvSeq((0,) * k, base.diag.tail), block)
         rep = limit_uniqueness_audit(net, base, other, "nr", U=Neighborhood.sup_ball(1))
         if rep.both_converged and rep.limits_equal:
             ok += 1

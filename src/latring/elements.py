@@ -4,266 +4,280 @@ Both carry the coordinatewise order, so join/meet/absolute value are
 computed entrywise and all lattice identities hold exactly.  Values are
 immutable and hashable; binary operations require matching shapes.
 
-The coordinate view.  Every shipped carrier is read one coordinate at a
-time, and `coords` is the one place that knows how: an element is a `head`
-of explicit coordinates and a `tail` that every later coordinate repeats.
-A vector in Q^n is its entries with no tail, a sequence is its prefix and
-tail, and an integer (the carrier Z) is one coordinate with no tail.
-`from_coords` rebuilds an element of a given carrier from such a pair, and
-`aligned` lines several elements up over one shared index range.  Jobs that
-work coordinatewise (bounds, sampling, solidity witnesses, preimages) are
-written once against this view.
+An element is one integer row `int_row` = (d, nums): coordinate i is
+nums[i] / d, d > 0 and gcd(d, *nums) == 1; a sequence's row is its prefix,
+then its tail, with no prefix entry equal to the tail at the end.  `==`,
+hash, the order and every operation work on these integers; the `Fraction`
+entries (`entries`, `prefix`, `tail`, `at`) are built only when read.  The
+public constructors (through `as_rat`) and `from_int_row` both end in
+`__post_init__`, the one step that trims the tail and divides out the gcd.
+
+`coords` is the one coordinate view of every shipped carrier: a denominator,
+a `head` of numerators and a `tail` numerator repeated ever after (none on
+Q^n; an integer of Z is one coordinate over 1).  `from_coords` inverts it,
+and `aligned` lines elements up over one shared index range, so bounds,
+sampling and solidity witnesses are each written once against this view.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
-from typing import Callable, Iterator
+from itertools import repeat
+from operator import add, le, mul, sub
+from typing import Iterable
 
 from .errors import InvalidElement
-from .scalars import as_rat
+from .scalars import IntRow, as_rat, combine_rows, rat_row, reduced_row
 
-_ZERO = Fraction(0)
+_set = object.__setattr__
 
 
-@dataclass(frozen=True)
-class FinVec:
+class _RowElement:
+    """The integer row, the operations on it, and the order; shared by FinVec and EvSeq."""
+
+    __slots__ = ("_d", "_nums", "_fractions")
+
+    @classmethod
+    def from_int_row(cls, d: int, nums) -> "_RowElement":
+        """The element whose row is nums over d > 0, trimmed and reduced by `__post_init__`."""
+        x = object.__new__(cls)
+        x.__post_init__(d, nums)
+        return x
+
+    def _settle(self, d: int, nums) -> None:
+        d, nums = reduced_row(d, nums)
+        _set(self, "_d", d)
+        _set(self, "_nums", nums)
+        _set(self, "_fractions", None)
+
+    def _values(self) -> tuple[Fraction, ...]:
+        """The row as Fractions, made on first read."""
+        if self._fractions is None:
+            _set(self, "_fractions", tuple([Fraction(a, self._d) for a in self._nums]))
+        return self._fractions
+
+    @property
+    def int_row(self) -> IntRow:
+        return self._d, self._nums
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._d == other._d and self._nums == other._nums
+
+    def __hash__(self) -> int:
+        return hash((self._d, self._nums))
+
+    def _combine(self, other, op):
+        return self.from_int_row(*combine_rows(*self._pair(other), op))
+
+    def __add__(self, other):
+        return self._combine(other, add)
+
+    def __sub__(self, other):
+        return self._combine(other, sub)
+
+    def join(self, other):
+        return self._combine(other, max)
+
+    def meet(self, other):
+        return self._combine(other, min)
+
+    def __mul__(self, other):
+        (d1, a), (d2, b) = self._pair(other)
+        return self.from_int_row(d1 * d2, list(map(mul, a, b)))
+
+    def __neg__(self):
+        return self.from_int_row(self._d, [-a for a in self._nums])
+
+    def scale(self, factor):
+        q = as_rat(factor)
+        return self.from_int_row(self._d * q.denominator, [q.numerator * a for a in self._nums])
+
+    def __abs__(self):
+        return self.from_int_row(self._d, [abs(a) for a in self._nums])
+
+    def pos_part(self):
+        return self.from_int_row(self._d, [a if a > 0 else 0 for a in self._nums])
+
+    def neg_part(self):
+        return self.from_int_row(self._d, [-a if a < 0 else 0 for a in self._nums])
+
+    def is_zero(self) -> bool:
+        return not any(self._nums)
+
+    # Coordinatewise partial order, compared as integer cross-products.
+    def __le__(self, other) -> bool:
+        (d1, a), (d2, b) = self._pair(other)
+        if d1 == d2:
+            return all(map(le, a, b))
+        return all(map(le, map(mul, a, repeat(d2)), map(mul, b, repeat(d1))))
+
+    def __ge__(self, other) -> bool:
+        return other.__le__(self)
+
+    def __lt__(self, other) -> bool:
+        return self.__le__(other) and self != other
+
+    def __gt__(self, other) -> bool:
+        return other.__lt__(self)
+
+
+class FinVec(_RowElement):
     """Element of Q^n with coordinatewise order."""
 
-    entries: tuple[Fraction, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(as_rat(e) for e in self.entries))
-        if not self.entries:
+    def __init__(self, entries: Iterable):
+        self.__post_init__(*rat_row(entries))
+
+    def __post_init__(self, d: int, nums) -> None:
+        if not nums:
             raise InvalidElement("FinVec needs at least one coordinate")
+        self._settle(d, nums)
+
+    def __reduce__(self):
+        return FinVec, (self.entries,)
 
     @classmethod
     def of(cls, *entries) -> "FinVec":
-        return cls(tuple(entries))
+        return cls(entries)
 
     @classmethod
     def zero(cls, dim: int) -> "FinVec":
-        return cls((_ZERO,) * dim)
+        return cls.from_int_row(1, (0,) * dim)
 
     @classmethod
     def constant(cls, dim: int, value) -> "FinVec":
-        return cls((as_rat(value),) * dim)
+        q = as_rat(value)
+        return cls.from_int_row(q.denominator, (q.numerator,) * dim)
 
     @classmethod
     def unit(cls, dim: int, index: int) -> "FinVec":
-        entries = [_ZERO] * dim
-        entries[index] = Fraction(1)
-        return cls(tuple(entries))
+        nums = [0] * dim
+        nums[index] = 1
+        return cls.from_int_row(1, nums)
+
+    @property
+    def entries(self) -> tuple[Fraction, ...]:
+        return self._values()
 
     @property
     def dim(self) -> int:
-        return len(self.entries)
+        return len(self._nums)
 
     def __getitem__(self, i: int) -> Fraction:
-        return self.entries[i]
+        return self._values()[i]
 
-    def __iter__(self) -> Iterator[Fraction]:
-        return iter(self.entries)
-
-    def _zip(self, other: "FinVec", op: Callable[[Fraction, Fraction], Fraction]) -> "FinVec":
-        if not isinstance(other, FinVec) or other.dim != self.dim:
+    def _pair(self, other) -> tuple[IntRow, IntRow]:
+        if not isinstance(other, FinVec) or len(other._nums) != len(self._nums):
             raise InvalidElement(f"dimension mismatch: {self!r} vs {other!r}")
-        return FinVec(tuple(op(a, b) for a, b in zip(self.entries, other.entries)))
-
-    def __add__(self, other: "FinVec") -> "FinVec":
-        return self._zip(other, lambda a, b: a + b)
-
-    def __sub__(self, other: "FinVec") -> "FinVec":
-        return self._zip(other, lambda a, b: a - b)
-
-    def __neg__(self) -> "FinVec":
-        return FinVec(tuple(-a for a in self.entries))
-
-    def __mul__(self, other: "FinVec") -> "FinVec":
-        return self._zip(other, lambda a, b: a * b)
-
-    def scale(self, factor) -> "FinVec":
-        q = as_rat(factor)
-        return FinVec(tuple(q * a for a in self.entries))
-
-    def join(self, other: "FinVec") -> "FinVec":
-        return self._zip(other, max)
-
-    def meet(self, other: "FinVec") -> "FinVec":
-        return self._zip(other, min)
-
-    def __abs__(self) -> "FinVec":
-        return FinVec(tuple(abs(a) for a in self.entries))
-
-    def pos_part(self) -> "FinVec":
-        return FinVec(tuple(max(a, _ZERO) for a in self.entries))
-
-    def neg_part(self) -> "FinVec":
-        return FinVec(tuple(max(-a, _ZERO) for a in self.entries))
-
-    def is_zero(self) -> bool:
-        return all(a == 0 for a in self.entries)
-
-    # Coordinatewise partial order.
-    def __le__(self, other: "FinVec") -> bool:
-        if not isinstance(other, FinVec) or other.dim != self.dim:
-            raise InvalidElement(f"dimension mismatch: {self!r} vs {other!r}")
-        return _all_le(self.entries, other.entries)
-
-    def __ge__(self, other: "FinVec") -> bool:
-        return other.__le__(self)
-
-    def __lt__(self, other: "FinVec") -> bool:
-        return self.__le__(other) and self != other
-
-    def __gt__(self, other: "FinVec") -> bool:
-        return other.__lt__(self)
+        return (self._d, self._nums), (other._d, other._nums)
 
     def __repr__(self) -> str:
         return "FinVec(" + ", ".join(str(a) for a in self.entries) + ")"
 
 
-@dataclass(frozen=True)
-class EvSeq:
+class EvSeq(_RowElement):
     """Eventually-constant rational sequence: a finite prefix, then a constant tail.
 
     Construction canonicalizes (trailing prefix entries equal to the tail are
     dropped), so two EvSeq compare equal exactly when they agree at every
-    index.
+    index.  The integer row ends with the tail.
     """
 
-    prefix: tuple[Fraction, ...]
-    tail: Fraction
+    __slots__ = ()
 
-    def __post_init__(self):
-        entries = [as_rat(e) for e in self.prefix]
-        tail = as_rat(self.tail)
-        while entries and entries[-1] == tail:
-            entries.pop()
-        object.__setattr__(self, "prefix", tuple(entries))
-        object.__setattr__(self, "tail", tail)
+    def __init__(self, prefix: Iterable, tail):
+        self.__post_init__(*rat_row((*prefix, tail)))
+
+    def __post_init__(self, d: int, row) -> None:
+        n, tail = len(row), row[-1]
+        while n > 1 and row[n - 2] == tail:
+            n -= 1
+        self._settle(d, row if n == len(row) else row[:n])
+
+    def __reduce__(self):
+        return EvSeq, (self.prefix, self.tail)
 
     @classmethod
     def of(cls, *prefix, tail=0) -> "EvSeq":
-        return cls(tuple(prefix), tail)
+        return cls(prefix, tail)
 
     @classmethod
     def zero(cls) -> "EvSeq":
-        return cls((), 0)
+        return cls.from_int_row(1, (0,))
 
     @classmethod
     def constant(cls, value) -> "EvSeq":
-        return cls((), value)
+        q = as_rat(value)
+        return cls.from_int_row(q.denominator, (q.numerator,))
 
     @classmethod
     def unit(cls, index: int) -> "EvSeq":
-        entries = [_ZERO] * (index + 1)
-        entries[index] = Fraction(1)
-        return cls(tuple(entries), 0)
+        return cls.from_int_row(1, (0,) * index + (1, 0))
+
+    @property
+    def prefix(self) -> tuple[Fraction, ...]:
+        return self._values()[:-1]
+
+    @property
+    def tail(self) -> Fraction:
+        return self._values()[-1]
 
     def at(self, i: int) -> Fraction:
         if i < 0:
             raise InvalidElement("sequence indices start at 0")
-        return self.prefix[i] if i < len(self.prefix) else self.tail
+        return self._values()[min(i, len(self._nums) - 1)]
 
     def canonical(self) -> "EvSeq":
         # Construction already canonicalizes; re-running is the identity.
-        return EvSeq(self.prefix, self.tail)
+        return EvSeq.from_int_row(self._d, self._nums)
 
-    def _zip(self, other: "EvSeq", op: Callable[[Fraction, Fraction], Fraction]) -> "EvSeq":
+    def _pair(self, other) -> tuple[IntRow, IntRow]:
         if not isinstance(other, EvSeq):
             raise InvalidElement(f"expected EvSeq, got {other!r}")
-        n = max(len(self.prefix), len(other.prefix))
-        entries = tuple(op(self.at(i), other.at(i)) for i in range(n))
-        return EvSeq(entries, op(self.tail, other.tail))
-
-    def __add__(self, other: "EvSeq") -> "EvSeq":
-        return self._zip(other, lambda a, b: a + b)
-
-    def __sub__(self, other: "EvSeq") -> "EvSeq":
-        return self._zip(other, lambda a, b: a - b)
-
-    def __neg__(self) -> "EvSeq":
-        return EvSeq(tuple(-a for a in self.prefix), -self.tail)
-
-    def __mul__(self, other: "EvSeq") -> "EvSeq":
-        return self._zip(other, lambda a, b: a * b)
-
-    def scale(self, factor) -> "EvSeq":
-        q = as_rat(factor)
-        return EvSeq(tuple(q * a for a in self.prefix), q * self.tail)
-
-    def join(self, other: "EvSeq") -> "EvSeq":
-        return self._zip(other, max)
-
-    def meet(self, other: "EvSeq") -> "EvSeq":
-        return self._zip(other, min)
-
-    def __abs__(self) -> "EvSeq":
-        return EvSeq(tuple(abs(a) for a in self.prefix), abs(self.tail))
-
-    def pos_part(self) -> "EvSeq":
-        return EvSeq(tuple(max(a, _ZERO) for a in self.prefix), max(self.tail, _ZERO))
-
-    def neg_part(self) -> "EvSeq":
-        return EvSeq(tuple(max(-a, _ZERO) for a in self.prefix), max(-self.tail, _ZERO))
-
-    def is_zero(self) -> bool:
-        return self.tail == 0 and not self.prefix
-
-    def __le__(self, other: "EvSeq") -> bool:
-        if not isinstance(other, EvSeq):
-            raise InvalidElement(f"expected EvSeq, got {other!r}")
-        return _all_le(*aligned(self, other))
-
-    def __ge__(self, other: "EvSeq") -> bool:
-        return other.__le__(self)
-
-    def __lt__(self, other: "EvSeq") -> bool:
-        return self.__le__(other) and self != other
-
-    def __gt__(self, other: "EvSeq") -> bool:
-        return other.__lt__(self)
+        return aligned(self, other)
 
     def __repr__(self) -> str:
         inner = ", ".join(str(a) for a in self.prefix)
         return f"EvSeq([{inner}], tail={self.tail})"
 
 
-def _all_le(xs, ys) -> bool:
-    """xs[i] <= ys[i] at every i, compared as integer cross-products."""
-    return all(a.numerator * b.denominator <= b.numerator * a.denominator for a, b in zip(xs, ys))
+def coords(x) -> tuple[int, tuple[int, ...], int | None]:
+    """(d, head, tail): coordinate i of x is head[i] / d, and tail / d at every later index.
 
-
-def coords(x) -> tuple[tuple, Fraction | None]:
-    """(head, tail): the explicit coordinates of x, then the value of every later one.
-
-    Q^n gives its entries and no tail, a sequence its prefix and tail, and an
-    integer the single coordinate (x,) and no tail.
+    Q^n has no tail, and an integer of Z is the single coordinate (x,) over 1.
     """
     if isinstance(x, FinVec):
-        return x.entries, None
+        return x._d, x._nums, None
     if isinstance(x, EvSeq):
-        return x.prefix, x.tail
-    return (x,), None
+        return x._d, x._nums[:-1], x._nums[-1]
+    return 1, (x,), None
 
 
-def from_coords(like, head, tail):
-    """The element of like's carrier with coordinates head, then tail for ever.
+def from_coords(like, d: int, head, tail):
+    """The element of like's carrier with coordinates head / d, then tail / d for ever.
 
     The inverse of `coords`; the tail is ignored on carriers that have none.
     """
     if isinstance(like, FinVec):
-        return FinVec(tuple(head))
+        return FinVec.from_int_row(d, head)
     if isinstance(like, EvSeq):
-        return EvSeq(tuple(head), tail)
+        return EvSeq.from_int_row(d, (*head, tail))
     (x,) = head
     return x
 
 
-def aligned(*xs, min_head: int = 0) -> list[tuple]:
-    """The coordinates of each x over one shared index range.
+def aligned(*xs, min_head: int = 0) -> list[IntRow]:
+    """The coordinates of each x over one shared index range, as (d, numerators).
 
     Heads are padded with their own tail to a common length, at least
     `min_head`, and elements with a tail get one more index that stands for
@@ -272,14 +286,8 @@ def aligned(*xs, min_head: int = 0) -> list[tuple]:
     """
     views, n = [], min_head
     for x in xs:
-        view = coords(x)
-        views.append(view)
-        if len(view[0]) > n:
-            n = len(view[0])
-    return [head if tail is None else head + (tail,) * (n + 1 - len(head)) for head, tail in views]
-
-
-def coord(x, i: int):
-    """Coordinate i of x."""
-    head, tail = coords(x)
-    return tail if tail is not None and i >= len(head) else head[i]
+        seq = isinstance(x, EvSeq)
+        d, row = x.int_row if seq or isinstance(x, FinVec) else (1, (x,))
+        n = max(n, len(row) - seq)
+        views.append((d, row, seq))
+    return [(d, row + (row[-1],) * (n + 1 - len(row)) if seq else row) for d, row, seq in views]

@@ -44,12 +44,6 @@ def ext_mul(a: Extended, b: Extended) -> Extended:
     return a * b
 
 
-def ext_add(a: Extended, b: Extended) -> Extended:
-    if is_inf(a) or is_inf(b):
-        return INF
-    return a + b
-
-
 def ext_max(values: Iterable[Extended]) -> Extended:
     best: Extended = Fraction(0)
     for v in values:

@@ -13,9 +13,10 @@ A matrix works on its integer rows: each row is held as integer numerators
 over one common denominator, with their gcd divided out, so every matrix has
 exactly one integer form.  Its lattice arithmetic (sums, differences, scaling,
 positive parts, moduli, joins, meets, directed suprema), `==` and hash run on
-those integers.  Applying it puts the input over one common denominator too,
-sums numerators as integers, and normalises each output entry once; a
-sequence operator applies its block the same way.
+those integers.  Applying it reads the input's integer row, sums numerators
+as integers, and gives the image as one integer row over the lcm of the row
+denominators.  A sequence operator is a matrix block with the diagonal folded
+in plus the diagonal beyond it, and runs on the matrix and element code.
 """
 
 from __future__ import annotations
@@ -25,11 +26,12 @@ import math
 import random
 from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
+from itertools import repeat
 from operator import add, mul, sub
 from typing import Iterable, Sequence
 
-from .elements import EvSeq, FinVec
+from .elements import EvSeq, FinVec, aligned
 from .errors import (
     DecompositionPrereqViolated,
     InvalidElement,
@@ -38,9 +40,9 @@ from .errors import (
     OracleTooLarge,
     SoundnessBug,
 )
-from .extended import INF, CoordBounds, ext_add, ext_mul, is_inf
+from .extended import INF, CoordBounds, ext_mul, is_inf
 from .sampling import rand_between, rand_pos_element
-from .scalars import IntRow, as_rat, reduced_row
+from .scalars import IntRow, as_rat, combine_rows, over_lcm, rat_row, reduced_row
 from .spaces import Space, SpaceKind, abs_val, is_positive, join, meet, neg_part, pos_part
 
 
@@ -48,10 +50,21 @@ def _rows_tuple(rows: Iterable[Iterable]) -> tuple[tuple[Fraction, ...], ...]:
     return tuple(tuple(as_rat(v) for v in row) for row in rows)
 
 
-def _over_common_den(values: Sequence[Fraction]) -> tuple[int, list[int]]:
-    """(d, nums) with d the lcm of the denominators and values[i] == nums[i] / d."""
-    d = math.lcm(*(v.denominator for v in values))
-    return d, [v.numerator * (d // v.denominator) for v in values]
+def _bound_rows(rows: Sequence[IntRow], bounds: Sequence) -> list:
+    """Per row, the sum of |t_ij| * bounds[j], with 0 * INF = 0 as in `ext_mul`."""
+    unbounded = [j for j, v in enumerate(bounds) if is_inf(v)]
+    bd, bs = rat_row([0 if is_inf(v) else v for v in bounds])
+    return [INF if any(nums[j] for j in unbounded) else Fraction(sum(map(mul, map(abs, nums), bs)), d * bd)
+            for d, nums in rows]
+
+
+def _row_products(rows: Sequence[IntRow], xs: Sequence[int], den: int = 1) -> tuple[int, list[int]]:
+    """(L, nums): each row times the numerators xs, over L = lcm(den, the row denominators)."""
+    L = math.lcm(den, *(d for d, _ in rows))
+    return L, [sum(map(mul, nums, xs)) * (L // d) for d, nums in rows]
+
+
+_ZERO = Fraction(0)
 
 
 class MatrixHom:
@@ -62,9 +75,8 @@ class MatrixHom:
     exactly one such form and `==` and hash compare it directly.  Arithmetic
     results are built from integer rows; the Fraction `rows` of such a result
     are made only when read (`render`, `repr`), and so are those of a matrix
-    built from integer rows read from a spec file (`from_int_rows`).  A
-    matrix built from `rows` makes its integer rows on first use.  Instances
-    are immutable.
+    built from integer rows read from a spec file (`from_int_rows`).
+    Instances are immutable.
     """
 
     __slots__ = ("_rows", "_ints")
@@ -75,7 +87,7 @@ class MatrixHom:
         if n == 0 or any(len(r) != n for r in rows):
             raise InvalidElement("matrix homomorphisms must be square and nonempty")
         object.__setattr__(self, "_rows", rows)
-        object.__setattr__(self, "_ints", None)
+        object.__setattr__(self, "_ints", tuple([(d, tuple(nums)) for d, nums in map(rat_row, rows)]))
 
     @classmethod
     def from_int_rows(cls, ints: tuple[IntRow, ...]) -> "MatrixHom":
@@ -111,14 +123,11 @@ class MatrixHom:
 
     @property
     def int_rows(self) -> tuple[IntRow, ...]:
-        if self._ints is None:
-            ints = tuple((d, tuple(nums)) for d, nums in map(_over_common_den, self._rows))
-            object.__setattr__(self, "_ints", ints)
         return self._ints
 
     @property
     def n(self) -> int:
-        return len(self._ints if self._rows is None else self._rows)
+        return len(self._ints)
 
     def __eq__(self, other):
         if other.__class__ is not MatrixHom:
@@ -131,35 +140,22 @@ class MatrixHom:
     def apply(self, x: FinVec) -> FinVec:
         if not isinstance(x, FinVec) or x.dim != self.n:
             raise InvalidElement(f"expected a {self.n}-dim FinVec, got {x!r}")
-        xd, xs = _over_common_den(x.entries)
-        return FinVec(tuple(Fraction(sum(map(mul, nums, xs)), d * xd) for d, nums in self.int_rows))
+        xd, xs = x.int_row
+        d, nums = _row_products(self.int_rows, xs)
+        return FinVec.from_int_row(d * xd, nums)
 
     def propagate_bounds(self, b: CoordBounds) -> CoordBounds:
-        """Per row, the sum of |t_ij| * b_j, with 0 * INF = 0 as in `ext_mul`."""
         if b.tail is not None:
             raise InvalidElement("matrix homomorphisms act on finite-dimensional bounds")
         if len(b.head) != self.n:
             raise InvalidElement(f"expected a {self.n}-dim bound, got {len(b.head)} coordinates")
-        unbounded = [j for j, v in enumerate(b.head) if is_inf(v)]
-        bd, bs = _over_common_den([Fraction(0) if is_inf(v) else v for v in b.head])
-        return CoordBounds.finite_dim(
-            INF if any(nums[j] for j in unbounded)
-            else Fraction(sum(map(mul, map(abs, nums), bs)), d * bd)
-            for d, nums in self.int_rows
-        )
+        return CoordBounds.finite_dim(_bound_rows(self.int_rows, b.head))
 
     def _combine(self, other, op) -> "MatrixHom":
         """Entrywise `op` (add or sub) of two matrices, row by row over a common denominator."""
         other = _as_matrix(other, self.n)
-        rows = []
-        for (d1, a), (d2, b) in zip(self.int_rows, other.int_rows):
-            if d1 == d2:
-                rows.append(reduced_row(d1, list(map(op, a, b))))
-            else:
-                g = math.gcd(d1, d2)
-                m1, m2 = d2 // g, d1 // g
-                rows.append(reduced_row(d1 * m1, [op(u * m1, v * m2) for u, v in zip(a, b)]))
-        return MatrixHom.from_int_rows(tuple(rows))
+        rows = map(combine_rows, self.int_rows, other.int_rows, repeat(op))
+        return MatrixHom.from_int_rows(tuple([reduced_row(d, nums) for d, nums in rows]))
 
     def __add__(self, other):
         return self._combine(other, add)
@@ -199,48 +195,50 @@ class MatrixHom:
         return f"MatrixHom({[[str(a) for a in row] for row in self.rows]})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SeqHom:
     """Diagonal-plus-finite-block operator on eventually-constant sequences.
 
-    Normal form: `diag` holds the full diagonal (as an EvSeq) and `off` is a
-    square block of the off-diagonal entries with zero diagonal, trimmed to
-    the last row or column that carries a nonzero entry.  Two operators act
-    identically exactly when their normal forms are equal.  `apply` works on
-    the block with the diagonal folded back in, held as integer rows over
-    common denominators and made on first use.
+    Held as `_block`, a K x K `MatrixHom` with the diagonal folded in, and
+    `_beyond`, the diagonal from coordinate K on as an `EvSeq`; K is the last
+    row or column with a nonzero off-diagonal entry, or 1 if none has one, so
+    two operators act identically exactly when their parts are equal.  All
+    arithmetic and `apply` run on the parts with the matrix and element code.
+    `diag` (the full diagonal) and `off` (the off-diagonal block as Fractions,
+    with zero diagonal) are made only when read.
     """
 
-    diag: EvSeq
-    off: tuple[tuple[Fraction, ...], ...] = ()
+    _block: MatrixHom
+    _beyond: EvSeq
 
-    def __post_init__(self):
-        if not isinstance(self.diag, EvSeq):
+    def __init__(self, diag: EvSeq, off: Iterable[Iterable] = ()):
+        if not isinstance(diag, EvSeq):
             raise InvalidElement("diagonal coefficients must form an EvSeq")
-        off = _rows_tuple(self.off)
-        if off and any(len(r) != len(off) for r in off):
-            raise InvalidElement("finite block must be square")
+        off = _rows_tuple(off)
         k = len(off)
-        # Fold any diagonal entries of the block into the diagonal part.
-        diag = self.diag
-        if any(off[i][i] != 0 for i in range(k)):
-            entries = [
-                diag.at(i) + (off[i][i] if i < k else Fraction(0))
-                for i in range(max(k, len(diag.prefix)))
-            ]
-            diag = EvSeq(tuple(entries), diag.tail)
-            off = tuple(
-                tuple(Fraction(0) if i == j else off[i][j] for j in range(k)) for i in range(k)
-            )
-        # Trim all-zero trailing row/column pairs.
-        keep = 0
-        for i in range(k):
-            for j in range(k):
-                if off[i][j] != 0:
-                    keep = max(keep, i + 1, j + 1)
-        off = tuple(tuple(row[:keep]) for row in off[:keep])
-        object.__setattr__(self, "diag", diag)
-        object.__setattr__(self, "off", off)
+        if any(len(r) != k for r in off):
+            raise InvalidElement("finite block must be square")
+        block, beyond = _split(diag, max(k, 1))
+        self._settle(block + MatrixHom(off) if k else block, beyond)
+
+    @classmethod
+    def _of(cls, block: MatrixHom, beyond: EvSeq) -> "SeqHom":
+        h = object.__new__(cls)
+        h._settle(block, beyond)
+        return h
+
+    def _settle(self, block: MatrixHom, beyond: EvSeq) -> None:
+        """The one canonicalising step: cut the block to its off-diagonal support.
+
+        The diagonal entries of the rows cut off move to the front of `beyond`.
+        """
+        ints = block.int_rows
+        k = max([1] + [max(i, j) + 1 for i, (_, nums) in enumerate(ints) for j, a in enumerate(nums) if a and i != j])
+        if k < len(ints):
+            beyond = _diagonal_then(ints, k, beyond)
+            block = MatrixHom.from_int_rows(tuple([reduced_row(d, nums[:k]) for d, nums in ints[:k]]))
+        object.__setattr__(self, "_block", block)
+        object.__setattr__(self, "_beyond", beyond)
 
     @classmethod
     def diagonal(cls, coeffs: EvSeq) -> "SeqHom":
@@ -256,99 +254,91 @@ class SeqHom:
 
     @classmethod
     def diag_plus_block(cls, coeffs: EvSeq, block: Iterable[Iterable]) -> "SeqHom":
-        return cls(coeffs, _rows_tuple(block))
+        return cls(coeffs, block)
+
+    @cached_property
+    def diag(self) -> EvSeq:
+        return _diagonal_then(self._block.int_rows, 0, self._beyond)
+
+    @cached_property
+    def off(self) -> tuple[tuple[Fraction, ...], ...]:
+        rows = self._block.rows if self.block_size else ()
+        return tuple(tuple(_ZERO if i == j else a for j, a in enumerate(row)) for i, row in enumerate(rows))
 
     @property
     def block_size(self) -> int:
-        return len(self.off)
+        n = self._block.n
+        return n if n > 1 else 0
 
-    @cached_property
-    def _int_block(self) -> tuple[tuple[int, list[int]], ...]:
-        """The block with the diagonal folded back in, each row over its common denominator."""
-        diag = self.diag.at
-        return tuple(
-            _over_common_den(row[:i] + (diag(i),) + row[i + 1:]) for i, row in enumerate(self.off)
-        )
+    def _parts(self, n: int) -> tuple[MatrixHom, EvSeq]:
+        """The block grown to n x n with the diagonal beyond it, and the diagonal from n on."""
+        k = self._block.n
+        if n == k:
+            return self._block, self._beyond
+        extra, rest = _split(self._beyond, n - k)
+        rows = [(d, nums + (0,) * (n - k)) for d, nums in self._block.int_rows]
+        rows += [(d, (0,) * k + nums) for d, nums in extra.int_rows]
+        return MatrixHom.from_int_rows(tuple(rows)), rest
 
     def apply(self, x: EvSeq) -> EvSeq:
         if not isinstance(x, EvSeq):
             raise InvalidElement(f"expected an EvSeq, got {x!r}")
-        k = self.block_size
-        (dp, dt), (xp, xt) = (self.diag.prefix, self.diag.tail), (x.prefix, x.tail)
-        span = max(k, len(dp), len(xp))
-        d_row, x_row = dp + (dt,) * (span - len(dp)), xp + (xt,) * (span - len(xp))
-        head = []
-        if k:
-            xd, xs = _over_common_den(x_row[:k])
-            head = [Fraction(sum(map(mul, nums, xs)), d * xd) for d, nums in self._int_block]
-        head += [
-            Fraction(a.numerator * v.numerator, a.denominator * v.denominator)
-            for a, v in zip(d_row[k:], x_row[k:])
-        ]
-        return EvSeq(tuple(head), dt * xt)
+        k = self._block.n
+        bd, bs = self._beyond.int_row
+        ((xd, xs),) = aligned(x, min_head=k + len(bs) - 1)
+        bs += (bs[-1],) * (len(xs) - k - len(bs))
+        L, nums = _row_products(self._block.int_rows, xs[:k], bd)
+        m = L // bd
+        nums += [b * v * m for b, v in zip(bs, xs[k:])]
+        return EvSeq.from_int_row(L * xd, nums)
 
     def propagate_bounds(self, b: CoordBounds) -> CoordBounds:
         if b.tail is None:
             raise InvalidElement("sequence homomorphisms act on sequence bounds")
-        k = self.block_size
-        span = max(k, len(self.diag.prefix), b.span())
-        head = []
-        for i in range(span):
-            v = ext_mul(abs(self.diag.at(i)), b.at(i))
-            if i < k:
-                for j in range(k):
-                    v = ext_add(v, ext_mul(abs(self.off[i][j]), b.at(j)))
-            head.append(v)
-        return CoordBounds.sequence(head, ext_mul(abs(self.diag.tail), b.tail))
+        k = self._block.n
+        head = _bound_rows(self._block.int_rows, [b.at(j) for j in range(k)])
+        # The diagonal beyond the block, its tail last: that coordinate's bound is the tail's.
+        ((d, row),) = aligned(self._beyond, min_head=b.span() - k)
+        head += [ext_mul(Fraction(abs(a), d), b.at(j)) for j, a in enumerate(row, k)]
+        tail = head.pop()
+        return CoordBounds.sequence(head, tail)
 
-    def _zip(self, other: "SeqHom", op) -> "SeqHom":
-        k = max(self.block_size, other.block_size)
-
-        def entry(rows, i, j):
-            return rows[i][j] if i < len(rows) and j < len(rows) else Fraction(0)
-
-        off = tuple(
-            tuple(op(entry(self.off, i, j), entry(other.off, i, j)) for j in range(k))
-            for i in range(k)
-        )
-        return SeqHom(self.diag._zip(other.diag, op), off)
+    def _combine(self, other, op) -> "SeqHom":
+        other = _as_seq_hom(other)
+        n = max(self._block.n, other._block.n)
+        (a, s), (b, t) = self._parts(n), other._parts(n)
+        return SeqHom._of(op(a, b), op(s, t))
 
     def __add__(self, other):
-        return self._zip(_as_seq_hom(other), lambda a, b: a + b)
+        return self._combine(other, add)
 
     def __sub__(self, other):
-        return self._zip(_as_seq_hom(other), lambda a, b: a - b)
+        return self._combine(other, sub)
 
     def __neg__(self) -> "SeqHom":
-        return self.scale(-1)
+        return SeqHom._of(-self._block, -self._beyond)
 
     def scale(self, factor) -> "SeqHom":
         q = as_rat(factor)
-        return SeqHom(self.diag.scale(q), tuple(tuple(q * a for a in row) for row in self.off))
+        return SeqHom._of(self._block.scale(q), self._beyond.scale(q))
 
     def positive_part(self) -> "SeqHom":
-        # Entrywise positive part of the combined block, and of the diagonal
-        # beyond it.
-        return SeqHom(
-            self.diag.pos_part(),
-            tuple(tuple(max(a, Fraction(0)) for a in row) for row in self.off),
-        )
+        return SeqHom._of(self._block.positive_part(), self._beyond.pos_part())
 
     def entrywise_abs(self) -> "SeqHom":
-        return SeqHom(abs(self.diag), tuple(tuple(abs(a) for a in row) for row in self.off))
+        return SeqHom._of(self._block.entrywise_abs(), abs(self._beyond))
 
     def is_zero(self) -> bool:
-        return self.diag.is_zero() and not self.off
+        return self._block.is_zero() and self._beyond.is_zero()
 
     def is_positive(self) -> bool:
-        diag_ok = all(a >= 0 for a in self.diag.prefix) and self.diag.tail >= 0
-        return diag_ok and all(a >= 0 for row in self.off for a in row)
+        return self._block.is_positive() and min(self._beyond.int_row[1]) >= 0
 
     def is_diagonal(self) -> bool:
-        return not self.off
+        return self._block.n == 1
 
     def finite_column_support(self) -> bool:
-        return self.diag.tail == 0
+        return self._beyond.int_row[1][-1] == 0
 
     def support_span(self) -> int:
         return max(self.block_size, len(self.diag.prefix))
@@ -365,6 +355,22 @@ class SeqHom:
 
     def __repr__(self) -> str:
         return f"SeqHom(diag={self.diag!r}, off={self.off!r})"
+
+
+def _split(seq: EvSeq, k: int) -> tuple[MatrixHom, EvSeq]:
+    """The k x k diagonal matrix of seq's first k coordinates, and seq from coordinate k on."""
+    ((d, row),) = aligned(seq, min_head=k)
+    zeros = (0,) * k
+    diag = tuple([reduced_row(d, zeros[:i] + (a,) + zeros[i + 1:]) for i, a in enumerate(row[:k])])
+    return MatrixHom.from_int_rows(diag), EvSeq.from_int_row(d, row[k:])
+
+
+def _diagonal_then(ints: Sequence[IntRow], start: int, beyond: EvSeq) -> EvSeq:
+    """The diagonal entries of rows start.. of a matrix, followed by the sequence `beyond`."""
+    bd, bs = beyond.int_row
+    rows = ints[start:]
+    nums = [nums[i] for i, (_, nums) in enumerate(rows, start)] + list(bs)
+    return EvSeq.from_int_row(*over_lcm(nums, [d for d, _ in rows] + [bd] * len(bs)))
 
 
 @dataclass(frozen=True)
@@ -465,15 +471,7 @@ def truncation_matrix(h: SeqHom, size: int) -> MatrixHom:
     h = _as_seq_hom(h)
     if size < max(h.block_size, 1):
         raise InvalidElement(f"truncation size {size} does not cover the {h.block_size}-block")
-    rows = []
-    for i in range(size):
-        row = [Fraction(0)] * size
-        if i < h.block_size:
-            for j in range(h.block_size):
-                row[j] = h.off[i][j]
-        row[i] += h.diag.at(i)
-        rows.append(tuple(row))
-    return MatrixHom(tuple(rows))
+    return h._parts(size)[0]
 
 
 def positive_part(T: Hom) -> Hom:
@@ -511,12 +509,8 @@ def directed_sup(homs: Sequence[MatrixHom], bound: MatrixHom) -> MatrixHom:
     for T in homs:
         if not (_as_matrix(bound, n) - _as_matrix(T, n)).is_positive():
             raise NotBoundedAbove(T)
-    rows = []
-    for row_i in zip(*(T.int_rows for T in homs)):
-        d = math.lcm(*(d_T for d_T, _ in row_i))
-        scaled = [[a * (d // d_T) for a in nums] for d_T, nums in row_i]
-        rows.append(reduced_row(d, [max(column) for column in zip(*scaled)]))
-    return MatrixHom.from_int_rows(tuple(rows))
+    rows = (reduce(lambda r, s: combine_rows(r, s, max), row_i) for row_i in zip(*(T.int_rows for T in homs)))
+    return MatrixHom.from_int_rows(tuple([reduced_row(d, nums) for d, nums in rows]))
 
 
 # ---------------------------------------------------------------------------

@@ -3,16 +3,20 @@
 Suites default to a fixed seed so every report is reproducible; callers
 override the seed to explore.  Elements are drawn one coordinate at a time
 through the coordinate view of `elements`, head first and tail last, with
-integer draws on the integers.
+integer draws on the integers, and built straight from integer numerators
+over one denominator.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from functools import cache, partial
+from functools import cache
+from itertools import repeat
+from operator import mul
 
-from .elements import aligned, coords, from_coords
+from .elements import FinVec, aligned, coords, from_coords
+from .scalars import over_lcm
 from .spaces import Space
 
 DEFAULT_SEED = 0
@@ -26,11 +30,6 @@ def rand_rat(rng: random.Random, span: int = 12, max_den: int = 8) -> Fraction:
     return Fraction(rng.randint(-span, span), rng.randint(1, max_den))
 
 
-def _rand_coord(rng: random.Random, like, low: int, high: int):
-    n = rng.randint(low, high)
-    return n if isinstance(like, int) else Fraction(n, rng.randint(1, 8))
-
-
 # Each space's zero is the template for its coordinate layout; `Space.zero`
 # builds a new element per call, so it is kept rather than rebuilt per draw.
 _zero = cache(Space.zero)
@@ -38,12 +37,13 @@ _zero = cache(Space.zero)
 
 def _rand_element(rng: random.Random, space: Space, low: int, high: int, max_prefix: int):
     zero = _zero(space)
-    head, tail = coords(zero)
-    if tail is not None:
-        head = (tail,) * rng.randint(0, max_prefix)
-    drawn = tuple(_rand_coord(rng, c, low, high) for c in head)
-    drawn_tail = None if tail is None else _rand_coord(rng, tail, low, high)
-    return from_coords(zero, drawn, drawn_tail)
+    if isinstance(zero, int):
+        return rng.randint(low, high)
+    _, head, tail = coords(zero)
+    n = len(head) if tail is None else rng.randint(0, max_prefix) + 1
+    # Each coordinate draws its numerator, then its denominator; the tail comes last.
+    d, row = over_lcm(*zip(*[(rng.randint(low, high), rng.randint(1, 8)) for _ in range(n)]))
+    return from_coords(zero, d, row, row[-1])
 
 
 def rand_element(rng: random.Random, space: Space, span: int = 12, max_prefix: int = 5):
@@ -65,26 +65,22 @@ def rand_matrix_rows(rng: random.Random, n: int, span: int = 9) -> tuple:
 
 
 def rand_in_interval(rng: random.Random, lo: Fraction, hi: Fraction) -> Fraction:
-    """One of the 25 points lo + k (hi - lo) / 24, k = 0..24, drawn uniformly.
-
-    With lo = a/b and hi = c/d the point is (24ad + k(cb - ad)) / (24bd),
-    worked out on integers and built as one `Fraction`.
-    """
-    k = rng.randrange(25)  # the same draw as rng.randint(0, 24), one call shallower
-    a, b = lo.numerator, lo.denominator
-    c, d = hi.numerator, hi.denominator
-    ad = a * d
-    return Fraction(24 * ad + k * (c * b - ad), 24 * b * d)
+    """One of the 25 points lo + k (hi - lo) / 24, k = 0..24, drawn uniformly (see `rand_between`)."""
+    return rand_between(rng, FinVec.of(lo), FinVec.of(hi))[0]
 
 
 def rand_between(rng: random.Random, lo, hi, min_head: int = 0):
     """A random element of the interval [lo, hi], drawn coordinate by coordinate, tail last.
 
-    Integer coordinates take a uniform integer; rational ones a point of
-    `rand_in_interval`.  On sequences the first `min_head` coordinates are
-    drawn one by one even where lo and hi are constant there (see `aligned`).
+    Integer coordinates take a uniform integer; rational ones one of the 25
+    points lo + k (hi - lo) / 24, k drawn uniformly, worked out on the
+    numerators of lo and hi over the common denominator 24 d_lo d_hi.  On
+    sequences the first `min_head` coordinates are drawn one by one even
+    where lo and hi are constant there (see `aligned`).
     """
-    lo_row, hi_row = aligned(lo, hi, min_head=min_head)
-    draw = rng.randint if isinstance(lo_row[0], int) else partial(rand_in_interval, rng)
-    row = list(map(draw, lo_row, hi_row))
-    return from_coords(lo, row, row[-1])
+    if isinstance(lo, int):
+        return rng.randint(lo, hi)
+    (dl, lo_row), (dh, hi_row) = aligned(lo, hi, min_head=min_head)
+    draw = rng.randrange  # the same draw as rng.randint(0, 24), one call shallower
+    row = [24 * a + draw(25) * (c - a) for a, c in zip(map(mul, lo_row, repeat(dh)), map(mul, hi_row, repeat(dl)))]
+    return from_coords(lo, 24 * dl * dh, row, row[-1])

@@ -11,12 +11,12 @@ written once, in `_GRAMMAR`.  `read_rat` reads one literal into integers;
 `as_rat` builds the `Fraction`.
 
 An integer row `(d, nums)` holds the values nums[j] / d with d > 0 and
-gcd(d, *nums) == 1, so equal rows are equal pairs (`reduced_row`).
-`read_row` reads a list of literals straight into one: the whole row is
-checked against the grammar in one match and split at `/`, and a row that
-fails anywhere on that path is read again literal by literal through
-`read_rat`, so it accepts exactly what `read_rat` accepts and raises the
-error of its first bad literal.
+gcd(d, *nums) == 1, so equal rows are equal pairs (`reduced_row`); vectors,
+sequences and matrix rows are all held this way.  `read_row` reads a list of
+literals straight into one: the whole row is checked against the grammar in
+one match and split at `/`, and a row that fails anywhere on that path is
+read again literal by literal through `read_rat`, so it accepts exactly what
+`read_rat` accepts and raises the error of its first bad literal.
 """
 
 from __future__ import annotations
@@ -74,7 +74,32 @@ def reduced_row(d: int, nums: Sequence[int]) -> IntRow:
     g = math.gcd(d, *nums)
     if g == 1:
         return d, tuple(nums)
-    return d // g, tuple(a // g for a in nums)
+    return d // g, tuple([a // g for a in nums])
+
+
+def over_lcm(nums: Sequence[int], dens: Sequence[int]) -> tuple[int, list[int]]:
+    """The values nums[i] / dens[i] as numerators over the lcm of the denominators, not reduced."""
+    distinct = set(dens)
+    d = math.lcm(*distinct)
+    scale = {q: d // q for q in distinct}
+    return d, list(map(mul, nums, map(scale.__getitem__, dens)))
+
+
+def rat_row(values) -> tuple[int, list[int]]:
+    """Rationals (see `as_rat`) over the lcm of their denominators: reduced, as each Fraction is."""
+    qs = [as_rat(v) for v in values]
+    d = math.lcm(*[q.denominator for q in qs])
+    return d, [q.numerator * (d // q.denominator) for q in qs]
+
+
+def combine_rows(r: IntRow, s: IntRow, op) -> tuple[int, list[int]]:
+    """op (add, sub, max or min) entrywise over two rows at their least common denominator, not reduced."""
+    (d1, a), (d2, b) = r, s
+    if d1 == d2:
+        return d1, list(map(op, a, b))
+    g = math.gcd(d1, d2)
+    m1, m2 = d2 // g, d1 // g
+    return d1 * m1, list(map(op, map(mul, a, repeat(m1)), map(mul, b, repeat(m2))))
 
 
 def _split_row(values: list) -> tuple[list[int], list[int]] | None:
@@ -99,8 +124,4 @@ def read_row(values: list) -> IntRow:
     if parts is None:
         pairs = [read_rat(v) for v in values]
         parts = [p for p, _ in pairs], [q for _, q in pairs]
-    nums, dens = parts
-    distinct = set(dens)
-    d = math.lcm(*distinct)
-    scale = {q: d // q for q in distinct}
-    return reduced_row(d, list(map(mul, nums, map(scale.__getitem__, dens))))
+    return reduced_row(*over_lcm(*parts))

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from typing import Callable, Iterable
 
 from .elements import EvSeq, FinVec, aligned
@@ -174,11 +173,9 @@ def flat_matrix_mul(n: int) -> Callable:
     def mul(x: FinVec, y: FinVec) -> FinVec:
         if x.dim != n * n or y.dim != n * n:
             raise InvalidElement(f"flattened {n}x{n} matrices need dim {n * n}")
-        out = []
-        for i in range(n):
-            for j in range(n):
-                out.append(sum((x[i * n + k] * y[k * n + j] for k in range(n)), Fraction(0)))
-        return FinVec(tuple(out))
+        (dx, a), (dy, b) = x.int_row, y.int_row
+        out = [sum(a[i * n + k] * b[k * n + j] for k in range(n)) for i in range(n) for j in range(n)]
+        return FinVec.from_int_row(dx * dy, out)
 
     return mul
 
@@ -234,7 +231,7 @@ class ArchimedeanWitness:
         return self.n is None
 
 
-def _least_exceeding(x: Fraction, y: Fraction) -> int | None:
+def _least_exceeding(x: int, y: int) -> int | None:
     """Smallest positive n with n*x > y, or None if there is none."""
     if x > 0:
         return max(1, y // x + 1)
@@ -247,6 +244,7 @@ def archimedean_witness(space: Space, x, y) -> ArchimedeanWitness:
     space.validate(x), space.validate(y)
     if leq(space, x, space.zero()):
         return ArchimedeanWitness(None)
-    candidates = [n for n in (_least_exceeding(a, b) for a, b in zip(*aligned(x, y))) if n is not None]
+    (dx, xs), (dy, ys) = aligned(x, y)  # n x_i > y_i is n (a d_y) > b d_x on numerators a, b
+    candidates = [n for n in (_least_exceeding(a * dy, b * dx) for a, b in zip(xs, ys)) if n is not None]
     # x not<= 0 guarantees a strictly positive coordinate, hence a finite witness.
     return ArchimedeanWitness(min(candidates))

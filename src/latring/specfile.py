@@ -122,7 +122,7 @@ def parse_element(obj, space: Space, section: str):
             entries = obj.get("entries")
             if not isinstance(entries, list) or len(entries) != space.dim:
                 raise SpecFileError(f"{section}: 'entries' must list {space.dim} rationals")
-            return FinVec(tuple(_rat(v, section) for v in entries))
+            return FinVec.from_int_row(*_read(read_row, entries, section))
         if space.kind is SpaceKind.EVSEQ:
             _check_keys(obj, {"prefix", "tail"}, section)
             return _evseq(obj, section)
@@ -137,7 +137,10 @@ def parse_element(obj, space: Space, section: str):
 def _evseq(obj: dict, section: str) -> EvSeq:
     """An eventually-constant sequence from its `prefix` and `tail` keys."""
     prefix = _list(obj, "prefix", section) if "prefix" in obj else []
-    return EvSeq(tuple(_rat(v, section) for v in prefix), _rat(_require(obj, "tail", section), section))
+    # One row, the tail last; a bad prefix literal is reported before a missing tail.
+    row = _read(read_row, [*prefix, obj.get("tail", 0)], section)
+    _require(obj, "tail", section)
+    return EvSeq.from_int_row(*row)
 
 
 def element_to_obj(x) -> dict:
@@ -215,7 +218,8 @@ def parse_nbhd(obj: dict, section: str) -> Neighborhood:
     top = obj["topology"]
     if top == "qn_box":
         _check_keys(obj, {"topology", "radii"}, section)
-        return Neighborhood.box(tuple(_rat(v, section) for v in _list(obj, "radii", section)))
+        d, nums = _read(read_row, _list(obj, "radii", section), section)
+        return Neighborhood.box(tuple(Fraction(a, d) for a in nums))
     if top == "evseq_product":
         _check_keys(obj, {"topology", "coords", "radius"}, section)
         coords = _list(obj, "coords", section)

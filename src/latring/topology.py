@@ -30,15 +30,16 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial, reduce
 from typing import Iterable, Sequence
 
-from .elements import EvSeq, FinVec, aligned, coord, coords, from_coords
+from .elements import EvSeq, FinVec, aligned, coords, from_coords
 from .errors import EmptyInput, InvalidElement, NotBounded, SoundnessBug
 from .extended import INF, CoordBounds, is_inf
 from .homs import IdentityHom, SeqHom
 from .sampling import rand_between, rand_in_interval, rand_rat
 from .scalars import as_rat
-from .spaces import Multiplication, Space, TopologyId, abs_val
+from .spaces import Multiplication, Space, TopologyId, abs_val, join
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +113,7 @@ class Neighborhood:
     def member(self, x) -> bool:
         radii = self.bounds()
         _space_for(self.topology, len(radii.head)).validate(x)
-        return _element_bounds(x).within(radii)
+        return element_bounds(x).within(radii)
 
     def render(self) -> dict:
         if self.topology is TopologyId.QN_BOX:
@@ -244,9 +245,10 @@ def solid_hull(space: Space, points: Sequence) -> SolidHull:
 # ---------------------------------------------------------------------------
 # Per-coordinate bounds.
 
-def _element_bounds(x) -> CoordBounds:
-    head, tail = coords(x)
-    return CoordBounds(tuple(map(abs, head)), None if tail is None else abs(tail))
+def element_bounds(x) -> CoordBounds:
+    """|x_i| at each coordinate of x."""
+    d, head, tail = coords(x)
+    return CoordBounds(tuple(Fraction(abs(a), d) for a in head), None if tail is None else Fraction(abs(tail), d))
 
 
 def _points(S: SetDesc) -> tuple:
@@ -256,25 +258,11 @@ def _points(S: SetDesc) -> tuple:
     return S.elements if isinstance(S, FiniteSet) else S.generators
 
 
-def _merge_max(bounds: Iterable[CoordBounds]) -> CoordBounds:
-    items = list(bounds)
-    first = items[0]
-    if first.tail is None:
-        width = max(len(b.head) for b in items)
-        head = tuple(
-            max((b.at(i) if i < len(b.head) else Fraction(0)) for b in items) for i in range(width)
-        )
-        return CoordBounds.finite_dim(head)
-    span = max(b.span() for b in items)
-    head = tuple(max(b.at(i) for b in items) for i in range(span))
-    tail = max(b.tail for b in items)
-    return CoordBounds.sequence(head, tail)
-
-
 def coordinate_bounds(S: SetDesc) -> CoordBounds:
     """Exact supremum of |x_i| over x in S, per coordinate (INF when unconstrained)."""
     if isinstance(S, (Interval, FiniteSet, SolidHull)):
-        return _merge_max([_element_bounds(x) for x in _points(S)])
+        # The largest |x_i| over the points is coordinate i of the join of their moduli.
+        return element_bounds(reduce(partial(join, S.space), map(abs, _points(S))))
     if isinstance(S, NbhdSet):
         return S.nbhd.bounds()
     if isinstance(S, ImageSet):
@@ -323,11 +311,11 @@ def non_solid_witness(S: SetDesc) -> tuple | None:
     if isinstance(S, Interval):
         # Flip the sign of the first coordinate where lo and hi are not
         # mirror images, on whichever endpoint has the larger modulus there.
-        lo_row, hi_row = aligned(S.lo, S.hi)
+        (dl, lo_row), (dh, hi_row) = aligned(S.lo, S.hi)
         for i, (a, b) in enumerate(zip(lo_row, hi_row)):
-            if a != -b:
-                y, row = (S.hi, hi_row) if abs(b) >= abs(a) else (S.lo, lo_row)
-                x = from_coords(y, row[:i] + (-row[i],) + row[i + 1:], coords(y)[1])
+            if a * dh != -b * dl:
+                y, d, row = (S.hi, dh, hi_row) if abs(b) * dl >= abs(a) * dh else (S.lo, dl, lo_row)
+                x = from_coords(y, d, row[:i] + (-row[i],) + row[i + 1:], coords(y)[2])
                 if not set_contains(S, x):
                     return (x, y)
         return None
@@ -358,7 +346,7 @@ def zero_clamped_value(S: SetDesc, i: int) -> Fraction:
     if isinstance(S, (NbhdSet, SolidHull)):
         return Fraction(0)
     if isinstance(S, Interval):
-        return min(max(Fraction(0), coord(S.lo, i)), coord(S.hi, i))
+        return min(max(Fraction(0), S.lo.at(i)), S.hi.at(i))
     raise InvalidElement(f"no coordinatewise filler for {S!r}")
 
 
@@ -369,7 +357,7 @@ def base_span(S: SetDesc) -> int:
     number of coordinates, past which there are none.
     """
     if isinstance(S, (Interval, FiniteSet, SolidHull)):
-        return max(len(coords(p)[0]) for p in _points(S))
+        return max(len(coords(p)[1]) for p in _points(S))
     if isinstance(S, NbhdSet):
         return S.nbhd.bounds().span()
     if isinstance(S, ImageSet):
@@ -441,13 +429,13 @@ def sample_member(S: SetDesc, rng: random.Random):
 
 def _sample_nbhd(U: Neighborhood, rng: random.Random):
     if U.topology is TopologyId.QN_BOX:
-        return FinVec(tuple(rand_in_interval(rng, -r, r) for r in U.radii))
+        r = FinVec(U.radii)
+        return rand_between(rng, -r, r)
     if U.topology is TopologyId.Z_DISCRETE_TOP:
         return 0
     if U.topology is TopologyId.EVSEQ_SUPNORM:
-        span = rng.randint(0, 4)
-        entries = tuple(rand_in_interval(rng, -U.radius, U.radius) for _ in range(span))
-        return EvSeq(entries, rand_in_interval(rng, -U.radius, U.radius))
+        r = EvSeq.constant(U.radius)
+        return rand_between(rng, -r, r, min_head=rng.randint(0, 4))
     # Product neighborhood: free coordinates may wander anywhere.
     span = (max(U.coords) + 1 if U.coords else 0) + rng.randint(0, 3)
     entries = [

@@ -1,5 +1,9 @@
 """Element-level lattice operations and their exact identities."""
 
+import copy
+import math
+import pickle
+from dataclasses import FrozenInstanceError
 from fractions import Fraction as F
 
 import pytest
@@ -175,3 +179,140 @@ def test_order_examples():
     # The tail alone decides when the prefixes agree.
     assert EvSeq.of(1, F(-1, 7), tail=F(2, 7)) <= EvSeq.of(1, F(-1, 7), tail=F(1, 3))
     assert not EvSeq.of(1, F(-1, 7), tail=F(1, 3)) <= EvSeq.of(1, F(-1, 7), tail=F(2, 7))
+
+
+# ---------------------------------------------------------------------------
+# The integer form against entrywise Fraction formulas.
+#
+# Every element is built either from Fractions through the public constructor
+# or from an integer row through `from_int_row`, with the row left unreduced
+# (numerators and denominator times a common factor) and, for sequences, with
+# copies of the tail left at the end of the prefix.  Each operation must give
+# the element that the Fraction formula gives, coordinate by coordinate, and
+# one integer form whichever path built it.
+
+int_rats = st.builds(F, st.one_of(st.integers(-3, 3), st.integers(-40, 40)), st.sampled_from([1, 2, 3, 5, 7, 8]))
+
+
+@st.composite
+def built(draw, values, tail=None):
+    """The element with these coordinates (a sequence when `tail` is given), by either path."""
+    if tail is None:
+        if draw(st.booleans()):
+            return FinVec(tuple(values))
+        row = list(values)
+    else:
+        # Prefix entries equal to the tail, left for the canonicalising step to trim.
+        padded = list(values) + [tail] * draw(st.integers(0, 2))
+        if draw(st.booleans()):
+            return EvSeq(tuple(padded), tail)
+        row = padded + [tail]
+    d = math.lcm(*(q.denominator for q in row))
+    factor = draw(st.sampled_from([1, 1, 2, 6, 35]))
+    nums = [q.numerator * (d // q.denominator) * factor for q in row]
+    cls = FinVec if tail is None else EvSeq
+    return cls.from_int_row(d * factor, nums)
+
+
+@st.composite
+def element_pairs(draw):
+    """(x, y, xs, ys): two elements and their coordinates, the tail last for sequences."""
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 7))
+        xs = draw(st.lists(int_rats, min_size=n, max_size=n))
+        ys = draw(st.lists(int_rats, min_size=n, max_size=n))
+        return draw(built(xs)), draw(built(ys)), xs, ys
+    xp, yp = draw(st.lists(int_rats, max_size=6)), draw(st.lists(int_rats, max_size=6))
+    xt, yt = draw(int_rats), draw(int_rats)
+    return draw(built(xp, xt)), draw(built(yp, yt)), xp + [xt], yp + [yt]
+
+
+def _pad(xs, length):
+    """A sequence's coordinates, tail last, repeated out to `length` indices."""
+    return xs + [xs[-1]] * (length - len(xs))
+
+
+def _fraction_element(like, values):
+    """The reference: the element of like's carrier with these coordinates, built from Fractions."""
+    if isinstance(like, FinVec):
+        return FinVec(tuple(values))
+    return EvSeq(tuple(values[:-1]), values[-1])
+
+
+def _same(result, like, values):
+    """result is the element the Fraction formula gives, in its one integer form."""
+    ref = _fraction_element(like, values)
+    assert result == ref and hash(result) == hash(ref)
+    assert result.int_row == ref.int_row and repr(result) == repr(ref)
+    d, nums = result.int_row
+    assert d > 0 and math.gcd(d, *nums) == 1
+    if isinstance(result, EvSeq):
+        assert len(nums) == 1 or nums[-2] != nums[-1]
+        n = len(values) + 1
+        assert [result.at(i) for i in range(n)] == _pad(values, n)
+    else:
+        assert list(result.entries) == values
+
+
+scales = st.one_of(st.just(0), st.just(-1), st.builds(F, st.integers(-9, 9), st.integers(1, 9)))
+
+
+@given(element_pairs(), scales)
+def test_element_ops_match_fraction_formulas(case, q):
+    x, y, xs, ys = case
+    if isinstance(x, EvSeq):
+        n = max(len(xs), len(ys))
+        xs, ys = _pad(xs, n), _pad(ys, n)
+    results = {
+        "add": (x + y, [a + b for a, b in zip(xs, ys)]),
+        "sub": (x - y, [a - b for a, b in zip(xs, ys)]),
+        "mul": (x * y, [a * b for a, b in zip(xs, ys)]),
+        "join": (x.join(y), [max(a, b) for a, b in zip(xs, ys)]),
+        "meet": (x.meet(y), [min(a, b) for a, b in zip(xs, ys)]),
+        "neg": (-x, [-a for a in xs]),
+        "scale": (x.scale(q), [F(q) * a for a in xs]),
+        "abs": (abs(x), [abs(a) for a in xs]),
+        "pos_part": (x.pos_part(), [max(a, F(0)) for a in xs]),
+        "neg_part": (x.neg_part(), [max(-a, F(0)) for a in xs]),
+    }
+    for result, values in results.values():
+        _same(result, x, values)
+    le = all(a <= b for a, b in zip(xs, ys))
+    ge = all(a >= b for a, b in zip(xs, ys))
+    assert (x <= y) == le and (x >= y) == ge and (y <= x) == ge
+    assert (x == y) == (xs == ys) == (le and ge)
+    assert (x < y) == (le and xs != ys) and (x > y) == (ge and xs != ys)
+    assert x.is_zero() == all(a == 0 for a in xs)
+    _same(x, x, xs)
+
+
+@given(element_pairs())
+def test_both_paths_give_one_element(case):
+    x, _, xs, _ = case
+    ref = _fraction_element(x, xs)
+    assert x == ref and hash(x) == hash(ref) and repr(x) == repr(ref)
+    assert x.int_row == ref.int_row
+    for clone in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+        assert clone == x and hash(clone) == hash(x) and clone.int_row == x.int_row
+    names = ("entries", "_d", "extra") if isinstance(x, FinVec) else ("prefix", "tail", "_d", "extra")
+    for name in names:
+        with pytest.raises(FrozenInstanceError):
+            setattr(x, name, None)
+    with pytest.raises(FrozenInstanceError):
+        del x.int_row
+    assert x == ref
+
+
+def test_integer_form_examples():
+    # 2/4 and 4/8 reduce to one half; the prefix entry equal to the tail is trimmed.
+    s = EvSeq.from_int_row(8, (4, 6, 2, 2, 2))
+    assert s.int_row == (4, (2, 3, 1)) and s == EvSeq.of(F(1, 2), F(3, 4), tail=F(1, 4))
+    assert EvSeq.from_int_row(6, (3, 3)) == EvSeq.constant(F(1, 2))
+    assert FinVec.from_int_row(10, [5, 0, -15]).int_row == (2, (1, 0, -3))
+    assert FinVec.of(F(1, 3), F(1, 6)).int_row == (6, (2, 1))
+    assert FinVec.of(1, 2).scale(0).int_row == (1, (0, 0))
+    assert EvSeq.of(1, tail=2).scale(F(-1, 2)).int_row == (2, (-1, -2))
+    assert repr(EvSeq.from_int_row(2, (1, 0))) == "EvSeq([1/2], tail=0)"
+    assert repr(FinVec.from_int_row(4, (2, -8))) == "FinVec(1/2, -2)"
+    with pytest.raises(InvalidElement):
+        FinVec.from_int_row(1, ())

@@ -1,9 +1,13 @@
 """Homomorphism calculus: application, extension, decomposition, positive parts."""
 
+import copy
+import itertools
+import pickle
+from dataclasses import FrozenInstanceError
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latring import (
@@ -34,7 +38,7 @@ from latring import (
     sup_over_interval_oracle,
     truncation_matrix,
 )
-from latring.extended import ext_add, ext_mul
+from latring.extended import ext_mul, is_inf
 from latring.sampling import rand_element, rand_matrix_rows, rand_pos_element, rng_for
 
 T_EXAMPLE = MatrixHom(((1, -2), (-3, 4)))
@@ -272,12 +276,16 @@ def _fraction_apply(T, x):
     return FinVec(tuple(sum((t * v for t, v in zip(row, x.entries)), F(0)) for row in T.rows))
 
 
+def _ext_add(a, b):
+    return INF if is_inf(a) or is_inf(b) else a + b
+
+
 def _fraction_bounds(T, b):
     out = []
     for row in T.rows:
         acc = F(0)
         for j, t in enumerate(row):
-            acc = ext_add(acc, ext_mul(abs(t), b.at(j)))
+            acc = _ext_add(acc, ext_mul(abs(t), b.at(j)))
         out.append(acc)
     return CoordBounds.finite_dim(out)
 
@@ -499,3 +507,184 @@ def test_spot_check_catches_a_fault_seen_only_off_the_constants():
     assert T.apply(EvSeq.constant(1)) == SeqHom(T.diag, T.off).apply(EvSeq.constant(1))
     with pytest.raises(SoundnessBug):
         is_order_bounded(T, EvSeq.constant(1))
+
+
+# ---------------------------------------------------------------------------
+# Sequence operators on the matrix kernel against the Fraction formulas of
+# their normal form.
+#
+# An operator is drawn as raw Fractions (a diagonal prefix and tail, and a
+# block whose own diagonal folds into the diagonal), and the reference works
+# on its n x n window: entry (i, j) of the operator on the first n
+# coordinates, with the tail diagonal after it.  The normal form of a window
+# is the full diagonal, trimmed of trailing tail copies, and the off-diagonal
+# block cut to its last nonzero row or column.
+
+
+def _window_of(prefix, tail, block, n):
+    diag = list(prefix) + [tail] * (n - len(prefix))
+    k = len(block)
+    return [[(block[i][j] if i < k and j < k else F(0)) + (diag[i] if i == j else F(0)) for j in range(n)]
+            for i in range(n)]
+
+
+def _normal_form(window, tail):
+    n = len(window)
+    k = max([max(i, j) + 1 for i in range(n) for j in range(n) if i != j and window[i][j]], default=0)
+    diag = [window[i][i] for i in range(n)]
+    while diag and diag[-1] == tail:
+        diag.pop()
+    off = tuple(tuple(F(0) if i == j else window[i][j] for j in range(k)) for i in range(k))
+    return tuple(diag), tail, off
+
+
+def _grow(window, tail, n):
+    """The window carried out to n coordinates, the new ones on the tail diagonal."""
+    m = len(window)
+    return [[window[i][j] if i < m and j < m else (tail if i == j else F(0)) for j in range(n)] for i in range(n)]
+
+
+@st.composite
+def seq_homs(draw):
+    """(h, window, tail): an operator by either path and its reference window over 10 coordinates."""
+    k = draw(st.integers(0, 5))
+    block = draw(fraction_rows(k)) if draw(st.integers(0, 3)) else ((F(0),) * k,) * k
+    prefix, tail = draw(st.lists(op_rats, max_size=6)), draw(op_rats)
+    h = SeqHom.diag_plus_block(EvSeq(tuple(prefix), tail), block)
+    # The other path: the same operator as the result of arithmetic.
+    path = draw(st.sampled_from(["public", "scale", "sum"]))
+    if path == "scale":
+        h = h.scale(2).scale(F(1, 2))
+    elif path == "sum":
+        g = SeqHom.diag_plus_block(EvSeq.of(F(1, 3), tail=-1), ((0, 0, 1), (0, 0, 0), (F(2, 7), 0, 0)))
+        h = (h + g) - g
+    return h, _window_of(prefix, tail, block, 10), tail
+
+
+def _same_seq_hom(result, window, tail):
+    prefix, tail, off = _normal_form(window, tail)
+    ref = SeqHom(EvSeq(prefix, tail), off)
+    assert (result.diag.prefix, result.diag.tail, result.off) == (prefix, tail, off)
+    assert result == ref and hash(result) == hash(ref)
+    assert repr(result) == repr(ref) and result.render() == ref.render()
+    assert result.block_size == len(off) and result.is_diagonal() == (not off)
+    assert result.support_span() == max(len(off), len(prefix))
+
+
+def _entrywise_window(f, *windows):
+    return [[f(*entries) for entries in zip(*rows)] for rows in zip(*windows)]
+
+
+@given(seq_homs(), seq_homs(), scale_factors)
+def test_seq_hom_ops_match_fraction_formulas(first, second, q):
+    (h, a, s), (g, b, t) = first, second
+    _same_seq_hom(h, a, s)
+    _same_seq_hom(h + g, _entrywise_window(lambda u, v: u + v, a, b), s + t)
+    _same_seq_hom(h - g, _entrywise_window(lambda u, v: u - v, a, b), s - t)
+    _same_seq_hom(-h, _entrywise_window(lambda u: -u, a), -s)
+    _same_seq_hom(h.scale(q), _entrywise_window(lambda u: q * u, a), q * s)
+    _same_seq_hom(h.positive_part(), _entrywise_window(lambda u: max(u, F(0)), a), max(s, F(0)))
+    _same_seq_hom(h.entrywise_abs(), _entrywise_window(abs, a), abs(s))
+    _same_seq_hom(hom_join(h, g), _entrywise_window(max, a, b), max(s, t))
+    _same_seq_hom(hom_meet(h, g), _entrywise_window(min, a, b), min(s, t))
+    assert h.is_zero() == (all(u == 0 for row in a for u in row) and s == 0)
+    assert h.is_positive() == (all(u >= 0 for row in a for u in row) and s >= 0)
+    assert h.finite_column_support() == (s == 0)
+    assert (h == g) == (a == b and s == t)
+
+
+@given(seq_homs(), st.integers(0, 12))
+def test_truncation_is_the_window(case, extra):
+    h, window, tail = case
+    size = max(h.block_size, 1) + extra
+    rows = _grow(window, tail, size) if size > len(window) else [row[:size] for row in window[:size]]
+    T = truncation_matrix(h, size)
+    assert T.rows == tuple(map(tuple, rows)) and T == MatrixHom(rows) and hash(T) == hash(MatrixHom(rows))
+    if h.block_size > 1:
+        with pytest.raises(InvalidElement):
+            truncation_matrix(h, h.block_size - 1)
+
+
+def _fraction_seq_bounds(window, tail, b):
+    """The entrywise formula: per row the sum of |t_ij| b_j, with 0 * INF = 0, the tail last."""
+    n = max(len(window), b.span() + 1)
+    window = _grow(window, tail, n)
+    head = []
+    for row in window:
+        acc = F(0)
+        for j, t in enumerate(row):
+            acc = _ext_add(acc, ext_mul(abs(t), b.at(j)))
+        head.append(acc)
+    return CoordBounds.sequence(head, ext_mul(abs(tail), b.tail))
+
+
+seq_bounds = st.builds(
+    CoordBounds.sequence,
+    st.lists(st.one_of(st.just(INF), kernel_rats.map(abs)), max_size=12),
+    st.one_of(st.just(INF), kernel_rats.map(abs)),
+)
+
+
+@given(seq_homs(), seq_bounds)
+def test_seq_bounds_match_fraction_formula(case, b):
+    h, window, tail = case
+    assert h.propagate_bounds(b) == _fraction_seq_bounds(window, tail, b)
+
+
+def test_seq_hom_parts_examples():
+    # A block whose last row and column carry only the diagonal is cut back.
+    h = SeqHom.diag_plus_block(EvSeq.of(1, 2, 3, tail=0), ((0, 5, 0), (0, 0, 0), (0, 0, 7)))
+    assert h.block_size == 2 and h.off == ((0, 5), (0, 0)) and h.diag == EvSeq.of(1, 2, 10, tail=0)
+    assert truncation_matrix(h, 2) == MatrixHom(((1, 5), (0, 2)))
+    # A sum cancels the off-diagonal entry; the difference keeps the block.
+    g = SeqHom.diag_plus_block(EvSeq.zero(), ((0, -5), (0, 0)))
+    assert (h + g).is_diagonal() and h + g == SeqHom.diagonal(EvSeq.of(1, 2, 10, tail=0))
+    assert (h + g).block_size == 0 and (h - g).off == ((0, 10), (0, 0))
+    assert h.scale(0) == SeqHom.zero() and (h - h).is_zero()
+    assert positive_part(SeqHom.diagonal(EvSeq.of(-1, tail=2))) == SeqHom.diagonal(EvSeq.of(0, tail=2))
+    b = CoordBounds.sequence((F(1), INF), F(1, 2))
+    assert h.propagate_bounds(b) == CoordBounds.sequence((INF, INF, F(5)), F(0))
+    for clone in (copy.copy(h), copy.deepcopy(h), pickle.loads(pickle.dumps(h))):
+        assert clone == h and hash(clone) == hash(h) and repr(clone) == repr(h)
+    for name in ("diag", "off", "_block"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(h, name, None)
+
+
+# ---------------------------------------------------------------------------
+# The vertex oracle against a brute force on plain Fractions.
+#
+# `sup_over_interval_oracle` runs on the same integer elements as the closed
+# form it checks, so this reference keeps the check independent: it walks
+# the 2^n vertices of [0, x] with Fraction arithmetic on the matrix entries.
+
+def _brute_sup(rows, x):
+    best = None
+    for mask in itertools.product((0, 1), repeat=len(x)):
+        y = [v if m else F(0) for v, m in zip(x, mask)]
+        image = [sum((t * v for t, v in zip(row, y)), F(0)) for row in rows]
+        best = image if best is None else [max(u, v) for u, v in zip(best, image)]
+    return best
+
+
+@st.composite
+def oracle_cases(draw):
+    n = draw(st.integers(1, 5))
+    rows = draw(fraction_rows(n))
+    x = draw(st.lists(kernel_rats.map(abs), min_size=n, max_size=n))
+    T = MatrixHom(rows)
+    return rows, x, (T.scale(3).scale(F(1, 3)) if draw(st.booleans()) else T)
+
+
+@settings(max_examples=150)
+@given(oracle_cases())
+def test_oracle_and_closed_form_match_brute_force(case):
+    rows, x, T = case
+    expected = _brute_sup(rows, x)
+    assert list(sup_over_interval_oracle(T, FinVec(x)).entries) == expected
+    assert list(positive_part(T).apply(FinVec(x)).entries) == expected
+
+
+def test_brute_force_examples():
+    assert _brute_sup(((1, -2), (-3, 4)), [F(1), F(1)]) == [1, 4]
+    assert _brute_sup(((F(-1, 2),),), [F(3)]) == [0]

@@ -16,10 +16,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latring import MatrixHom, Space, SpecFileError
+from latring import EvSeq, FinVec, MatrixHom, Neighborhood, Space, SpecFileError
 from latring.errors import InvalidElement
 from latring.scalars import as_rat, read_rat, read_row, reduced_row
-from latring.specfile import parse_element, parse_hom, parse_specdoc
+from latring.specfile import parse_element, parse_hom, parse_nbhd, parse_specdoc
 
 
 @st.composite
@@ -143,3 +143,51 @@ def test_row_pass_refuses_a_bad_entry_as_per_literal_reading_does(row, bad, data
 @pytest.mark.parametrize("bad", BAD_ENTRIES, ids=range(len(BAD_ENTRIES)))
 def test_row_pass_refuses_each_bad_entry(bad):
     assert _refusal(read_row, ["1/2", bad, "3"]) == _refusal(read_rat, bad) is not None
+
+
+# ---------------------------------------------------------------------------
+# Element rows (Q^n entries, a sequence's prefix and tail, box radii) are read
+# in one pass too.  The reference reads them literal by literal through
+# `read_rat`, as the spec reader did before: the same values, and for a bad
+# row the error of its first bad literal, named against the section.
+
+def _per_literal_values(row):
+    return [F(*read_rat(v)) for v in row]
+
+
+def _per_literal_refusal(row, section="sets.u"):
+    for v in row:
+        message = _refusal(read_rat, v)
+        if message is not None:
+            return f"bad rational literal in {section!r}: {message}"
+    return None
+
+
+@settings(max_examples=150)
+@given(rows(), rows())
+def test_element_rows_match_per_literal_reading(entries, prefix):
+    x = parse_element({"entries": entries}, Space.qn(len(entries)), "sets.u")
+    assert list(x.entries) == _per_literal_values(entries)
+    assert x == FinVec(tuple(_per_literal_values(entries)))
+    *head, tail = _per_literal_values(prefix)
+    s = parse_element({"prefix": prefix[:-1], "tail": prefix[-1]}, Space.evseq(), "sets.u")
+    assert s == EvSeq(tuple(head), tail) and s.int_row == EvSeq(tuple(head), tail).int_row
+    radii = [abs(v) + 1 for v in _per_literal_values(entries)]
+    U = parse_nbhd({"topology": "qn_box", "radii": [str(r) for r in radii]}, "sets.u")
+    assert U == Neighborhood.box(radii)
+
+
+@settings(max_examples=150)
+@given(rows(), st.sampled_from(BAD_ENTRIES), st.data())
+def test_element_rows_refuse_a_bad_entry_as_per_literal_reading_does(row, bad, data):
+    row = list(row)
+    row.insert(data.draw(st.integers(0, len(row))), bad)
+    expected = _per_literal_refusal(row)
+    assert expected is not None
+    assert _refusal(parse_element, {"entries": row}, Space.qn(len(row)), "sets.u") == expected
+    assert _refusal(parse_element, {"prefix": row[:-1], "tail": row[-1]}, Space.evseq(), "sets.u") == expected
+    assert _refusal(parse_nbhd, {"topology": "qn_box", "radii": row}, "sets.u") == expected
+    # A bad prefix literal is reported before a missing tail, and a good prefix leaves the missing tail.
+    assert _refusal(parse_element, {"prefix": row}, Space.evseq(), "sets.u") == expected
+    good = [v for v in row if _refusal(read_rat, v) is None]
+    assert _refusal(parse_element, {"prefix": good}, Space.evseq(), "sets.u") == "sets.u: missing 'tail'"
