@@ -1,7 +1,9 @@
 """Per-layer micro-benchmarks on pytest-benchmark.
 
 Each benchmark times one call of one layer on fixed seeded inputs: element
-lattice ops and the order, matrix and sequence apply, and the vertex oracle.
+lattice ops and the order, matrix and sequence apply, the vertex oracle,
+bound propagation, the two boundedness deciders, and the convergence
+threshold of each mode.
 This directory is outside the tier-1 `testpaths`; run it on its own:
 
     PYTHONPATH=src python -m pytest benchmarks -q --benchmark-json OUT.json
@@ -13,8 +15,23 @@ from fractions import Fraction
 
 import pytest
 
-from latring import EvSeq, MatrixHom, SeqHom, Space, sup_over_interval_oracle
+from latring import (
+    EvSeq,
+    FinVec,
+    HomNet,
+    Interval,
+    MatrixHom,
+    Multiplication,
+    NbhdSet,
+    Neighborhood,
+    SeqHom,
+    Space,
+    TopologyId,
+    converges,
+    sup_over_interval_oracle,
+)
 from latring.sampling import rand_element, rand_matrix_rows, rand_pos_element, rng_for
+from latring.topology import bounds_group_bounded, bounds_ring_bounded
 
 # Denominators up to 8, so a row mixes coprime ones and its common denominator grows.
 RNG = rng_for(2024)
@@ -69,3 +86,73 @@ def test_oracle_n8(benchmark):
     T = MatrixHom(rand_matrix_rows(RNG, 8))
     x = rand_pos_element(RNG, Space.qn(8))
     benchmark.pedantic(sup_over_interval_oracle, args=(T, x), rounds=20, iterations=1, warmup_rounds=1)
+
+
+# The benchmarks below draw from their own generators, so the inputs above
+# stay what they were.
+
+def _propagate_inputs(kind):
+    rng = rng_for(7)
+    if kind == "matrix":
+        return MatrixHom(rand_matrix_rows(rng, 64)), Neighborhood.box((1,) * 64).bounds()
+    h = SeqHom.diag_plus_block(EvSeq(rand_element(rng, Space.qn(12)).entries, 2), rand_matrix_rows(rng, 8))
+    return h, Neighborhood.product(range(16), 1).bounds()
+
+
+@pytest.mark.parametrize("kind", ["matrix", "seq"])
+def test_propagate_bounds(benchmark, kind):
+    T, bounds = _propagate_inputs(kind)
+    benchmark(T.propagate_bounds, bounds)
+
+
+# A finite image (Q^64 box through a dense matrix) and an unbounded one (the
+# identity on a product neighborhood, which leaves every coordinate past 0 free).
+_T64, _BOX64 = _propagate_inputs("matrix")
+DECIDER_INPUTS = {
+    "finite": (_T64.propagate_bounds(_BOX64), TopologyId.QN_BOX),
+    "unbounded": (SeqHom.identity().propagate_bounds(Neighborhood.product({0}, 1).bounds()),
+                  TopologyId.EVSEQ_PRODUCT),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DECIDER_INPUTS))
+def test_bounds_ring_bounded(benchmark, case):
+    bounds, topology = DECIDER_INPUTS[case]
+    benchmark(bounds_ring_bounded, bounds, topology, Multiplication.POINTWISE)
+
+
+@pytest.mark.parametrize("case", sorted(DECIDER_INPUTS))
+def test_bounds_group_bounded(benchmark, case):
+    bounds, topology = DECIDER_INPUTS[case]
+    benchmark(bounds_group_bounded, bounds, topology)
+
+
+def _certificate(mode):
+    """A convergent certificate and its (V, W) target for each mode; nr-table is a 70-term table net."""
+    rng = rng_for(11)
+    sup, prod, q8 = Space.evseq(TopologyId.EVSEQ_SUPNORM), Space.evseq(TopologyId.EVSEQ_PRODUCT), Space.qn(8)
+    diag = SeqHom.diagonal(EvSeq.of(Fraction(1, 2), 3, tail=2))
+    decay = SeqHom.diagonal(EvSeq.of(1, -4, tail=1))
+    ball = NbhdSet(sup, Neighborhood.sup_ball(1))
+    if mode == "nr":
+        net = HomNet.closed(sup, sup, diag, decay, target=diag)
+        return converges(net, diag, "nr", ball), Neighborhood.sup_ball(Fraction(1, 7)), None
+    if mode == "nr-table":
+        terms = [diag + decay.scale(Fraction(1, a)) for a in range(1, 70)] + [diag]
+        net = HomNet.table(sup, sup, terms, target=diag)
+        return converges(net, diag, "nr", ball), Neighborhood.sup_ball(Fraction(1, 7)), None
+    if mode == "br":
+        base, step = MatrixHom(rand_matrix_rows(rng, 8)), MatrixHom(rand_matrix_rows(rng, 8))
+        net = HomNet.closed(q8, q8, base, step, target=base)
+        B = Interval(q8, -FinVec.constant(8, 2), FinVec.constant(8, 2))
+        return converges(net, base, "br", B), Neighborhood.box((Fraction(1, 5),) * 8), None
+    net = HomNet.closed(prod, prod, diag, decay, target=diag)
+    V, W = Neighborhood.product({0, 1}, Fraction(1, 3)), Neighborhood.product({0, 2}, Fraction(1, 2))
+    return converges(net, diag, "cr"), V, W
+
+
+@pytest.mark.parametrize("mode", ["nr", "nr-table", "br", "cr"])
+def test_alpha0_for(benchmark, mode):
+    cert, V, W = _certificate(mode)
+    assert cert.convergent
+    benchmark(cert.alpha0_for, V, W)

@@ -30,11 +30,9 @@ from .extended import INF, CoordBounds
 from .homs import (
     ConeExtension,
     ConeMap,
-    HomVerdict,
     IdentityHom,
     MatrixHom,
     SeqHom,
-    describe_hom,
     directed_sup,
     extend_from_cone,
     hom_join,
@@ -52,6 +50,7 @@ from .homspaces import (
     HomNet,
     br_converges,
     classify,
+    converges,
     cr_converges,
     lattice_continuity_audit,
     limit_uniqueness_audit,
@@ -88,7 +87,6 @@ from .topology import (
     hull_bounded_preservation,
     is_order_closed,
     is_solid,
-    nbhd_member,
     sample_member,
     set_contains,
     set_group_bounded,

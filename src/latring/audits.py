@@ -26,7 +26,7 @@ from .homs import (
     positive_part,
     sup_over_interval_oracle,
 )
-from .homspaces import HomNet, br_converges, cr_converges, lattice_continuity_audit, nr_converges
+from .homspaces import HomNet, converges, lattice_continuity_audit
 from .sampling import rand_element, rand_matrix_rows, rand_pos_element, rand_rat, rng_for
 from .spaces import (
     Multiplication,
@@ -254,11 +254,11 @@ def rk_agreement_suite(seed: int = 0, cases: int = 500) -> CheckResult:
     return CheckResult("positive-part-vertex-oracle", ok == cases, cases, detail, "positive-part formula")
 
 
-def decomposition_suite(seed: int = 0, cases: int = 1000, dim: int = 5) -> CheckResult:
+def decomposition_suite(seed: int = 0, cases: int = 1000) -> CheckResult:
     """Split x = x1 + x2 against |y1|, |y2|; postconditions checked exactly."""
     from .homs import riesz_decompose
 
-    space = Space.qn(dim)
+    space = Space.qn(5)
     rng = rng_for(seed)
     ok = 0
     detail = ""
@@ -472,7 +472,7 @@ def fatou_suite() -> CheckResult:
 # Convergence suites.
 
 def _sample_nets():
-    """Closed-form nets in each mode with their regions and canonical targets."""
+    """Closed-form nets in each mode with their regions and (V, W) target pairs."""
     seq_space = Space.evseq(TopologyId.EVSEQ_SUPNORM)
     prod_space = Space.evseq(TopologyId.EVSEQ_PRODUCT)
     qn3 = Space.qn(3)
@@ -488,17 +488,26 @@ def _sample_nets():
         "nr": (
             HomNet.closed(seq_space, seq_space, fixed, decay_diag, target=fixed),
             fixed,
-            Neighborhood.sup_ball(1),
+            NbhdSet(seq_space, Neighborhood.sup_ball(1)),
+            [(Neighborhood.sup_ball(Fraction(1, 7)), None), (Neighborhood.sup_ball(3), None)],
         ),
         "br": (
             HomNet.closed(qn3, qn3, matrix, decay_m, target=matrix),
             matrix,
             Interval(qn3, -FinVec.constant(3, 2), FinVec.constant(3, 2)),
+            [
+                (Neighborhood.box((Fraction(1, 5),) * 3), None),
+                (Neighborhood.box((Fraction(2), Fraction(1), Fraction(1, 2))), None),
+            ],
         ),
         "cr": (
             HomNet.closed(prod_space, prod_space, fixed, decay_diag, target=fixed),
             fixed,
             None,
+            [
+                (Neighborhood.product({0, 1}, Fraction(1, 3)), Neighborhood.product({0, 2}, Fraction(1, 2))),
+                (Neighborhood.product({1}, 2), Neighborhood.product({1}, Fraction(1, 4))),
+            ],
         ),
     }
 
@@ -509,22 +518,8 @@ def convergence_recheck_suite(seed: int = 0) -> CheckResult:
     checks = 0
     detail = ""
     ok = True
-    for mode, (net, limit, region) in nets.items():
-        if mode == "nr":
-            cert = nr_converges(net, limit, region)
-            pairs = [(Neighborhood.sup_ball(Fraction(1, 7)), None), (Neighborhood.sup_ball(3), None)]
-        elif mode == "br":
-            cert = br_converges(net, limit, region)
-            pairs = [
-                (Neighborhood.box((Fraction(1, 5),) * 3), None),
-                (Neighborhood.box((Fraction(2), Fraction(1), Fraction(1, 2))), None),
-            ]
-        else:
-            cert = cr_converges(net, limit)
-            pairs = [
-                (Neighborhood.product({0, 1}, Fraction(1, 3)), Neighborhood.product({0, 2}, Fraction(1, 2))),
-                (Neighborhood.product({1}, 2), Neighborhood.product({1}, Fraction(1, 4))),
-            ]
+    for mode, (net, limit, region, pairs) in nets.items():
+        cert = converges(net, limit, mode, region)
         if not cert.convergent:
             return CheckResult("certificate-recheck", False, checks, f"{mode} net unexpectedly divergent", "convergence")
         for V, W in pairs:
@@ -543,6 +538,7 @@ def uniqueness_suite(seed: int = 0, cases: int = 50) -> CheckResult:
 
     rng = rng_for(seed)
     seq_space = Space.evseq(TopologyId.EVSEQ_SUPNORM)
+    unit_ball = NbhdSet(seq_space, Neighborhood.sup_ball(1))
     ok = 0
     detail = ""
     for _ in range(cases):
@@ -553,7 +549,7 @@ def uniqueness_suite(seed: int = 0, cases: int = 50) -> CheckResult:
         k = len(base.diag.prefix) + 1
         block = [[base.diag.at(i) if i == j else 0 for j in range(k)] for i in range(k)]
         other = SeqHom.diag_plus_block(EvSeq((0,) * k, base.diag.tail), block)
-        rep = limit_uniqueness_audit(net, base, other, "nr", U=Neighborhood.sup_ball(1))
+        rep = limit_uniqueness_audit(net, base, other, "nr", unit_ball)
         if rep.both_converged and rep.limits_equal:
             ok += 1
         elif not detail:
@@ -568,17 +564,10 @@ def lattice_continuity_suite(seed: int = 0) -> CheckResult:
 
     nets = _sample_nets()
     total = 0
-    for mode, (net, limit, region) in nets.items():
+    for mode, (net, _, region, _) in nets.items():
         shifted = HomNet.closed(net.domain, net.codomain, net.base, net.decay.scale(Fraction(1, 2)))
         try:
-            report = lattice_continuity_audit(
-                net,
-                shifted,
-                mode,
-                U=region if mode == "nr" else None,
-                B=region if mode == "br" else None,
-                seed=seed,
-            )
+            report = lattice_continuity_audit(net, shifted, mode, region, seed)
         except SoundnessBug as exc:
             return CheckResult("positive-part-uniform-continuity", False, total, str(exc), "lattice continuity")
         total += report.inequalities_checked

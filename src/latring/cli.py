@@ -37,11 +37,11 @@ from .homs import (
     sup_over_interval_oracle,
     truncation_matrix,
 )
-from .homspaces import br_converges, classify, cr_converges, nr_converges
+from .homspaces import classify, converges
 from .sampling import rand_pos_element, rng_for
 from .spaces import Space
-from .specfile import SpecDoc, element_to_obj, hom_to_obj, load_specdoc, nbhd_to_obj, set_to_obj
-from .topology import NbhdSet, canonical_generator
+from .specfile import SpecDoc, element_to_obj, load_specdoc, set_to_obj
+from .topology import canonical_generator
 
 _INPUT_ERRORS = (SpecFileError, UnknownName, UnknownInstance, UnknownCase, InvalidArgument, VacuousProduct, NotBounded)
 
@@ -115,7 +115,7 @@ def _reading_pair(pair) -> dict:
 
 
 def _maybe_nbhd(U):
-    return None if U is None else nbhd_to_obj(U)
+    return None if U is None else U.render()
 
 
 def _render_value(x):
@@ -157,7 +157,7 @@ def cmd_posp(doc: SpecDoc, hom_name: str, seed: int, cases: int):
         tail_ok = pos.diag.tail == max(t, Fraction(0))
     passed = agree == total and tail_ok
     result = {
-        "positive_part": hom_to_obj(pos),
+        "positive_part": pos.render(),
         "oracle_agreement": f"{agree}/{total}",
         "tail_agreement": tail_ok,
         "provenance": "positive-part closed form vs vertex-enumeration oracle",
@@ -196,30 +196,17 @@ def cmd_converge(doc: SpecDoc, net_name: str, mode: str, region_name: str | None
     limit = net.target
     if limit is None:
         raise InvalidArgument(f"net {net_name!r} carries no target to converge to")
-    if mode == "nr":
-        if region_name is None:
-            raise InvalidArgument("mode nr needs --region naming a set of kind nbhd")
-        region = doc.set_desc(region_name)
-        if not isinstance(region, NbhdSet):
-            raise InvalidArgument(f"--region {region_name!r} must be a set of kind nbhd")
-        cert = nr_converges(net, limit, region.nbhd)
-    elif mode == "br":
-        if region_name is None:
-            raise InvalidArgument("mode br needs --region naming a bounded set")
-        cert = br_converges(net, limit, doc.set_desc(region_name))
-    elif mode == "cr":
-        cert = cr_converges(net, limit)
-    else:
-        raise InvalidArgument(f"unknown mode {mode!r}")
+    region = None if region_name is None else doc.set_desc(region_name)
+    cert = converges(net, limit, mode, region)
 
+    # The canonical generator is the target V and, for cr, the outer W too.
     V = canonical_generator(net.codomain.topology, net.codomain.dim)
-    W = V if mode == "cr" else None
     if cert.convergent:
-        alpha0 = cert.alpha0_for(V, W)
-        recheck = cert.verify_at(alpha0, V, W) and cert.verify_at(alpha0 + 7, V, W)
+        alpha0 = cert.alpha0_for(V, V)
+        recheck = cert.verify_at(alpha0, V, V) and cert.verify_at(alpha0 + 7, V, V)
         result = {
             "verdict": "CONVERGENT",
-            "canonical_target": nbhd_to_obj(V),
+            "canonical_target": V.render(),
             "alpha0": alpha0,
             "recheck_at_alpha0_and_plus7": "PASS" if recheck else "FAIL",
             "provenance": "uniform-convergence definitions with certificate recheck",

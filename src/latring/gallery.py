@@ -171,11 +171,11 @@ def run_case(case_id: str, expected: dict | None = None) -> CaseReport:
     return CaseReport(case_id, not diffs, want, got, tuple(diffs), record.narrative)
 
 
-def run_cases(expected: dict | None = None, registry: dict | None = None) -> list[CaseReport]:
+def run_cases(registry: dict | None = None) -> list[CaseReport]:
     reg = registry if registry is not None else _REGISTRY
     if not reg:
         raise EmptyRegistry("no cases registered")
-    return [run_case(case_id, expected) for case_id in reg]
+    return [run_case(case_id) for case_id in reg]
 
 
 @dataclass(frozen=True)
@@ -185,11 +185,11 @@ class SuiteReport:
     passed: bool
 
 
-def run_all(seed: int = 0, cases: int = 1000, registry: dict | None = None) -> SuiteReport:
+def run_all(seed: int = 0, cases: int = 1000) -> SuiteReport:
     """All named cases plus the randomized law suites of every module."""
     from .audits import all_suites  # local import: audits drives gallery cases too
 
-    case_reports = run_cases(registry=registry)
+    case_reports = run_cases()
     laws = all_suites(seed=seed, cases=cases)
     passed = all(c.passed for c in case_reports) and all(r.passed for r in laws)
     return SuiteReport(tuple(case_reports), tuple(laws), passed)

@@ -47,7 +47,6 @@ from .topology import (
     bounds_ring_bounded,
     canonical_generator,
     coordinate_bounds,
-    nbhd_member,
     refuting_nbhd,
     sample_member,
     set_ring_bounded,
@@ -360,32 +359,45 @@ def vw_box(V: Neighborhood, W: Neighborhood) -> Neighborhood:
     return Neighborhood.discrete_zero()
 
 
+# Table nets: the threshold search looks back this many entries from the last.
+_TABLE_LOOKBACK = 64
+
+
 @dataclass(frozen=True)
 class ConvergenceCertificate:
     """Outcome of a convergence check, re-verifiable at any entry index.
 
     For closed-form nets the entry threshold is solved from the decay image
     bounds as a function of the target radius; table nets fall back to a
-    bounded scan.
+    scan back from the last entry.  The outer neighborhood W of the methods
+    below is cr's: nr and br certificates ignore it.
     """
 
     mode: str
     convergent: bool
     net: HomNet
     limit: Hom
-    region: object = None                 # Neighborhood (nr/cr) or SetDesc (br)
+    region: object = None                 # Neighborhood (nr) or SetDesc (br)
     region_bounds: CoordBounds | None = None
     residual_bounds: CoordBounds | None = None
     decay_bounds: CoordBounds | None = None
     witness: Neighborhood | None = None   # refuting V when not convergent
-    horizon: int = 64
 
-    def _target(self, V: Neighborhood, W: Neighborhood | None) -> Neighborhood:
+    def target(self, V: Neighborhood, W: Neighborhood | None) -> Neighborhood:
+        """The codomain set every term difference must eventually map into: V, or V*W for cr."""
         if self.mode == "cr":
             if W is None:
                 raise InvalidArgument("cr certificates need the outer neighborhood W")
             return vw_box(V, W)
         return V
+
+    def region_set(self, W: Neighborhood | None) -> SetDesc:
+        """The domain set the convergence is uniform on: U, B, or cr's U chosen for W."""
+        if self.mode == "cr":
+            return NbhdSet(self.net.domain, self.choose_U(W))
+        if self.mode == "nr":
+            return NbhdSet(self.net.domain, self.region)
+        return self.region
 
     def _bounds_for(self, W: Neighborhood | None) -> CoordBounds:
         if self.mode == "cr":
@@ -418,11 +430,11 @@ class ConvergenceCertificate:
         """Least entry index from which every term's difference sits inside the target."""
         if not self.convergent:
             raise InvalidArgument("no threshold exists: the net does not converge")
-        target = self._target(V, W)
+        target = self.target(V, W)
         if not self.net.is_closed_form:
             # Descend from the tail, which is verified by the zero residual.
             best = len(self.net.terms)
-            for a0 in range(len(self.net.terms), max(0, len(self.net.terms) - self.horizon), -1):
+            for a0 in range(len(self.net.terms), max(0, len(self.net.terms) - _TABLE_LOOKBACK), -1):
                 if self.verify_at(a0, V, W):
                     best = a0
                 else:
@@ -439,7 +451,7 @@ class ConvergenceCertificate:
         """Exact recheck of the defining containment at one entry index."""
         D = self.net.term(alpha) - self.limit
         img = D.propagate_bounds(self._bounds_for(W))
-        return img.within(self._target(V, W).bounds())
+        return img.within(self.target(V, W).bounds())
 
     def witness_refutes(self) -> bool:
         """Index-free recheck of a negative verdict: the eventual difference
@@ -450,83 +462,77 @@ class ConvergenceCertificate:
             return not self.residual_bounds.within(self.witness.bounds())
         # Residual vanished, so divergence came from unbounded decay: the
         # containment fails at every index.
-        return not self.verify_at(1, self.witness, None if self.mode != "cr" else self.witness)
+        return not self.verify_at(1, self.witness, self.witness)
 
 
-def nr_converges(net: HomNet, limit: Hom, U: Neighborhood, horizon: int = 64) -> ConvergenceCertificate:
+def converges(net: HomNet, limit: Hom, mode: str, region: SetDesc | None = None) -> ConvergenceCertificate:
+    """Convergence of `net` to `limit` in one of the three modes.
+
+    `region` is the domain set the convergence is uniform on: a base
+    neighborhood as an `NbhdSet` for nr, a ring-bounded set for br, and none
+    for cr, which chooses its own U for each outer W.
+    """
+    if mode == "nr":
+        if not isinstance(region, NbhdSet):
+            raise InvalidArgument("mode nr needs a region that is a set of kind nbhd")
+        return nr_converges(net, limit, region.nbhd)
+    if mode == "br":
+        if region is None:
+            raise InvalidArgument("mode br needs a region that is a bounded set")
+        return br_converges(net, limit, region)
+    if mode == "cr":
+        if region is not None:
+            raise InvalidArgument("mode cr chooses its own U for each W and takes no region")
+        return cr_converges(net, limit)
+    raise InvalidArgument(f"unknown mode {mode!r}")
+
+
+def nr_converges(net: HomNet, limit: Hom, U: Neighborhood) -> ConvergenceCertificate:
     """Uniform convergence on the neighborhood U."""
     if U.topology is not net.domain.topology:
         raise InvalidNeighborhood(f"{U!r} is not in the domain base")
-    return _uniform_convergence("nr", net, limit, U, U.bounds(), horizon)
+    return _uniform_convergence("nr", net, limit, U, U.bounds())
 
 
-def br_converges(net: HomNet, limit: Hom, B: SetDesc, horizon: int = 64) -> ConvergenceCertificate:
+def br_converges(net: HomNet, limit: Hom, B: SetDesc) -> ConvergenceCertificate:
     """Uniform convergence on the bounded set B."""
     verdict = set_ring_bounded(B)
     if not verdict.bounded:
         raise NotBounded(f"{B!r} is not ring-bounded, witness {verdict.witness!r}")
-    return _uniform_convergence("br", net, limit, B, coordinate_bounds(B), horizon)
+    return _uniform_convergence("br", net, limit, B, coordinate_bounds(B))
 
 
 def _uniform_convergence(
-    mode: str,
-    net: HomNet,
-    limit: Hom,
-    region,
-    region_bounds: CoordBounds,
-    horizon: int,
+    mode: str, net: HomNet, limit: Hom, region, region_bounds: CoordBounds
 ) -> ConvergenceCertificate:
-    residual = net.eventual_term() - limit
-    residual_img = residual.propagate_bounds(region_bounds)
-    if residual_img.overall_sup() != 0:
-        return ConvergenceCertificate(
-            mode,
-            False,
-            net,
-            limit,
-            region=region,
-            region_bounds=region_bounds,
-            residual_bounds=residual_img,
-            witness=refuting_nbhd(residual_img, net.codomain.topology),
-            horizon=horizon,
-        )
+    residual_img = (net.eventual_term() - limit).propagate_bounds(region_bounds)
+    escaping = residual_img if residual_img.overall_sup() != 0 else None
     decay_img = None
-    if net.is_closed_form:
+    if escaping is None and net.is_closed_form:
         decay_img = net.decay.propagate_bounds(region_bounds)
         if decay_img.first_infinite_index() is not None:
-            return ConvergenceCertificate(
-                mode,
-                False,
-                net,
-                limit,
-                region=region,
-                region_bounds=region_bounds,
-                residual_bounds=residual_img,
-                decay_bounds=decay_img,
-                witness=refuting_nbhd(decay_img, net.codomain.topology),
-                horizon=horizon,
-            )
+            escaping = decay_img
     return ConvergenceCertificate(
         mode,
-        True,
+        escaping is None,
         net,
         limit,
         region=region,
         region_bounds=region_bounds,
         residual_bounds=residual_img,
         decay_bounds=decay_img,
-        horizon=horizon,
+        witness=None if escaping is None else refuting_nbhd(escaping, net.codomain.topology),
     )
 
 
-def cr_converges(net: HomNet, limit: Hom, horizon: int = 64) -> ConvergenceCertificate:
+def cr_converges(net: HomNet, limit: Hom) -> ConvergenceCertificate:
     """Convergence with product-form targets V*W, the outer W answered by a U.
 
     Requires pointwise multiplication: with the zero product every target
     degenerates to {0} and the definition says nothing.
     """
     if net.domain != net.codomain:
-        raise InvalidElement("this convergence mode lives on endomorphism nets")
+        raise InvalidArgument("this convergence mode lives on endomorphism nets")
     if net.domain.multiplication is Multiplication.ZERO:
         raise VacuousProduct("V*W = {0} under zero multiplication; the check is vacuous")
     residual = net.eventual_term() - limit
@@ -542,9 +548,8 @@ def cr_converges(net: HomNet, limit: Hom, horizon: int = 64) -> ConvergenceCerti
             limit,
             residual_bounds=residual_img,
             witness=refuting_nbhd(residual_img, net.codomain.topology),
-            horizon=horizon,
         )
-    return ConvergenceCertificate("cr", True, net, limit, horizon=horizon)
+    return ConvergenceCertificate("cr", True, net, limit)
 
 
 # ---------------------------------------------------------------------------
@@ -559,30 +564,16 @@ class UniquenessReport:
 
 
 def limit_uniqueness_audit(
-    net: HomNet,
-    limit_a: Hom,
-    limit_b: Hom,
-    mode: str,
-    U: Neighborhood | None = None,
-    B: SetDesc | None = None,
-    horizon: int = 64,
+    net: HomNet, limit_a: Hom, limit_b: Hom, mode: str, region: SetDesc | None = None
 ) -> UniquenessReport:
     """If a net converges to two limits, they must be the same canonical form.
 
     A failure here is a soundness bug in the deciders, never a tolerated
     outcome; limits that differ simply fail the convergence precondition.
+    `region` is as for `converges`.
     """
-    certs = {}
     for name, limit in (("a", limit_a), ("b", limit_b)):
-        if mode == "nr":
-            certs[name] = nr_converges(net, limit, U, horizon)
-        elif mode == "br":
-            certs[name] = br_converges(net, limit, B, horizon)
-        elif mode == "cr":
-            certs[name] = cr_converges(net, limit, horizon)
-        else:
-            raise InvalidArgument(f"unknown mode {mode!r}")
-        if not certs[name].convergent:
+        if not converges(net, limit, mode, region).convergent:
             return UniquenessReport(mode, False, name, None)
     if limit_a != limit_b:
         raise SoundnessBug("two limits certified for one net")
@@ -600,65 +591,40 @@ class ContinuityAuditReport:
 
 
 def lattice_continuity_audit(
-    net_t: HomNet,
-    net_s: HomNet,
-    mode: str,
-    U: Neighborhood | None = None,
-    B: SetDesc | None = None,
-    targets: Sequence[Neighborhood] | None = None,
-    outer: Sequence[Neighborhood] | None = None,
-    alpha_offsets: Sequence[int] = (0, 3, 7),
-    x_samples: int = 8,
-    seed: int = 0,
-    horizon: int = 64,
+    net_t: HomNet, net_s: HomNet, mode: str, region: SetDesc | None = None, seed: int = 0
 ) -> ContinuityAuditReport:
     """Check T_a+ (x) - S_a+ (x) <= (T_a - S_a)+ (x) exactly, and that the
     right side lands in the certified target, for sampled entries and points.
+
+    The target V (and cr's outer W) is the codomain's canonical generator;
+    the entries are alpha0, alpha0 + 3 and alpha0 + 7, with eight points x
+    each.  `region` is as for `converges`.
     """
     diff = net_t.diff(net_s)
-    zero = zero_hom_like(diff.term(1))
-    if mode == "nr":
-        cert = nr_converges(diff, zero, U, horizon)
-    elif mode == "br":
-        cert = br_converges(diff, zero, B, horizon)
-    elif mode == "cr":
-        cert = cr_converges(diff, zero, horizon)
-    else:
-        raise InvalidArgument(f"unknown mode {mode!r}")
+    cert = converges(diff, zero_hom_like(diff.term(1)), mode, region)
     if not cert.convergent:
         raise InvalidArgument("the difference net must converge to zero in the given mode")
 
-    if targets is None:
-        targets = [canonical_generator(net_t.codomain.topology, net_t.codomain.dim)]
-    if mode == "cr" and outer is None:
-        outer = [canonical_generator(net_t.codomain.topology, net_t.codomain.dim)]
-
+    V = canonical_generator(net_t.codomain.topology, net_t.codomain.dim)
+    alpha0 = cert.alpha0_for(V, V)
+    region_set = cert.region_set(V)
+    target = cert.target(V, V)
     rng = rng_for(seed)
     ineqs = 0
     members = 0
-    pairs = [(V, W) for V in targets for W in outer] if mode == "cr" else [(V, None) for V in targets]
-    for V, W in pairs:
-        alpha0 = cert.alpha0_for(V, W)
-        if mode == "nr":
-            region_set = NbhdSet(net_t.domain, U)
-        elif mode == "br":
-            region_set = B
-        else:
-            region_set = NbhdSet(net_t.domain, cert.choose_U(W))
-        target = vw_box(V, W) if mode == "cr" else V
-        for off in alpha_offsets:
-            alpha = alpha0 + off
-            t_pos = positive_part(net_t.term(alpha))
-            s_pos = positive_part(net_s.term(alpha))
-            d_pos = positive_part(net_t.term(alpha) - net_s.term(alpha))
-            for _ in range(x_samples):
-                x = pos_part(region_set.space, sample_member(region_set, rng))
-                lhs = t_pos.apply(x) - s_pos.apply(x)
-                rhs = d_pos.apply(x)
-                if not lhs <= rhs:
-                    raise SoundnessBug(f"lattice inequality failed at alpha={alpha}, x={x!r}")
-                ineqs += 1
-                if not nbhd_member(target, rhs):
-                    raise SoundnessBug(f"positive-part difference escaped the target at alpha={alpha}")
-                members += 1
+    for off in (0, 3, 7):
+        alpha = alpha0 + off
+        t_pos = positive_part(net_t.term(alpha))
+        s_pos = positive_part(net_s.term(alpha))
+        d_pos = positive_part(net_t.term(alpha) - net_s.term(alpha))
+        for _ in range(8):
+            x = pos_part(region_set.space, sample_member(region_set, rng))
+            lhs = t_pos.apply(x) - s_pos.apply(x)
+            rhs = d_pos.apply(x)
+            if not lhs <= rhs:
+                raise SoundnessBug(f"lattice inequality failed at alpha={alpha}, x={x!r}")
+            ineqs += 1
+            if not target.member(rhs):
+                raise SoundnessBug(f"positive-part difference escaped the target at alpha={alpha}")
+            members += 1
     return ContinuityAuditReport(mode, ineqs, members)

@@ -26,8 +26,8 @@ def rng_for(seed: int) -> random.Random:
     return random.Random(seed)
 
 
-def rand_rat(rng: random.Random, span: int = 12, max_den: int = 8) -> Fraction:
-    return Fraction(rng.randint(-span, span), rng.randint(1, max_den))
+def rand_rat(rng: random.Random, span: int = 12) -> Fraction:
+    return Fraction(rng.randint(-span, span), rng.randint(1, 8))
 
 
 # Each space's zero is the template for its coordinate layout; `Space.zero`
@@ -55,9 +55,9 @@ def rand_element(rng: random.Random, space: Space, span: int = 12, max_prefix: i
     return _rand_element(rng, space, -span, span, max_prefix)
 
 
-def rand_pos_element(rng: random.Random, space: Space, span: int = 12):
+def rand_pos_element(rng: random.Random, space: Space):
     """As `rand_element`, with every coordinate nonnegative."""
-    return _rand_element(rng, space, 0, span, 5)
+    return _rand_element(rng, space, 0, 12, 5)
 
 
 def rand_matrix_rows(rng: random.Random, n: int, span: int = 9) -> tuple:

@@ -205,10 +205,6 @@ def parse_hom(obj: dict, space: Space, section: str) -> Hom:
     raise SpecFileError(f"{section}: unknown homomorphism kind {kind!r}")
 
 
-def hom_to_obj(h: Hom) -> dict:
-    return h.render()
-
-
 # ---------------------------------------------------------------------------
 # Neighborhoods and sets.
 
@@ -239,10 +235,6 @@ def parse_nbhd(obj: dict, section: str) -> Neighborhood:
     raise SpecFileError(f"{section}: unknown topology {top!r}")
 
 
-def nbhd_to_obj(U: Neighborhood) -> dict:
-    return U.render()
-
-
 def set_to_obj(S: SetDesc) -> dict:
     if isinstance(S, Interval):
         return {"kind": "interval", "lo": element_to_obj(S.lo), "hi": element_to_obj(S.hi)}
@@ -251,9 +243,9 @@ def set_to_obj(S: SetDesc) -> dict:
     if isinstance(S, SolidHull):
         return {"kind": "solid_hull", "generators": [element_to_obj(x) for x in S.generators]}
     if isinstance(S, NbhdSet):
-        return {"kind": "nbhd", "nbhd": nbhd_to_obj(S.nbhd)}
+        return {"kind": "nbhd", "nbhd": S.nbhd.render()}
     if isinstance(S, ImageSet):
-        return {"kind": "image", "hom": hom_to_obj(S.hom), "base": set_to_obj(S.base)}
+        return {"kind": "image", "hom": S.hom.render(), "base": set_to_obj(S.base)}
     raise SpecFileError(f"cannot serialize {S!r}")
 
 

@@ -129,11 +129,6 @@ class Neighborhood:
         return {"topology": self.topology.value}
 
 
-def nbhd_member(U: Neighborhood, x) -> bool:
-    """Exact membership of x in the closed box denoted by U."""
-    return U.member(x)
-
-
 def canonical_generator(topology: TopologyId, dim: int | None = None) -> Neighborhood:
     """A representative base neighborhood with unit radius."""
     if topology is TopologyId.QN_BOX:
@@ -532,21 +527,14 @@ def bounds_group_bounded(bounds: CoordBounds, topology: TopologyId) -> GroupBoun
     return GroupBoundedVerdict(True, n_unit=max(1, math.ceil(sup)))
 
 
-def set_ring_bounded(
-    S: SetDesc,
-    topology: TopologyId | None = None,
-    multiplication: Multiplication | None = None,
-) -> RingBoundedVerdict:
+def set_ring_bounded(S: SetDesc) -> RingBoundedVerdict:
     """Decide: for every base W there is a base V with V*S and S*V inside W."""
-    topology = topology or S.space.topology
-    multiplication = multiplication or S.space.multiplication
-    return bounds_ring_bounded(coordinate_bounds(S), topology, multiplication)
+    return bounds_ring_bounded(coordinate_bounds(S), S.space.topology, S.space.multiplication)
 
 
-def set_group_bounded(S: SetDesc, topology: TopologyId | None = None) -> GroupBoundedVerdict:
+def set_group_bounded(S: SetDesc) -> GroupBoundedVerdict:
     """Decide: for every base U there is a positive n with S inside n*U."""
-    topology = topology or S.space.topology
-    return bounds_group_bounded(coordinate_bounds(S), topology)
+    return bounds_group_bounded(coordinate_bounds(S), S.space.topology)
 
 
 def group_bound_multiplier(S: SetDesc, U: Neighborhood) -> int | None:
@@ -596,18 +584,14 @@ class HullPreservation:
     bounds_equal: bool
 
 
-def hull_bounded_preservation(
-    S: SetDesc,
-    topology: TopologyId | None = None,
-    multiplication: Multiplication | None = None,
-) -> HullPreservation:
+def hull_bounded_preservation(S: SetDesc) -> HullPreservation:
     """Solid hulls of bounded finite sets stay bounded, with identical bounds."""
     if not isinstance(S, FiniteSet):
         raise NotBounded("expects a finite set of elements")
-    gen_verdict = set_ring_bounded(S, topology, multiplication)
+    gen_verdict = set_ring_bounded(S)
     if not gen_verdict.bounded:
         raise NotBounded("the finite set is not ring-bounded, nothing to preserve")
     hull = SolidHull(S.space, S.elements)
-    hull_verdict = set_ring_bounded(hull, topology, multiplication)
+    hull_verdict = set_ring_bounded(hull)
     same = coordinate_bounds(S) == coordinate_bounds(hull)
     return HullPreservation(gen_verdict, hull_verdict, same)

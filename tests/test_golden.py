@@ -4,7 +4,8 @@ The stored files are the `--format machine` output of `run` on the three demo
 specs (the sup-norm one prints `nr` certificates and sup-norm witnesses), and
 of `classify`, `posp`, `converge --mode br` and `decompose` on
 `specs/q12_literals.json`, whose literals are written unreduced, signed,
-zero-padded and over coprime denominators; the gallery reports and the `laws`
+zero-padded and over coprime denominators, and of the NOT_CONVERGENT cr
+verdict on `specs/evseq_demo.json`; the gallery reports and the `laws`
 report of every instance are pinned by their sha256.  If a change alters one
 of these on purpose, regenerate the file (or digest) with the command in the
 test and say why in the change description.
@@ -75,6 +76,17 @@ def test_run_demo_spec_matches_golden(spec, golden, capsys):
 )
 def test_q12_literal_spec_matches_golden(argv, golden, capsys):
     out = _machine_report([*argv, "--spec", str(_REPO / "specs" / "q12_literals.json")], capsys)
+    assert out == (_GOLDEN / golden).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        (["converge", "stuck_identity", "--mode", "cr"], "evseq_demo_converge_stuck_cr.json"),
+    ],
+)
+def test_evseq_demo_spec_matches_golden(argv, golden, capsys):
+    out = _machine_report([*argv, "--spec", str(_REPO / "specs" / "evseq_demo.json")], capsys)
     assert out == (_GOLDEN / golden).read_bytes()
 
 

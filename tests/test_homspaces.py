@@ -21,6 +21,7 @@ from latring import (
     VacuousProduct,
     classify,
     br_converges,
+    converges,
     cr_converges,
     lattice_continuity_audit,
     limit_uniqueness_audit,
@@ -141,7 +142,7 @@ def test_classification_witnesses_recheck():
 
 def test_case_b_witness_demonstrated_by_elements():
     """The bad set's members escape every multiple of the refuting neighborhood."""
-    from latring import nbhd_member, set_contains
+    from latring import set_contains
 
     label = classify(IdentityHom.on(PROD_ZERO), PROD_ZERO, PROD_ZERO)
     bad = label.br.group.bad_set
@@ -150,7 +151,7 @@ def test_case_b_witness_demonstrated_by_elements():
     for n in range(1, 21):
         x = EvSeq.of(0, F(n + 1), tail=0)
         assert set_contains(bad, x)                  # x lies in the bounded set
-        assert not nbhd_member(W, x.scale(F(1, n)))  # yet x is not in n*W
+        assert not W.member(x.scale(F(1, n)))  # yet x is not in n*W
 
 
 # ---------------------------------------------------------------------------
@@ -297,6 +298,52 @@ def test_cr_zero_multiplication_is_vacuous():
         cr_converges(net, SeqHom.identity())
 
 
+def test_cr_refuses_a_net_between_different_spaces():
+    # Same carrier, different topology: V*W needs one base on both sides.
+    net = HomNet.constant(PROD, SUP, SeqHom.identity())
+    with pytest.raises(InvalidArgument):
+        cr_converges(net, SeqHom.identity())
+
+
+def _mode_nets():
+    """A convergent and a divergent Q^3 net with each mode's region."""
+    base = MatrixHom(((1, 0, 2), (0, -1, 0), (3, 0, 1)))
+    decay = MatrixHom(((0, 1, 0), (2, 0, 0), (0, 0, -3)))
+    nets = (HomNet.closed(Q3, Q3, base, decay, target=base), HomNet.constant(Q3, Q3, base + decay))
+    U = Neighborhood.box((1, 1, 1))
+    B = Interval(Q3, -FinVec.constant(3, 1), FinVec.constant(3, 1))
+    return base, nets, U, B
+
+
+def test_converges_is_the_direct_decider_for_each_mode():
+    base, nets, U, B = _mode_nets()
+    W = Neighborhood.box((F(1, 2), 1, 2))
+    for net in nets:
+        nr = converges(net, base, "nr", NbhdSet(Q3, U))
+        br = converges(net, base, "br", B)
+        cr = converges(net, base, "cr")
+        assert nr == nr_converges(net, base, U)
+        assert br == br_converges(net, base, B)
+        assert cr == cr_converges(net, base)
+    assert nr.region_set(W) == NbhdSet(Q3, U) and nr.target(U, W) == U
+    assert br.region_set(W) == B and br.target(U, W) == U
+    assert cr.region_set(W) == NbhdSet(Q3, cr.choose_U(W)) and cr.target(U, W) == vw_box(U, W)
+
+
+def test_converges_refuses_unknown_modes_and_misplaced_regions():
+    base, (net, _), U, B = _mode_nets()
+    for mode, region in (
+        ("xr", None),
+        ("cr", NbhdSet(Q3, U)),
+        ("cr", B),
+        ("nr", None),
+        ("nr", B),
+        ("br", None),
+    ):
+        with pytest.raises(InvalidArgument):
+            converges(net, base, mode, region)
+
+
 def test_vw_box_product_intersects_coords():
     V = Neighborhood.product({0, 1}, F(1, 2))
     W = Neighborhood.product({1, 2}, F(1, 3))
@@ -323,7 +370,7 @@ def test_limit_uniqueness_canonical_forms():
     same_other_form = SeqHom.diag_plus_block(
         EvSeq.of(0, tail=F(1, 2)), ((F(1),),)
     )
-    rep = limit_uniqueness_audit(net, base, same_other_form, "nr", U=Neighborhood.sup_ball(1))
+    rep = limit_uniqueness_audit(net, base, same_other_form, "nr", NbhdSet(SUP, Neighborhood.sup_ball(1)))
     assert rep.both_converged and rep.limits_equal
 
 
@@ -331,7 +378,7 @@ def test_limit_uniqueness_corrupted_limit_fails_precondition():
     base = SeqHom.diagonal(EvSeq.of(1, tail=F(1, 2)))
     net = HomNet.closed(SUP, SUP, base, SeqHom.identity(), target=base)
     corrupted = base + SeqHom.diagonal(EvSeq.constant(1))
-    rep = limit_uniqueness_audit(net, base, corrupted, "nr", U=Neighborhood.sup_ball(1))
+    rep = limit_uniqueness_audit(net, base, corrupted, "nr", NbhdSet(SUP, Neighborhood.sup_ball(1)))
     assert not rep.both_converged and rep.failed_limit == "b"
 
 
@@ -340,12 +387,8 @@ def test_limit_uniqueness_all_modes():
     decay = MatrixHom(((0, 1, 0), (2, 0, 0), (0, 0, -3)))
     net = HomNet.closed(Q3, Q3, base, decay, target=base)
     B = Interval(Q3, -FinVec.constant(3, 1), FinVec.constant(3, 1))
-    for mode, kwargs in (
-        ("nr", {"U": Neighborhood.box((1, 1, 1))}),
-        ("br", {"B": B}),
-        ("cr", {}),
-    ):
-        rep = limit_uniqueness_audit(net, base, base + MatrixHom.zero(3), mode, **kwargs)
+    for mode, region in (("nr", NbhdSet(Q3, Neighborhood.box((1, 1, 1)))), ("br", B), ("cr", None)):
+        rep = limit_uniqueness_audit(net, base, base + MatrixHom.zero(3), mode, region)
         assert rep.both_converged and rep.limits_equal
 
 
@@ -357,7 +400,7 @@ def test_lattice_continuity_nr_mode_matrix_plus_decay():
     D = MatrixHom(((2, 0, 1), (0, -2, 0), (1, 1, 0)))
     net_t = HomNet.closed(Q3, Q3, T, D)
     net_s = HomNet.constant(Q3, Q3, T)
-    report = lattice_continuity_audit(net_t, net_s, "nr", U=Neighborhood.box((1, 1, 1)), seed=3)
+    report = lattice_continuity_audit(net_t, net_s, "nr", NbhdSet(Q3, Neighborhood.box((1, 1, 1))), seed=3)
     assert report.inequalities_checked > 0
     assert report.memberships_checked == report.inequalities_checked
 
@@ -365,7 +408,7 @@ def test_lattice_continuity_nr_mode_matrix_plus_decay():
 def test_lattice_continuity_equal_nets_everything_zero():
     T = SeqHom.diagonal(EvSeq.of(2, tail=1))
     net = HomNet.closed(SUP, SUP, T, SeqHom.identity())
-    report = lattice_continuity_audit(net, net, "nr", U=Neighborhood.sup_ball(1), seed=5)
+    report = lattice_continuity_audit(net, net, "nr", NbhdSet(SUP, Neighborhood.sup_ball(1)), seed=5)
     assert report.inequalities_checked > 0
 
 
@@ -374,7 +417,7 @@ def test_lattice_continuity_br_and_cr_modes():
     net_t = HomNet.closed(SUP, SUP, T, SeqHom.diagonal(EvSeq.constant(2)))
     net_s = HomNet.closed(SUP, SUP, T, SeqHom.diagonal(EvSeq.constant(1)))
     B = Interval(SUP, -EvSeq.constant(2), EvSeq.constant(2))
-    assert lattice_continuity_audit(net_t, net_s, "br", B=B, seed=7).inequalities_checked > 0
+    assert lattice_continuity_audit(net_t, net_s, "br", B, seed=7).inequalities_checked > 0
     assert lattice_continuity_audit(net_t, net_s, "cr", seed=9).memberships_checked > 0
 
 
@@ -382,7 +425,7 @@ def test_lattice_continuity_requires_vanishing_difference():
     net_t = HomNet.constant(SUP, SUP, SeqHom.identity())
     net_s = HomNet.constant(SUP, SUP, SeqHom.zero())
     with pytest.raises(InvalidArgument):
-        lattice_continuity_audit(net_t, net_s, "nr", U=Neighborhood.sup_ball(1))
+        lattice_continuity_audit(net_t, net_s, "nr", NbhdSet(SUP, Neighborhood.sup_ball(1)))
 
 
 def test_pointwise_lattice_inequality_holds_by_hand():

@@ -30,11 +30,9 @@ from latring import (
     SolidHull,
     Space,
     TopologyId,
-    br_converges,
+    converges,
     coordinate_bounds,
-    cr_converges,
     group_bound_multiplier,
-    nr_converges,
 )
 from latring.extended import ext_le, is_inf
 from latring.homspaces import vw_box
@@ -208,12 +206,7 @@ def certificates(draw):
         B = draw(st.lists(evseqs, min_size=1, max_size=3).map(lambda ys: SolidHull(dom, tuple(ys))))
         targets = seq_nbhds(cod.topology)
     net = HomNet.closed(dom, cod, base, decay, target=limit)
-    if mode == "nr":
-        cert = nr_converges(net, limit, U)
-    elif mode == "br":
-        cert = br_converges(net, limit, B)
-    else:
-        cert = cr_converges(net, limit)
+    cert = converges(net, limit, mode, {"nr": NbhdSet(dom, U), "br": B, "cr": None}[mode])
     V = draw(targets)
     W = draw(targets) if mode == "cr" else None
     return cert, V, W

@@ -15,8 +15,6 @@ from latring.homs import ORACLE_DIM_CAP
 from latring.specfile import (
     MAX_COORD_INDEX,
     element_to_obj,
-    hom_to_obj,
-    nbhd_to_obj,
     parse_element,
     parse_hom,
     parse_nbhd,
@@ -36,9 +34,9 @@ def test_hom_round_trip():
         SeqHom.diag_plus_block(EvSeq.of(1, tail=0), ((F(0), F(2)), (F(-1), F(0)))),
     ]
     for h in homs:
-        assert parse_hom(hom_to_obj(h), space, "t") == h
+        assert parse_hom(h.render(), space, "t") == h
     m = MatrixHom(((F(1), F(-2)), (F(3, 7), F(0))))
-    assert parse_hom(hom_to_obj(m), Space.qn(2), "t") == m
+    assert parse_hom(m.render(), Space.qn(2), "t") == m
 
 
 def test_element_round_trip():
@@ -56,7 +54,7 @@ def test_nbhd_round_trip():
         Neighborhood.sup_ball(F(7)),
         Neighborhood.discrete_zero(),
     ):
-        assert parse_nbhd(nbhd_to_obj(U), "u") == U
+        assert parse_nbhd(U.render(), "u") == U
 
 
 def test_set_round_trip_through_doc():
@@ -264,6 +262,26 @@ def test_cli_converge_modes(capsys):
     assert result["witness"] == {"topology": "evseq_product", "coords": [1], "radius": "1"}
     # nr without a region is an input error.
     assert main(["converge", "vanishing", "--spec", EVSEQ_SPEC, "--mode", "nr"]) == 2
+
+
+@pytest.mark.parametrize(
+    "codomain, argv",
+    [
+        # cr needs one base on both sides of V*W.
+        ({"kind": "evseq", "topology": "evseq_supnorm"}, ["--mode", "cr"]),
+        ({"kind": "evseq", "topology": "evseq_product", "multiplication": "zero"}, ["--mode", "cr"]),
+        # cr chooses its own U for each W, so a region is refused, not ignored.
+        (None, ["--mode", "cr", "--region", "u0"]),
+    ],
+)
+def test_cr_input_it_cannot_use_exits_2(codomain, argv, tmp_path, capsys):
+    spec = json.loads(Path(EVSEQ_SPEC).read_text())
+    if codomain is not None:
+        spec["codomain_space"] = codomain
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert main(["converge", "vanishing", *argv, "--spec", str(path)]) == 2
+    assert "mode" in capsys.readouterr().err
 
 
 def test_cli_run_executes_tasks(capsys):

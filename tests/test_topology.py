@@ -24,7 +24,6 @@ from latring import (
     hull_bounded_preservation,
     is_order_closed,
     is_solid,
-    nbhd_member,
     sample_member,
     set_contains,
     set_group_bounded,
@@ -43,9 +42,9 @@ ZD = Space.z_discrete()
 
 def test_nbhd_membership_examples():
     x = EvSeq.of(1, -1, tail=5)
-    assert nbhd_member(Neighborhood.product({0, 1}, 1), x)       # tail unconstrained
-    assert not nbhd_member(Neighborhood.sup_ball(1), x)          # |5| > 1
-    assert nbhd_member(Neighborhood.box((1, 2)), FinVec.of(1, -2))  # closed box boundary
+    assert Neighborhood.product({0, 1}, 1).member(x)       # tail unconstrained
+    assert not Neighborhood.sup_ball(1).member(x)          # |5| > 1
+    assert Neighborhood.box((1, 2)).member(FinVec.of(1, -2))  # closed box boundary
 
 
 def test_solid_hull_membership():
