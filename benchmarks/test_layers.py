@@ -2,8 +2,8 @@
 
 Each benchmark times one call of one layer on fixed seeded inputs: element
 lattice ops and the order, matrix and sequence apply, the vertex oracle,
-bound propagation, the two boundedness deciders, and the convergence
-threshold of each mode.
+bound propagation, the two boundedness deciders, the convergence threshold
+of each mode, and classification.
 This directory is outside the tier-1 `testpaths`; run it on its own:
 
     PYTHONPATH=src python -m pytest benchmarks -q --benchmark-json OUT.json
@@ -27,6 +27,7 @@ from latring import (
     SeqHom,
     Space,
     TopologyId,
+    classify,
     converges,
     sup_over_interval_oracle,
 )
@@ -128,7 +129,11 @@ def test_bounds_group_bounded(benchmark, case):
 
 
 def _certificate(mode):
-    """A convergent certificate and its (V, W) target for each mode; nr-table is a 70-term table net."""
+    """A convergent certificate and its (V, W) target for each mode.
+
+    nr-table and cr-table are 70-term table nets; every term of cr-table
+    qualifies, so its threshold search looks back the whole 64 entries.
+    """
     rng = rng_for(11)
     sup, prod, q8 = Space.evseq(TopologyId.EVSEQ_SUPNORM), Space.evseq(TopologyId.EVSEQ_PRODUCT), Space.qn(8)
     diag = SeqHom.diagonal(EvSeq.of(Fraction(1, 2), 3, tail=2))
@@ -146,13 +151,32 @@ def _certificate(mode):
         net = HomNet.closed(q8, q8, base, step, target=base)
         B = Interval(q8, -FinVec.constant(8, 2), FinVec.constant(8, 2))
         return converges(net, base, "br", B), Neighborhood.box((Fraction(1, 5),) * 8), None
-    net = HomNet.closed(prod, prod, diag, decay, target=diag)
     V, W = Neighborhood.product({0, 1}, Fraction(1, 3)), Neighborhood.product({0, 2}, Fraction(1, 2))
+    if mode == "cr-table":
+        spread = SeqHom.diag_plus_block(EvSeq.of(1, -4, tail=1), rand_matrix_rows(rng_for(13), 4))
+        terms = [diag + spread.scale(Fraction(1, 1000 * a)) for a in range(1, 70)] + [diag]
+        net = HomNet.table(prod, prod, terms, target=diag)
+        return converges(net, diag, "cr"), V, W
+    net = HomNet.closed(prod, prod, diag, decay, target=diag)
     return converges(net, diag, "cr"), V, W
 
 
-@pytest.mark.parametrize("mode", ["nr", "nr-table", "br", "cr"])
+@pytest.mark.parametrize("mode", ["nr", "nr-table", "br", "cr", "cr-table"])
 def test_alpha0_for(benchmark, mode):
     cert, V, W = _certificate(mode)
     assert cert.convergent
     benchmark(cert.alpha0_for, V, W)
+
+
+def _classify_inputs(kind):
+    rng = rng_for(17)
+    if kind == "q64":
+        return MatrixHom(rand_matrix_rows(rng, 64)), Space.qn(64)
+    h = SeqHom.diag_plus_block(EvSeq(rand_element(rng, Space.qn(12)).entries, 0), rand_matrix_rows(rng, 8))
+    return h, Space.evseq(TopologyId.EVSEQ_PRODUCT)
+
+
+@pytest.mark.parametrize("kind", ["q64", "seq"])
+def test_classify(benchmark, kind):
+    T, space = _classify_inputs(kind)
+    benchmark(classify, T, space, space)

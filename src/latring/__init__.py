@@ -10,7 +10,6 @@ from .elements import EvSeq, FinVec
 from .errors import (
     DecompositionPrereqViolated,
     EmptyInput,
-    EmptyRegistry,
     InvalidArgument,
     InvalidElement,
     InvalidNeighborhood,

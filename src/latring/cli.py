@@ -191,7 +191,7 @@ def cmd_decompose(doc: SpecDoc, x_name: str, y1_name: str, y2_name: str):
     return report, audit
 
 
-def cmd_converge(doc: SpecDoc, net_name: str, mode: str, region_name: str | None, seed: int):
+def cmd_converge(doc: SpecDoc, net_name: str, mode: str, region_name: str | None):
     net = doc.net(net_name)
     limit = net.target
     if limit is None:
@@ -250,7 +250,8 @@ def cmd_gallery(seed: int, cases: int):
 
 
 def cmd_run(doc: SpecDoc, seed: int, cases: int):
-    """Execute every task listed in the spec file (their arguments are checked at parse time)."""
+    """Execute every task listed in the spec file; an input error names its task."""
+    _require_cases(cases)
     merged: dict = {}
     all_passed = True
     for i, task in enumerate(doc.tasks):
@@ -258,16 +259,19 @@ def cmd_run(doc: SpecDoc, seed: int, cases: int):
         name = task.get("name", f"{op}[{i}]")
         t_seed = task.get("seed", seed)
         t_cases = task.get("cases", cases)
-        if op == "classify":
-            sub, ok = cmd_classify(doc, task["hom"])
-        elif op == "posp":
-            sub, ok = cmd_posp(doc, task["hom"], t_seed, t_cases)
-        elif op == "decompose":
-            sub, ok = cmd_decompose(doc, task["x"], task["y1"], task["y2"])
-        elif op == "converge":
-            sub, ok = cmd_converge(doc, task["net"], task["mode"], task.get("region"), t_seed)
-        else:
-            sub, ok = cmd_laws(task["instance"], t_seed, t_cases)
+        try:
+            if op == "classify":
+                sub, ok = cmd_classify(doc, task["hom"])
+            elif op == "posp":
+                sub, ok = cmd_posp(doc, task["hom"], t_seed, t_cases)
+            elif op == "decompose":
+                sub, ok = cmd_decompose(doc, task["x"], task["y1"], task["y2"])
+            elif op == "converge":
+                sub, ok = cmd_converge(doc, task["net"], task["mode"], task.get("region"))
+            else:
+                sub, ok = cmd_laws(task["instance"], t_seed, t_cases)
+        except _INPUT_ERRORS as exc:
+            raise SpecFileError(f"tasks[{i}]: {exc}") from exc
         for key, value in sub["results"].items():
             merged[f"{name}:{key}"] = value
         all_passed = all_passed and ok
@@ -357,7 +361,7 @@ def main(argv=None) -> int:
         elif args.command == "decompose":
             report, passed = cmd_decompose(load_specdoc(args.spec), args.x, args.y1, args.y2)
         elif args.command == "converge":
-            report, passed = cmd_converge(load_specdoc(args.spec), args.net, args.mode, args.region, args.seed)
+            report, passed = cmd_converge(load_specdoc(args.spec), args.net, args.mode, args.region)
         elif args.command == "gallery":
             report, passed = cmd_gallery(args.seed, args.cases)
         else:

@@ -159,12 +159,6 @@ class FinVec(_RowElement):
         q = as_rat(value)
         return cls.from_int_row(q.denominator, (q.numerator,) * dim)
 
-    @classmethod
-    def unit(cls, dim: int, index: int) -> "FinVec":
-        nums = [0] * dim
-        nums[index] = 1
-        return cls.from_int_row(1, nums)
-
     @property
     def entries(self) -> tuple[Fraction, ...]:
         return self._values()
@@ -219,10 +213,6 @@ class EvSeq(_RowElement):
     def constant(cls, value) -> "EvSeq":
         q = as_rat(value)
         return cls.from_int_row(q.denominator, (q.numerator,))
-
-    @classmethod
-    def unit(cls, index: int) -> "EvSeq":
-        return cls.from_int_row(1, (0,) * index + (1, 0))
 
     @property
     def prefix(self) -> tuple[Fraction, ...]:

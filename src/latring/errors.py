@@ -71,9 +71,5 @@ class InvalidArgument(LatringError):
     """Command-line or API argument outside its allowed range."""
 
 
-class EmptyRegistry(LatringError):
-    """Gallery registry is empty."""
-
-
 class SpecFileError(LatringError):
     """Spec file failed to parse or validate; message names the section."""

@@ -89,12 +89,6 @@ class CoordBounds:
     def sequence(cls, head: Iterable[Extended], tail: Extended) -> "CoordBounds":
         return cls(tuple(head), tail)
 
-    @classmethod
-    def all_infinite(cls, dim: int | None) -> "CoordBounds":
-        if dim is None:
-            return cls((), INF)
-        return cls((INF,) * dim, None)
-
     def at(self, i: int) -> Extended:
         if i < len(self.head):
             return self.head[i]

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 from .elements import FinVec
-from .errors import EmptyRegistry, UnknownCase
+from .errors import UnknownCase
 from .homs import IdentityHom
 from .homspaces import classify
 from .spaces import (
@@ -171,11 +171,8 @@ def run_case(case_id: str, expected: dict | None = None) -> CaseReport:
     return CaseReport(case_id, not diffs, want, got, tuple(diffs), record.narrative)
 
 
-def run_cases(registry: dict | None = None) -> list[CaseReport]:
-    reg = registry if registry is not None else _REGISTRY
-    if not reg:
-        raise EmptyRegistry("no cases registered")
-    return [run_case(case_id) for case_id in reg]
+def run_cases() -> list[CaseReport]:
+    return [run_case(case_id) for case_id in _REGISTRY]
 
 
 @dataclass(frozen=True)

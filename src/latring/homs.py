@@ -91,7 +91,10 @@ class MatrixHom:
 
     @classmethod
     def from_int_rows(cls, ints: tuple[IntRow, ...]) -> "MatrixHom":
-        """The matrix whose `int_rows` are `ints`: n reduced rows of n numerators each, n >= 1."""
+        """The matrix whose `int_rows` are `ints`: n reduced rows of n numerators each.
+
+        n = 0 only for the empty block of a diagonal sequence operator.
+        """
         T = object.__new__(cls)
         object.__setattr__(T, "_rows", None)
         object.__setattr__(T, "_ints", ints)
@@ -104,7 +107,7 @@ class MatrixHom:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
-        return MatrixHom, (self.rows,)
+        return MatrixHom.from_int_rows, (self._ints,)
 
     @classmethod
     def identity(cls, n: int) -> "MatrixHom":
@@ -201,9 +204,10 @@ class SeqHom:
 
     Held as `_block`, a K x K `MatrixHom` with the diagonal folded in, and
     `_beyond`, the diagonal from coordinate K on as an `EvSeq`; K is the last
-    row or column with a nonzero off-diagonal entry, or 1 if none has one, so
-    two operators act identically exactly when their parts are equal.  All
-    arithmetic and `apply` run on the parts with the matrix and element code.
+    row or column with a nonzero off-diagonal entry, or 0 if none has one (a
+    diagonal operator holds an empty block), so two operators act identically
+    exactly when their parts are equal.  All arithmetic and `apply` run on
+    the parts with the matrix and element code.
     `diag` (the full diagonal) and `off` (the off-diagonal block as Fractions,
     with zero diagonal) are made only when read.
     """
@@ -218,7 +222,7 @@ class SeqHom:
         k = len(off)
         if any(len(r) != k for r in off):
             raise InvalidElement("finite block must be square")
-        block, beyond = _split(diag, max(k, 1))
+        block, beyond = _split(diag, k)
         self._settle(block + MatrixHom(off) if k else block, beyond)
 
     @classmethod
@@ -233,7 +237,7 @@ class SeqHom:
         The diagonal entries of the rows cut off move to the front of `beyond`.
         """
         ints = block.int_rows
-        k = max([1] + [max(i, j) + 1 for i, (_, nums) in enumerate(ints) for j, a in enumerate(nums) if a and i != j])
+        k = max([0] + [max(i, j) + 1 for i, (_, nums) in enumerate(ints) for j, a in enumerate(nums) if a and i != j])
         if k < len(ints):
             beyond = _diagonal_then(ints, k, beyond)
             block = MatrixHom.from_int_rows(tuple([reduced_row(d, nums[:k]) for d, nums in ints[:k]]))
@@ -262,13 +266,12 @@ class SeqHom:
 
     @cached_property
     def off(self) -> tuple[tuple[Fraction, ...], ...]:
-        rows = self._block.rows if self.block_size else ()
+        rows = self._block.rows
         return tuple(tuple(_ZERO if i == j else a for j, a in enumerate(row)) for i, row in enumerate(rows))
 
     @property
     def block_size(self) -> int:
-        n = self._block.n
-        return n if n > 1 else 0
+        return self._block.n
 
     def _parts(self, n: int) -> tuple[MatrixHom, EvSeq]:
         """The block grown to n x n with the diagonal beyond it, and the diagonal from n on."""
@@ -335,13 +338,25 @@ class SeqHom:
         return self._block.is_positive() and min(self._beyond.int_row[1]) >= 0
 
     def is_diagonal(self) -> bool:
-        return self._block.n == 1
+        return self._block.n == 0
 
     def finite_column_support(self) -> bool:
         return self._beyond.int_row[1][-1] == 0
 
     def support_span(self) -> int:
         return max(self.block_size, len(self.diag.prefix))
+
+    def row_support(self, rows: Iterable[int]) -> set[int]:
+        """The columns with a nonzero entry in any of the given rows."""
+        block, k = self._block.int_rows, self._block.n
+        beyond = self._beyond.int_row[1]
+        support: set[int] = set()
+        for i in rows:
+            if i < k:
+                support.update(j for j, a in enumerate(block[i][1]) if a)
+            elif beyond[min(i - k, len(beyond) - 1)]:
+                support.add(i)
+        return support
 
     def render(self) -> dict:
         doc: dict = {
@@ -399,9 +414,6 @@ class IdentityHom:
     def entrywise_abs(self) -> "IdentityHom":
         return self
 
-    def is_zero(self) -> bool:
-        return False
-
     def is_positive(self) -> bool:
         return True
 
@@ -425,14 +437,6 @@ def _as_seq_hom(h) -> SeqHom:
     if not isinstance(h, SeqHom):
         raise InvalidElement(f"expected a sequence homomorphism, got {h!r}")
     return h
-
-
-def zero_hom_like(T: Hom) -> Hom:
-    if isinstance(T, MatrixHom):
-        return MatrixHom.zero(T.n)
-    if isinstance(T, SeqHom):
-        return SeqHom.zero()
-    raise InvalidElement(f"no zero homomorphism for {T!r}")
 
 
 # ---------------------------------------------------------------------------

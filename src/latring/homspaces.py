@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, reduce
+from operator import add
 from typing import Sequence
 
 from .elements import EvSeq, FinVec
@@ -24,7 +26,7 @@ from .errors import (
     SoundnessBug,
     VacuousProduct,
 )
-from .extended import CoordBounds
+from .extended import INF, CoordBounds
 from .homs import (
     Hom,
     IdentityHom,
@@ -33,7 +35,6 @@ from .homs import (
     SeqHom,
     is_order_bounded,
     positive_part,
-    zero_hom_like,
 )
 from .sampling import rng_for
 from .spaces import Multiplication, Space, SpaceKind, TopologyId, pos_part
@@ -122,30 +123,34 @@ def _nr_candidate(T: Hom, domain: Space) -> Neighborhood | None:
     return None
 
 
-def _nr_verdict(T: Hom, domain: Space, codomain: Space, reading: str) -> ReadingVerdict:
-    if reading == "ring" and codomain.multiplication is Multiplication.ZERO:
-        return ReadingVerdict(
-            True,
-            vacuous=True,
-            via=canonical_generator(domain.topology, domain.dim),
-            note="products vanish in the codomain, so every image is multiplicatively bounded",
-        )
+def _nr_label(T: Hom, domain: Space, codomain: Space) -> BoundednessLabel:
+    """Both nr readings, decided on one image bound: that of the `_nr_candidate`,
+    or of the canonical generator when there is none."""
+    U0 = canonical_generator(domain.topology, domain.dim)
     U = _nr_candidate(T, domain)
-    if U is None:
-        U0 = canonical_generator(domain.topology, domain.dim)
-        img = T.propagate_bounds(U0.bounds())
-        _, _, refuting = _image_ok(img, codomain, reading)
-        return ReadingVerdict(
-            False,
-            via=U0,
-            refuting=refuting,
-            note="coefficients never vanish, so every base neighborhood keeps an unconstrained coordinate",
-        )
-    img = T.propagate_bounds(U.bounds())
-    holds, vacuous, refuting = _image_ok(img, codomain, reading)
-    if holds:
-        return ReadingVerdict(True, vacuous=vacuous, via=U)
-    return ReadingVerdict(False, via=U, refuting=refuting)
+    img = T.propagate_bounds((U0 if U is None else U).bounds())
+
+    def verdict(reading: str) -> ReadingVerdict:
+        if reading == "ring" and codomain.multiplication is Multiplication.ZERO:
+            return ReadingVerdict(
+                True,
+                vacuous=True,
+                via=U0,
+                note="products vanish in the codomain, so every image is multiplicatively bounded",
+            )
+        holds, vacuous, refuting = _image_ok(img, codomain, reading)
+        if U is None:
+            return ReadingVerdict(
+                False,
+                via=U0,
+                refuting=refuting,
+                note="coefficients never vanish, so every base neighborhood keeps an unconstrained coordinate",
+            )
+        if holds:
+            return ReadingVerdict(True, vacuous=vacuous, via=U)
+        return ReadingVerdict(False, via=U, refuting=refuting)
+
+    return BoundednessLabel(ring=verdict("ring"), group=verdict("group"))
 
 
 def _br_verdict(T: Hom, domain: Space, codomain: Space, reading: str) -> ReadingVerdict:
@@ -157,8 +162,7 @@ def _br_verdict(T: Hom, domain: Space, codomain: Space, reading: str) -> Reading
         # With zero multiplication every set is multiplicatively bounded, the
         # whole space included, so the family quantified over contains
         # unbounded-coordinate sets.
-        worst = CoordBounds.all_infinite(None)
-        img = T.propagate_bounds(worst)
+        img = T.propagate_bounds(CoordBounds.sequence((), INF))
         holds, vacuous, refuting = _image_ok(img, codomain, reading)
         if holds:
             return ReadingVerdict(True, vacuous=vacuous)
@@ -179,55 +183,32 @@ def _br_verdict(T: Hom, domain: Space, codomain: Space, reading: str) -> Reading
     # Pointwise multiplication (or the integers): bounded sets have finite
     # per-coordinate bounds, and the shipped forms have finite coefficients,
     # so images stay finite; only a degenerate codomain criterion can fail.
-    if codomain.kind is SpaceKind.Z_DISCRETE and reading == "group":
-        if T.is_zero():
-            return ReadingVerdict(True)
-        bad = FiniteSet(domain, (5,)) if domain.kind is SpaceKind.Z_DISCRETE else None
+    if domain.kind is SpaceKind.Z_DISCRETE and reading == "group":
+        # The identity is the only homomorphism of the integers.
         return ReadingVerdict(
             False,
             refuting=Neighborhood.discrete_zero(),
-            bad_set=bad,
+            bad_set=FiniteSet(domain, (5,)),
             note="multiples of {0} stay {0}, so only the zero map has group-bounded images",
         )
     return ReadingVerdict(True, note="finite coefficient bounds keep finite-bound sets finite")
 
 
 def _continuity(T: Hom, domain: Space, codomain: Space):
+    # T fits both spaces, so they share the carrier: only their topologies differ.
     if domain.kind is SpaceKind.Z_DISCRETE:
         return True, None, "the base neighborhood {0} maps into every target"
-    if codomain.kind is SpaceKind.Z_DISCRETE:
-        if T.is_zero():
-            return True, None, "the zero map lands in {0}"
-        return False, Neighborhood.discrete_zero(), "no box maps into {0} under a nonzero map"
-    if domain.kind is SpaceKind.QN and codomain.kind is SpaceKind.QN:
+    if domain.kind is SpaceKind.QN:
         return True, None, "shrink the box by the largest row sum"
-    if domain.kind is SpaceKind.EVSEQ and codomain.kind is SpaceKind.EVSEQ:
-        pair = (domain.topology, codomain.topology)
-        if pair == (TopologyId.EVSEQ_PRODUCT, TopologyId.EVSEQ_SUPNORM):
-            if T.finite_column_support():
-                return True, None, "finitely supported coefficients pull sup-norm balls back to product boxes"
-            return (
-                False,
-                Neighborhood.sup_ball(1),
-                "every product-base neighborhood leaves coordinates free, but the ball constrains all of them",
-            )
-        return True, None, "pull back the target's constrained coordinates through the rows"
-    raise InvalidElement("no shipped homomorphism crosses these carriers")
-
-
-def _row_support(T: Hom, rows) -> set[int]:
-    support: set[int] = set()
-    if isinstance(T, SeqHom):
-        k = T.block_size
-        for i in rows:
-            if T.diag.at(i) != 0:
-                support.add(i)
-            if i < k:
-                support.update(j for j in range(k) if T.off[i][j] != 0)
-    elif isinstance(T, MatrixHom):
-        for i in rows:
-            support.update(j for j, a in enumerate(T.int_rows[i][1]) if a)
-    return support
+    if (domain.topology, codomain.topology) == (TopologyId.EVSEQ_PRODUCT, TopologyId.EVSEQ_SUPNORM):
+        if T.finite_column_support():
+            return True, None, "finitely supported coefficients pull sup-norm balls back to product boxes"
+        return (
+            False,
+            Neighborhood.sup_ball(1),
+            "every product-base neighborhood leaves coordinates free, but the ball constrains all of them",
+        )
+    return True, None, "pull back the target's constrained coordinates through the rows"
 
 
 def classify(T: Hom, domain: Space, codomain: Space) -> ClassLabel:
@@ -243,10 +224,7 @@ def classify(T: Hom, domain: Space, codomain: Space) -> ClassLabel:
             else EvSeq.constant(1)
         )
         order_witness = is_order_bounded(T, probe)
-    nr = BoundednessLabel(
-        ring=_nr_verdict(T, domain, codomain, "ring"),
-        group=_nr_verdict(T, domain, codomain, "group"),
-    )
+    nr = _nr_label(T, domain, codomain)
     br = BoundednessLabel(
         ring=_br_verdict(T, domain, codomain, "ring"),
         group=_br_verdict(T, domain, codomain, "group"),
@@ -291,6 +269,10 @@ class HomNet:
             raise InvalidElement("a net is either closed-form (base, decay) or a table of terms")
         if self.terms is not None and not self.terms:
             raise InvalidElement("table nets need at least one term")
+        for T in (self.base, self.decay, self.target, *(self.terms or ())):
+            if T is not None:
+                _check_hom_fits(T, self.domain)
+                _check_hom_fits(T, self.codomain)
 
     @classmethod
     def closed(cls, domain: Space, codomain: Space, base: Hom, decay: Hom, target: Hom | None = None):
@@ -300,7 +282,7 @@ class HomNet:
     def constant(cls, domain: Space, codomain: Space, T: Hom):
         if domain.kind is SpaceKind.Z_DISCRETE:
             raise InvalidElement("nets are shipped for the matrix and sequence forms only")
-        return cls(domain, codomain, base=T, decay=zero_hom_like(T), target=T)
+        return cls(domain, codomain, base=T, decay=T.scale(0), target=T)
 
     @classmethod
     def table(cls, domain: Space, codomain: Space, terms: Sequence[Hom], target: Hom | None = None):
@@ -380,7 +362,6 @@ class ConvergenceCertificate:
     region: object = None                 # Neighborhood (nr) or SetDesc (br)
     region_bounds: CoordBounds | None = None
     residual_bounds: CoordBounds | None = None
-    decay_bounds: CoordBounds | None = None
     witness: Neighborhood | None = None   # refuting V when not convergent
 
     def target(self, V: Neighborhood, W: Neighborhood | None) -> Neighborhood:
@@ -412,19 +393,16 @@ class ConvergenceCertificate:
         if top is TopologyId.EVSEQ_PRODUCT:
             if W.topology is not TopologyId.EVSEQ_PRODUCT:
                 raise InvalidNeighborhood("W must come from the domain base")
-            support = _row_support(self._decay_hom(), W.coords) | set(W.coords)
+            support = self._decay_hom.row_support(W.coords) | set(W.coords)
             return Neighborhood.product(support or {0}, 1)
         return canonical_generator(top, self.net.domain.dim)
 
+    @cached_property
     def _decay_hom(self) -> Hom:
         if self.net.is_closed_form:
             return self.net.decay
         # Table nets: any coefficient ever touched matters for support.
-        acc = zero_hom_like(self.net.terms[0])
-        for t in self.net.terms:
-            d = t - self.limit
-            acc = acc + d.entrywise_abs()
-        return acc
+        return reduce(add, [(t - self.limit).entrywise_abs() for t in self.net.terms])
 
     def alpha0_for(self, V: Neighborhood, W: Neighborhood | None = None) -> int:
         """Least entry index from which every term's difference sits inside the target."""
@@ -507,7 +485,6 @@ def _uniform_convergence(
 ) -> ConvergenceCertificate:
     residual_img = (net.eventual_term() - limit).propagate_bounds(region_bounds)
     escaping = residual_img if residual_img.overall_sup() != 0 else None
-    decay_img = None
     if escaping is None and net.is_closed_form:
         decay_img = net.decay.propagate_bounds(region_bounds)
         if decay_img.first_infinite_index() is not None:
@@ -520,7 +497,6 @@ def _uniform_convergence(
         region=region,
         region_bounds=region_bounds,
         residual_bounds=residual_img,
-        decay_bounds=decay_img,
         witness=None if escaping is None else refuting_nbhd(escaping, net.codomain.topology),
     )
 
@@ -601,7 +577,7 @@ def lattice_continuity_audit(
     each.  `region` is as for `converges`.
     """
     diff = net_t.diff(net_s)
-    cert = converges(diff, zero_hom_like(diff.term(1)), mode, region)
+    cert = converges(diff, diff.term(1).scale(0), mode, region)
     if not cert.convergent:
         raise InvalidArgument("the difference net must converge to zero in the given mode")
 

@@ -370,6 +370,8 @@ def _parse_task(task, section: str) -> dict:
     for key in ("seed", "cases"):
         if key in task and not _is_int(task[key]):
             raise SpecFileError(f"{section}: {key!r} must be a JSON integer, got {task[key]!r}")
+    if task.get("cases", 1) < 1:
+        raise SpecFileError(f"{section}: 'cases' must be a positive integer, got {task['cases']}")
     return task
 
 

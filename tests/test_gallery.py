@@ -2,8 +2,8 @@
 
 import pytest
 
-from latring import EmptyRegistry, UnknownCase
-from latring.gallery import CASE_IDS, load_expected, run_all, run_case, run_cases
+from latring import UnknownCase
+from latring.gallery import CASE_IDS, load_expected, run_all, run_case
 
 
 def test_all_cases_pass():
@@ -35,11 +35,6 @@ def test_corrupted_expectation_surfaces_as_named_diff():
     report = run_case("A_product_identity", expected)
     assert not report.passed
     assert any(d.startswith("flags.continuous") for d in report.diffs)
-
-
-def test_empty_registry_guarded():
-    with pytest.raises(EmptyRegistry):
-        run_cases(registry={})
 
 
 def test_run_all_aggregates_cases_and_laws():

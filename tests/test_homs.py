@@ -614,6 +614,17 @@ def test_seq_bounds_match_fraction_formula(case, b):
     assert h.propagate_bounds(b) == _fraction_seq_bounds(window, tail, b)
 
 
+def test_a_diagonal_operator_holds_an_empty_block():
+    d = EvSeq.of(F(1, 2), 2, tail=1)
+    h = SeqHom.diag_plus_block(EvSeq.of(1, tail=0), ((0, 3), (-1, 0)))
+    forms = (SeqHom.diagonal(d), SeqHom.diag_plus_block(d, ((0, 0), (0, 0))), h - h + SeqHom.diagonal(d))
+    for g in forms + (pickle.loads(pickle.dumps(forms[0])),):
+        assert g == forms[0] and hash(g) == hash(forms[0]) and g.render() == forms[0].render()
+        assert g.block_size == 0 and g.is_diagonal() and g.off == ()
+    assert forms[0].render() == {"kind": "diagonal", "prefix": ["1/2", "2"], "tail": "1"}
+    assert forms[0].apply(EvSeq.of(4, 3, tail=-1)) == EvSeq.of(2, 6, tail=-1)
+
+
 def test_seq_hom_parts_examples():
     # A block whose last row and column carry only the diagonal is cut back.
     h = SeqHom.diag_plus_block(EvSeq.of(1, 2, 3, tail=0), ((0, 5, 0), (0, 0, 0), (0, 0, 7)))

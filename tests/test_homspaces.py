@@ -10,6 +10,7 @@ from latring import (
     IdentityHom,
     Interval,
     InvalidArgument,
+    InvalidElement,
     MatrixHom,
     Multiplication,
     NbhdSet,
@@ -303,6 +304,42 @@ def test_cr_refuses_a_net_between_different_spaces():
     net = HomNet.constant(PROD, SUP, SeqHom.identity())
     with pytest.raises(InvalidArgument):
         cr_converges(net, SeqHom.identity())
+
+
+def test_nets_refuse_homs_that_do_not_act_on_their_spaces():
+    M, I3 = MatrixHom([[1, 0], [0, 1]]), MatrixHom.identity(3)
+    with pytest.raises(InvalidElement, match="does not act on sequences"):
+        HomNet.closed(PROD, PROD, M, M, target=M)
+    with pytest.raises(InvalidElement, match="does not act on Q\\^3"):
+        HomNet.table(Q3, Q3, [M, M])
+    for build in (
+        lambda: HomNet.closed(Q3, Q3, I3, I3, target=M),
+        lambda: HomNet.closed(Q3, Q3, I3, M),
+        lambda: HomNet.table(Q3, Q3, [I3, M, I3]),
+        lambda: HomNet.table(PROD, SUP, [SeqHom.identity(), I3]),
+        lambda: HomNet.constant(Q3, Space.qn(2), I3),
+    ):
+        with pytest.raises(InvalidElement, match="does not act on"):
+            build()
+    # On the integers the refusal names the carrier before any hom.
+    Z = Space.z_discrete()
+    with pytest.raises(InvalidElement, match="nets are shipped for the matrix and sequence forms only"):
+        HomNet.closed(Z, Z, M, M)
+
+
+def test_table_net_differences():
+    one, zero = SeqHom.identity(), SeqHom.zero()
+    a = HomNet.table(SUP, SUP, [one, one.scale(F(1, 2)), zero])
+    b = HomNet.table(SUP, SUP, [zero, one.scale(F(1, 4)), zero])
+    d = a.diff(b)
+    assert not d.is_closed_form and (d.domain, d.codomain) == (SUP, SUP)
+    assert d.terms == (one, one.scale(F(1, 4)), zero) and d.term(9) == zero
+    with pytest.raises(InvalidElement, match="table nets of different lengths"):
+        a.diff(HomNet.table(SUP, SUP, [one, zero]))
+    with pytest.raises(InvalidElement, match="cannot mix closed-form and table nets"):
+        a.diff(HomNet.constant(SUP, SUP, zero))
+    with pytest.raises(InvalidElement, match="cannot mix closed-form and table nets"):
+        HomNet.constant(SUP, SUP, zero).diff(a)
 
 
 def _mode_nets():

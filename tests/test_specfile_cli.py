@@ -435,6 +435,90 @@ def test_task_missing_or_mistyped_argument_exits_2(task, message, tmp_path, caps
 
 
 @pytest.mark.parametrize(
+    "task, message",
+    [
+        ({"op": "posp", "hom": "t", "cases": 0}, "tasks[4]: 'cases' must be a positive integer, got 0"),
+        ({"op": "converge", "net": "shrinking", "mode": "xr", "region": "unit_box"}, "tasks[4]: unknown mode 'xr'"),
+        ({"op": "laws", "instance": "no_such_instance"}, "tasks[4]: no instance named 'no_such_instance'"),
+        ({"op": "converge", "net": "shrinking", "mode": "nr", "region": "no_such_set"},
+         "tasks[4]: no set named 'no_such_set'"),
+    ],
+    ids=["cases", "mode", "instance", "region"],
+)
+def test_task_input_error_names_its_task(task, message, tmp_path, capsys):
+    spec = json.loads(Path(QN2_SPEC).read_text())
+    spec["tasks"].append(task)
+    path = tmp_path / "tasks.json"
+    path.write_text(json.dumps(spec))
+    _assert_input_error(["run", "--spec", str(path)], message, capsys)
+
+
+def test_run_checks_its_own_cases_before_any_task(capsys):
+    _assert_input_error(["run", "--spec", EVSEQ_SPEC, "--cases", "0"], "error: --cases must be a positive integer", capsys)
+
+
+def test_converge_on_a_net_without_target_exits_2(tmp_path, capsys):
+    spec = json.loads(Path(QN2_SPEC).read_text())
+    spec["nets"]["aimless"] = {"kind": "closed", "base": "t", "decay": "m"}
+    path = tmp_path / "aimless.json"
+    path.write_text(json.dumps(spec))
+    message = "net 'aimless' carries no target to converge to"
+    _assert_input_error(["converge", "aimless", "--mode", "cr", "--spec", str(path)], message, capsys)
+
+
+def _converge_report(spec, argv, tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert main(["converge", *argv, "--spec", str(path), "--format", "machine"]) == 0
+    (result,) = json.loads(capsys.readouterr().out)["results"].values()
+    return result
+
+
+def test_table_nets_read_from_a_spec_file(tmp_path, capsys):
+    # Q^2 in cr: term 1 (m - t has row sums 4 and 8) escapes the unit box, terms 2 on equal t.
+    spec = json.loads(Path(QN2_SPEC).read_text())
+    spec["nets"]["settling"] = {"kind": "table", "terms": ["m", "t", "t"], "target": "t"}
+    result = _converge_report(spec, ["settling", "--mode", "cr"], tmp_path, capsys)
+    assert (result["verdict"], result["alpha0"], result["recheck_at_alpha0_and_plus7"]) == ("CONVERGENT", 2, "PASS")
+    # Sequences in br on an image set: d - b puts 4 * 5 + 1 * 0 at coordinate 0, so term 1 escapes.
+    spec = {
+        "space": {"kind": "evseq"},
+        "homs": {
+            "d": {"kind": "diagonal", "prefix": ["5"], "tail": "0"},
+            "b": {"kind": "diag_plus_finite", "prefix": ["1"], "tail": "0", "block": [["0", "1"], ["0", "0"]]},
+        },
+        "sets": {
+            "iv": {"kind": "interval", "lo": {"prefix": [], "tail": "-1"}, "hi": {"prefix": [], "tail": "1"}},
+            "img": {"kind": "image", "hom": "d", "base": "iv"},
+        },
+        "nets": {"table": {"kind": "table", "terms": ["d", "b", "b"], "target": "b"}},
+    }
+    result = _converge_report(spec, ["table", "--mode", "br", "--region", "img"], tmp_path, capsys)
+    assert (result["verdict"], result["alpha0"], result["recheck_at_alpha0_and_plus7"]) == ("CONVERGENT", 2, "PASS")
+
+
+@pytest.mark.parametrize(
+    "hom, positive_part",
+    [
+        # A block: the window covers the support plus one coordinate of the tail.
+        ({"kind": "diag_plus_finite", "prefix": ["1", "-2"], "tail": "-1/2", "block": [["0", "3"], ["-1", "0"]]},
+         {"kind": "diag_plus_finite", "prefix": ["1"], "tail": "0", "block": [["0", "3"], ["0", "0"]]}),
+        # A diagonal longer than the window of 8 coordinates.
+        ({"kind": "diagonal", "prefix": ["1", "-1", "2", "-2", "3", "-3", "4", "-4", "5", "-5"], "tail": "7"},
+         {"kind": "diagonal", "prefix": ["1", "0", "2", "0", "3", "0", "4", "0", "5", "0"], "tail": "7"}),
+    ],
+    ids=["block", "long-diagonal"],
+)
+def test_posp_on_a_sequence_operator(hom, positive_part, tmp_path, capsys):
+    path = tmp_path / "seq.json"
+    path.write_text(json.dumps({"space": {"kind": "evseq"}, "homs": {"h": hom}}))
+    assert main(["posp", "h", "--cases", "20", "--spec", str(path), "--format", "machine"]) == 0
+    result = json.loads(capsys.readouterr().out)["results"]["posp:h"]
+    assert result["positive_part"] == positive_part
+    assert result["oracle_agreement"] == "20/20" and result["tail_agreement"] is True
+
+
+@pytest.mark.parametrize(
     "space, hom, dim",
     [
         ({"kind": "qn", "dim": 17}, {"kind": "matrix", "rows": [["1"] * 17] * 17}, 17),

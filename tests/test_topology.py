@@ -30,14 +30,25 @@ from latring import (
     set_ring_bounded,
     solid_hull,
 )
-from latring.extended import ext_le, is_inf
+from latring.extended import INF, CoordBounds, ext_le, is_inf
 from latring.sampling import rand_element, rng_for
-from latring.topology import non_solid_witness
+from latring.topology import non_solid_witness, refuting_nbhd
 
 PROD = Space.evseq(TopologyId.EVSEQ_PRODUCT)
 SUP = Space.evseq(TopologyId.EVSEQ_SUPNORM)
 Q2 = Space.qn(2)
 ZD = Space.z_discrete()
+
+
+def test_refuting_nbhd_on_finite_bounds():
+    # Product base: with no free coordinate, halve the first nonzero bound.
+    b = CoordBounds.sequence((F(0), F(3), F(5)), F(0))
+    U = refuting_nbhd(b, TopologyId.EVSEQ_PRODUCT)
+    assert U == Neighborhood.product({1}, F(3, 2)) and not b.within(U.bounds())
+    # Q^n: halve each nonzero finite bound, radius 1 on a zero or INF coordinate.
+    b = CoordBounds.finite_dim((F(0), INF, F(4)))
+    U = refuting_nbhd(b, TopologyId.QN_BOX)
+    assert U == Neighborhood.box((1, 1, 2)) and not b.within(U.bounds())
 
 
 def test_nbhd_membership_examples():
