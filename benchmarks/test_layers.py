@@ -3,7 +3,7 @@
 Each benchmark times one call of one layer on fixed seeded inputs: element
 lattice ops and the order, matrix and sequence apply, the vertex oracle,
 bound propagation, the two boundedness deciders, the convergence threshold
-of each mode, and classification.
+of each mode, classification, and the law suites.
 This directory is outside the tier-1 `testpaths`; run it on its own:
 
     PYTHONPATH=src python -m pytest benchmarks -q --benchmark-json OUT.json
@@ -31,6 +31,7 @@ from latring import (
     converges,
     sup_over_interval_oracle,
 )
+from latring.audits import INSTANCES, all_suites, lattice_law_suite
 from latring.sampling import rand_element, rand_matrix_rows, rand_pos_element, rng_for
 from latring.topology import bounds_group_bounded, bounds_ring_bounded
 
@@ -180,3 +181,15 @@ def _classify_inputs(kind):
 def test_classify(benchmark, kind):
     T, space = _classify_inputs(kind)
     benchmark(classify, T, space, space)
+
+
+@pytest.mark.parametrize("instance", ["q3", "evseq"])
+def test_lattice_law_suite(benchmark, instance):
+    inst = INSTANCES["q3_pointwise" if instance == "q3" else "evseq_product_pointwise"]
+    results = benchmark(lattice_law_suite, inst, 0, 320)
+    assert all(r.passed for r in results)
+
+
+def test_all_suites(benchmark):
+    results = benchmark(all_suites, 0, 320)
+    assert all(r.passed for r in results)

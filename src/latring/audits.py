@@ -132,68 +132,64 @@ def get_instance(name: str) -> LawInstance:
     return INSTANCES[name]
 
 
+def _tally(name: str, provenance: str, outcomes: list[str | None]) -> CheckResult:
+    """One result over a suite's cases: each outcome is None where the law held,
+    or a description of the case where it failed; the first one is the detail."""
+    failures = [o for o in outcomes if o is not None]
+    return CheckResult(name, not failures, len(outcomes), failures[0] if failures else "", provenance)
+
+
 # ---------------------------------------------------------------------------
 # Element-level law suites.
+
+# Each element law with its provenance, in report order.
+_ELEMENT_LAWS = (
+    ("join-meet-sum", "lattice identities"),
+    ("triangle-inequality", "lattice identities"),
+    ("ring-compatibility", "lattice-ring axiom"),
+    ("pos-neg-split", "lattice identities"),
+    ("archimedean-witness", "archimedean order"),
+)
+
 
 def lattice_law_suite(instance: LawInstance, seed: int = 0, cases: int = 1000) -> list[CheckResult]:
     space = instance.space
     rng = rng_for(seed)
     zero = space.zero()
-    counts = {"join-meet-sum": 0, "triangle-inequality": 0, "ring-compatibility": 0,
-              "pos-neg-split": 0, "archimedean-witness": 0}
-    fails: dict[str, str] = {}
 
-    def record(law: str, good: bool, context: str):
-        if good:
-            counts[law] += 1
-        else:
-            fails.setdefault(law, context)
-
-    for _ in range(cases):
+    def case() -> tuple:
         x = rand_element(rng, space)
         y = rand_element(rng, space)
-        record("join-meet-sum", join(space, x, y) + meet(space, x, y) == x + y, f"{x!r}, {y!r}")
-        record(
-            "triangle-inequality",
-            abs_val(space, x + y) <= abs_val(space, x) + abs_val(space, y),
-            f"{x!r}, {y!r}",
-        )
-        prod = instance.product(x, y)
-        record(
-            "ring-compatibility",
-            abs_val(space, prod) <= instance.product(abs_val(space, x), abs_val(space, y)),
-            f"{x!r}, {y!r}",
-        )
         xp, xn = pos_part(space, x), neg_part(space, x)
-        record(
-            "pos-neg-split",
+        held = (
+            join(space, x, y) + meet(space, x, y) == x + y,
+            abs_val(space, x + y) <= abs_val(space, x) + abs_val(space, y),
+            abs_val(space, instance.product(x, y)) <= instance.product(abs_val(space, x), abs_val(space, y)),
             xp - xn == x and xp + xn == abs_val(space, x) and meet(space, xp, xn) == zero,
-            f"{x!r}",
+            _archimedean_holds(space, zero, x, y),
         )
-        w = archimedean_witness(space, x, y)
-        if w.x_nonpositive:
-            arch_ok = x <= zero
-        else:
-            escaped = not (_nscale(space, w.n, x) <= y)
-            minimal = w.n == 1 or _nscale(space, w.n - 1, x) <= y
-            arch_ok = escaped and minimal
-        record("archimedean-witness", arch_ok, f"{x!r}, {y!r}")
+        if all(held):
+            return (None,) * len(held)
+        pair = f"{x!r}, {y!r}"
+        return tuple([None if good else ctx for good, ctx in zip(held, (pair, pair, pair, f"{x!r}", pair))])
 
-    provenance = {
-        "join-meet-sum": "lattice identities",
-        "triangle-inequality": "lattice identities",
-        "ring-compatibility": "lattice-ring axiom",
-        "pos-neg-split": "lattice identities",
-        "archimedean-witness": "archimedean order",
-    }
-    results = [
-        CheckResult(law, counts[law] == cases, cases, fails.get(law, ""), provenance[law])
-        for law in counts
-    ]
+    outcomes = [case() for _ in range(cases)]
+    results = [_tally(law, provenance, [o[k] for o in outcomes]) for k, (law, provenance) in enumerate(_ELEMENT_LAWS)]
     results.append(f_ring_suite(instance, seed, max(cases // 4, 8)))
     if space.kind is SpaceKind.EVSEQ:
         results.append(canonical_idempotence_suite(seed, max(cases // 4, 8)))
     return results
+
+
+def _archimedean_holds(space: Space, zero, x, y) -> bool:
+    """Whether the Archimedean witness for (x, y) is right: the least n with
+    n*x not <= y, or, when it reports x <= 0, x <= 0 indeed."""
+    w = archimedean_witness(space, x, y)
+    if w.x_nonpositive:
+        return x <= zero
+    escaped = not (_nscale(space, w.n, x) <= y)
+    minimal = w.n == 1 or _nscale(space, w.n - 1, x) <= y
+    return escaped and minimal
 
 
 def _nscale(space: Space, n: int, x):
@@ -224,15 +220,16 @@ def f_ring_suite(instance: LawInstance, seed: int = 0, cases: int = 250) -> Chec
 
 def canonical_idempotence_suite(seed: int = 0, cases: int = 250) -> CheckResult:
     rng = rng_for(seed)
-    ok = 0
-    for _ in range(cases):
+
+    def case() -> str | None:
         tail = rand_rat(rng)
         raw = tuple(rand_rat(rng) for _ in range(rng.randint(0, 4))) + (tail,) * rng.randint(0, 3)
         s = EvSeq(raw, tail)
         t = s.canonical().canonical()
-        if t == s.canonical() and all(t.at(i) == (raw[i] if i < len(raw) else tail) for i in range(len(raw) + 2)):
-            ok += 1
-    return CheckResult("evseq-canonical-idempotence", ok == cases, cases, "", "canonical forms")
+        good = t == s.canonical() and all(t.at(i) == (raw[i] if i < len(raw) else tail) for i in range(len(raw) + 2))
+        return None if good else f"canonical form unstable for {s!r}"
+
+    return _tally("evseq-canonical-idempotence", "canonical forms", [case() for _ in range(cases)])
 
 
 # ---------------------------------------------------------------------------
@@ -241,17 +238,15 @@ def canonical_idempotence_suite(seed: int = 0, cases: int = 250) -> CheckResult:
 def rk_agreement_suite(seed: int = 0, cases: int = 500) -> CheckResult:
     """Closed-form positive part against the vertex-enumeration oracle."""
     rng = rng_for(seed)
-    ok = 0
-    detail = ""
-    for _ in range(cases):
+
+    def case() -> str | None:
         n = rng.randint(1, 6)
         T = MatrixHom(rand_matrix_rows(rng, n))
         x = rand_pos_element(rng, Space.qn(n))
-        if positive_part(T).apply(x) == sup_over_interval_oracle(T, x):
-            ok += 1
-        elif not detail:
-            detail = f"disagreement for {T!r} at {x!r}"
-    return CheckResult("positive-part-vertex-oracle", ok == cases, cases, detail, "positive-part formula")
+        good = positive_part(T).apply(x) == sup_over_interval_oracle(T, x)
+        return None if good else f"disagreement for {T!r} at {x!r}"
+
+    return _tally("positive-part-vertex-oracle", "positive-part formula", [case() for _ in range(cases)])
 
 
 def decomposition_suite(seed: int = 0, cases: int = 1000) -> CheckResult:
@@ -260,9 +255,8 @@ def decomposition_suite(seed: int = 0, cases: int = 1000) -> CheckResult:
 
     space = Space.qn(5)
     rng = rng_for(seed)
-    ok = 0
-    detail = ""
-    for i in range(cases):
+
+    def case(i: int) -> str | None:
         y1 = rand_element(rng, space)
         y2 = rand_element(rng, space)
         cap = abs(y1) + abs(y2)
@@ -270,11 +264,9 @@ def decomposition_suite(seed: int = 0, cases: int = 1000) -> CheckResult:
         low = -24 if i % 2 == 0 else 0
         x = FinVec(tuple(Fraction(rng.randint(low, 24), 24) * c for c in cap))
         x1, x2 = riesz_decompose(space, x, y1, y2)
-        if decomposition_failure(space, x, y1, y2, x1, x2) is None:
-            ok += 1
-        elif not detail:
-            detail = f"postcondition failed at x={x!r}"
-    return CheckResult("interval-decomposition", ok == cases, cases, detail, "decomposition postconditions")
+        return None if decomposition_failure(space, x, y1, y2, x1, x2) is None else f"postcondition failed at x={x!r}"
+
+    return _tally("interval-decomposition", "decomposition postconditions", [case(i) for i in range(cases)])
 
 
 def cone_extension_suite(seed: int = 0, cases: int = 200) -> list[CheckResult]:
@@ -284,19 +276,16 @@ def cone_extension_suite(seed: int = 0, cases: int = 200) -> list[CheckResult]:
     from .homs import ConeMap, extend_from_cone
 
     rng = rng_for(seed)
-    ok = 0
-    detail = ""
-    for _ in range(cases):
+
+    def case() -> str | None:
         n = rng.randint(1, 4)
         T = MatrixHom(rand_matrix_rows(rng, n))
         space = Space.qn(n)
         ext = extend_from_cone(ConeMap(space, hom=T), samples=5, seed=rng.randint(0, 10**6))
         x = rand_element(rng, space)
-        if ext.apply(x) == T.apply(x):
-            ok += 1
-        elif not detail:
-            detail = f"extension drifted from {T!r} at {x!r}"
-    reproduce = CheckResult("cone-extension-reproduces", ok == cases, cases, detail, "cone extension")
+        return None if ext.apply(x) == T.apply(x) else f"extension drifted from {T!r} at {x!r}"
+
+    reproduce = _tally("cone-extension-reproduces", "cone extension", [case() for _ in range(cases)])
 
     space = Space.qn(2)
     bad = ConeMap(
@@ -321,9 +310,8 @@ def cone_extension_suite(seed: int = 0, cases: int = 200) -> list[CheckResult]:
 def hom_lattice_suite(seed: int = 0, cases: int = 500) -> CheckResult:
     """T = T+ - T-, |T| = T+ + T-, T+ /\\ T- = 0, and modularity for joins/meets."""
     rng = rng_for(seed)
-    ok = 0
-    detail = ""
-    for _ in range(cases):
+
+    def case() -> str | None:
         n = rng.randint(1, 5)
         T = MatrixHom(rand_matrix_rows(rng, n))
         S = MatrixHom(rand_matrix_rows(rng, n))
@@ -334,19 +322,16 @@ def hom_lattice_suite(seed: int = 0, cases: int = 500) -> CheckResult:
             and hom_meet(positive_part(T), negative_part(T)) == zero
             and hom_join(T, S) + hom_meet(T, S) == T + S
         )
-        if good:
-            ok += 1
-        elif not detail:
-            detail = f"law failed for {T!r}, {S!r}"
-    return CheckResult("hom-lattice-laws", ok == cases, cases, detail, "operator lattice identities")
+        return None if good else f"law failed for {T!r}, {S!r}"
+
+    return _tally("hom-lattice-laws", "operator lattice identities", [case() for _ in range(cases)])
 
 
 def directed_sup_suite(seed: int = 0, cases: int = 100) -> CheckResult:
     """The finite directed supremum dominates members and respects upper bounds."""
     rng = rng_for(seed)
-    ok = 0
-    detail = ""
-    for _ in range(cases):
+
+    def case() -> str | None:
         n = rng.randint(2, 4)
         family = [MatrixHom(rand_matrix_rows(rng, n)) for _ in range(rng.randint(2, 5))]
         envelope = family[0]
@@ -359,11 +344,9 @@ def directed_sup_suite(seed: int = 0, cases: int = 100) -> CheckResult:
         dominates = all((S - T).positive_part() == S - T for T in family)
         below = (upper - S).positive_part() == upper - S
         pointwise = S.apply(x) == _coordmax(T.apply(x) for T in family + [S])
-        if dominates and below and pointwise:
-            ok += 1
-        elif not detail:
-            detail = f"supremum audit failed for a family of {len(family)}"
-    return CheckResult("directed-sup", ok == cases, cases, detail, "finite directed suprema")
+        return None if dominates and below and pointwise else f"supremum audit failed for a family of {len(family)}"
+
+    return _tally("directed-sup", "finite directed suprema", [case() for _ in range(cases)])
 
 
 def _coordmax(vectors) -> FinVec:
@@ -382,18 +365,15 @@ _BOX_INSTANCE_NAMES = ("q2_pointwise", "q5_pointwise", "evseq_product_pointwise"
 def solid_hull_suite(seed: int = 0, cases: int = 500) -> CheckResult:
     """Hulls of bounded finite sets stay bounded with identical coordinate bounds."""
     rng = rng_for(seed)
-    ok = 0
-    detail = ""
-    for i in range(cases):
+
+    def case(i: int) -> str | None:
         inst = INSTANCES[_BOX_INSTANCE_NAMES[i % len(_BOX_INSTANCE_NAMES)]]
         pts = tuple(rand_element(rng, inst.space) for _ in range(rng.randint(1, 4)))
-        S = FiniteSet(inst.space, pts)
-        rep = hull_bounded_preservation(S)
-        if rep.generators_verdict.bounded and rep.hull_verdict.bounded and rep.bounds_equal:
-            ok += 1
-        elif not detail:
-            detail = f"hull mismatch on {inst.name}"
-    return CheckResult("solid-hull-preserves-bounded", ok == cases, cases, detail, "solid hulls")
+        rep = hull_bounded_preservation(FiniteSet(inst.space, pts))
+        good = rep.generators_verdict.bounded and rep.hull_verdict.bounded and rep.bounds_equal
+        return None if good else f"hull mismatch on {inst.name}"
+
+    return _tally("solid-hull-preserves-bounded", "solid hulls", [case(i) for i in range(cases)])
 
 
 def rand_setdesc(rng: random.Random, space: Space) -> SetDesc:
@@ -430,18 +410,12 @@ def _rand_nbhd(rng: random.Random, space: Space) -> Neighborhood:
 def boundedness_agreement_suite(seed: int = 0, cases: int = 500) -> CheckResult:
     """On pointwise box-base instances the two boundedness readings agree."""
     rng = rng_for(seed)
-    ok = 0
-    detail = ""
-    for i in range(cases):
-        inst = INSTANCES[_BOX_INSTANCE_NAMES[i % len(_BOX_INSTANCE_NAMES)]]
-        S = rand_setdesc(rng, inst.space)
-        ring = set_ring_bounded(S)
-        group = set_group_bounded(S)
-        if ring.bounded == group.bounded:
-            ok += 1
-        elif not detail:
-            detail = f"readings disagree on {S!r}"
-    return CheckResult("ring-group-agreement", ok == cases, cases, detail, "boundedness deciders")
+
+    def case(i: int) -> str | None:
+        S = rand_setdesc(rng, INSTANCES[_BOX_INSTANCE_NAMES[i % len(_BOX_INSTANCE_NAMES)]].space)
+        return None if set_ring_bounded(S).bounded == set_group_bounded(S).bounded else f"readings disagree on {S!r}"
+
+    return _tally("ring-group-agreement", "boundedness deciders", [case(i) for i in range(cases)])
 
 
 def sampler_bound_suite(seed: int = 0, cases: int = 300) -> CheckResult:
@@ -449,18 +423,13 @@ def sampler_bound_suite(seed: int = 0, cases: int = 300) -> CheckResult:
     from .topology import sample_member
 
     rng = rng_for(seed)
-    ok = 0
-    detail = ""
-    for i in range(cases):
-        inst = INSTANCES[_BOX_INSTANCE_NAMES[i % len(_BOX_INSTANCE_NAMES)]]
-        S = rand_setdesc(rng, inst.space)
+
+    def case(i: int) -> str | None:
+        S = rand_setdesc(rng, INSTANCES[_BOX_INSTANCE_NAMES[i % len(_BOX_INSTANCE_NAMES)]].space)
         beta = coordinate_bounds(S)
-        x = sample_member(S, rng)
-        if element_bounds(x).within(beta):
-            ok += 1
-        elif not detail:
-            detail = f"sample escaped bounds on {S!r}"
-    return CheckResult("member-sampler-within-bounds", ok == cases, cases, detail, "bound functions")
+        return None if element_bounds(sample_member(S, rng)).within(beta) else f"sample escaped bounds on {S!r}"
+
+    return _tally("member-sampler-within-bounds", "bound functions", [case(i) for i in range(cases)])
 
 
 def fatou_suite() -> CheckResult:
@@ -514,22 +483,20 @@ def _sample_nets():
 
 def convergence_recheck_suite(seed: int = 0) -> CheckResult:
     """Certificates re-verify at the threshold and seven entries past it."""
-    nets = _sample_nets()
-    checks = 0
-    detail = ""
-    ok = True
-    for mode, (net, limit, region, pairs) in nets.items():
+    outcomes = []
+    for mode, (net, limit, region, pairs) in _sample_nets().items():
         cert = converges(net, limit, mode, region)
         if not cert.convergent:
-            return CheckResult("certificate-recheck", False, checks, f"{mode} net unexpectedly divergent", "convergence")
+            return CheckResult(
+                "certificate-recheck", False, len(outcomes), f"{mode} net unexpectedly divergent", "convergence"
+            )
         for V, W in pairs:
             a0 = cert.alpha0_for(V, W)
-            for alpha in (a0, a0 + 7):
-                checks += 1
-                if not cert.verify_at(alpha, V, W):
-                    ok = False
-                    detail = detail or f"{mode} recheck failed at alpha={alpha}"
-    return CheckResult("certificate-recheck", ok, checks, detail, "convergence certificates")
+            outcomes += [
+                None if cert.verify_at(alpha, V, W) else f"{mode} recheck failed at alpha={alpha}"
+                for alpha in (a0, a0 + 7)
+            ]
+    return _tally("certificate-recheck", "convergence certificates", outcomes)
 
 
 def uniqueness_suite(seed: int = 0, cases: int = 50) -> CheckResult:
@@ -539,9 +506,8 @@ def uniqueness_suite(seed: int = 0, cases: int = 50) -> CheckResult:
     rng = rng_for(seed)
     seq_space = Space.evseq(TopologyId.EVSEQ_SUPNORM)
     unit_ball = NbhdSet(seq_space, Neighborhood.sup_ball(1))
-    ok = 0
-    detail = ""
-    for _ in range(cases):
+
+    def case() -> str | None:
         base = SeqHom.diagonal(rand_element(rng, seq_space, max_prefix=3))
         decay = SeqHom.diagonal(rand_element(rng, seq_space, max_prefix=3))
         net = HomNet.closed(seq_space, seq_space, base, decay, target=base)
@@ -550,11 +516,9 @@ def uniqueness_suite(seed: int = 0, cases: int = 50) -> CheckResult:
         block = [[base.diag.at(i) if i == j else 0 for j in range(k)] for i in range(k)]
         other = SeqHom.diag_plus_block(EvSeq((0,) * k, base.diag.tail), block)
         rep = limit_uniqueness_audit(net, base, other, "nr", unit_ball)
-        if rep.both_converged and rep.limits_equal:
-            ok += 1
-        elif not detail:
-            detail = f"uniqueness audit failed for {base!r}"
-    return CheckResult("limit-uniqueness", ok == cases, cases, detail, "uniqueness of limits")
+        return None if rep.both_converged and rep.limits_equal else f"uniqueness audit failed for {base!r}"
+
+    return _tally("limit-uniqueness", "uniqueness of limits", [case() for _ in range(cases)])
 
 
 def lattice_continuity_suite(seed: int = 0) -> CheckResult:

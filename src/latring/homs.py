@@ -47,7 +47,7 @@ from .spaces import Space, SpaceKind, abs_val, is_positive, join, meet, neg_part
 
 
 def _rows_tuple(rows: Iterable[Iterable]) -> tuple[tuple[Fraction, ...], ...]:
-    return tuple(tuple(as_rat(v) for v in row) for row in rows)
+    return tuple([tuple([as_rat(v) for v in row]) for row in rows])
 
 
 def _bound_rows(rows: Sequence[IntRow], bounds: Sequence) -> list:
@@ -111,7 +111,7 @@ class MatrixHom:
 
     @classmethod
     def identity(cls, n: int) -> "MatrixHom":
-        return cls.from_int_rows(tuple((1, tuple(int(i == j) for j in range(n))) for i in range(n)))
+        return cls.from_int_rows(tuple([(1, tuple([int(i == j) for j in range(n)])) for i in range(n)]))
 
     @classmethod
     def zero(cls, n: int) -> "MatrixHom":
@@ -120,7 +120,7 @@ class MatrixHom:
     @property
     def rows(self) -> tuple[tuple[Fraction, ...], ...]:
         if self._rows is None:
-            rows = tuple(tuple(Fraction(a, d) for a in nums) for d, nums in self._ints)
+            rows = tuple([tuple([Fraction(a, d) for a in nums]) for d, nums in self._ints])
             object.__setattr__(self, "_rows", rows)
         return self._rows
 
@@ -167,20 +167,20 @@ class MatrixHom:
         return self._combine(other, sub)
 
     def __neg__(self) -> "MatrixHom":
-        return MatrixHom.from_int_rows(tuple((d, tuple(-a for a in nums)) for d, nums in self.int_rows))
+        return MatrixHom.from_int_rows(tuple([(d, tuple([-a for a in nums])) for d, nums in self.int_rows]))
 
     def scale(self, factor) -> "MatrixHom":
         q = as_rat(factor)
         p, r = q.numerator, q.denominator
-        return MatrixHom.from_int_rows(tuple(reduced_row(d * r, [p * a for a in nums]) for d, nums in self.int_rows))
+        return MatrixHom.from_int_rows(tuple([reduced_row(d * r, [p * a for a in nums]) for d, nums in self.int_rows]))
 
     def positive_part(self) -> "MatrixHom":
         return MatrixHom.from_int_rows(
-            tuple(reduced_row(d, [a if a > 0 else 0 for a in nums]) for d, nums in self.int_rows)
+            tuple([reduced_row(d, [a if a > 0 else 0 for a in nums]) for d, nums in self.int_rows])
         )
 
     def entrywise_abs(self) -> "MatrixHom":
-        return MatrixHom.from_int_rows(tuple((d, tuple(map(abs, nums))) for d, nums in self.int_rows))
+        return MatrixHom.from_int_rows(tuple([(d, tuple([abs(a) for a in nums])) for d, nums in self.int_rows]))
 
     def is_zero(self) -> bool:
         return not any(any(nums) for _, nums in self.int_rows)
@@ -267,7 +267,7 @@ class SeqHom:
     @cached_property
     def off(self) -> tuple[tuple[Fraction, ...], ...]:
         rows = self._block.rows
-        return tuple(tuple(_ZERO if i == j else a for j, a in enumerate(row)) for i, row in enumerate(rows))
+        return tuple([tuple([_ZERO if i == j else a for j, a in enumerate(row)]) for i, row in enumerate(rows)])
 
     @property
     def block_size(self) -> int:

@@ -39,6 +39,7 @@ from .homs import (
 from .sampling import rng_for
 from .spaces import Multiplication, Space, SpaceKind, TopologyId, pos_part
 from .topology import (
+    BoundedVerdict,
     FiniteSet,
     Neighborhood,
     NbhdSet,
@@ -98,13 +99,11 @@ class ClassLabel:
         }
 
 
-def _image_ok(bounds: CoordBounds, codomain: Space, reading: str):
-    """(holds, vacuous, refuting neighborhood) for one reading of image boundedness."""
+def _image_ok(bounds: CoordBounds, codomain: Space, reading: str) -> BoundedVerdict:
+    """One reading of boundedness decided for an image with these bounds."""
     if reading == "ring":
-        v = bounds_ring_bounded(bounds, codomain.topology, codomain.multiplication)
-        return v.bounded, v.vacuous, v.witness
-    v = bounds_group_bounded(bounds, codomain.topology)
-    return v.bounded, False, v.witness
+        return bounds_ring_bounded(bounds, codomain.topology, codomain.multiplication)
+    return bounds_group_bounded(bounds, codomain.topology)
 
 
 def _nr_candidate(T: Hom, domain: Space) -> Neighborhood | None:
@@ -138,17 +137,17 @@ def _nr_label(T: Hom, domain: Space, codomain: Space) -> BoundednessLabel:
                 via=U0,
                 note="products vanish in the codomain, so every image is multiplicatively bounded",
             )
-        holds, vacuous, refuting = _image_ok(img, codomain, reading)
+        v = _image_ok(img, codomain, reading)
         if U is None:
             return ReadingVerdict(
                 False,
                 via=U0,
-                refuting=refuting,
+                refuting=v.witness,
                 note="coefficients never vanish, so every base neighborhood keeps an unconstrained coordinate",
             )
-        if holds:
-            return ReadingVerdict(True, vacuous=vacuous, via=U)
-        return ReadingVerdict(False, via=U, refuting=refuting)
+        if v.bounded:
+            return ReadingVerdict(True, vacuous=v.vacuous, via=U)
+        return ReadingVerdict(False, via=U, refuting=v.witness)
 
     return BoundednessLabel(ring=verdict("ring"), group=verdict("group"))
 
@@ -163,17 +162,17 @@ def _br_verdict(T: Hom, domain: Space, codomain: Space, reading: str) -> Reading
         # whole space included, so the family quantified over contains
         # unbounded-coordinate sets.
         img = T.propagate_bounds(CoordBounds.sequence((), INF))
-        holds, vacuous, refuting = _image_ok(img, codomain, reading)
-        if holds:
-            return ReadingVerdict(True, vacuous=vacuous)
-        bad = None
+        v = _image_ok(img, codomain, reading)
+        if v.bounded:
+            return ReadingVerdict(True, vacuous=v.vacuous)
+        refuting, bad = v.witness, None
         if domain.topology is TopologyId.EVSEQ_PRODUCT:
             # Exhibit a base neighborhood that leaves the coefficient support
             # unconstrained, and re-derive the refutation against it so the
             # (set, witness) pair checks out together.
             bad = NbhdSet(domain, Neighborhood.product({T.support_span()}, 1))
             bad_img = T.propagate_bounds(coordinate_bounds(bad))
-            _, _, refuting = _image_ok(bad_img, codomain, reading)
+            refuting = _image_ok(bad_img, codomain, reading).witness
         return ReadingVerdict(
             False,
             refuting=refuting,

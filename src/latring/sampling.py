@@ -61,7 +61,7 @@ def rand_pos_element(rng: random.Random, space: Space):
 
 
 def rand_matrix_rows(rng: random.Random, n: int, span: int = 9) -> tuple:
-    return tuple(tuple(rand_rat(rng, span) for _ in range(n)) for _ in range(n))
+    return tuple([tuple([rand_rat(rng, span) for _ in range(n)]) for _ in range(n)])
 
 
 def rand_in_interval(rng: random.Random, lo: Fraction, hi: Fraction) -> Fraction:

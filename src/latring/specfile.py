@@ -343,7 +343,8 @@ def _parse_net(obj: dict, doc: SpecDoc, section: str) -> HomNet:
 
 
 # Each op's required arguments, all names.  Any task may also carry a `name`,
-# `seed` and `cases` (integers), and a converge task a `region`.
+# `seed` and `cases` (integers), and a converge task a `region`; any other
+# key, another op's argument included, is refused.
 _TASK_ARGS = {
     "classify": ("hom",),
     "posp": ("hom",),
@@ -351,14 +352,16 @@ _TASK_ARGS = {
     "converge": ("net", "mode"),
     "laws": ("instance",),
 }
-_TASK_KEYS = {"name", "op", "region", "seed", "cases"}.union(*_TASK_ARGS.values())
 
 
 def _parse_task(task, section: str) -> dict:
-    _check_keys(task, _TASK_KEYS, section)
+    if not isinstance(task, dict):
+        raise SpecFileError(f"section {section!r} must be an object")
     op = _require(task, "op", section)
     if not isinstance(op, str) or op not in _TASK_ARGS:
         raise SpecFileError(f"{section}: unknown op {op!r}")
+    region = ("region",) if op == "converge" else ()
+    _check_keys(task, {"name", "op", "seed", "cases", *_TASK_ARGS[op], *region}, section)
     for key in _TASK_ARGS[op]:
         if key not in task:
             raise SpecFileError(f"{section}: a {op} task needs {key!r}")

@@ -444,30 +444,18 @@ def _sample_nbhd(U: Neighborhood, rng: random.Random):
 # Boundedness deciders.
 
 @dataclass(frozen=True)
-class RingBoundedVerdict:
-    """VB subset of W and BV subset of W, solvable for every base W?
+class BoundedVerdict:
+    """One reading of boundedness decided for a set.
 
-    `scale` records the recipe on success for box bases: V of radius
-    epsilon/scale works against any W of radius epsilon (coordinatewise for
-    QN boxes).  `vacuous` marks the zero-multiplication degeneracy.
+    Ring reading: VB and BV inside W, solvable for every base W?  Group
+    reading: B inside n*U, solvable for every base U?  A negative verdict
+    carries the base neighborhood that refutes it; `vacuous` marks the ring
+    reading under zero multiplication, where every set qualifies.
     """
 
     bounded: bool
     witness: Neighborhood | None = None
-    scale: Fraction | None = None
     vacuous: bool = False
-
-
-@dataclass(frozen=True)
-class GroupBoundedVerdict:
-    """B subset of n*U, solvable for every base U?
-
-    `n_unit` is the minimal multiplier against the unit-radius generator.
-    """
-
-    bounded: bool
-    witness: Neighborhood | None = None
-    n_unit: int | None = None
 
 
 def refuting_nbhd(bounds: CoordBounds, topology: TopologyId) -> Neighborhood:
@@ -501,38 +489,34 @@ def refuting_nbhd(bounds: CoordBounds, topology: TopologyId) -> Neighborhood:
 
 def bounds_ring_bounded(
     bounds: CoordBounds, topology: TopologyId, multiplication: Multiplication
-) -> RingBoundedVerdict:
+) -> BoundedVerdict:
     """Ring-boundedness decision from a bound function alone."""
     if multiplication is Multiplication.ZERO:
-        return RingBoundedVerdict(True, vacuous=True)
-    if topology is TopologyId.Z_DISCRETE_TOP:
-        # V = {0} multiplies everything to {0}.
-        return RingBoundedVerdict(True, scale=Fraction(1))
-    sup = bounds.overall_sup()
-    if is_inf(sup):
-        return RingBoundedVerdict(False, witness=refuting_nbhd(bounds, topology))
-    return RingBoundedVerdict(True, scale=max(sup, Fraction(1)))
+        return BoundedVerdict(True, vacuous=True)
+    # On the integers V = {0} multiplies everything to {0}.
+    if topology is not TopologyId.Z_DISCRETE_TOP and is_inf(bounds.overall_sup()):
+        return BoundedVerdict(False, witness=refuting_nbhd(bounds, topology))
+    return BoundedVerdict(True)
 
 
-def bounds_group_bounded(bounds: CoordBounds, topology: TopologyId) -> GroupBoundedVerdict:
+def bounds_group_bounded(bounds: CoordBounds, topology: TopologyId) -> BoundedVerdict:
     """Group-boundedness decision from a bound function alone."""
     if topology is TopologyId.Z_DISCRETE_TOP:
         # n * {0} = {0}: only subsets of {0} qualify.
         if bounds.overall_sup() == 0:
-            return GroupBoundedVerdict(True, n_unit=1)
-        return GroupBoundedVerdict(False, witness=Neighborhood.discrete_zero())
-    sup = bounds.overall_sup()
-    if is_inf(sup):
-        return GroupBoundedVerdict(False, witness=refuting_nbhd(bounds, topology))
-    return GroupBoundedVerdict(True, n_unit=max(1, math.ceil(sup)))
+            return BoundedVerdict(True)
+        return BoundedVerdict(False, witness=Neighborhood.discrete_zero())
+    if is_inf(bounds.overall_sup()):
+        return BoundedVerdict(False, witness=refuting_nbhd(bounds, topology))
+    return BoundedVerdict(True)
 
 
-def set_ring_bounded(S: SetDesc) -> RingBoundedVerdict:
+def set_ring_bounded(S: SetDesc) -> BoundedVerdict:
     """Decide: for every base W there is a base V with V*S and S*V inside W."""
     return bounds_ring_bounded(coordinate_bounds(S), S.space.topology, S.space.multiplication)
 
 
-def set_group_bounded(S: SetDesc) -> GroupBoundedVerdict:
+def set_group_bounded(S: SetDesc) -> BoundedVerdict:
     """Decide: for every base U there is a positive n with S inside n*U."""
     return bounds_group_bounded(coordinate_bounds(S), S.space.topology)
 
@@ -579,8 +563,8 @@ def _space_for(topology: TopologyId, dim: int = 2) -> Space:
 
 @dataclass(frozen=True)
 class HullPreservation:
-    generators_verdict: RingBoundedVerdict
-    hull_verdict: RingBoundedVerdict
+    generators_verdict: BoundedVerdict
+    hull_verdict: BoundedVerdict
     bounds_equal: bool
 
 

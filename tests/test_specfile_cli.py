@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from latring import EvSeq, FinVec, MatrixHom, Neighborhood, SeqHom, Space, SpecFileError
+from latring import EvSeq, FinVec, MatrixHom, Neighborhood, SeqHom, SoundnessBug, Space, SpecFileError
 from latring.cli import main
 from latring.homs import ORACLE_DIM_CAP
 from latring.specfile import (
@@ -442,8 +442,13 @@ def test_task_missing_or_mistyped_argument_exits_2(task, message, tmp_path, caps
         ({"op": "laws", "instance": "no_such_instance"}, "tasks[4]: no instance named 'no_such_instance'"),
         ({"op": "converge", "net": "shrinking", "mode": "nr", "region": "no_such_set"},
          "tasks[4]: no set named 'no_such_set'"),
+        # A key that belongs to another op is refused, not ignored.
+        ({"op": "classify", "hom": "t", "net": "shrinking"}, "unknown key(s) ['net'] in section 'tasks[4]'"),
+        ({"op": "decompose", "x": "x", "y1": "y1", "y2": "y2", "region": "unit_box"},
+         "unknown key(s) ['region'] in section 'tasks[4]'"),
+        ({"op": "posp", "hom": "t", "mode": "nr"}, "unknown key(s) ['mode'] in section 'tasks[4]'"),
     ],
-    ids=["cases", "mode", "instance", "region"],
+    ids=["cases", "mode", "instance", "region", "classify-net", "decompose-region", "posp-mode"],
 )
 def test_task_input_error_names_its_task(task, message, tmp_path, capsys):
     spec = json.loads(Path(QN2_SPEC).read_text())
@@ -553,7 +558,7 @@ def test_product_coordinate_at_the_cap_is_decided(tmp_path, capsys):
 
 def test_result_beyond_the_printable_digit_limit_exits_2(tmp_path, capsys):
     # 10^4000 + 1 and 10^4000 + 3 are odd and differ by 2, so they are coprime:
-    # the order witness |T| 1 then has a denominator of about 8000 digits.
+    # the row's common denominator has about 8000 digits and is refused on reading.
     a, b = "1" + "0" * 3999 + "1", "1" + "0" * 3999 + "3"
     path = tmp_path / "long.json"
     path.write_text(json.dumps({
@@ -561,6 +566,32 @@ def test_result_beyond_the_printable_digit_limit_exits_2(tmp_path, capsys):
         "homs": {"t": {"kind": "matrix", "rows": [[f"1/{a}", f"1/{b}"], ["0", "1"]]}},
     }))
     _assert_input_error(["classify", "t", "--spec", str(path)], "4300-digit limit", capsys)
+
+
+def test_a_result_computed_beyond_the_digit_limit_exits_2_at_render(tmp_path, capsys):
+    # Every literal fits, but alpha0 for a decay of 10^4000 on a box of radius
+    # 10^4000 is about 10^8000: only rendering the report finds it too long.
+    big = "1" + "0" * 4000
+    path = tmp_path / "alpha.json"
+    path.write_text(json.dumps({
+        "space": {"kind": "qn", "dim": 1},
+        "homs": {"t": {"kind": "matrix", "rows": [["1"]]}, "m": {"kind": "matrix", "rows": [[big]]}},
+        "sets": {"box": {"kind": "nbhd", "nbhd": {"topology": "qn_box", "radii": [big]}}},
+        "nets": {"n": {"kind": "closed", "base": "t", "decay": "m", "target": "t"}},
+    }))
+    message = f"error: a result has an integer beyond the {sys.get_int_max_str_digits()}-digit limit for printing"
+    _assert_input_error(["converge", "n", "--mode", "nr", "--region", "box", "--spec", str(path)], message, capsys)
+
+
+def test_an_audit_failure_exits_1_with_nothing_on_stdout(monkeypatch, capsys):
+    def broken(*args):
+        raise SoundnessBug("planted")
+
+    monkeypatch.setattr("latring.cli.classify", broken)
+    assert main(["classify", "t", "--spec", QN2_SPEC]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "audit failure: planted\n"
+    assert captured.out == ""
 
 
 def _coprime_odd(count: int, digits: int) -> list[int]:
