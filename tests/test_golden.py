@@ -1,7 +1,8 @@
 """Golden machine reports: refactors must leave the canonical output byte-identical.
 
-The stored files are the `--format machine` output of `run` on the three demo
-specs (the sup-norm one prints `nr` certificates and sup-norm witnesses), and
+The stored files are the `--format machine` output of `run` on the four demo
+specs (the sup-norm one prints `nr` certificates and sup-norm witnesses, and
+the integer one the discrete topology's verdicts and integer elements), and
 of `classify`, `posp`, `converge --mode br` and `decompose` on
 `specs/q12_literals.json`, whose literals are written unreduced, signed,
 zero-padded and over coprime denominators, and of the NOT_CONVERGENT cr
@@ -58,6 +59,7 @@ def _machine_report(argv, capsys, exit_code: int = 0) -> bytes:
         ("qn2_demo.json", "run_qn2_demo.json"),
         ("evseq_demo.json", "run_evseq_demo.json"),
         ("evseq_supnorm_demo.json", "run_evseq_supnorm_demo.json"),
+        ("z_demo.json", "run_z_demo.json"),
     ],
 )
 def test_run_demo_spec_matches_golden(spec, golden, capsys):

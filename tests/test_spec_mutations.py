@@ -28,8 +28,9 @@ from latring.specfile import parse_specdoc
 _REPO = Path(__file__).resolve().parents[1]
 SPECS = {path.name: json.loads(path.read_text()) for path in sorted((_REPO / "specs").glob("*.json"))}
 
-# Keys whose values are rational literals, or lists or lists of lists of them.
-LITERAL_KEYS = {"entries", "prefix", "tail", "rows", "block", "radii", "radius"}
+# Keys whose values are rational literals, or lists or lists of lists of them,
+# and the integer literal of an element of Z.
+LITERAL_KEYS = {"entries", "prefix", "tail", "rows", "block", "radii", "radius", "int"}
 BAD_LITERALS = ["1e3", "1.5", "2E-1", ".5", "3.", "1e100000", "0x10", "1/2.0", "+-1", "½"]
 FLOATS = [0.5, 2.0, -1.25, 1e300]
 OTHER_TYPES = [0, "x", None, True, [], {}]
