@@ -193,3 +193,9 @@ def test_lattice_law_suite(benchmark, instance):
 def test_all_suites(benchmark):
     results = benchmark(all_suites, 0, 320)
     assert all(r.passed for r in results)
+
+
+def test_z_lattice_law_suite(benchmark):
+    # The integer instance at the size `gallery --cases 320` runs it (cases // 5).
+    results = benchmark(lattice_law_suite, INSTANCES["z_discrete"], 1, 64)
+    assert all(r.passed for r in results)

@@ -6,7 +6,7 @@ classification, convergence certificates in three homomorphism topologies,
 and a self-checking counterexample gallery.
 """
 
-from .elements import EvSeq, FinVec
+from .elements import EvSeq, FinVec, ZInt
 from .errors import (
     DecompositionPrereqViolated,
     EmptyInput,
@@ -29,13 +29,13 @@ from .extended import INF, CoordBounds
 from .homs import (
     ConeExtension,
     ConeMap,
-    IdentityHom,
     MatrixHom,
     SeqHom,
     directed_sup,
     extend_from_cone,
     hom_join,
     hom_meet,
+    identity_on,
     is_order_bounded,
     modulus,
     negative_part,

@@ -187,15 +187,9 @@ def _archimedean_holds(space: Space, zero, x, y) -> bool:
     w = archimedean_witness(space, x, y)
     if w.x_nonpositive:
         return x <= zero
-    escaped = not (_nscale(space, w.n, x) <= y)
-    minimal = w.n == 1 or _nscale(space, w.n - 1, x) <= y
+    escaped = not (x.scale(w.n) <= y)
+    minimal = w.n == 1 or x.scale(w.n - 1) <= y
     return escaped and minimal
-
-
-def _nscale(space: Space, n: int, x):
-    if space.kind is SpaceKind.Z_DISCRETE:
-        return n * x
-    return x.scale(n)
 
 
 def f_ring_suite(instance: LawInstance, seed: int = 0, cases: int = 250) -> CheckResult:

@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 
 from .audits import get_instance, lattice_law_suite
-from .elements import EvSeq, FinVec
+from .elements import ZInt
 from .errors import (
     InvalidArgument,
     LatringError,
@@ -39,7 +39,7 @@ from .homs import (
 )
 from .homspaces import classify, converges
 from .sampling import rand_pos_element, rng_for
-from .spaces import Space
+from .spaces import Space, SpaceKind
 from .specfile import SpecDoc, element_to_obj, load_specdoc, set_to_obj
 from .topology import canonical_generator
 
@@ -119,16 +119,17 @@ def _maybe_nbhd(U):
 
 
 def _render_value(x):
-    if isinstance(x, (FinVec, EvSeq)):
-        return element_to_obj(x)
-    return str(x)
+    """An integer of Z as its digits, any other element as its spec-file object."""
+    return str(int(x)) if isinstance(x, ZInt) else element_to_obj(x)
 
 
 def cmd_posp(doc: SpecDoc, hom_name: str, seed: int, cases: int):
     _require_cases(cases)
     T = doc.hom(hom_name)
-    if not isinstance(T, (MatrixHom, SeqHom)):
-        raise InvalidArgument(f"posp needs a matrix or sequence homomorphism; {hom_name!r} acts on the integers")
+    if doc.space.kind is SpaceKind.Z_DISCRETE:
+        raise InvalidArgument(
+            f"posp checks against rational probes, which Z does not hold; {hom_name!r} acts on the integers"
+        )
     if isinstance(T, MatrixHom):
         oracle_n = T.n
     else:

@@ -12,11 +12,15 @@ entries (`entries`, `prefix`, `tail`, `at`) are built only when read.  The
 public constructors (through `as_rat`) and `from_int_row` both end in
 `__post_init__`, the one step that trims the tail and divides out the gcd.
 
+An integer of Z is a `ZInt`: a `FinVec` of one coordinate over the
+denominator 1, so it shares the row, the operations and the order of Q^1, and
+every result that is not an integer is refused.
+
 `coords` is the one coordinate view of every shipped carrier: a denominator,
 a `head` of numerators and a `tail` numerator repeated ever after (none on
-Q^n; an integer of Z is one coordinate over 1).  `from_coords` inverts it,
-and `aligned` lines elements up over one shared index range, so bounds,
-sampling and solidity witnesses are each written once against this view.
+Q^n or Z).  `from_coords` inverts it into an element of the same class, and
+`aligned` lines elements up over one shared index range, so bounds, sampling
+and solidity witnesses are each written once against this view.
 """
 
 from __future__ import annotations
@@ -171,12 +175,39 @@ class FinVec(_RowElement):
         return self._values()[i]
 
     def _pair(self, other) -> tuple[IntRow, IntRow]:
-        if not isinstance(other, FinVec) or len(other._nums) != len(self._nums):
+        if other.__class__ is not self.__class__ or len(other._nums) != len(self._nums):
             raise InvalidElement(f"dimension mismatch: {self!r} vs {other!r}")
         return (self._d, self._nums), (other._d, other._nums)
 
     def __repr__(self) -> str:
         return "FinVec(" + ", ".join(str(a) for a in self.entries) + ")"
+
+
+class ZInt(FinVec):
+    """An integer of the discrete Z: the one coordinate n over the denominator 1."""
+
+    __slots__ = ()
+
+    def __init__(self, n):
+        self.__post_init__(*((1, (n,)) if type(n) is int else rat_row((n,))))
+
+    def __post_init__(self, d: int, nums) -> None:
+        if d != 1:
+            d, nums = reduced_row(d, nums)
+        if d != 1 or len(nums) != 1:
+            raise InvalidElement(f"expected an integer, got the row {list(nums)} over {d}")
+        _set(self, "_d", 1)
+        _set(self, "_nums", tuple(nums))
+        _set(self, "_fractions", None)
+
+    def __reduce__(self):
+        return ZInt, (self._nums[0],)
+
+    def __int__(self) -> int:
+        return self._nums[0]
+
+    def __repr__(self) -> str:
+        return f"ZInt({self._nums[0]})"
 
 
 class EvSeq(_RowElement):
@@ -244,26 +275,20 @@ class EvSeq(_RowElement):
 def coords(x) -> tuple[int, tuple[int, ...], int | None]:
     """(d, head, tail): coordinate i of x is head[i] / d, and tail / d at every later index.
 
-    Q^n has no tail, and an integer of Z is the single coordinate (x,) over 1.
+    Q^n and Z have no tail.
     """
-    if isinstance(x, FinVec):
-        return x._d, x._nums, None
+    d, nums = x.int_row
     if isinstance(x, EvSeq):
-        return x._d, x._nums[:-1], x._nums[-1]
-    return 1, (x,), None
+        return d, nums[:-1], nums[-1]
+    return d, nums, None
 
 
 def from_coords(like, d: int, head, tail):
-    """The element of like's carrier with coordinates head / d, then tail / d for ever.
+    """The element of like's class with coordinates head / d, then tail / d for ever.
 
     The inverse of `coords`; the tail is ignored on carriers that have none.
     """
-    if isinstance(like, FinVec):
-        return FinVec.from_int_row(d, head)
-    if isinstance(like, EvSeq):
-        return EvSeq.from_int_row(d, (*head, tail))
-    (x,) = head
-    return x
+    return like.from_int_row(d, (*head, tail) if isinstance(like, EvSeq) else head)
 
 
 def aligned(*xs, min_head: int = 0) -> list[IntRow]:
@@ -277,7 +302,7 @@ def aligned(*xs, min_head: int = 0) -> list[IntRow]:
     views, n = [], min_head
     for x in xs:
         seq = isinstance(x, EvSeq)
-        d, row = x.int_row if seq or isinstance(x, FinVec) else (1, (x,))
+        d, row = x.int_row
         n = max(n, len(row) - seq)
         views.append((d, row, seq))
     return [(d, row + (row[-1],) * (n + 1 - len(row)) if seq else row) for d, row, seq in views]

@@ -13,7 +13,7 @@ from importlib import resources
 
 from .elements import FinVec
 from .errors import UnknownCase
-from .homs import IdentityHom
+from .homs import identity_on
 from .homspaces import classify
 from .spaces import (
     Multiplication,
@@ -33,7 +33,7 @@ def _render_nbhd(nbhd) -> dict | None:
 
 
 def _classify_case(domain: Space, codomain: Space) -> dict:
-    label = classify(IdentityHom.on(domain), domain, codomain)
+    label = classify(identity_on(domain), domain, codomain)
     return {
         "flags": label.flags(),
         "nr_group_refuting": _render_nbhd(label.nr.group.refuting),

@@ -1,13 +1,14 @@
 """Group homomorphisms between the shipped lattice rings, and their lattice calculus.
 
-Shipped forms: square rational matrices on Q^n, diagonal-plus-finite-block
-operators on eventually-constant sequences, and the identity on the discrete
-integers.  The identity on Q^n or on sequences is built directly as the
-identity matrix or diagonal operator, so every homomorphism is concrete from
-construction on; only the integers keep a dedicated identity form.  Every form
-is additive, preserves negation, and is order bounded, so positive parts
-exist; they are computed in closed form (entrywise) and validated against an
-independent vertex-enumeration oracle wherever the two can meet.
+Shipped forms: square rational matrices on Q^n, and diagonal-plus-finite-block
+operators on eventually-constant sequences.  The identity of a space
+(`identity_on`) is the identity matrix on Q^n, the 1x1 identity matrix on the
+discrete integers (whose elements are one-coordinate integer rows), and the
+unit diagonal operator on sequences, so every homomorphism is concrete from
+construction on.  Every form is additive, preserves negation, and is order
+bounded, so positive parts exist; they are computed in closed form
+(entrywise) and validated against an independent vertex-enumeration oracle
+wherever the two can meet.
 
 A matrix works on its integer rows: each row is held as integer numerators
 over one common denominator, with their gcd divided out, so every matrix has
@@ -68,7 +69,7 @@ _ZERO = Fraction(0)
 
 
 class MatrixHom:
-    """n x n rational matrix acting on Q^n.
+    """n x n rational matrix acting on Q^n, and at n = 1 on the integers of Z.
 
     The working form is `int_rows`: row i as `(d_i, nums_i)` with entries
     nums_i[j] / d_i, d_i > 0 and gcd(d_i, *nums_i) == 1, so each matrix has
@@ -76,7 +77,8 @@ class MatrixHom:
     results are built from integer rows; the Fraction `rows` of such a result
     are made only when read (`render`, `repr`), and so are those of a matrix
     built from integer rows read from a spec file (`from_int_rows`).
-    Instances are immutable.
+    `apply` gives its image in the class of its input, so the 1x1 identity
+    maps an integer of Z to itself.  Instances are immutable.
     """
 
     __slots__ = ("_rows", "_ints")
@@ -145,7 +147,7 @@ class MatrixHom:
             raise InvalidElement(f"expected a {self.n}-dim FinVec, got {x!r}")
         xd, xs = x.int_row
         d, nums = _row_products(self.int_rows, xs)
-        return FinVec.from_int_row(d * xd, nums)
+        return x.from_int_row(d * xd, nums)
 
     def propagate_bounds(self, b: CoordBounds) -> CoordBounds:
         if b.tail is not None:
@@ -388,43 +390,14 @@ def _diagonal_then(ints: Sequence[IntRow], start: int, beyond: EvSeq) -> EvSeq:
     return EvSeq.from_int_row(*over_lcm(nums, [d for d, _ in rows] + [bd] * len(bs)))
 
 
-@dataclass(frozen=True)
-class IdentityHom:
-    """The identity map on the discrete integers.
-
-    `on` builds the identity of any shipped space: the identity matrix on
-    Q^n, the unit diagonal operator on sequences, and an instance of this
-    class only on Z, where no matrix or sequence form applies.
-    """
-
-    @classmethod
-    def on(cls, space: Space) -> "Hom":
-        if space.kind is SpaceKind.QN:
-            return MatrixHom.identity(space.dim)
-        if space.kind is SpaceKind.EVSEQ:
-            return SeqHom.identity()
-        return cls()
-
-    def apply(self, x):
-        return x
-
-    def propagate_bounds(self, b: CoordBounds) -> CoordBounds:
-        return b
-
-    def entrywise_abs(self) -> "IdentityHom":
-        return self
-
-    def is_positive(self) -> bool:
-        return True
-
-    def is_diagonal(self) -> bool:
-        return True
-
-    def render(self) -> dict:
-        return {"kind": "identity"}
+def identity_on(space: Space) -> "Hom":
+    """The identity of a shipped space: the identity matrix on Q^n, 1x1 on Z, the unit diagonal on sequences."""
+    if space.kind is SpaceKind.EVSEQ:
+        return SeqHom.identity()
+    return MatrixHom.identity(space.dim or 1)
 
 
-Hom = MatrixHom | SeqHom | IdentityHom
+Hom = MatrixHom | SeqHom
 
 
 def _as_matrix(h, n: int) -> MatrixHom:
@@ -649,8 +622,8 @@ def is_order_bounded(T: Hom, probe) -> OrderBoundedWitness:
     The containment is spot-checked on 25 seeded y in [-probe, probe]:
     `T.apply(y)` is compared with the bound that `modulus(T).apply` gave, so
     two code paths meet.  Each y is drawn coordinate by coordinate: every
-    coordinate of Q^n, the one of Z, and on sequences each coordinate below
-    `T.support_span()` and then the tail.
+    coordinate of Q^n, the one integer of Z, and on sequences each coordinate
+    below `T.support_span()` and then the tail.
     """
     cap = modulus(T).apply(probe)
     lo, hi = -cap, cap

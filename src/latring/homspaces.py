@@ -17,7 +17,7 @@ from functools import cached_property, reduce
 from operator import add
 from typing import Sequence
 
-from .elements import EvSeq, FinVec
+from .elements import EvSeq, FinVec, ZInt
 from .errors import (
     InvalidArgument,
     InvalidElement,
@@ -29,10 +29,10 @@ from .errors import (
 from .extended import INF, CoordBounds
 from .homs import (
     Hom,
-    IdentityHom,
     MatrixHom,
     OrderBoundedWitness,
     SeqHom,
+    identity_on,
     is_order_bounded,
     positive_part,
 )
@@ -187,7 +187,7 @@ def _br_verdict(T: Hom, domain: Space, codomain: Space, reading: str) -> Reading
         return ReadingVerdict(
             False,
             refuting=Neighborhood.discrete_zero(),
-            bad_set=FiniteSet(domain, (5,)),
+            bad_set=FiniteSet(domain, (ZInt(5),)),
             note="multiples of {0} stay {0}, so only the zero map has group-bounded images",
         )
     return ReadingVerdict(True, note="finite coefficient bounds keep finite-bound sets finite")
@@ -215,7 +215,7 @@ def classify(T: Hom, domain: Space, codomain: Space) -> ClassLabel:
     _check_hom_fits(T, domain)
     _check_hom_fits(T, codomain)
     if domain.kind is SpaceKind.Z_DISCRETE:
-        order_witness = OrderBoundedWitness(True, -1, 1, 0)
+        order_witness = OrderBoundedWitness(True, ZInt(-1), ZInt(1), 0)
     else:
         probe = (
             FinVec.constant(domain.dim, 1)
@@ -237,7 +237,7 @@ def _check_hom_fits(T: Hom, space: Space):
         raise InvalidElement(f"{T!r} does not act on Q^{space.dim}")
     if space.kind is SpaceKind.EVSEQ and not isinstance(T, SeqHom):
         raise InvalidElement(f"{T!r} does not act on sequences")
-    if space.kind is SpaceKind.Z_DISCRETE and not isinstance(T, IdentityHom):
+    if space.kind is SpaceKind.Z_DISCRETE and T != identity_on(space):
         raise InvalidElement(f"{T!r} does not act on the integers")
 
 
@@ -279,8 +279,6 @@ class HomNet:
 
     @classmethod
     def constant(cls, domain: Space, codomain: Space, T: Hom):
-        if domain.kind is SpaceKind.Z_DISCRETE:
-            raise InvalidElement("nets are shipped for the matrix and sequence forms only")
         return cls(domain, codomain, base=T, decay=T.scale(0), target=T)
 
     @classmethod

@@ -15,7 +15,7 @@ from functools import cache
 from itertools import repeat
 from operator import mul
 
-from .elements import FinVec, aligned, coords, from_coords
+from .elements import FinVec, ZInt, aligned, coords, from_coords
 from .scalars import over_lcm
 from .spaces import Space
 
@@ -37,8 +37,8 @@ _zero = cache(Space.zero)
 
 def _rand_element(rng: random.Random, space: Space, low: int, high: int, max_prefix: int):
     zero = _zero(space)
-    if isinstance(zero, int):
-        return rng.randint(low, high)
+    if isinstance(zero, ZInt):
+        return ZInt(rng.randint(low, high))
     _, head, tail = coords(zero)
     n = len(head) if tail is None else rng.randint(0, max_prefix) + 1
     # Each coordinate draws its numerator, then its denominator; the tail comes last.
@@ -78,8 +78,8 @@ def rand_between(rng: random.Random, lo, hi, min_head: int = 0):
     sequences the first `min_head` coordinates are drawn one by one even
     where lo and hi are constant there (see `aligned`).
     """
-    if isinstance(lo, int):
-        return rng.randint(lo, hi)
+    if isinstance(lo, ZInt):
+        return ZInt(rng.randint(int(lo), int(hi)))
     (dl, lo_row), (dh, hi_row) = aligned(lo, hi, min_head=min_head)
     draw = rng.randrange  # the same draw as rng.randint(0, 24), one call shallower
     row = [24 * a + draw(25) * (c - a) for a, c in zip(map(mul, lo_row, repeat(dh)), map(mul, hi_row, repeat(dl)))]

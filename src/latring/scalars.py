@@ -41,6 +41,8 @@ IntRow = tuple[int, tuple[int, ...]]
 
 def read_rat(value) -> tuple[int, int]:
     """The literal `value` as integers (p, q) with q > 0, not necessarily in lowest terms."""
+    if type(value) is int:
+        return value, 1
     if isinstance(value, str):
         if _LITERAL.fullmatch(value) is None:
             raise InvalidElement(f"cannot parse rational literal {value!r}; expected p or p/q in ASCII digits")
@@ -55,8 +57,6 @@ def read_rat(value) -> tuple[int, int]:
         return p, q
     if isinstance(value, bool):
         raise InvalidElement("booleans are not rational scalars")
-    if isinstance(value, int):
-        return value, 1
     if isinstance(value, float):
         raise InvalidElement(f"floats are not accepted (got {value!r}); pass 'p/q' strings")
     raise InvalidElement(f"cannot interpret {value!r} as a rational scalar")

@@ -1,9 +1,10 @@
 """Concrete lattice-ring instances and the operations on their elements.
 
 A `Space` fixes three things: the element carrier (Q^n, eventually-constant
-sequences, or the integers), the ring multiplication (pointwise, or the
-degenerate zero product), and the zero-neighborhood base used by the
-topology layer.  All operations are pure and exact.
+sequences, or the integers as one-coordinate integer rows), the ring
+multiplication (pointwise, or the degenerate zero product), and the
+zero-neighborhood base used by the topology layer.  All operations are pure
+and exact, and each is one method call on the element.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable
 
-from .elements import EvSeq, FinVec, aligned
+from .elements import EvSeq, FinVec, ZInt, aligned
 from .errors import InvalidElement
 
 
@@ -50,12 +51,12 @@ class Space:
 
     def __post_init__(self):
         if self.topology not in _TOPOLOGIES_FOR_KIND[self.kind]:
-            raise InvalidElement(f"{self.topology} does not fit carrier {self.kind}")
+            raise InvalidElement(f"{self.topology.value} does not fit carrier {self.kind.value}")
         if self.kind is SpaceKind.QN:
             if self.dim is None or self.dim < 1:
                 raise InvalidElement("Q^n spaces need dim >= 1")
         elif self.dim is not None:
-            raise InvalidElement(f"{self.kind} carries no dimension")
+            raise InvalidElement(f"{self.kind.value} carries no dimension")
         if self.kind is SpaceKind.Z_DISCRETE and self.multiplication is not Multiplication.POINTWISE:
             raise InvalidElement("discrete Z only carries its usual multiplication")
 
@@ -77,14 +78,13 @@ class Space:
 
     def validate(self, x):
         if self.kind is SpaceKind.QN:
-            if not isinstance(x, FinVec) or x.dim != self.dim:
+            if x.__class__ is not FinVec or x.dim != self.dim:
                 raise InvalidElement(f"expected a {self.dim}-dim FinVec, got {x!r}")
         elif self.kind is SpaceKind.EVSEQ:
             if not isinstance(x, EvSeq):
                 raise InvalidElement(f"expected an EvSeq, got {x!r}")
-        else:
-            if isinstance(x, bool) or not isinstance(x, int):
-                raise InvalidElement(f"expected an integer, got {x!r}")
+        elif not isinstance(x, ZInt):
+            raise InvalidElement(f"expected an integer, got {x!r}")
         return x
 
     def zero(self):
@@ -92,41 +92,34 @@ class Space:
             return FinVec.zero(self.dim)
         if self.kind is SpaceKind.EVSEQ:
             return EvSeq.zero()
-        return 0
+        return ZInt(0)
 
 
 # ---------------------------------------------------------------------------
-# Lattice and ring operations, dispatched on the carrier.
+# Lattice and ring operations: each checks its arguments fit the space and
+# calls the element's own method.
 
 def join(space: Space, x, y):
     """Coordinatewise maximum: the least upper bound of x and y."""
     space.validate(x), space.validate(y)
-    if space.kind is SpaceKind.Z_DISCRETE:
-        return max(x, y)
     return x.join(y)
 
 
 def meet(space: Space, x, y):
     """Coordinatewise minimum: the greatest lower bound of x and y."""
     space.validate(x), space.validate(y)
-    if space.kind is SpaceKind.Z_DISCRETE:
-        return min(x, y)
     return x.meet(y)
 
 
 def pos_part(space: Space, x):
     """x join 0."""
     space.validate(x)
-    if space.kind is SpaceKind.Z_DISCRETE:
-        return max(x, 0)
     return x.pos_part()
 
 
 def neg_part(space: Space, x):
     """(-x) join 0."""
     space.validate(x)
-    if space.kind is SpaceKind.Z_DISCRETE:
-        return max(-x, 0)
     return x.neg_part()
 
 

@@ -21,9 +21,9 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .elements import EvSeq, FinVec
+from .elements import EvSeq, FinVec, ZInt
 from .errors import EmptyInput, InvalidElement, LatringError, SpecFileError, UnknownName
-from .homs import Hom, IdentityHom, MatrixHom, SeqHom
+from .homs import Hom, MatrixHom, SeqHom, identity_on
 from .homspaces import HomNet
 from .scalars import IntRow, read_rat, read_row
 from .spaces import Multiplication, Space, SpaceKind, TopologyId
@@ -71,7 +71,8 @@ def _list(obj: dict, key: str, section: str) -> list:
 
 
 def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+    """A JSON integer: a Python int, not a bool."""
+    return type(value) is int
 
 
 def _read(read, value, section: str):
@@ -130,7 +131,7 @@ def parse_element(obj, space: Space, section: str):
         value = obj.get("int")
         if not _is_int(value):
             raise SpecFileError(f"{section}: 'int' must be a JSON integer, got {value!r}")
-        return value
+        return ZInt(value)
     raise SpecFileError(f"{section}: element must be an object")
 
 
@@ -144,11 +145,11 @@ def _evseq(obj: dict, section: str) -> EvSeq:
 
 
 def element_to_obj(x) -> dict:
+    if isinstance(x, ZInt):
+        return {"int": int(x)}
     if isinstance(x, FinVec):
         return {"entries": [str(v) for v in x.entries]}
-    if isinstance(x, EvSeq):
-        return {"prefix": [str(v) for v in x.prefix], "tail": str(x.tail)}
-    return {"int": int(x)}
+    return {"prefix": [str(v) for v in x.prefix], "tail": str(x.tail)}
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +202,7 @@ def parse_hom(obj: dict, space: Space, section: str) -> Hom:
         return SeqHom.diag_plus_block(_evseq(obj, section), block)
     if kind == "identity":
         _check_keys(obj, {"kind"}, section)
-        return IdentityHom.on(space)
+        return identity_on(space)
     raise SpecFileError(f"{section}: unknown homomorphism kind {kind!r}")
 
 
@@ -245,7 +246,10 @@ def set_to_obj(S: SetDesc) -> dict:
     if isinstance(S, NbhdSet):
         return {"kind": "nbhd", "nbhd": S.nbhd.render()}
     if isinstance(S, ImageSet):
-        return {"kind": "image", "hom": S.hom.render(), "base": set_to_obj(S.base)}
+        # The spec format writes the identity of Z by its kind, not as a 1x1 matrix.
+        z_identity = S.space.kind is SpaceKind.Z_DISCRETE and S.hom == identity_on(S.space)
+        hom = {"kind": "identity"} if z_identity else S.hom.render()
+        return {"kind": "image", "hom": hom, "base": set_to_obj(S.base)}
     raise SpecFileError(f"cannot serialize {S!r}")
 
 

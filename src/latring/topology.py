@@ -20,8 +20,8 @@ Sets are read through the coordinate view of `elements` (a head of explicit
 coordinates and an optional tail), so bounds, member sampling, non-solid
 witnesses and image membership are each one body for Q^n, sequences and Z.
 Membership in an image is decided over a finite base for every form, and
-over any base for the identity and for diagonal sequence operators; a matrix
-or block image of an infinite base is refused.
+over any base for the identity of Z and for diagonal sequence operators; a
+matrix or block image of an infinite base is refused.
 """
 
 from __future__ import annotations
@@ -33,10 +33,10 @@ from fractions import Fraction
 from functools import partial, reduce
 from typing import Iterable, Sequence
 
-from .elements import EvSeq, FinVec, aligned, coords, from_coords
+from .elements import EvSeq, FinVec, ZInt, aligned, coords, from_coords
 from .errors import EmptyInput, InvalidElement, NotBounded, SoundnessBug
 from .extended import INF, CoordBounds, is_inf
-from .homs import IdentityHom, SeqHom
+from .homs import SeqHom, identity_on
 from .sampling import rand_between, rand_in_interval, rand_rat
 from .scalars import as_rat
 from .spaces import Multiplication, Space, TopologyId, abs_val, join
@@ -325,10 +325,14 @@ def non_solid_witness(S: SetDesc) -> tuple | None:
 
 
 def _shrink_candidates(y):
-    """Points between y and 0, nearest y first: unit steps for an integer, sevenths of y otherwise."""
-    if isinstance(y, int):
-        step = 1 if y > 0 else -1
-        return [y - step * k for k in range(1, abs(y) + 1)]
+    """Points between y and 0, nearest y first: unit steps for an integer, sevenths of y otherwise.
+
+    The unit steps are made one at a time, as the search reaches them.
+    """
+    if isinstance(y, ZInt):
+        n = int(y)
+        step = 1 if n > 0 else -1
+        return map(ZInt, range(n - step, -step, -step))
     return [y.scale(Fraction(num, 7)) for num in range(6, -1, -1)]
 
 
@@ -382,13 +386,13 @@ def set_contains(S: SetDesc, x) -> bool:
 def _image_contains(S: ImageSet, x) -> bool:
     """x in T(B): search a finite base, else pull x back through T.
 
-    Only the identity and diagonal sequence operators are pulled back; a
+    Only the identity of Z and diagonal sequence operators are pulled back; a
     matrix or block image of an infinite base raises InvalidElement.
     """
     T, base = S.hom, S.base
     if isinstance(base, FiniteSet):
         return any(T.apply(u) == x for u in base.elements)
-    if isinstance(T, IdentityHom):
+    if isinstance(x, ZInt) and T == identity_on(S.space):
         return set_contains(base, x)
     if not isinstance(T, SeqHom) or T.off:
         raise InvalidElement("membership through a matrix or block image is only decided for finite bases")
@@ -427,7 +431,7 @@ def _sample_nbhd(U: Neighborhood, rng: random.Random):
         r = FinVec(U.radii)
         return rand_between(rng, -r, r)
     if U.topology is TopologyId.Z_DISCRETE_TOP:
-        return 0
+        return ZInt(0)
     if U.topology is TopologyId.EVSEQ_SUPNORM:
         r = EvSeq.constant(U.radius)
         return rand_between(rng, -r, r, min_head=rng.randint(0, 4))

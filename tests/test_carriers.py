@@ -18,7 +18,6 @@ from latring import (
     EvSeq,
     FinVec,
     FiniteSet,
-    IdentityHom,
     ImageSet,
     Interval,
     InvalidElement,
@@ -29,8 +28,10 @@ from latring import (
     SolidHull,
     Space,
     TopologyId,
+    ZInt,
     coordinate_bounds,
     group_bound_multiplier,
+    identity_on,
     is_solid,
     sample_member,
     set_contains,
@@ -53,11 +54,11 @@ BASES = {
     "seq-hull": SolidHull(SEQ, (EvSeq.of(2, tail=-1), EvSeq.of(0, 0, 3, tail=F(1, 2)))),
     "seq-nbhd": NbhdSet(SEQ, Neighborhood.product({0, 2}, F(3, 2))),
     "seq-zero": FiniteSet(SEQ, (EvSeq.zero(),)),
-    "z-interval": Interval(ZD, -1, 3),
-    "z-finite": FiniteSet(ZD, (0, 4, -2)),
-    "z-hull": SolidHull(ZD, (3, -5)),
+    "z-interval": Interval(ZD, ZInt(-1), ZInt(3)),
+    "z-finite": FiniteSet(ZD, (ZInt(0), ZInt(4), ZInt(-2))),
+    "z-hull": SolidHull(ZD, (ZInt(3), ZInt(-5))),
     "z-nbhd": NbhdSet(ZD, Neighborhood.discrete_zero()),
-    "z-zero": FiniteSet(ZD, (0,)),
+    "z-zero": FiniteSet(ZD, (ZInt(0),)),
 }
 
 
@@ -73,7 +74,7 @@ HOMS = {
         "diagonal": SeqHom.diagonal(EvSeq.of(2, 0, tail=3)),
         "block": SeqHom.diag_plus_block(EvSeq.of(1, tail=2), ((0, 1), (F(1, 2), 0))),
     },
-    "z": {"identity": IdentityHom()},
+    "z": {"identity": identity_on(ZD)},
 }
 IMAGES = {
     f"{hom_name}({base_name})": ImageSet(base.space, hom, base)
@@ -97,8 +98,13 @@ NBHDS = {
 PROBES = {
     "q2": (FinVec.of(1, -2), FinVec.of(0, 0), FinVec.of(-3, 2), FinVec.of(F(3, 2), F(-3, 4))),
     "seq": (EvSeq.zero(), EvSeq.of(2, 0, tail=3), EvSeq.of(4, tail=0), EvSeq.of(-1, 1, tail=F(1, 2))),
-    "z": (0, 2, -1, 7),
+    "z": tuple(map(ZInt, (0, 2, -1, 7))),
 }
+
+
+def _sample_doc(x) -> str:
+    """repr of a sample, an integer of Z as its digits."""
+    return str(int(x)) if isinstance(x, ZInt) else repr(x)
 
 
 def _bounds_doc(S) -> tuple:
@@ -435,7 +441,7 @@ def test_coordinate_bounds_pinned(name):
 @pytest.mark.parametrize("name", sorted(SETS))
 def test_seeded_samples_pinned(name):
     rng = rng_for(11)
-    assert [repr(sample_member(SETS[name], rng)) for _ in range(4)] == EXPECTED_SAMPLES[name]
+    assert [_sample_doc(sample_member(SETS[name], rng)) for _ in range(4)] == EXPECTED_SAMPLES[name]
 
 
 @pytest.mark.parametrize("name", sorted(SETS))

@@ -17,7 +17,6 @@ from latring import (
     DecompositionPrereqViolated,
     EvSeq,
     FinVec,
-    IdentityHom,
     InvalidElement,
     MatrixHom,
     NotAdditiveOnCone,
@@ -26,10 +25,12 @@ from latring import (
     SeqHom,
     SoundnessBug,
     Space,
+    ZInt,
     directed_sup,
     extend_from_cone,
     hom_join,
     hom_meet,
+    identity_on,
     is_order_bounded,
     modulus,
     negative_part,
@@ -46,7 +47,7 @@ T_EXAMPLE = MatrixHom(((1, -2), (-3, 4)))
 
 def test_apply_examples():
     assert T_EXAMPLE.apply(FinVec.of(1, 1)) == FinVec.of(-1, 1)
-    ident = IdentityHom.on(Space.evseq())
+    ident = identity_on(Space.evseq())
     x = EvSeq.of(2, -5, tail=1)
     assert ident.apply(x) == x
     d = SeqHom.diagonal(EvSeq.of(2, tail=1))
@@ -62,8 +63,9 @@ def test_seq_hom_normal_form_identities():
     block = ((F(5), F(0)), (F(0), F(7)))
     h = SeqHom.diag_plus_block(a, block)
     assert h == SeqHom.diagonal(EvSeq.of(6, 9, tail=3))
-    assert IdentityHom.on(Space.evseq()) == SeqHom.identity()
-    assert IdentityHom.on(Space.qn(3)) == MatrixHom.identity(3)
+    assert identity_on(Space.evseq()) == SeqHom.identity()
+    assert identity_on(Space.qn(3)) == MatrixHom.identity(3)
+    assert identity_on(Space.z_discrete()) == MatrixHom.identity(1)
     # Diagonal prefix longer than the block.
     g = SeqHom.diag_plus_block(EvSeq.of(1, 2, 3, tail=4), ((F(10),),))
     assert g == SeqHom.diagonal(EvSeq.of(11, 2, 3, tail=4))
@@ -233,10 +235,10 @@ def test_directed_sup_pointwise_supremum():
 
 
 def test_identity_on_the_integers_is_positive_and_order_bounded():
-    ident = IdentityHom()
+    ident = identity_on(Space.z_discrete())
     assert modulus(ident) == ident and ident.is_positive()
-    w = is_order_bounded(ident, 3)
-    assert w.bounded and (w.lo, w.hi) == (-3, 3) and w.spot_checked == 25
+    w = is_order_bounded(ident, ZInt(3))
+    assert w.bounded and (w.lo, w.hi) == (ZInt(-3), ZInt(3)) and w.spot_checked == 25
 
 
 def test_is_order_bounded_witness():

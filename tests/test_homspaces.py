@@ -7,7 +7,6 @@ import pytest
 from latring import (
     EvSeq,
     FinVec,
-    IdentityHom,
     Interval,
     InvalidArgument,
     InvalidElement,
@@ -20,10 +19,12 @@ from latring import (
     Space,
     TopologyId,
     VacuousProduct,
+    ZInt,
     classify,
     br_converges,
     converges,
     cr_converges,
+    identity_on,
     lattice_continuity_audit,
     limit_uniqueness_audit,
     nr_converges,
@@ -41,7 +42,7 @@ Q3 = Space.qn(3)
 # Classification.
 
 def test_classify_identity_product_topology():
-    label = classify(IdentityHom.on(PROD), PROD, PROD)
+    label = classify(identity_on(PROD), PROD, PROD)
     f = label.flags()
     assert f["order_bounded"] and f["continuous"]
     assert not f["nr_ring"] and not f["nr_group"]
@@ -50,7 +51,7 @@ def test_classify_identity_product_topology():
 
 
 def test_classify_identity_zero_multiplication():
-    label = classify(IdentityHom.on(PROD_ZERO), PROD_ZERO, PROD_ZERO)
+    label = classify(identity_on(PROD_ZERO), PROD_ZERO, PROD_ZERO)
     f = label.flags()
     assert f["order_bounded"]
     assert f["nr_ring"] and f["nr_ring_vacuous"]
@@ -60,7 +61,7 @@ def test_classify_identity_zero_multiplication():
 
 
 def test_classify_identity_product_to_supnorm():
-    label = classify(IdentityHom.on(PROD), PROD, SUP)
+    label = classify(identity_on(PROD), PROD, SUP)
     f = label.flags()
     assert f["order_bounded"] and not f["continuous"]
     assert label.continuity_witness == Neighborhood.sup_ball(1)
@@ -82,7 +83,7 @@ def test_classify_finitely_supported_diagonal_on_product_is_nr():
 
 def test_classify_identity_same_topology_always_continuous():
     for space in (PROD, SUP, Q3, Space.z_discrete()):
-        label = classify(IdentityHom.on(space), space, space)
+        label = classify(identity_on(space), space, space)
         assert label.continuous
 
 
@@ -98,12 +99,20 @@ def test_positive_part_keeps_the_nr_witness():
 
 def test_classify_identity_on_discrete_integers():
     zd = Space.z_discrete()
-    label = classify(IdentityHom.on(zd), zd, zd)
+    label = classify(identity_on(zd), zd, zd)
     f = label.flags()
     # {0} is a base neighborhood, so images of it are bounded in every sense,
     # yet nonzero bounded sets are never inside any multiple of {0}.
     assert f["order_bounded"] and f["nr_ring"] and f["nr_group"] and f["continuous"]
     assert f["br_ring"] and not f["br_group"]
+    assert (label.order_witness.lo, label.order_witness.hi) == (ZInt(-1), ZInt(1))
+
+
+def test_classify_refuses_a_hom_on_the_integers_other_than_the_identity():
+    zd = Space.z_discrete()
+    for T in (MatrixHom(((2,),)), MatrixHom.identity(2), SeqHom.identity()):
+        with pytest.raises(InvalidElement, match="does not act on the integers"):
+            classify(T, zd, zd)
 
 
 def test_classify_matrix_on_qn():
@@ -117,9 +126,9 @@ def test_classification_witnesses_recheck():
     from latring.topology import bounds_group_bounded, bounds_ring_bounded
 
     zoo = [
-        (IdentityHom.on(PROD), PROD, PROD),
-        (IdentityHom.on(PROD_ZERO), PROD_ZERO, PROD_ZERO),
-        (IdentityHom.on(PROD), PROD, SUP),
+        (identity_on(PROD), PROD, PROD),
+        (identity_on(PROD_ZERO), PROD_ZERO, PROD_ZERO),
+        (identity_on(PROD), PROD, SUP),
         (SeqHom.diagonal(EvSeq.of(3, -2, tail=F(1, 2))), SUP, SUP),
         (SeqHom.diagonal(EvSeq.of(2, 0, 5, tail=0)), PROD, PROD),
         (MatrixHom(((1, -2), (0, 3))), Space.qn(2), Space.qn(2)),
@@ -145,7 +154,7 @@ def test_case_b_witness_demonstrated_by_elements():
     """The bad set's members escape every multiple of the refuting neighborhood."""
     from latring import set_contains
 
-    label = classify(IdentityHom.on(PROD_ZERO), PROD_ZERO, PROD_ZERO)
+    label = classify(identity_on(PROD_ZERO), PROD_ZERO, PROD_ZERO)
     bad = label.br.group.bad_set
     W = label.br.group.refuting
     assert W == Neighborhood.product({1}, 1)

@@ -30,6 +30,7 @@ from latring import (
     SolidHull,
     Space,
     TopologyId,
+    ZInt,
     converges,
     coordinate_bounds,
     group_bound_multiplier,
@@ -46,7 +47,7 @@ SUPNORM = TopologyId.EVSEQ_SUPNORM
 
 def ref_member(U: Neighborhood, x) -> bool:
     if U.topology is TopologyId.QN_BOX:
-        if not isinstance(x, FinVec) or x.dim != len(U.radii):
+        if type(x) is not FinVec or x.dim != len(U.radii):
             raise InvalidElement("wrong carrier")
         return all(abs(a) <= r for a, r in zip(x.entries, U.radii))
     if U.topology in (PRODUCT, SUPNORM):
@@ -55,9 +56,9 @@ def ref_member(U: Neighborhood, x) -> bool:
         if U.topology is PRODUCT:
             return all(abs(x.at(i)) <= U.radius for i in U.coords)
         return all(abs(v) <= U.radius for v in x.prefix) and abs(x.tail) <= U.radius
-    if isinstance(x, bool) or not isinstance(x, int):
+    if not isinstance(x, ZInt):
         raise InvalidElement("wrong carrier")
-    return x == 0
+    return int(x) == 0
 
 
 def ref_multiplier(b, U: Neighborhood):
@@ -131,7 +132,7 @@ diagonals = st.builds(
     st.sampled_from([F(0), F(0), F(1, 2), F(-3)]),
 )
 any_element = st.one_of(
-    st.integers(1, 3).flatmap(finvecs), evseqs, st.integers(-2, 2), st.just(True)
+    st.integers(1, 3).flatmap(finvecs), evseqs, st.integers(-2, 2).map(ZInt), st.integers(-2, 2), st.just(True)
 )
 
 
@@ -142,7 +143,7 @@ def nbhd_and_element(draw):
         dim = draw(st.integers(1, 4))
         U, elements = draw(boxes(dim)), finvecs(dim)
     elif kind == "discrete":
-        U, elements = Neighborhood.discrete_zero(), st.sampled_from([0, 0, 1, -2])
+        U, elements = Neighborhood.discrete_zero(), st.sampled_from([0, 0, 1, -2]).map(ZInt)
     else:
         U, elements = draw(seq_nbhds(PRODUCT if kind == "product" else SUPNORM)), evseqs
     # One example in five tries an element of some other carrier.
@@ -172,7 +173,7 @@ def set_and_nbhd(draw):
     if kind == "z":
         space = Space.z_discrete()
         S = draw(st.lists(st.sampled_from([0, 0, 1, -3]), min_size=1, max_size=3).map(
-            lambda xs: FiniteSet(space, tuple(xs))))
+            lambda xs: FiniteSet(space, tuple(map(ZInt, xs)))))
         return S, Neighborhood.discrete_zero()
     space = Space.evseq(PRODUCT)
     U = draw(seq_nbhds(draw(st.sampled_from([PRODUCT, SUPNORM]))))

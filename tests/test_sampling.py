@@ -12,7 +12,7 @@ from fractions import Fraction as F
 from hypothesis import given
 from hypothesis import strategies as st
 
-from latring import EvSeq, FinVec
+from latring import EvSeq, FinVec, ZInt
 from latring.sampling import rand_between, rand_in_interval
 
 
@@ -23,8 +23,8 @@ def _fraction_point(rng, lo, hi):
 
 def _fraction_between(rng, lo, hi, min_head=0):
     """Coordinate by coordinate with `_fraction_point`, tail last; integers uniformly."""
-    if isinstance(lo, int):
-        return rng.randint(lo, hi)
+    if isinstance(lo, ZInt):
+        return ZInt(rng.randint(int(lo), int(hi)))
     if isinstance(lo, FinVec):
         return FinVec(tuple(_fraction_point(rng, a, b) for a, b in zip(lo, hi)))
     n = max(min_head, len(lo.prefix), len(hi.prefix))
@@ -61,7 +61,7 @@ def element_intervals(draw):
     kind = draw(st.sampled_from(["z", "qn", "seq"]))
     if kind == "z":
         a, b = sorted(draw(st.lists(st.integers(-50, 50), min_size=2, max_size=2)))
-        return a, b, 0
+        return ZInt(a), ZInt(b), 0
     if kind == "qn":
         pairs = draw(st.lists(intervals(), min_size=1, max_size=8))
         return FinVec(tuple(a for a, _ in pairs)), FinVec(tuple(b for _, b in pairs)), 0
@@ -104,4 +104,5 @@ def test_min_head_draws_each_sequence_coordinate():
     # Vectors and integers have no tail to pad: the minimum head leaves their draws alone.
     x = FinVec.of(1, 2)
     assert rand_between(random.Random(3), -x, x, min_head=5) == rand_between(random.Random(3), -x, x)
-    assert rand_between(random.Random(3), -4, 4, min_head=5) == rand_between(random.Random(3), -4, 4)
+    z = ZInt(4)
+    assert rand_between(random.Random(3), -z, z, min_head=5) == rand_between(random.Random(3), -z, z)

@@ -11,11 +11,14 @@ from latring import (
     Multiplication,
     Space,
     TopologyId,
+    ZInt,
     archimedean_witness,
     check_f_ring,
     join,
     matrix2_mul,
     meet,
+    neg_part,
+    pos_part,
     ring_mul,
 )
 from latring.sampling import rand_element, rng_for
@@ -38,10 +41,30 @@ def test_ring_mul_pointwise_and_zero():
 
 def test_z_space_ops():
     s = Space.z_discrete()
-    assert join(s, 3, -5) == 3 and meet(s, 3, -5) == -5
-    assert ring_mul(s, 3, -5) == -15
+    a, b = ZInt(3), ZInt(-5)
+    assert join(s, a, b) == a and meet(s, a, b) == b
+    assert ring_mul(s, a, b) == ZInt(-15)
+    assert pos_part(s, b) == ZInt(0) and neg_part(s, b) == ZInt(5)
     with pytest.raises(InvalidElement):
-        join(s, 3, F(1, 2))
+        join(s, a, F(1, 2))
+
+
+def test_an_integer_of_z_is_a_one_coordinate_integer_row():
+    s = Space.z_discrete()
+    assert ZInt(F(6, 2)) == ZInt(3) and ZInt(3).int_row == (1, (3,)) and int(ZInt(-4)) == -4
+    # A plain int, or a rational vector of one coordinate, is not an element of Z ...
+    for x in (3, FinVec.of(3)):
+        with pytest.raises(InvalidElement, match="expected an integer"):
+            s.validate(x)
+    with pytest.raises(InvalidElement):
+        Space.qn(1).validate(ZInt(3))
+    with pytest.raises(InvalidElement):
+        ZInt(3) + FinVec.of(1)
+    # ... and nothing that is not an integer becomes one.
+    for build in (lambda: ZInt(F(1, 2)), lambda: ZInt(True), lambda: ZInt(3).scale(F(1, 2))):
+        with pytest.raises(InvalidElement):
+            build()
+    assert ZInt(3).scale(F(2, 3)) == ZInt(2)
 
 
 def test_f_ring_holds_on_disjoint_supports():

@@ -9,7 +9,17 @@ from pathlib import Path
 
 import pytest
 
-from latring import EvSeq, FinVec, MatrixHom, Neighborhood, SeqHom, SoundnessBug, Space, SpecFileError
+from latring import (
+    EvSeq,
+    FinVec,
+    MatrixHom,
+    Neighborhood,
+    SeqHom,
+    SoundnessBug,
+    Space,
+    SpecFileError,
+    ZInt,
+)
 from latring.cli import main
 from latring.homs import ORACLE_DIM_CAP
 from latring.specfile import (
@@ -45,6 +55,7 @@ def test_element_round_trip():
     assert parse_element(element_to_obj(x), space, "e") == x
     s = EvSeq.of(F(-5, 4), tail=F(2))
     assert parse_element(element_to_obj(s), Space.evseq(), "e") == s
+    assert parse_element(element_to_obj(ZInt(-7)), Space.z_discrete(), "e") == ZInt(-7)
 
 
 def test_nbhd_round_trip():
@@ -84,6 +95,14 @@ def test_set_round_trip_through_doc():
             "sets": {"again": obj},
         }))
         assert round_doc.sets["again"] == doc.sets[name]
+
+
+def test_z_sets_round_trip():
+    # The demo spec holds one set of each kind, the identity image among them.
+    doc = parse_specdoc((_REPO / "specs" / "z_demo.json").read_text())
+    for S in doc.sets.values():
+        again = parse_specdoc(json.dumps({"space": {"kind": "z"}, "sets": {"again": set_to_obj(S)}}))
+        assert again.sets["again"] == S
 
 
 def test_unknown_key_names_section():
@@ -184,7 +203,8 @@ def test_net_on_integers_exits_2(tmp_path, capsys):
         "nets": {"n": {"kind": "constant", "term": "ident"}},
     }))
     assert main(["converge", "n", "--mode", "cr", "--spec", str(path)]) == 2
-    assert "nets.n" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "nets.n" in err and "nets are shipped for the matrix and sequence forms only" in err
 
 
 def test_unresolved_name():
@@ -226,9 +246,10 @@ def test_cli_identity_on_integers(tmp_path, capsys):
     path.write_text(json.dumps({"space": {"kind": "z"}, "homs": {"ident": {"kind": "identity"}}}))
     assert main(["classify", "ident", "--spec", str(path), "--format", "machine"]) == 0
     capsys.readouterr()
-    # No oracle cross-check exists on Z: an input error with a message, not a traceback.
+    # posp draws rational probes, which are not elements of Z: an input error
+    # with a message, not a traceback.
     assert main(["posp", "ident", "--spec", str(path)]) == 2
-    assert "'ident'" in capsys.readouterr().err
+    assert "'ident' acts on the integers" in capsys.readouterr().err
 
 
 def test_cli_posp_oracle_agreement(capsys):
@@ -400,6 +421,8 @@ def _literal_cases():
          "codomain_space: must have the kind and dim of 'space'"),
         ({"space": {"kind": "qn", "dim": 1}, "codomain_space": {"kind": "qn", "dim": 2}},
          "codomain_space: must have the kind and dim of 'space'"),
+        ({"space": {"kind": "z", "topology": "evseq_product"}}, "space: evseq_product does not fit carrier z"),
+        ({"space": {"kind": "z", "dim": 1}}, "space: z carries no dimension"),
         *_literal_cases(),
     ],
 )

@@ -2,6 +2,8 @@
 
 from fractions import Fraction as F
 
+import time
+
 import pytest
 
 from latring import (
@@ -18,6 +20,7 @@ from latring import (
     Space,
     SolidHull,
     TopologyId,
+    ZInt,
     coordinate_bounds,
     fatou_check,
     group_bound_multiplier,
@@ -140,11 +143,11 @@ def test_group_bounded_examples():
     assert not v.bounded and v.witness == Neighborhood.product({1}, 1)
 
     # Discrete integers: n * {0} = {0}, so nonzero singletons are unbounded.
-    five = FiniteSet(ZD, (5,))
+    five = FiniteSet(ZD, (ZInt(5),))
     v = set_group_bounded(five)
     assert not v.bounded and v.witness == Neighborhood.discrete_zero()
     assert group_bound_multiplier(five, Neighborhood.discrete_zero()) is None
-    assert set_group_bounded(FiniteSet(ZD, (0,))).bounded
+    assert set_group_bounded(FiniteSet(ZD, (ZInt(0),))).bounded
     # ... while ring-boundedness on discrete Z is automatic (V = {0} works).
     assert set_ring_bounded(five).bounded
 
@@ -174,14 +177,23 @@ def test_non_solid_witnesses_check_out():
         FiniteSet(Q2, (FinVec.of(1, 1),)),
         Interval(Q2, FinVec.zero(2), FinVec.of(1, 1)),
         Interval(Q2, FinVec.of(-2, -1), FinVec.of(1, 1)),
-        FiniteSet(ZD, (5,)),
-        Interval(ZD, -1, 3),
+        FiniteSet(ZD, (ZInt(5),)),
+        Interval(ZD, ZInt(-1), ZInt(3)),
     ):
         x, y = non_solid_witness(S)
         assert set_contains(S, y)
         assert not set_contains(S, x)
         assert abs(x) <= abs(y)
-    assert non_solid_witness(Interval(ZD, -1, 3)) == (-3, 3)
+    assert non_solid_witness(Interval(ZD, ZInt(-1), ZInt(3))) == (ZInt(-3), ZInt(3))
+
+
+def test_non_solid_witness_of_a_large_integer_takes_one_step():
+    # The unit steps below y are made one at a time: the first one is the witness.
+    v = 10**12
+    start = time.perf_counter()
+    assert non_solid_witness(FiniteSet(ZD, (ZInt(v),))) == (ZInt(v - 1), ZInt(v))
+    assert non_solid_witness(FiniteSet(ZD, (ZInt(-v),))) == (ZInt(1 - v), ZInt(-v))
+    assert time.perf_counter() - start < 1
 
 
 def test_solid_sets_pass_spot_checks():
