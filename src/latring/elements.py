@@ -189,6 +189,7 @@ class ZInt(FinVec):
     __slots__ = ()
 
     def __init__(self, n):
+        # A plain int is the row itself; anything else is read as a rational and must reduce to one.
         self.__post_init__(*((1, (n,)) if type(n) is int else rat_row((n,))))
 
     def __post_init__(self, d: int, nums) -> None:
