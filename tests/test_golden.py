@@ -7,7 +7,9 @@ of `classify`, `posp`, `converge --mode br` and `decompose` on
 `specs/q12_literals.json`, whose literals are written unreduced, signed,
 zero-padded and over coprime denominators, and of the NOT_CONVERGENT cr
 verdict on `specs/evseq_demo.json`; the gallery reports and the `laws`
-report of every instance are pinned by their sha256.  If a change alters one
+report of every instance are pinned by their sha256.  The `.txt` files pin
+the default `--format text` output of `run` on `specs/qn2_demo.json`, of a
+failing `laws` report, and of `classify` on `specs/q12_literals.json`.  If a change alters one
 of these on purpose, regenerate the file (or digest) with the command in the
 test and say why in the change description.
 """
@@ -90,6 +92,20 @@ def test_q12_literal_spec_matches_golden(argv, golden, capsys):
 def test_evseq_demo_spec_matches_golden(argv, golden, capsys):
     out = _machine_report([*argv, "--spec", str(_REPO / "specs" / "evseq_demo.json")], capsys)
     assert out == (_GOLDEN / golden).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv, exit_code, golden",
+    [
+        (["run", "--spec", str(_REPO / "specs" / "qn2_demo.json")], 0, "run_qn2_demo.txt"),
+        (["laws", "matrix2_entrywise", "--cases", "60"], 1, "laws_matrix2_entrywise.txt"),
+        (["classify", "t", "--spec", str(_REPO / "specs" / "q12_literals.json")], 0, "q12_literals_classify.txt"),
+    ],
+)
+def test_text_report_matches_golden(argv, exit_code, golden, capsys):
+    capsys.readouterr()
+    assert main(argv) == exit_code
+    assert capsys.readouterr().out.encode("utf-8") == (_GOLDEN / golden).read_bytes()
 
 
 def test_gallery_report_digest(capsys):
