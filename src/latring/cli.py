@@ -1,6 +1,7 @@
 """Command-line front end.
 
-Subcommands: laws, classify, posp, decompose, converge, gallery, run.
+Each subcommand (laws, classify, posp, decompose, converge, gallery, run) is
+one row of `COMMANDS`: the parser, `main` and the tasks of `run` read it.
 Reports are deterministic for a fixed seed; the machine format is canonical
 JSON (sorted keys), so identical inputs give byte-identical output.  Exit
 codes: 0 all checks pass, 1 an audit failed, 2 bad input.
@@ -12,7 +13,9 @@ import argparse
 import functools
 import json
 import sys
+from collections.abc import Callable
 from fractions import Fraction
+from typing import NamedTuple
 
 from .audits import get_instance, lattice_law_suite
 from .elements import ZInt
@@ -46,34 +49,20 @@ from .topology import canonical_generator
 _INPUT_ERRORS = (SpecFileError, UnknownName, UnknownInstance, UnknownCase, InvalidArgument, VacuousProduct, NotBounded)
 
 
-def _require_cases(cases: int):
-    if cases < 1:
-        raise InvalidArgument(f"--cases must be a positive integer, got {cases}")
-
-
 # ---------------------------------------------------------------------------
-# Commands: each returns (report dict, passed flag).
+# Commands: each takes the spec document (None for a command without --spec)
+# and its arguments as a dict, the parsed command line or a spec task laid
+# over the run's seed and cases, and returns (results, passed flag).
 
-def cmd_laws(instance_name: str, seed: int, cases: int):
-    _require_cases(cases)
-    inst = get_instance(instance_name)
-    checks = lattice_law_suite(inst, seed=seed, cases=cases)
-    results = {
-        f"laws:{instance_name}:{c.name}": c.render() for c in checks
-    }
-    passed = all(c.passed for c in checks)
-    report = {
-        "command": "laws",
-        "instance": instance_name,
-        "seed": seed,
-        "cases": cases,
-        "results": results,
-        "passed": passed,
-    }
-    return report, passed
+def cmd_laws(doc: None, args: dict):
+    instance_name = args["instance"]
+    checks = lattice_law_suite(get_instance(instance_name), seed=args["seed"], cases=args["cases"])
+    results = {f"laws:{instance_name}:{c.name}": c.render() for c in checks}
+    return results, all(c.passed for c in checks)
 
 
-def cmd_classify(doc: SpecDoc, hom_name: str):
+def cmd_classify(doc: SpecDoc, args: dict):
+    hom_name = args["hom"]
     T = doc.hom(hom_name)
     label = classify(T, doc.space, doc.codomain_space)
     result = {
@@ -89,13 +78,7 @@ def cmd_classify(doc: SpecDoc, hom_name: str):
         },
         "provenance": "bounded-class definitions under both boundedness readings",
     }
-    report = {
-        "command": "classify",
-        "hom": hom_name,
-        "results": {f"classify:{hom_name}": result},
-        "passed": True,
-    }
-    return report, True
+    return {f"classify:{hom_name}": result}, True
 
 
 def _reading_pair(pair) -> dict:
@@ -123,8 +106,8 @@ def _render_value(x):
     return str(int(x)) if isinstance(x, ZInt) else element_to_obj(x)
 
 
-def cmd_posp(doc: SpecDoc, hom_name: str, seed: int, cases: int):
-    _require_cases(cases)
+def cmd_posp(doc: SpecDoc, args: dict):
+    hom_name, seed, cases = args["hom"], args["seed"], args["cases"]
     T = doc.hom(hom_name)
     if doc.space.kind is SpaceKind.Z_DISCRETE:
         raise InvalidArgument(
@@ -163,19 +146,12 @@ def cmd_posp(doc: SpecDoc, hom_name: str, seed: int, cases: int):
         "tail_agreement": tail_ok,
         "provenance": "positive-part closed form vs vertex-enumeration oracle",
     }
-    report = {
-        "command": "posp",
-        "hom": hom_name,
-        "seed": seed,
-        "results": {f"posp:{hom_name}": result},
-        "passed": passed,
-    }
-    return report, passed
+    return {f"posp:{hom_name}": result}, passed
 
 
-def cmd_decompose(doc: SpecDoc, x_name: str, y1_name: str, y2_name: str):
+def cmd_decompose(doc: SpecDoc, args: dict):
     space = doc.space
-    x, y1, y2 = doc.element(x_name), doc.element(y1_name), doc.element(y2_name)
+    x, y1, y2 = doc.element(args["x"]), doc.element(args["y1"]), doc.element(args["y2"])
     x1, x2 = riesz_decompose(space, x, y1, y2)
     audit = decomposition_failure(space, x, y1, y2, x1, x2) is None
     result = {
@@ -184,15 +160,11 @@ def cmd_decompose(doc: SpecDoc, x_name: str, y1_name: str, y2_name: str):
         "postconditions": "PASS" if audit else "FAIL",
         "provenance": "decomposition postconditions",
     }
-    report = {
-        "command": "decompose",
-        "results": {f"decompose:{x_name}": result},
-        "passed": audit,
-    }
-    return report, audit
+    return {f"decompose:{args['x']}": result}, audit
 
 
-def cmd_converge(doc: SpecDoc, net_name: str, mode: str, region_name: str | None):
+def cmd_converge(doc: SpecDoc, args: dict):
+    net_name, mode, region_name = args["net"], args["mode"], args.get("region")
     net = doc.net(net_name)
     limit = net.target
     if limit is None:
@@ -222,62 +194,58 @@ def cmd_converge(doc: SpecDoc, net_name: str, mode: str, region_name: str | None
             "provenance": "uniform-convergence definitions with witness recheck",
         }
         passed = refutes
-    report = {
-        "command": "converge",
-        "net": net_name,
-        "mode": mode,
-        "results": {f"converge:{net_name}:{mode}": result},
-        "passed": passed,
-    }
-    return report, passed
+    return {f"converge:{net_name}:{mode}": result}, passed
 
 
-def cmd_gallery(seed: int, cases: int):
-    _require_cases(cases)
-    suite = run_all(seed=seed, cases=cases)
-    results = {}
-    for case in suite.cases:
-        results[f"case:{case.case_id}"] = case.render()
-    for law in suite.law_results:
-        results[f"law:{law.name}"] = law.render()
-    report = {
-        "command": "gallery",
-        "seed": seed,
-        "cases": cases,
-        "results": results,
-        "passed": suite.passed,
-    }
-    return report, suite.passed
+def cmd_gallery(doc: None, args: dict):
+    suite = run_all(seed=args["seed"], cases=args["cases"])
+    results = {f"case:{case.case_id}": case.render() for case in suite.cases}
+    results.update({f"law:{law.name}": law.render() for law in suite.law_results})
+    return results, suite.passed
 
 
-def cmd_run(doc: SpecDoc, seed: int, cases: int):
-    """Execute every task listed in the spec file; an input error names its task."""
-    _require_cases(cases)
+def cmd_run(doc: SpecDoc, args: dict):
+    """Run each task's command with the task's arguments; an input error names its task."""
     merged: dict = {}
     all_passed = True
     for i, task in enumerate(doc.tasks):
-        op = task["op"]
-        name = task.get("name", f"{op}[{i}]")
-        t_seed = task.get("seed", seed)
-        t_cases = task.get("cases", cases)
+        name = task.get("name", f"{task['op']}[{i}]")
         try:
-            if op == "classify":
-                sub, ok = cmd_classify(doc, task["hom"])
-            elif op == "posp":
-                sub, ok = cmd_posp(doc, task["hom"], t_seed, t_cases)
-            elif op == "decompose":
-                sub, ok = cmd_decompose(doc, task["x"], task["y1"], task["y2"])
-            elif op == "converge":
-                sub, ok = cmd_converge(doc, task["net"], task["mode"], task.get("region"))
-            else:
-                sub, ok = cmd_laws(task["instance"], t_seed, t_cases)
+            results, ok = COMMANDS[task["op"]].run(doc, {"seed": args["seed"], "cases": args["cases"], **task})
         except _INPUT_ERRORS as exc:
             raise SpecFileError(f"tasks[{i}]: {exc}") from exc
-        for key, value in sub["results"].items():
-            merged[f"{name}:{key}"] = value
+        merged.update({f"{name}:{key}": value for key, value in results.items()})
         all_passed = all_passed and ok
-    report = {"command": "run", "seed": seed, "results": merged, "passed": all_passed}
-    return report, all_passed
+    return merged, all_passed
+
+
+class Command(NamedTuple):
+    run: Callable  # (doc, args) -> (results, passed)
+    positional: tuple[str, ...]
+    spec: bool  # reads --spec
+    echo: tuple[str, ...]  # arguments the report repeats ahead of its results
+    help: str
+    options: tuple = ()  # (flag, add_argument keywords) ahead of the common options
+
+
+# One row per command, in `--help` order.
+COMMANDS = {
+    "laws": Command(cmd_laws, ("instance",), False, ("instance", "seed", "cases"),
+                    "run the algebraic law suites on a shipped instance"),
+    "classify": Command(cmd_classify, ("hom",), True, ("hom",),
+                        "bounded-class label for a named homomorphism"),
+    "posp": Command(cmd_posp, ("hom",), True, ("hom", "seed"),
+                    "positive part of a named homomorphism, with oracle cross-check"),
+    "decompose": Command(cmd_decompose, ("x", "y1", "y2"), True, (),
+                         "split x against |y1|, |y2| and audit the postconditions"),
+    "converge": Command(cmd_converge, ("net",), True, ("net", "mode"),
+                        "convergence certificate for a named net",
+                        (("--mode", {"choices": ("nr", "br", "cr"), "required": True}),
+                         ("--region", {"help": "named set: the neighborhood (nr) or bounded set (br)"}))),
+    "gallery": Command(cmd_gallery, (), False, ("seed", "cases"),
+                       "counterexample cases plus every module's law suite"),
+    "run": Command(cmd_run, (), True, ("seed",), "execute the tasks section of a spec file"),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -309,65 +277,31 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact lattice-ring calculator: laws, classification, positive parts, convergence, gallery.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, spec=False):
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for arg in command.positional:
+            p.add_argument(arg)
+        for flag, keywords in command.options:
+            p.add_argument(flag, **keywords)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--cases", type=int, default=1000)
         p.add_argument("--format", choices=("text", "machine"), default="text")
-        if spec:
+        if command.spec:
             p.add_argument("--spec", required=True, help="path to a JSON spec file")
-
-    p = sub.add_parser("laws", help="run the algebraic law suites on a shipped instance")
-    p.add_argument("instance")
-    common(p)
-
-    p = sub.add_parser("classify", help="bounded-class label for a named homomorphism")
-    p.add_argument("hom")
-    common(p, spec=True)
-
-    p = sub.add_parser("posp", help="positive part of a named homomorphism, with oracle cross-check")
-    p.add_argument("hom")
-    common(p, spec=True)
-
-    p = sub.add_parser("decompose", help="split x against |y1|, |y2| and audit the postconditions")
-    p.add_argument("x")
-    p.add_argument("y1")
-    p.add_argument("y2")
-    common(p, spec=True)
-
-    p = sub.add_parser("converge", help="convergence certificate for a named net")
-    p.add_argument("net")
-    p.add_argument("--mode", choices=("nr", "br", "cr"), required=True)
-    p.add_argument("--region", help="named set: the neighborhood (nr) or bounded set (br)")
-    common(p, spec=True)
-
-    p = sub.add_parser("gallery", help="counterexample cases plus every module's law suite")
-    common(p)
-
-    p = sub.add_parser("run", help="execute the tasks section of a spec file")
-    common(p, spec=True)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = vars(build_parser().parse_args(argv))
+    command = COMMANDS[args["command"]]
     try:
-        if args.command == "laws":
-            report, passed = cmd_laws(args.instance, args.seed, args.cases)
-        elif args.command == "classify":
-            report, passed = cmd_classify(load_specdoc(args.spec), args.hom)
-        elif args.command == "posp":
-            report, passed = cmd_posp(load_specdoc(args.spec), args.hom, args.seed, args.cases)
-        elif args.command == "decompose":
-            report, passed = cmd_decompose(load_specdoc(args.spec), args.x, args.y1, args.y2)
-        elif args.command == "converge":
-            report, passed = cmd_converge(load_specdoc(args.spec), args.net, args.mode, args.region)
-        elif args.command == "gallery":
-            report, passed = cmd_gallery(args.seed, args.cases)
-        else:
-            report, passed = cmd_run(load_specdoc(args.spec), args.seed, args.cases)
-        out = render_machine(report) if args.format == "machine" else render_text(report)
+        doc = load_specdoc(args["spec"]) if command.spec else None
+        if args["cases"] < 1:
+            raise InvalidArgument(f"--cases must be a positive integer, got {args['cases']}")
+        results, passed = command.run(doc, args)
+        echoed = {key: args[key] for key in command.echo}
+        report = {"command": args["command"], **echoed, "results": results, "passed": passed}
+        out = render_machine(report) if args["format"] == "machine" else render_text(report)
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

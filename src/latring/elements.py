@@ -152,7 +152,7 @@ class FinVec(_RowElement):
 
     @classmethod
     def of(cls, *entries) -> "FinVec":
-        return cls(entries)
+        return cls.from_int_row(*rat_row(entries))
 
     @classmethod
     def zero(cls, dim: int) -> "FinVec":

@@ -392,8 +392,9 @@ def _section(raw: dict, key: str) -> dict:
 def parse_specdoc(text: str) -> SpecDoc:
     try:
         raw = json.loads(text)
-    except ValueError as exc:
-        # A JSONDecodeError, or an integer beyond the interpreter's digit limit.
+    except (ValueError, RecursionError) as exc:
+        # A JSONDecodeError, an integer beyond the interpreter's digit limit,
+        # or nesting deeper than the decoder recurses.
         raise SpecFileError(f"not valid JSON: {exc}") from exc
     _check_keys(raw, {"space", "codomain_space", "elements", "homs", "sets", "nets", "tasks"}, "top level")
     if "space" not in raw:
@@ -431,6 +432,7 @@ def parse_specdoc(text: str) -> SpecDoc:
 def load_specdoc(path: str) -> SpecDoc:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return parse_specdoc(fh.read())
-    except OSError as exc:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise SpecFileError(f"cannot read {path!r}: {exc}") from exc
+    return parse_specdoc(text)

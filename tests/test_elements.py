@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from latring import EvSeq, FinVec, InvalidElement, Space
+from latring import EvSeq, FinVec, InvalidElement, Space, ZInt
 from latring.sampling import rand_element, rng_for
 
 rats = st.fractions(min_value=-20, max_value=20, max_denominator=9)
@@ -316,3 +316,11 @@ def test_integer_form_examples():
     assert repr(FinVec.from_int_row(4, (2, -8))) == "FinVec(1/2, -2)"
     with pytest.raises(InvalidElement):
         FinVec.from_int_row(1, ())
+
+
+def test_an_integer_of_z_has_the_row_constructors_at_one_coordinate():
+    assert ZInt.of(3) == ZInt(3) and type(ZInt.of(3)) is ZInt and type(FinVec.of(3)) is FinVec
+    assert ZInt.zero(1) == ZInt(0) and ZInt.constant(1, 4) == ZInt(4)
+    for build in (lambda: ZInt.of(1, 2), lambda: ZInt.of(F(1, 2)), lambda: ZInt.zero(2), lambda: ZInt.constant(2, 4)):
+        with pytest.raises(InvalidElement, match="expected an integer"):
+            build()

@@ -324,6 +324,49 @@ def test_cli_run_laws_task(tmp_path, capsys):
     assert any(key.startswith("core:laws:q2_pointwise") for key in report["results"])
 
 
+# Each op's positional arguments on the command line, in order.
+_TASK_POSITIONAL = {"classify": ("hom",), "posp": ("hom",), "decompose": ("x", "y1", "y2"),
+                    "converge": ("net",), "laws": ("instance",)}
+
+
+def _standalone_argv(task: dict, spec: str) -> list[str]:
+    op = task["op"]
+    argv = [op, *(task[key] for key in _TASK_POSITIONAL[op])]
+    if op == "converge":
+        argv += ["--mode", task["mode"], *(["--region", task["region"]] if "region" in task else [])]
+    if op != "laws":
+        argv += ["--spec", spec]
+    return [*argv, "--seed", str(task.get("seed", 0)), "--cases", str(task.get("cases", 1000))]
+
+
+def _machine_results(argv, capsys) -> dict:
+    capsys.readouterr()
+    main([*argv, "--format", "machine"])
+    return json.loads(capsys.readouterr().out)["results"]
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["qn2_demo.json", "evseq_demo.json", "evseq_supnorm_demo.json", "z_demo.json", "q12_literals.json", None],
+    ids=lambda spec: spec or "laws-task",
+)
+def test_a_task_runs_the_same_command_as_the_command_line(spec, tmp_path, capsys):
+    if spec is None:
+        path = tmp_path / "laws.json"
+        task = {"name": "core", "op": "laws", "instance": "q2_pointwise", "cases": 50}
+        path.write_text(json.dumps({"space": {"kind": "qn", "dim": 2}, "tasks": [task]}))
+    else:
+        path = _REPO / "specs" / spec
+    tasks = json.loads(path.read_text())["tasks"]
+    merged = _machine_results(["run", "--spec", str(path)], capsys)
+    expected = {}
+    for i, task in enumerate(tasks):
+        name = task.get("name", f"{task['op']}[{i}]")
+        for key, value in _machine_results(_standalone_argv(task, str(path)), capsys).items():
+            expected[f"{name}:{key}"] = value
+    assert merged == expected
+
+
 def test_cli_gallery_four_pass_lines(capsys):
     assert main(["gallery", "--cases", "60"]) == 0
     out = capsys.readouterr().out
@@ -439,6 +482,19 @@ def test_json_integer_beyond_the_digit_limit_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "data, message",
+    [(b"\xff\xfe{}", "error: cannot read"), (b"[" * 200_000 + b"]" * 200_000, "error: not valid JSON")],
+    ids=["not-utf8", "nested-200000-deep"],
+)
+def test_unreadable_spec_text_exits_2_at_once(data, message, tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_bytes(data)
+    start = time.perf_counter()
+    _assert_input_error(["run", "--spec", str(path)], message, capsys)
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize(
     "task, message",
     [
         ({"op": "classify"}, "tasks[0]: a classify task needs 'hom'"),
@@ -483,6 +539,25 @@ def test_task_input_error_names_its_task(task, message, tmp_path, capsys):
 
 def test_run_checks_its_own_cases_before_any_task(capsys):
     _assert_input_error(["run", "--spec", EVSEQ_SPEC, "--cases", "0"], "error: --cases must be a positive integer", capsys)
+
+
+@pytest.mark.parametrize("cases", ["0", "-5"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["laws", "q3_pointwise"],
+        ["classify", "t", "--spec", QN2_SPEC],
+        ["posp", "t", "--spec", QN2_SPEC],
+        ["decompose", "x", "y1", "y2", "--spec", QN2_SPEC],
+        ["converge", "shrinking", "--mode", "br", "--region", "probe_interval", "--spec", QN2_SPEC],
+        ["gallery"],
+        ["run", "--spec", QN2_SPEC],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_every_command_refuses_cases_below_one(argv, cases, capsys):
+    message = f"error: --cases must be a positive integer, got {cases}"
+    _assert_input_error([*argv, "--cases", cases], message, capsys)
 
 
 def test_converge_on_a_net_without_target_exits_2(tmp_path, capsys):
