@@ -2,7 +2,8 @@
 
 The stored files are the `--format machine` output of `run` on the four demo
 specs (the sup-norm one prints `nr` certificates and sup-norm witnesses, and
-the integer one the discrete topology's verdicts and integer elements), and
+the integer one the discrete topology's verdicts and integer elements) and on
+`specs/qn2_nets.json` (table and constant nets on Q^2 in all three modes), and
 of `classify`, `posp`, `converge --mode br` and `decompose` on
 `specs/q12_literals.json`, whose literals are written unreduced, signed,
 zero-padded and over coprime denominators, and of the NOT_CONVERGENT cr
@@ -62,6 +63,7 @@ def _machine_report(argv, capsys, exit_code: int = 0) -> bytes:
         ("evseq_demo.json", "run_evseq_demo.json"),
         ("evseq_supnorm_demo.json", "run_evseq_supnorm_demo.json"),
         ("z_demo.json", "run_z_demo.json"),
+        ("qn2_nets.json", "run_qn2_nets.json"),
     ],
 )
 def test_run_demo_spec_matches_golden(spec, golden, capsys):

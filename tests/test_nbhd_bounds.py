@@ -7,7 +7,9 @@ decide the same questions with one formula per base, written out case by
 case: a radius vector for boxes, one radius on a finite coordinate set for
 product neighborhoods, one radius on every coordinate for sup-norm balls,
 and exactly {0} for the discrete base.  The examples cover all four bases,
-free product coordinates (whose bound is INF) and the discrete {0}.
+free product coordinates (whose bound is INF) and the discrete {0}.  The cr
+verdict on closed-form and table nets is checked against its definition: the
+eventual term equals the limit.
 """
 
 import math
@@ -33,6 +35,7 @@ from latring import (
     ZInt,
     converges,
     coordinate_bounds,
+    cr_converges,
     group_bound_multiplier,
 )
 from latring.extended import ext_le, is_inf
@@ -131,6 +134,10 @@ diagonals = st.builds(
     st.lists(rats, max_size=6),
     st.sampled_from([F(0), F(0), F(1, 2), F(-3)]),
 )
+blocks = st.integers(1, 3).flatmap(
+    lambda k: st.lists(st.lists(rats, min_size=k, max_size=k), min_size=k, max_size=k)
+)
+seq_homs = st.one_of(diagonals, st.builds(lambda D, block: SeqHom.diag_plus_block(D.diag, block), diagonals, blocks))
 any_element = st.one_of(
     st.integers(1, 3).flatmap(finvecs), evseqs, st.integers(-2, 2).map(ZInt), st.integers(-2, 2), st.just(True)
 )
@@ -213,6 +220,22 @@ def certificates(draw):
     return cert, V, W
 
 
+@st.composite
+def endomorphism_nets(draw):
+    """A closed-form or table net of endomorphisms under pointwise products, and a limit."""
+    if draw(st.booleans()):
+        dim = draw(st.integers(1, 3))
+        space, homs = Space.qn(dim), matrices(dim)
+    else:
+        space, homs = Space.evseq(draw(st.sampled_from([PRODUCT, SUPNORM]))), seq_homs
+    if draw(st.booleans()):
+        net = HomNet.closed(space, space, draw(homs), draw(homs))
+    else:
+        net = HomNet.table(space, space, draw(st.lists(homs, min_size=1, max_size=4)))
+    eventual = net.eventual_term()
+    return net, draw(st.sampled_from([eventual, eventual.scale(0)]) | homs)
+
+
 # ---------------------------------------------------------------------------
 # Agreement.
 
@@ -256,3 +279,15 @@ def test_threshold_and_recheck_agree_with_reference(case):
     for alpha in (1, alpha0, alpha0 + 3):
         img = (cert.net.term(alpha) - cert.limit).propagate_bounds(region)
         assert cert.verify_at(alpha, V, W) == ref_within(img, target)
+
+
+@settings(max_examples=300)
+@given(endomorphism_nets())
+def test_cr_verdict_is_the_eventual_difference_vanishing(case):
+    """cr converges exactly when the eventual term is the limit, and a
+    negative certificate's witness refutes it."""
+    net, limit = case
+    cert = cr_converges(net, limit)
+    assert cert.convergent == (net.eventual_term() - limit).is_zero()
+    if not cert.convergent:
+        assert cert.witness_refutes()

@@ -347,7 +347,10 @@ def _machine_results(argv, capsys) -> dict:
 
 @pytest.mark.parametrize(
     "spec",
-    ["qn2_demo.json", "evseq_demo.json", "evseq_supnorm_demo.json", "z_demo.json", "q12_literals.json", None],
+    [
+        "qn2_demo.json", "evseq_demo.json", "evseq_supnorm_demo.json", "z_demo.json", "q12_literals.json",
+        "qn2_nets.json", None,
+    ],
     ids=lambda spec: spec or "laws-task",
 )
 def test_a_task_runs_the_same_command_as_the_command_line(spec, tmp_path, capsys):
