@@ -475,7 +475,7 @@ def _sample_nets():
     }
 
 
-def convergence_recheck_suite(seed: int = 0) -> CheckResult:
+def convergence_recheck_suite() -> CheckResult:
     """Certificates re-verify at the threshold and seven entries past it."""
     outcomes = []
     for mode, (net, limit, region, pairs) in _sample_nets().items():
@@ -484,12 +484,8 @@ def convergence_recheck_suite(seed: int = 0) -> CheckResult:
             return CheckResult(
                 "certificate-recheck", False, len(outcomes), f"{mode} net unexpectedly divergent", "convergence"
             )
-        for V, W in pairs:
-            a0 = cert.alpha0_for(V, W)
-            outcomes += [
-                None if cert.verify_at(alpha, V, W) else f"{mode} recheck failed at alpha={alpha}"
-                for alpha in (a0, a0 + 7)
-            ]
+        outcomes += [None if ok else f"{mode} recheck failed at alpha={alpha}"
+                     for V, W in pairs for alpha, ok in cert.recheck(V, W).items()]
     return _tally("certificate-recheck", "convergence certificates", outcomes)
 
 
@@ -562,7 +558,7 @@ def all_suites(seed: int = 0, cases: int = 1000) -> list[CheckResult]:
     results.append(boundedness_agreement_suite(seed, small))
     results.append(sampler_bound_suite(seed, small))
     results.append(fatou_suite())
-    results.append(convergence_recheck_suite(seed))
+    results.append(convergence_recheck_suite())
     results.append(uniqueness_suite(seed, max(cases // 20, 5)))
     results.append(lattice_continuity_suite(seed))
     return results

@@ -20,6 +20,7 @@ from typing import NamedTuple
 from .audits import get_instance, lattice_law_suite
 from .elements import ZInt
 from .errors import (
+    DecompositionPrereqViolated,
     InvalidArgument,
     LatringError,
     NotBounded,
@@ -46,7 +47,8 @@ from .spaces import Space, SpaceKind
 from .specfile import SpecDoc, element_to_obj, load_specdoc, set_to_obj
 from .topology import canonical_generator
 
-_INPUT_ERRORS = (SpecFileError, UnknownName, UnknownInstance, UnknownCase, InvalidArgument, VacuousProduct, NotBounded)
+_INPUT_ERRORS = (SpecFileError, UnknownName, UnknownInstance, UnknownCase, InvalidArgument, VacuousProduct,
+                 NotBounded, DecompositionPrereqViolated)
 
 
 # ---------------------------------------------------------------------------
@@ -175,25 +177,23 @@ def cmd_converge(doc: SpecDoc, args: dict):
     # The canonical generator is the target V and, for cr, the outer W too.
     V = canonical_generator(net.codomain.topology, net.codomain.dim)
     if cert.convergent:
-        alpha0 = cert.alpha0_for(V, V)
-        recheck = cert.verify_at(alpha0, V, V) and cert.verify_at(alpha0 + 7, V, V)
+        checks = cert.recheck(V, V)
+        passed = all(checks.values())
         result = {
             "verdict": "CONVERGENT",
             "canonical_target": V.render(),
-            "alpha0": alpha0,
-            "recheck_at_alpha0_and_plus7": "PASS" if recheck else "FAIL",
+            "alpha0": next(iter(checks)),
+            "recheck_at_alpha0_and_plus7": "PASS" if passed else "FAIL",
             "provenance": "uniform-convergence definitions with certificate recheck",
         }
-        passed = recheck
     else:
-        refutes = cert.witness_refutes()
+        passed = cert.witness_refutes()
         result = {
             "verdict": "NOT_CONVERGENT",
             "witness": _maybe_nbhd(cert.witness),
-            "witness_recheck": "PASS" if refutes else "FAIL",
+            "witness_recheck": "PASS" if passed else "FAIL",
             "provenance": "uniform-convergence definitions with witness recheck",
         }
-        passed = refutes
     return {f"converge:{net_name}:{mode}": result}, passed
 
 
@@ -209,12 +209,11 @@ def cmd_run(doc: SpecDoc, args: dict):
     merged: dict = {}
     all_passed = True
     for i, task in enumerate(doc.tasks):
-        name = task.get("name", f"{task['op']}[{i}]")
         try:
             results, ok = COMMANDS[task["op"]].run(doc, {"seed": args["seed"], "cases": args["cases"], **task})
         except _INPUT_ERRORS as exc:
             raise SpecFileError(f"tasks[{i}]: {exc}") from exc
-        merged.update({f"{name}:{key}": value for key, value in results.items()})
+        merged.update({f"{task['name']}:{key}": value for key, value in results.items()})
         all_passed = all_passed and ok
     return merged, all_passed
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
+from itertools import takewhile
 from operator import add
 from typing import Sequence
 
@@ -356,31 +357,20 @@ class ConvergenceCertificate:
     convergent: bool
     net: HomNet
     limit: Hom
-    region: object = None                 # Neighborhood (nr) or SetDesc (br)
+    region: SetDesc | None = None         # the domain set of nr and br
     region_bounds: CoordBounds | None = None
     residual_bounds: CoordBounds | None = None
     witness: Neighborhood | None = None   # refuting V when not convergent
 
-    def target(self, V: Neighborhood, W: Neighborhood | None) -> Neighborhood:
-        """The codomain set every term difference must eventually map into: V, or V*W for cr."""
-        if self.mode == "cr":
-            if W is None:
-                raise InvalidArgument("cr certificates need the outer neighborhood W")
-            return vw_box(V, W)
-        return V
-
-    def region_set(self, W: Neighborhood | None) -> SetDesc:
-        """The domain set the convergence is uniform on: U, B, or cr's U chosen for W."""
-        if self.mode == "cr":
-            return NbhdSet(self.net.domain, self.choose_U(W))
-        if self.mode == "nr":
-            return NbhdSet(self.net.domain, self.region)
-        return self.region
-
-    def _bounds_for(self, W: Neighborhood | None) -> CoordBounds:
-        if self.mode == "cr":
-            return self.choose_U(W).bounds()
-        return self.region_bounds
+    def frame(self, V: Neighborhood, W: Neighborhood | None = None) -> tuple[SetDesc, CoordBounds, Neighborhood]:
+        """The domain set the convergence is uniform on, its coordinate bounds, and the target:
+        (region, region_bounds, V) for nr and br, (the U chosen for W, its bounds, V*W) for cr."""
+        if self.mode != "cr":
+            return self.region, self.region_bounds, V
+        if W is None:
+            raise InvalidArgument("cr certificates need the outer neighborhood W")
+        U = self.choose_U(W)
+        return NbhdSet(self.net.domain, U), U.bounds(), vw_box(V, W)
 
     def choose_U(self, W: Neighborhood) -> Neighborhood:
         """cr mode: the domain neighborhood answering the outer W."""
@@ -405,28 +395,29 @@ class ConvergenceCertificate:
         """Least entry index from which every term's difference sits inside the target."""
         if not self.convergent:
             raise InvalidArgument("no threshold exists: the net does not converge")
-        target = self.target(V, W)
+        _, bounds, target = self.frame(V, W)
         if not self.net.is_closed_form:
             # Descend from the tail, which is verified by the zero residual.
-            best = len(self.net.terms)
-            for a0 in range(len(self.net.terms), max(0, len(self.net.terms) - _TABLE_LOOKBACK), -1):
-                if self.verify_at(a0, V, W):
-                    best = a0
-                else:
-                    break
-            return best
+            n = len(self.net.terms)
+            held = takewhile(lambda a0: self.verify_at(a0, V, W), range(n, max(0, n - _TABLE_LOOKBACK), -1))
+            return min(held, default=n)
         # The term difference is decay/alpha, so alpha0 is the least
         # multiple of the target that holds the decay image.
-        alpha0 = bounds_multiplier(self.net.decay.propagate_bounds(self._bounds_for(W)), target)
+        alpha0 = bounds_multiplier(self.net.decay.propagate_bounds(bounds), target)
         if alpha0 is None:
             raise SoundnessBug("a convergent certificate cannot carry unbounded decay")
         return alpha0
 
     def verify_at(self, alpha: int, V: Neighborhood, W: Neighborhood | None = None) -> bool:
         """Exact recheck of the defining containment at one entry index."""
-        D = self.net.term(alpha) - self.limit
-        img = D.propagate_bounds(self._bounds_for(W))
-        return img.within(self.target(V, W).bounds())
+        _, bounds, target = self.frame(V, W)
+        img = (self.net.term(alpha) - self.limit).propagate_bounds(bounds)
+        return img.within(target.bounds())
+
+    def recheck(self, V: Neighborhood, W: Neighborhood | None = None) -> dict[int, bool]:
+        """The threshold alpha0 and the entry seven past it, each with its exact recheck."""
+        alpha0 = self.alpha0_for(V, W)
+        return {alpha: self.verify_at(alpha, V, W) for alpha in (alpha0, alpha0 + 7)}
 
     def witness_refutes(self) -> bool:
         """Index-free recheck of a negative verdict: the eventual difference
@@ -466,7 +457,7 @@ def nr_converges(net: HomNet, limit: Hom, U: Neighborhood) -> ConvergenceCertifi
     """Uniform convergence on the neighborhood U."""
     if U.topology is not net.domain.topology:
         raise InvalidNeighborhood(f"{U!r} is not in the domain base")
-    return _uniform_convergence("nr", net, limit, U, U.bounds())
+    return _uniform_convergence("nr", net, limit, NbhdSet(net.domain, U), U.bounds())
 
 
 def br_converges(net: HomNet, limit: Hom, B: SetDesc) -> ConvergenceCertificate:
@@ -478,11 +469,12 @@ def br_converges(net: HomNet, limit: Hom, B: SetDesc) -> ConvergenceCertificate:
 
 
 def _uniform_convergence(
-    mode: str, net: HomNet, limit: Hom, region, region_bounds: CoordBounds
+    mode: str, net: HomNet, limit: Hom, region: SetDesc | None, region_bounds: CoordBounds
 ) -> ConvergenceCertificate:
     residual_img = (net.eventual_term() - limit).propagate_bounds(region_bounds)
     escaping = residual_img if residual_img.overall_sup() != 0 else None
-    if escaping is None and net.is_closed_form:
+    # cr's inner radius shrinks at will, so its decay never escapes.
+    if escaping is None and net.is_closed_form and mode != "cr":
         decay_img = net.decay.propagate_bounds(region_bounds)
         if decay_img.first_infinite_index() is not None:
             escaping = decay_img
@@ -508,21 +500,11 @@ def cr_converges(net: HomNet, limit: Hom) -> ConvergenceCertificate:
         raise InvalidArgument("this convergence mode lives on endomorphism nets")
     if net.domain.multiplication is Multiplication.ZERO:
         raise VacuousProduct("V*W = {0} under zero multiplication; the check is vacuous")
-    residual = net.eventual_term() - limit
-    # Every coordinate is constrained by some outer W, and the inner radius
-    # shrinks at will, so the eventual term must agree with the limit outright.
-    if not residual.is_zero():
-        unit = canonical_generator(net.domain.topology, net.domain.dim)
-        residual_img = residual.propagate_bounds(unit.bounds())
-        return ConvergenceCertificate(
-            "cr",
-            False,
-            net,
-            limit,
-            residual_bounds=residual_img,
-            witness=refuting_nbhd(residual_img, net.codomain.topology),
-        )
-    return ConvergenceCertificate("cr", True, net, limit)
+    # Every coordinate is constrained by some outer W and the inner radius shrinks at will, so the
+    # eventual term must equal the limit outright; a nonzero map has a nonzero image bound on the
+    # unit neighborhood (INF on a free product coordinate), so the uniform check there decides that.
+    unit = canonical_generator(net.domain.topology, net.domain.dim)
+    return _uniform_convergence("cr", net, limit, None, unit.bounds())
 
 
 # ---------------------------------------------------------------------------
@@ -580,8 +562,7 @@ def lattice_continuity_audit(
 
     V = canonical_generator(net_t.codomain.topology, net_t.codomain.dim)
     alpha0 = cert.alpha0_for(V, V)
-    region_set = cert.region_set(V)
-    target = cert.target(V, V)
+    region_set, _, target = cert.frame(V, V)
     rng = rng_for(seed)
     ineqs = 0
     members = 0

@@ -9,8 +9,9 @@ operator's block is read in one pass (`scalars.read_row`) into one reduced
 integer row over a common denominator, and refused, naming its section,
 when that denominator or a numerator has more digits than the interpreter
 prints (4300 by default): no work is done on a result that could not be
-reported.  Unknown keys are errors, not warnings; every named reference must
-resolve, and every entry is read, used or not.  Serializing any shipped
+reported.  Unknown keys are errors, not warnings, and so is a key repeated in
+one object; every named reference must resolve, and every entry is read,
+used or not.  Task names are distinct.  Serializing any shipped
 descriptor and re-parsing it yields an equal descriptor.
 """
 
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import json
 import sys
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -49,12 +51,26 @@ _DEFAULT_TOPOLOGY = {
 }
 
 
+class _Repeats(dict):
+    """A JSON object that names keys more than once: the last value of each, and the keys in `repeated`."""
+
+
+def _object(pairs: list) -> dict:
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        obj = _Repeats(obj)
+        obj.repeated = sorted(key for key, n in Counter(key for key, _ in pairs).items() if n > 1)
+    return obj
+
+
 def _check_keys(obj: dict, allowed: set[str], section: str):
     if not isinstance(obj, dict):
         raise SpecFileError(f"section {section!r} must be an object")
     unknown = set(obj) - allowed
     if unknown:
         raise SpecFileError(f"unknown key(s) {sorted(unknown)} in section {section!r}")
+    if isinstance(obj, _Repeats):
+        raise SpecFileError(f"repeated key(s) {obj.repeated} in section {section!r}")
 
 
 def _require(obj: dict, key: str, section: str):
@@ -386,12 +402,13 @@ def _section(raw: dict, key: str) -> dict:
     obj = raw.get(key, {})
     if not isinstance(obj, dict):
         raise SpecFileError(f"section {key!r} must be an object mapping names to entries")
+    _check_keys(obj, set(obj), key)  # any name, each once
     return obj
 
 
 def parse_specdoc(text: str) -> SpecDoc:
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, object_pairs_hook=_object)
     except (ValueError, RecursionError) as exc:
         # A JSONDecodeError, an integer beyond the interpreter's digit limit,
         # or nesting deeper than the decoder recurses.
@@ -425,7 +442,12 @@ def parse_specdoc(text: str) -> SpecDoc:
     tasks = raw.get("tasks", [])
     if not isinstance(tasks, list):
         raise SpecFileError("section 'tasks' must be a list")
-    doc.tasks = [_parse_task(task, f"tasks[{i}]") for i, task in enumerate(tasks)]
+    named: dict = {}  # a task without a name is named after its op and index
+    for i, task in enumerate(tasks):
+        name = _parse_task(task, f"tasks[{i}]").setdefault("name", f"{task['op']}[{i}]")
+        if named.setdefault(name, task) is not task:
+            raise SpecFileError(f"tasks[{i}]: an earlier task is already named {name!r}")
+    doc.tasks = list(named.values())
     return doc
 
 

@@ -158,7 +158,7 @@ def test_criterion_9_recheck_and_uniqueness():
     from latring.audits import convergence_recheck_suite, uniqueness_suite
 
     t0 = time.monotonic()
-    recheck = convergence_recheck_suite(seed=109)
+    recheck = convergence_recheck_suite()
     uniq = uniqueness_suite(seed=109, cases=50)
     ok = recheck.passed and uniq.passed and uniq.cases == 50
     _verdict(9, "certificates recheck at threshold and +7; 50 paired-limit audits",

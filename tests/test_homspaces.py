@@ -23,6 +23,7 @@ from latring import (
     classify,
     br_converges,
     converges,
+    coordinate_bounds,
     cr_converges,
     identity_on,
     lattice_continuity_audit,
@@ -371,9 +372,18 @@ def test_converges_is_the_direct_decider_for_each_mode():
         assert nr == nr_converges(net, base, U)
         assert br == br_converges(net, base, B)
         assert cr == cr_converges(net, base)
-    assert nr.region_set(W) == NbhdSet(Q3, U) and nr.target(U, W) == U
-    assert br.region_set(W) == B and br.target(U, W) == U
-    assert cr.region_set(W) == NbhdSet(Q3, cr.choose_U(W)) and cr.target(U, W) == vw_box(U, W)
+    assert nr.frame(U, W) == (NbhdSet(Q3, U), U.bounds(), U)
+    assert br.frame(U, W) == (B, coordinate_bounds(B), U)
+    assert cr.frame(U, W) == (NbhdSet(Q3, cr.choose_U(W)), cr.choose_U(W).bounds(), vw_box(U, W))
+
+
+def test_recheck_is_the_threshold_and_seven_past_it():
+    base, (net, _), U, B = _mode_nets()
+    W = Neighborhood.box((F(1, 2), 1, 2))
+    for cert in (nr_converges(net, base, U), br_converges(net, base, B), cr_converges(net, base)):
+        alpha0 = cert.alpha0_for(U, W)
+        assert cert.recheck(U, W) == {alpha: cert.verify_at(alpha, U, W) for alpha in (alpha0, alpha0 + 7)}
+        assert list(cert.recheck(U, W)) == [alpha0, alpha0 + 7]
 
 
 def test_converges_refuses_unknown_modes_and_misplaced_regions():

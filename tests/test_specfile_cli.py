@@ -540,6 +540,53 @@ def test_task_input_error_names_its_task(task, message, tmp_path, capsys):
     _assert_input_error(["run", "--spec", str(path)], message, capsys)
 
 
+def test_an_unmet_decompose_prerequisite_is_bad_input(tmp_path, capsys):
+    _assert_input_error(["decompose", "y1", "x", "y2", "--spec", QN2_SPEC], "error: |FinVec(2, 0)|", capsys)
+    spec = json.loads(Path(QN2_SPEC).read_text())
+    spec["tasks"] = [{"op": "decompose", "x": "y1", "y1": "x", "y2": "y2"}]
+    path = tmp_path / "prereq.json"
+    path.write_text(json.dumps(spec))
+    _assert_input_error(["run", "--spec", str(path)], "error: tasks[0]: |FinVec(2, 0)|", capsys)
+
+
+@pytest.mark.parametrize(
+    "tasks, message",
+    [
+        ([{"name": "a", "op": "decompose", "x": "x", "y1": "y1", "y2": "y2"},
+          {"name": "a", "op": "decompose", "x": "y1", "y1": "x", "y2": "y2"}],
+         "error: tasks[1]: an earlier task is already named 'a'"),
+        ([{"op": "classify", "hom": "t"}, {"name": "classify[0]", "op": "classify", "hom": "m"}],
+         "error: tasks[1]: an earlier task is already named 'classify[0]'"),
+    ],
+    ids=["explicit", "default"],
+)
+def test_a_repeated_task_name_exits_2(tasks, message, tmp_path, capsys):
+    spec = json.loads(Path(QN2_SPEC).read_text())
+    spec["tasks"] = tasks
+    path = tmp_path / "names.json"
+    path.write_text(json.dumps(spec))
+    _assert_input_error(["run", "--spec", str(path)], message, capsys)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"space": {"kind": "qn", "dim": 2}, "homs": {"t": "bad", "t": {"kind": "identity"}}, '
+         '"tasks": [{"op": "classify", "hom": "t"}]}',
+         "error: repeated key(s) ['t'] in section 'homs'"),
+        ('{"space": {"kind": "qn", "dim": 1}, "homs": {"t": {"kind": "matrix", "rows": "bad", "rows": [["1"]]}}}',
+         "error: repeated key(s) ['rows'] in section 'homs.t'"),
+        ('{"space": {"kind": "qn", "dim": 2}, "space": {"kind": "qn", "dim": 3}}',
+         "error: repeated key(s) ['space'] in section 'top level'"),
+    ],
+    ids=["homs", "one-hom", "top-level"],
+)
+def test_a_repeated_spec_key_exits_2(text, message, tmp_path, capsys):
+    path = tmp_path / "repeated.json"
+    path.write_text(text)
+    _assert_input_error(["run", "--spec", str(path)], message, capsys)
+
+
 def test_run_checks_its_own_cases_before_any_task(capsys):
     _assert_input_error(["run", "--spec", EVSEQ_SPEC, "--cases", "0"], "error: --cases must be a positive integer", capsys)
 
