@@ -133,7 +133,7 @@ def _certificate(mode):
     """A convergent certificate and its (V, W) target for each mode.
 
     nr-table and cr-table are 70-term table nets; every term of cr-table
-    qualifies, so its threshold search looks back the whole 64 entries.
+    qualifies, so its threshold search checks all 70 entries.
     """
     rng = rng_for(11)
     sup, prod, q8 = Space.evseq(TopologyId.EVSEQ_SUPNORM), Space.evseq(TopologyId.EVSEQ_PRODUCT), Space.qn(8)

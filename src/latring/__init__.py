@@ -10,6 +10,7 @@ from .elements import EvSeq, FinVec, ZInt
 from .errors import (
     DecompositionPrereqViolated,
     EmptyInput,
+    InputError,
     InvalidArgument,
     InvalidElement,
     InvalidNeighborhood,

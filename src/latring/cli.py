@@ -19,17 +19,7 @@ from typing import NamedTuple
 
 from .audits import get_instance, lattice_law_suite
 from .elements import ZInt
-from .errors import (
-    DecompositionPrereqViolated,
-    InvalidArgument,
-    LatringError,
-    NotBounded,
-    SpecFileError,
-    UnknownCase,
-    UnknownInstance,
-    UnknownName,
-    VacuousProduct,
-)
+from .errors import InputError, InvalidArgument, LatringError, SpecFileError
 from .gallery import run_all
 from .homs import (
     ORACLE_DIM_CAP,
@@ -46,9 +36,6 @@ from .sampling import rand_pos_element, rng_for
 from .spaces import Space, SpaceKind
 from .specfile import SpecDoc, element_to_obj, load_specdoc, set_to_obj
 from .topology import canonical_generator
-
-_INPUT_ERRORS = (SpecFileError, UnknownName, UnknownInstance, UnknownCase, InvalidArgument, VacuousProduct,
-                 NotBounded, DecompositionPrereqViolated)
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +198,7 @@ def cmd_run(doc: SpecDoc, args: dict):
     for i, task in enumerate(doc.tasks):
         try:
             results, ok = COMMANDS[task["op"]].run(doc, {"seed": args["seed"], "cases": args["cases"], **task})
-        except _INPUT_ERRORS as exc:
+        except InputError as exc:
             raise SpecFileError(f"tasks[{i}]: {exc}") from exc
         merged.update({f"{task['name']}:{key}": value for key, value in results.items()})
         all_passed = all_passed and ok
@@ -301,12 +288,16 @@ def main(argv=None) -> int:
         echoed = {key: args[key] for key in command.echo}
         report = {"command": args["command"], **echoed, "results": results, "passed": passed}
         out = render_machine(report) if args["format"] == "machine" else render_text(report)
-    except _INPUT_ERRORS as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except LatringError as exc:
         print(f"audit failure: {exc}", file=sys.stderr)
         return 1
+    except RecursionError:
+        # Input nested deeper than the interpreter's stack lets the library evaluate it.
+        print("error: input nested too deeply to evaluate", file=sys.stderr)
+        return 2
     except ValueError as exc:
         # Arithmetic on long literals can outgrow the digit limit that
         # `scalars.read_rat` enforces on input; such a result cannot be printed.

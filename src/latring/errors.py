@@ -7,6 +7,10 @@ class LatringError(Exception):
     """Base class for all library errors."""
 
 
+class InputError(LatringError):
+    """Bad input from the command line or a spec file."""
+
+
 class InvalidElement(LatringError):
     """Value is not an element of the space it was used with."""
 
@@ -15,7 +19,7 @@ class EmptyInput(LatringError):
     """An operation that needs a nonempty collection got an empty one."""
 
 
-class NotBounded(LatringError):
+class NotBounded(InputError):
     """A set required to be bounded is not (or is of the wrong shape)."""
 
 
@@ -31,7 +35,7 @@ class NotAdditiveOnCone(LatringError):
         super().__init__(message or f"additivity fails at pair ({x}, {y})")
 
 
-class DecompositionPrereqViolated(LatringError):
+class DecompositionPrereqViolated(InputError):
     """|x| <= |y1 + y2| does not hold, so no decomposition is owed."""
 
 
@@ -47,7 +51,7 @@ class InvalidNeighborhood(LatringError):
     """Neighborhood does not belong to the expected base."""
 
 
-class VacuousProduct(LatringError):
+class VacuousProduct(InputError):
     """Product-form convergence target degenerates to {0} (zero multiplication)."""
 
 
@@ -55,21 +59,21 @@ class SoundnessBug(LatringError):
     """An identity the library guarantees failed; never a tolerated outcome."""
 
 
-class UnknownCase(LatringError):
+class UnknownCase(InputError):
     """Gallery case id not in the registry."""
 
 
-class UnknownInstance(LatringError):
+class UnknownInstance(InputError):
     """Named space instance not shipped."""
 
 
-class UnknownName(LatringError):
+class UnknownName(InputError):
     """Name does not resolve inside a spec file."""
 
 
-class InvalidArgument(LatringError):
+class InvalidArgument(InputError):
     """Command-line or API argument outside its allowed range."""
 
 
-class SpecFileError(LatringError):
+class SpecFileError(InputError):
     """Spec file failed to parse or validate; message names the section."""

@@ -328,19 +328,12 @@ def vw_box(V: Neighborhood, W: Neighborhood) -> Neighborhood:
     """The product set V*W of two base boxes, as a box (radius products)."""
     if V.topology is not W.topology:
         raise InvalidElement("product of neighborhoods from different bases")
-    if V.topology is TopologyId.QN_BOX:
-        return Neighborhood.box(tuple(a * b for a, b in zip(V.radii, W.radii)))
-    if V.topology is TopologyId.EVSEQ_PRODUCT:
-        return Neighborhood(
-            TopologyId.EVSEQ_PRODUCT, coords=V.coords & W.coords, radius=V.radius * W.radius
-        )
-    if V.topology is TopologyId.EVSEQ_SUPNORM:
-        return Neighborhood.sup_ball(V.radius * W.radius)
-    return Neighborhood.discrete_zero()
-
-
-# Table nets: the threshold search looks back this many entries from the last.
-_TABLE_LOOKBACK = 64
+    return Neighborhood(
+        V.topology,
+        radii=None if V.radii is None else tuple(a * b for a, b in zip(V.radii, W.radii)),
+        coords=None if V.coords is None else V.coords & W.coords,
+        radius=None if V.radius is None else V.radius * W.radius,
+    )
 
 
 @dataclass(frozen=True)
@@ -399,7 +392,7 @@ class ConvergenceCertificate:
         if not self.net.is_closed_form:
             # Descend from the tail, which is verified by the zero residual.
             n = len(self.net.terms)
-            held = takewhile(lambda a0: self.verify_at(a0, V, W), range(n, max(0, n - _TABLE_LOOKBACK), -1))
+            held = takewhile(lambda a0: self.verify_at(a0, V, W), range(n, 0, -1))
             return min(held, default=n)
         # The term difference is decay/alpha, so alpha0 is the least
         # multiple of the target that holds the decay image.

@@ -19,8 +19,6 @@ from .elements import FinVec, ZInt, aligned, coords, from_coords
 from .scalars import over_lcm
 from .spaces import Space
 
-DEFAULT_SEED = 0
-
 
 def rng_for(seed: int) -> random.Random:
     return random.Random(seed)

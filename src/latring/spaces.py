@@ -35,7 +35,8 @@ class TopologyId(Enum):
     Z_DISCRETE_TOP = "z_discrete"
 
 
-_TOPOLOGIES_FOR_KIND = {
+# The topologies each carrier takes, its default first.
+TOPOLOGIES_FOR_KIND = {
     SpaceKind.QN: (TopologyId.QN_BOX,),
     SpaceKind.EVSEQ: (TopologyId.EVSEQ_PRODUCT, TopologyId.EVSEQ_SUPNORM),
     SpaceKind.Z_DISCRETE: (TopologyId.Z_DISCRETE_TOP,),
@@ -50,7 +51,7 @@ class Space:
     dim: int | None = None
 
     def __post_init__(self):
-        if self.topology not in _TOPOLOGIES_FOR_KIND[self.kind]:
+        if self.topology not in TOPOLOGIES_FOR_KIND[self.kind]:
             raise InvalidElement(f"{self.topology.value} does not fit carrier {self.kind.value}")
         if self.kind is SpaceKind.QN:
             if self.dim is None or self.dim < 1:
@@ -156,24 +157,16 @@ def is_positive(space: Space, x) -> bool:
     return leq(space, space.zero(), x)
 
 
-def flat_matrix_mul(n: int) -> Callable:
-    """Multiplication of n x n rational matrices flattened row-major into Q^(n*n).
+def matrix2_mul(x: FinVec, y: FinVec) -> FinVec:
+    """Multiplication of 2 x 2 rational matrices flattened row-major into Q^4.
 
     Used to exhibit a lattice ring that is not a Birkhoff-Pierce ring; it is
     never the multiplication of a shipped Space.
     """
-
-    def mul(x: FinVec, y: FinVec) -> FinVec:
-        if x.dim != n * n or y.dim != n * n:
-            raise InvalidElement(f"flattened {n}x{n} matrices need dim {n * n}")
-        (dx, a), (dy, b) = x.int_row, y.int_row
-        out = [sum(a[i * n + k] * b[k * n + j] for k in range(n)) for i in range(n) for j in range(n)]
-        return FinVec.from_int_row(dx * dy, out)
-
-    return mul
-
-
-matrix2_mul = flat_matrix_mul(2)
+    if x.dim != 4 or y.dim != 4:
+        raise InvalidElement("flattened 2x2 matrices need dim 4")
+    (dx, (a, b, c, d)), (dy, (e, f, g, h)) = x.int_row, y.int_row
+    return FinVec.from_int_row(dx * dy, [a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h])
 
 
 # ---------------------------------------------------------------------------

@@ -22,13 +22,14 @@ import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 
 from .elements import EvSeq, FinVec, ZInt
 from .errors import EmptyInput, InvalidElement, LatringError, SpecFileError, UnknownName
 from .homs import Hom, MatrixHom, SeqHom, identity_on
 from .homspaces import HomNet
 from .scalars import IntRow, read_rat, read_row
-from .spaces import Multiplication, Space, SpaceKind, TopologyId
+from .spaces import TOPOLOGIES_FOR_KIND, Multiplication, Space, SpaceKind, TopologyId
 from .topology import (
     FiniteSet,
     ImageSet,
@@ -43,12 +44,6 @@ from .topology import (
 # neighborhood is decided through its radius function, which lists every
 # coordinate up to the largest index, so this caps that work (about 0.1 s).
 MAX_COORD_INDEX = 10_000
-
-_DEFAULT_TOPOLOGY = {
-    "qn": TopologyId.QN_BOX,
-    "evseq": TopologyId.EVSEQ_PRODUCT,
-    "z": TopologyId.Z_DISCRETE_TOP,
-}
 
 
 class _Repeats(dict):
@@ -86,6 +81,18 @@ def _list(obj: dict, key: str, section: str) -> list:
     return value
 
 
+def _variant(obj, key: str, what: str, section: str):
+    """The value of the key that picks an entry's variant: `kind`, or `topology` for a neighborhood."""
+    if not isinstance(obj, dict) or key not in obj:
+        raise SpecFileError(f"{section}: {what} needs a {key}")
+    return obj[key]
+
+
+def _ref(value, named, parse, args: tuple):
+    """An entry given by name, looked up by `named`, or written inline and read by `parse(value, *args)`."""
+    return named(value) if isinstance(value, str) else parse(value, *args)
+
+
 def _is_int(value) -> bool:
     """A JSON integer: a Python int, not a bool."""
     return type(value) is int
@@ -116,7 +123,7 @@ def parse_space(obj: dict, section: str = "space") -> Space:
         raise SpecFileError(f"{section}: multiplication must be pointwise or zero")
     top_name = obj.get("topology")
     try:
-        topology = _DEFAULT_TOPOLOGY[kind] if top_name is None else TopologyId(top_name)
+        topology = TOPOLOGIES_FOR_KIND[SpaceKind(kind)][0] if top_name is None else TopologyId(top_name)
     except ValueError:
         names = "/".join(t.value for t in TopologyId)
         raise SpecFileError(f"{section}: topology must be one of {names}, got {top_name!r}") from None
@@ -200,9 +207,7 @@ def _require_kind(space: Space, kind: SpaceKind, hom_kind: str, section: str):
 
 
 def parse_hom(obj: dict, space: Space, section: str) -> Hom:
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise SpecFileError(f"{section}: homomorphism needs a kind")
-    kind = obj["kind"]
+    kind = _variant(obj, "kind", "homomorphism", section)
     if kind == "matrix":
         _check_keys(obj, {"kind", "rows"}, section)
         _require_kind(space, SpaceKind.QN, kind, section)
@@ -226,9 +231,7 @@ def parse_hom(obj: dict, space: Space, section: str) -> Hom:
 # Neighborhoods and sets.
 
 def parse_nbhd(obj: dict, section: str) -> Neighborhood:
-    if not isinstance(obj, dict) or "topology" not in obj:
-        raise SpecFileError(f"{section}: neighborhood needs a topology")
-    top = obj["topology"]
+    top = _variant(obj, "topology", "neighborhood", section)
     if top == "qn_box":
         _check_keys(obj, {"topology", "radii"}, section)
         d, nums = _read(read_row, _list(obj, "radii", section), section)
@@ -283,81 +286,64 @@ class SpecDoc:
     tasks: list = field(default_factory=list)
 
     def element(self, name: str):
-        if name not in self.elements:
-            raise UnknownName(f"no element named {name!r}")
-        return self.elements[name]
+        return _named(self.elements, "element", name)
 
     def hom(self, name: str) -> Hom:
-        if name not in self.homs:
-            raise UnknownName(f"no homomorphism named {name!r}")
-        return self.homs[name]
+        return _named(self.homs, "homomorphism", name)
 
     def set_desc(self, name: str) -> SetDesc:
-        if name not in self.sets:
-            raise UnknownName(f"no set named {name!r}")
-        return self.sets[name]
+        return _named(self.sets, "set", name)
 
     def net(self, name: str) -> HomNet:
-        if name not in self.nets:
-            raise UnknownName(f"no net named {name!r}")
-        return self.nets[name]
+        return _named(self.nets, "net", name)
+
+
+def _named(entries: dict, what: str, name: str):
+    if name not in entries:
+        raise UnknownName(f"no {what} named {name!r}")
+    return entries[name]
 
 
 def _parse_set(obj: dict, doc: SpecDoc, section: str) -> SetDesc:
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise SpecFileError(f"{section}: set needs a kind")
-    kind = obj["kind"]
+    kind = _variant(obj, "kind", "set", section)
     space = doc.space
-
-    def resolve_element(value):
-        if isinstance(value, str):
-            return doc.element(value)
-        return parse_element(value, space, section)
-
+    element = partial(_ref, named=doc.element, parse=parse_element, args=(space, section))
     if kind == "interval":
         _check_keys(obj, {"kind", "lo", "hi"}, section)
-        lo, hi = (resolve_element(_require(obj, key, section)) for key in ("lo", "hi"))
+        lo, hi = (element(_require(obj, key, section)) for key in ("lo", "hi"))
         return Interval(space, lo, hi)
     if kind == "finite":
         _check_keys(obj, {"kind", "elements"}, section)
-        return FiniteSet(space, tuple(resolve_element(v) for v in _list(obj, "elements", section)))
+        return FiniteSet(space, tuple(element(v) for v in _list(obj, "elements", section)))
     if kind == "solid_hull":
         _check_keys(obj, {"kind", "generators"}, section)
-        return SolidHull(space, tuple(resolve_element(v) for v in _list(obj, "generators", section)))
+        return SolidHull(space, tuple(element(v) for v in _list(obj, "generators", section)))
     if kind == "nbhd":
         _check_keys(obj, {"kind", "nbhd"}, section)
         return NbhdSet(space, parse_nbhd(_require(obj, "nbhd", section), section))
     if kind == "image":
         _check_keys(obj, {"kind", "hom", "base"}, section)
         hom, base = _require(obj, "hom", section), _require(obj, "base", section)
-        hom = doc.hom(hom) if isinstance(hom, str) else parse_hom(hom, space, section)
-        base = doc.set_desc(base) if isinstance(base, str) else _parse_set(base, doc, section)
-        return ImageSet(doc.codomain_space, hom, base)
+        hom = _ref(hom, doc.hom, parse_hom, (space, section))
+        return ImageSet(doc.codomain_space, hom, _ref(base, doc.set_desc, _parse_set, (doc, section)))
     raise SpecFileError(f"{section}: unknown set kind {kind!r}")
 
 
 def _parse_net(obj: dict, doc: SpecDoc, section: str) -> HomNet:
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise SpecFileError(f"{section}: net needs a kind")
-    kind = obj["kind"]
-
-    def resolve_hom(value) -> Hom:
-        if isinstance(value, str):
-            return doc.hom(value)
-        return parse_hom(value, doc.space, section)
-
+    kind = _variant(obj, "kind", "net", section)
+    hom = partial(_ref, named=doc.hom, parse=parse_hom, args=(doc.space, section))
     if kind == "closed":
         _check_keys(obj, {"kind", "base", "decay", "target"}, section)
-        target = resolve_hom(obj["target"]) if "target" in obj else None
-        base, decay = (resolve_hom(_require(obj, key, section)) for key in ("base", "decay"))
+        target = hom(obj["target"]) if "target" in obj else None
+        base, decay = (hom(_require(obj, key, section)) for key in ("base", "decay"))
         return HomNet.closed(doc.space, doc.codomain_space, base, decay, target)
     if kind == "constant":
         _check_keys(obj, {"kind", "term"}, section)
-        return HomNet.constant(doc.space, doc.codomain_space, resolve_hom(_require(obj, "term", section)))
+        return HomNet.constant(doc.space, doc.codomain_space, hom(_require(obj, "term", section)))
     if kind == "table":
         _check_keys(obj, {"kind", "terms", "target"}, section)
-        target = resolve_hom(obj["target"]) if "target" in obj else None
-        terms = [resolve_hom(t) for t in _list(obj, "terms", section)]
+        target = hom(obj["target"]) if "target" in obj else None
+        terms = [hom(t) for t in _list(obj, "terms", section)]
         return HomNet.table(doc.space, doc.codomain_space, terms, target)
     raise SpecFileError(f"{section}: unknown net kind {kind!r}")
 

@@ -30,7 +30,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial, reduce
+from functools import cache, partial, reduce
 from typing import Iterable, Sequence
 
 from .elements import EvSeq, FinVec, ZInt, aligned, coords, from_coords
@@ -129,15 +129,10 @@ class Neighborhood:
         return {"topology": self.topology.value}
 
 
+@cache  # a neighborhood is immutable, and classify and converge ask for this one several times an op
 def canonical_generator(topology: TopologyId, dim: int | None = None) -> Neighborhood:
-    """A representative base neighborhood with unit radius."""
-    if topology is TopologyId.QN_BOX:
-        return Neighborhood.box((Fraction(1),) * (dim or 1))
-    if topology is TopologyId.EVSEQ_PRODUCT:
-        return Neighborhood.product({0}, 1)
-    if topology is TopologyId.EVSEQ_SUPNORM:
-        return Neighborhood.sup_ball(1)
-    return Neighborhood.discrete_zero()
+    """A representative base neighborhood with unit radius: the first of `base_generators`."""
+    return base_generators(topology, dim or 1)[0]
 
 
 def base_generators(topology: TopologyId, dim: int | None = None) -> list[Neighborhood]:

@@ -417,6 +417,15 @@ def test_table_net_thresholds():
     assert cert.verify_at(4, Neighborhood.sup_ball(F(1, 3)))
 
 
+@pytest.mark.parametrize("n, qualifying", [(70, 70), (200, 200), (150, 100)])
+def test_table_alpha0_is_the_least_qualifying_index(n, qualifying):
+    # The first n - qualifying entries stay at sup distance 1 from the limit; the rest equal it.
+    limit = SeqHom.zero()
+    net = HomNet.table(SUP, SUP, [SeqHom.identity()] * (n - qualifying) + [limit] * qualifying, target=limit)
+    cert = nr_converges(net, limit, Neighborhood.sup_ball(1))
+    assert cert.alpha0_for(Neighborhood.sup_ball(F(1, 2))) == n - qualifying + 1
+
+
 # ---------------------------------------------------------------------------
 # Limit uniqueness.
 

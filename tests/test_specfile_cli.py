@@ -2,6 +2,8 @@
 
 import json
 import math
+import os
+import subprocess
 import sys
 import time
 from fractions import Fraction as F
@@ -10,6 +12,8 @@ from pathlib import Path
 import pytest
 
 from latring import (
+    InputError,
+    LatringError,
     EvSeq,
     FinVec,
     MatrixHom,
@@ -20,7 +24,8 @@ from latring import (
     SpecFileError,
     ZInt,
 )
-from latring.cli import main
+from latring import errors
+from latring.cli import COMMANDS, main
 from latring.homs import ORACLE_DIM_CAP
 from latring.specfile import (
     MAX_COORD_INDEX,
@@ -740,6 +745,86 @@ def test_an_audit_failure_exits_1_with_nothing_on_stdout(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.err == "audit failure: planted\n"
     assert captured.out == ""
+
+
+# Every error type of the library, each raised from inside a command below.
+_ERROR_TYPES = sorted(
+    (v for v in vars(errors).values() if isinstance(v, type) and issubclass(v, LatringError)), key=lambda c: c.__name__
+)
+
+
+def test_the_input_errors_are_the_bad_input_types():
+    assert {c.__name__ for c in _ERROR_TYPES if issubclass(c, InputError)} == {
+        "InputError", "SpecFileError", "UnknownName", "UnknownInstance", "UnknownCase", "InvalidArgument",
+        "VacuousProduct", "NotBounded", "DecompositionPrereqViolated",
+    }
+
+
+@pytest.mark.parametrize("error", _ERROR_TYPES, ids=lambda c: c.__name__)
+def test_the_exit_code_of_an_error_comes_from_its_type(error, monkeypatch, capsys):
+    def raises(doc, args):
+        # The two witness-carrying types take the witness first; every message says "planted".
+        raise error("planted", "planted") if error is errors.NotAdditiveOnCone else error("planted")
+
+    monkeypatch.setitem(COMMANDS, "laws", COMMANDS["laws"]._replace(run=raises))
+    code = main(["laws", "q2_pointwise"])
+    captured = capsys.readouterr()
+    bad_input = issubclass(error, InputError)
+    assert code == (2 if bad_input else 1)
+    assert captured.err.startswith("error: " if bad_input else "audit failure: ") and "planted" in captured.err
+    assert captured.out == ""
+
+
+def _deep_image_spec(depth: int) -> str:
+    """A spec whose set `deep` is `depth` inline identity images of the unit box (written without recursion)."""
+    box = '{"kind": "nbhd", "nbhd": {"topology": "qn_box", "radii": ["1", "1"]}}'
+    deep = '{"kind": "image", "hom": {"kind": "identity"}, "base": ' * depth + box + "}" * depth
+    return ('{"space": {"kind": "qn", "dim": 2}, "homs": {"t": {"kind": "identity"}}, "sets": {"deep": %s}, '
+            '"nets": {"n": {"kind": "table", "terms": ["t"], "target": "t"}}}' % deep)
+
+
+def test_input_nested_near_the_decoder_limit_exits_0_or_2(tmp_path, capsys):
+    def decodes(depth: int) -> bool:
+        try:
+            json.loads(_deep_image_spec(depth))
+        except RecursionError:
+            return False
+        return True
+
+    # The deepest nesting the decoder accepts from this stack; `main` decodes a few frames deeper,
+    # so the depths below it run from a decoded spec up to one the decoder refuses.
+    lo, hi = 1, sys.getrecursionlimit()
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        lo, hi = (mid, hi) if decodes(mid) else (lo, mid - 1)
+    path = tmp_path / "deep.json"
+    for depth in range(lo - 29, lo + 1):
+        path.write_text(_deep_image_spec(depth))
+        code = main(["converge", "n", "--mode", "br", "--region", "deep", "--spec", str(path)])
+        captured = capsys.readouterr()
+        assert code in (0, 2), depth
+        if code == 2:
+            assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+            assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, exit_code",
+    [
+        (["run", "--spec", QN2_SPEC, "--format", "machine"], 0),
+        (["laws", "matrix2_entrywise"], 1),
+        (["classify", "ghost", "--spec", QN2_SPEC], 2),
+    ],
+    ids=["pass", "audit-failure", "bad-input"],
+)
+def test_the_module_entry_point_in_a_subprocess(argv, exit_code):
+    env = {**os.environ, "PYTHONPATH": str(_REPO / "src")}
+    done = subprocess.run([sys.executable, "-m", "latring.cli", *argv], capture_output=True, env=env, timeout=120)
+    assert done.returncode == exit_code, done.stderr
+    if exit_code == 0:
+        assert done.stdout == (_REPO / "tests" / "golden" / "run_qn2_demo.json").read_bytes()
+    if exit_code == 2:
+        assert done.stderr.startswith(b"error: ") and done.stdout == b""
 
 
 def _coprime_odd(count: int, digits: int) -> list[int]:
