@@ -3,18 +3,28 @@
 Each benchmark times one call of one layer on fixed seeded inputs: element
 lattice ops and the order, matrix and sequence apply, the vertex oracle,
 bound propagation, the two boundedness deciders, the convergence threshold
-of each mode, classification, and the law suites.
-This directory is outside the tier-1 `testpaths`; run it on its own:
+of each mode, classification, the law suites, and a cold start of the CLI.
+This directory is outside the tier-1 `testpaths`; run it on its own, in a
+checkout of the parent commit and in the change, on the same machine, with
+each JSON written outside the checkouts:
 
-    PYTHONPATH=src python -m pytest benchmarks -q --benchmark-json OUT.json
+    PYTHONPATH=src python -m pytest benchmarks -q --benchmark-json PARENT.json
+    PYTHONPATH=src python -m pytest benchmarks -q --benchmark-json CHANGE.json
 
-and keep OUT.json outside the checkout.
+then trim the two into the change's BENCH file and read its ratios:
+
+    python benchmarks/bench_diff.py --write BENCH_<n>.json PARENT.json CHANGE.json
+    python benchmarks/bench_diff.py BENCH_<n>.json
 """
 
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import latring
 from latring import (
     EvSeq,
     FinVec,
@@ -199,3 +209,14 @@ def test_z_lattice_law_suite(benchmark):
     # The integer instance at the size `gallery --cases 320` runs it (cases // 5).
     results = benchmark(lattice_law_suite, INSTANCES["z_discrete"], 1, 64)
     assert all(r.passed for r in results)
+
+
+# A fresh isolated interpreter that builds the CLI's parser, as every command
+# run does before its work starts.  `-I` ignores PYTHONPATH, so the child is
+# handed the sources imported here; the warm-up round writes their bytecode.
+COLD_IMPORT = "import sys; sys.path.insert(0, sys.argv[1]); from latring.cli import build_parser; build_parser()"
+
+
+def test_cold_import(benchmark):
+    argv = [sys.executable, "-I", "-c", COLD_IMPORT, str(Path(latring.__file__).parents[1])]
+    benchmark.pedantic(subprocess.run, args=(argv,), kwargs={"check": True}, rounds=20, iterations=1, warmup_rounds=1)

@@ -8,7 +8,6 @@ there are no tolerances anywhere.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
@@ -27,6 +26,7 @@ from .homs import (
     sup_over_interval_oracle,
 )
 from .homspaces import HomNet, converges, lattice_continuity_audit
+from .records import Record
 from .sampling import rand_element, rand_matrix_rows, rand_pos_element, rand_rat, rng_for
 from .spaces import (
     Multiplication,
@@ -60,8 +60,7 @@ from .topology import (
 )
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Record):
     name: str
     passed: bool
     cases: int
@@ -78,8 +77,7 @@ class CheckResult:
         }
 
 
-@dataclass(frozen=True)
-class LawInstance:
+class LawInstance(Record):
     name: str
     space: Space
     mul_override: Callable | None = None

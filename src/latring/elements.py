@@ -25,19 +25,19 @@ and solidity witnesses are each written once against this view.
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from itertools import repeat
 from operator import add, le, mul, sub
 from typing import Iterable
 
 from .errors import InvalidElement
+from .records import Frozen
 from .scalars import IntRow, as_rat, combine_rows, rat_row, reduced_row
 
 _set = object.__setattr__
 
 
-class _RowElement:
+class _RowElement(Frozen):
     """The integer row, the operations on it, and the order; shared by FinVec and EvSeq."""
 
     __slots__ = ("_d", "_nums", "_fractions")
@@ -64,12 +64,6 @@ class _RowElement:
     @property
     def int_row(self) -> IntRow:
         return self._d, self._nums
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

@@ -9,9 +9,10 @@ explicitly (an unconstrained coordinate defeats every scaling).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union
+
+from .records import Record
 
 
 class _Infinity:
@@ -62,8 +63,7 @@ def ext_le(a: Extended, b: Extended) -> bool:
     return a <= b
 
 
-@dataclass(frozen=True)
-class CoordBounds:
+class CoordBounds(Record):
     """Per-coordinate bound function.
 
     `head` covers the leading coordinates; `tail` covers every later index
@@ -74,12 +74,14 @@ class CoordBounds:
     head: tuple[Extended, ...]
     tail: Extended | None = None
 
-    def __post_init__(self):
-        head = list(self.head)
-        if self.tail is not None:
-            while head and head[-1] == self.tail:
+    def __init__(self, head: Iterable[Extended], tail: Extended | None = None):
+        # Built in every bound propagation, so it sets its two fields itself.
+        head = list(head)
+        if tail is not None:
+            while head and head[-1] == tail:
                 head.pop()
         object.__setattr__(self, "head", tuple(head))
+        object.__setattr__(self, "tail", tail)
 
     @classmethod
     def finite_dim(cls, values: Iterable[Extended]) -> "CoordBounds":

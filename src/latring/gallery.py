@@ -8,13 +8,13 @@ behavior change.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from importlib import resources
 
 from .elements import FinVec
 from .errors import UnknownCase
 from .homs import identity_on
 from .homspaces import classify
+from .records import Record
 from .spaces import (
     Multiplication,
     Space,
@@ -73,8 +73,7 @@ def _case_d() -> dict:
     }
 
 
-@dataclass(frozen=True)
-class CaseRecord:
+class CaseRecord(Record):
     case_id: str
     narrative: str
     compute: object  # () -> dict of recorded facts
@@ -123,8 +122,7 @@ def load_expected() -> dict:
     return json.loads(text)
 
 
-@dataclass(frozen=True)
-class CaseReport:
+class CaseReport(Record):
     case_id: str
     passed: bool
     expected: dict
@@ -175,8 +173,7 @@ def run_cases() -> list[CaseReport]:
     return [run_case(case_id) for case_id in _REGISTRY]
 
 
-@dataclass(frozen=True)
-class SuiteReport:
+class SuiteReport(Record):
     cases: tuple[CaseReport, ...]
     law_results: tuple
     passed: bool

@@ -25,7 +25,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import repeat
@@ -42,6 +41,7 @@ from .errors import (
     SoundnessBug,
 )
 from .extended import INF, CoordBounds, ext_mul, is_inf
+from .records import Frozen, Record
 from .sampling import rand_between, rand_pos_element
 from .scalars import IntRow, as_rat, combine_rows, over_lcm, rat_row, reduced_row
 from .spaces import Space, SpaceKind, abs_val, is_positive, join, meet, neg_part, pos_part
@@ -68,7 +68,7 @@ def _row_products(rows: Sequence[IntRow], xs: Sequence[int], den: int = 1) -> tu
 _ZERO = Fraction(0)
 
 
-class MatrixHom:
+class MatrixHom(Frozen):
     """n x n rational matrix acting on Q^n, and at n = 1 on the integers of Z.
 
     The working form is `int_rows`: row i as `(d_i, nums_i)` with entries
@@ -101,12 +101,6 @@ class MatrixHom:
         object.__setattr__(T, "_rows", None)
         object.__setattr__(T, "_ints", ints)
         return T
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
         return MatrixHom.from_int_rows, (self._ints,)
@@ -200,8 +194,7 @@ class MatrixHom:
         return f"MatrixHom({[[str(a) for a in row] for row in self.rows]})"
 
 
-@dataclass(frozen=True, init=False)
-class SeqHom:
+class SeqHom(Record):
     """Diagonal-plus-finite-block operator on eventually-constant sequences.
 
     Held as `_block`, a K x K `MatrixHom` with the diagonal folded in, and
@@ -493,8 +486,7 @@ def directed_sup(homs: Sequence[MatrixHom], bound: MatrixHom) -> MatrixHom:
 # ---------------------------------------------------------------------------
 # Cone maps and their unique extension.
 
-@dataclass(frozen=True)
-class ConeMap:
+class ConeMap(Record):
     """Additive-on-positives map, presented as a homomorphism restricted to the
     cone and/or a finite table of (positive input, claimed value) pairs.
 
@@ -544,8 +536,7 @@ def audit_cone_additivity(f: ConeMap, samples: int = 200, seed: int = 0):
     return None
 
 
-@dataclass(frozen=True)
-class ConeExtension:
+class ConeExtension(Record):
     """The unique negation-preserving extension of a cone map: E(x) = f(x+) - f(x-)."""
 
     cone_map: ConeMap
@@ -608,8 +599,7 @@ def decomposition_failure(space: Space, x, y1, y2, x1, x2) -> str | None:
 # ---------------------------------------------------------------------------
 # Order boundedness.
 
-@dataclass(frozen=True)
-class OrderBoundedWitness:
+class OrderBoundedWitness(Record):
     bounded: bool
     lo: object
     hi: object

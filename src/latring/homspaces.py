@@ -11,7 +11,6 @@ table nets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import takewhile
@@ -37,6 +36,7 @@ from .homs import (
     is_order_bounded,
     positive_part,
 )
+from .records import Record
 from .sampling import rng_for
 from .spaces import Multiplication, Space, SpaceKind, TopologyId, pos_part
 from .topology import (
@@ -59,8 +59,7 @@ from .topology import (
 # ---------------------------------------------------------------------------
 # Classification.
 
-@dataclass(frozen=True)
-class ReadingVerdict:
+class ReadingVerdict(Record):
     """One boundedness reading's outcome, with its witness."""
 
     holds: bool
@@ -71,14 +70,12 @@ class ReadingVerdict:
     note: str = ""
 
 
-@dataclass(frozen=True)
-class BoundednessLabel:
+class BoundednessLabel(Record):
     ring: ReadingVerdict
     group: ReadingVerdict
 
 
-@dataclass(frozen=True)
-class ClassLabel:
+class ClassLabel(Record):
     order_bounded: bool
     order_witness: OrderBoundedWitness
     nr: BoundednessLabel
@@ -245,8 +242,7 @@ def _check_hom_fits(T: Hom, space: Space):
 # ---------------------------------------------------------------------------
 # Nets of homomorphisms.
 
-@dataclass(frozen=True)
-class HomNet:
+class HomNet(Record):
     """Sequence of homomorphisms with computable terms.
 
     Closed form: term(a) = base + decay / a.  Table form: finitely many
@@ -274,17 +270,19 @@ class HomNet:
                 _check_hom_fits(T, self.domain)
                 _check_hom_fits(T, self.codomain)
 
+    # Spec files build nets in every op; passing every field by position
+    # skips the keyword binding of `Record.__init__`.
     @classmethod
     def closed(cls, domain: Space, codomain: Space, base: Hom, decay: Hom, target: Hom | None = None):
-        return cls(domain, codomain, base=base, decay=decay, target=target)
+        return cls(domain, codomain, base, decay, None, target)
 
     @classmethod
     def constant(cls, domain: Space, codomain: Space, T: Hom):
-        return cls(domain, codomain, base=T, decay=T.scale(0), target=T)
+        return cls(domain, codomain, T, T.scale(0), None, T)
 
     @classmethod
     def table(cls, domain: Space, codomain: Space, terms: Sequence[Hom], target: Hom | None = None):
-        return cls(domain, codomain, terms=tuple(terms), target=target)
+        return cls(domain, codomain, None, None, tuple(terms), target)
 
     @property
     def is_closed_form(self) -> bool:
@@ -336,8 +334,7 @@ def vw_box(V: Neighborhood, W: Neighborhood) -> Neighborhood:
     )
 
 
-@dataclass(frozen=True)
-class ConvergenceCertificate:
+class ConvergenceCertificate(Record):
     """Outcome of a convergence check, re-verifiable at any entry index.
 
     For closed-form nets the entry threshold is solved from the decay image
@@ -471,16 +468,9 @@ def _uniform_convergence(
         decay_img = net.decay.propagate_bounds(region_bounds)
         if decay_img.first_infinite_index() is not None:
             escaping = decay_img
-    return ConvergenceCertificate(
-        mode,
-        escaping is None,
-        net,
-        limit,
-        region=region,
-        region_bounds=region_bounds,
-        residual_bounds=residual_img,
-        witness=None if escaping is None else refuting_nbhd(escaping, net.codomain.topology),
-    )
+    witness = None if escaping is None else refuting_nbhd(escaping, net.codomain.topology)
+    # Every field by position, as for `HomNet`.
+    return ConvergenceCertificate(mode, escaping is None, net, limit, region, region_bounds, residual_img, witness)
 
 
 def cr_converges(net: HomNet, limit: Hom) -> ConvergenceCertificate:
@@ -503,8 +493,7 @@ def cr_converges(net: HomNet, limit: Hom) -> ConvergenceCertificate:
 # ---------------------------------------------------------------------------
 # Uniqueness of limits (the Hausdorff mechanism).
 
-@dataclass(frozen=True)
-class UniquenessReport:
+class UniquenessReport(Record):
     mode: str
     both_converged: bool
     failed_limit: str | None
@@ -531,8 +520,7 @@ def limit_uniqueness_audit(
 # ---------------------------------------------------------------------------
 # Uniform continuity of the positive-part map.
 
-@dataclass(frozen=True)
-class ContinuityAuditReport:
+class ContinuityAuditReport(Record):
     mode: str
     inequalities_checked: int
     memberships_checked: int

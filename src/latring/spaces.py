@@ -9,12 +9,12 @@ and exact, and each is one method call on the element.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable
 
 from .elements import EvSeq, FinVec, ZInt, aligned
 from .errors import InvalidElement
+from .records import Record
 
 
 class SpaceKind(Enum):
@@ -43,14 +43,24 @@ TOPOLOGIES_FOR_KIND = {
 }
 
 
-@dataclass(frozen=True)
-class Space:
+class Space(Record):
     kind: SpaceKind
     topology: TopologyId
     multiplication: Multiplication = Multiplication.POINTWISE
     dim: int | None = None
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        kind: SpaceKind,
+        topology: TopologyId,
+        multiplication: Multiplication = Multiplication.POINTWISE,
+        dim: int | None = None,
+    ):
+        # Built in most ops, so it sets its fields itself rather than through `Record.__init__`.
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "topology", topology)
+        object.__setattr__(self, "multiplication", multiplication)
+        object.__setattr__(self, "dim", dim)
         if self.topology not in TOPOLOGIES_FOR_KIND[self.kind]:
             raise InvalidElement(f"{self.topology.value} does not fit carrier {self.kind.value}")
         if self.kind is SpaceKind.QN:
@@ -172,8 +182,7 @@ def matrix2_mul(x: FinVec, y: FinVec) -> FinVec:
 # ---------------------------------------------------------------------------
 # Axiom checkers.
 
-@dataclass(frozen=True)
-class FRingVerdict:
+class FRingVerdict(Record):
     """Outcome of the compatibility check ca /\\ b = ac /\\ b = 0."""
 
     holds: bool
@@ -206,8 +215,7 @@ def check_f_ring(space: Space, samples: Iterable[tuple], mul: Callable | None = 
     return FRingVerdict(True, None, checked, tuple(skipped))
 
 
-@dataclass(frozen=True)
-class ArchimedeanWitness:
+class ArchimedeanWitness(Record):
     """Least n with n*x not<= y, or the report that x <= 0 (no witness owed)."""
 
     n: int | None

@@ -20,7 +20,6 @@ from __future__ import annotations
 import json
 import sys
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 
@@ -44,6 +43,11 @@ from .topology import (
 # neighborhood is decided through its radius function, which lists every
 # coordinate up to the largest index, so this caps that work (about 0.1 s).
 MAX_COORD_INDEX = 10_000
+
+# The deepest an inline `image` set may nest its bases.  Reading, bounding
+# and writing a set each recurse once per level, so this keeps every one of
+# them far inside the interpreter's recursion limit.
+MAX_SET_DEPTH = 100
 
 
 class _Repeats(dict):
@@ -275,15 +279,17 @@ def set_to_obj(S: SetDesc) -> dict:
 # ---------------------------------------------------------------------------
 # Whole documents.
 
-@dataclass
 class SpecDoc:
-    space: Space
-    codomain_space: Space
-    elements: dict = field(default_factory=dict)
-    homs: dict = field(default_factory=dict)
-    sets: dict = field(default_factory=dict)
-    nets: dict = field(default_factory=dict)
-    tasks: list = field(default_factory=list)
+    """A spec file's spaces and its named sections, filled in as they are read."""
+
+    def __init__(self, space: Space, codomain_space: Space):
+        self.space = space
+        self.codomain_space = codomain_space
+        self.elements: dict = {}
+        self.homs: dict = {}
+        self.sets: dict = {}
+        self.nets: dict = {}
+        self.tasks: list = []
 
     def element(self, name: str):
         return _named(self.elements, "element", name)
@@ -304,7 +310,9 @@ def _named(entries: dict, what: str, name: str):
     return entries[name]
 
 
-def _parse_set(obj: dict, doc: SpecDoc, section: str) -> SetDesc:
+def _parse_set(obj: dict, doc: SpecDoc, section: str, depth: int = 1) -> SetDesc:
+    if depth > MAX_SET_DEPTH:
+        raise SpecFileError(f"{section}: inline sets nest deeper than {MAX_SET_DEPTH} levels")
     kind = _variant(obj, "kind", "set", section)
     space = doc.space
     element = partial(_ref, named=doc.element, parse=parse_element, args=(space, section))
@@ -325,7 +333,7 @@ def _parse_set(obj: dict, doc: SpecDoc, section: str) -> SetDesc:
         _check_keys(obj, {"kind", "hom", "base"}, section)
         hom, base = _require(obj, "hom", section), _require(obj, "base", section)
         hom = _ref(hom, doc.hom, parse_hom, (space, section))
-        return ImageSet(doc.codomain_space, hom, _ref(base, doc.set_desc, _parse_set, (doc, section)))
+        return ImageSet(doc.codomain_space, hom, _ref(base, doc.set_desc, _parse_set, (doc, section, depth + 1)))
     raise SpecFileError(f"{section}: unknown set kind {kind!r}")
 
 

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial, reduce
 from typing import Iterable, Sequence
@@ -37,6 +36,7 @@ from .elements import EvSeq, FinVec, ZInt, aligned, coords, from_coords
 from .errors import EmptyInput, InvalidElement, NotBounded, SoundnessBug
 from .extended import INF, CoordBounds, is_inf
 from .homs import SeqHom, identity_on
+from .records import Record
 from .sampling import rand_between, rand_in_interval, rand_rat
 from .scalars import as_rat
 from .spaces import Multiplication, Space, TopologyId, abs_val, join
@@ -45,8 +45,7 @@ from .spaces import Multiplication, Space, TopologyId, abs_val, join
 # ---------------------------------------------------------------------------
 # Neighborhoods.
 
-@dataclass(frozen=True)
-class Neighborhood:
+class Neighborhood(Record):
     """A base zero neighborhood: a closed coordinate box.
 
     QN_BOX carries one radius per coordinate; EVSEQ_PRODUCT constrains a
@@ -59,7 +58,12 @@ class Neighborhood:
     coords: frozenset[int] | None = None
     radius: Fraction | None = None
 
-    def __post_init__(self):
+    def __init__(self, topology: TopologyId, radii=None, coords=None, radius=None):
+        # Built in most ops, so it sets its fields itself rather than through `Record.__init__`.
+        object.__setattr__(self, "topology", topology)
+        object.__setattr__(self, "radii", radii)
+        object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "radius", radius)
         if self.topology is TopologyId.QN_BOX:
             if not self.radii or any(r <= 0 for r in self.radii):
                 raise InvalidElement("box neighborhoods need strictly positive radii")
@@ -158,14 +162,12 @@ def base_generators(topology: TopologyId, dim: int | None = None) -> list[Neighb
 # ---------------------------------------------------------------------------
 # Symbolic sets.
 
-@dataclass(frozen=True)
-class SetDesc:
+class SetDesc(Record):
     """Base for symbolic subsets of a space; see the concrete forms below."""
 
     space: Space
 
 
-@dataclass(frozen=True)
 class Interval(SetDesc):
     lo: object
     hi: object
@@ -176,7 +178,6 @@ class Interval(SetDesc):
             raise InvalidElement("interval needs lo <= hi")
 
 
-@dataclass(frozen=True)
 class FiniteSet(SetDesc):
     elements: tuple
 
@@ -187,7 +188,6 @@ class FiniteSet(SetDesc):
             self.space.validate(x)
 
 
-@dataclass(frozen=True)
 class SolidHull(SetDesc):
     """Union of the boxes [-|y|, |y|] over the generators y."""
 
@@ -200,7 +200,6 @@ class SolidHull(SetDesc):
             self.space.validate(y)
 
 
-@dataclass(frozen=True)
 class NbhdSet(SetDesc):
     nbhd: Neighborhood
 
@@ -212,7 +211,6 @@ class NbhdSet(SetDesc):
             raise InvalidElement(f"a box in a {dim}-dim space needs {dim} radii, got {len(radii)}")
 
 
-@dataclass(frozen=True)
 class ImageSet(SetDesc):
     """Image of a box-like set under a diagonal or matrix homomorphism.
 
@@ -442,8 +440,7 @@ def _sample_nbhd(U: Neighborhood, rng: random.Random):
 # ---------------------------------------------------------------------------
 # Boundedness deciders.
 
-@dataclass(frozen=True)
-class BoundedVerdict:
+class BoundedVerdict(Record):
     """One reading of boundedness decided for a set.
 
     Ring reading: VB and BV inside W, solvable for every base W?  Group
@@ -455,6 +452,12 @@ class BoundedVerdict:
     bounded: bool
     witness: Neighborhood | None = None
     vacuous: bool = False
+
+    def __init__(self, bounded: bool, witness: Neighborhood | None = None, vacuous: bool = False):
+        # Every boundedness decision builds one, so it sets its fields itself.
+        object.__setattr__(self, "bounded", bounded)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "vacuous", vacuous)
 
 
 def refuting_nbhd(bounds: CoordBounds, topology: TopologyId) -> Neighborhood:
@@ -560,8 +563,7 @@ def _space_for(topology: TopologyId, dim: int = 2) -> Space:
     return Space.evseq(topology)
 
 
-@dataclass(frozen=True)
-class HullPreservation:
+class HullPreservation(Record):
     generators_verdict: BoundedVerdict
     hull_verdict: BoundedVerdict
     bounds_equal: bool

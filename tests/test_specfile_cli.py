@@ -29,6 +29,7 @@ from latring.cli import COMMANDS, main
 from latring.homs import ORACLE_DIM_CAP
 from latring.specfile import (
     MAX_COORD_INDEX,
+    MAX_SET_DEPTH,
     element_to_obj,
     parse_element,
     parse_hom,
@@ -806,6 +807,15 @@ def test_input_nested_near_the_decoder_limit_exits_0_or_2(tmp_path, capsys):
         if code == 2:
             assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
             assert captured.out == ""
+
+
+def test_parse_specdoc_refuses_inline_sets_past_the_depth_cap():
+    # `_deep_image_spec(d)` nests d images over a box: d + 1 inline sets.
+    assert parse_specdoc(_deep_image_spec(MAX_SET_DEPTH - 1)).set_desc("deep").space == Space.qn(2)
+    # 600 levels decode, and overflowed the reader's stack before the cap.
+    for depth in (MAX_SET_DEPTH, 600):
+        with pytest.raises(SpecFileError, match=rf"^sets\.deep: inline sets nest deeper than {MAX_SET_DEPTH} levels$"):
+            parse_specdoc(_deep_image_spec(depth))
 
 
 @pytest.mark.parametrize(
