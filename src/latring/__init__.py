@@ -57,7 +57,6 @@ from .homspaces import (
     nr_converges,
 )
 from .spaces import (
-    ArchimedeanWitness,
     FRingVerdict,
     Multiplication,
     Space,

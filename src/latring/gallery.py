@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from importlib import resources
+from typing import Callable
 
 from .elements import FinVec
 from .errors import UnknownCase
@@ -73,39 +74,30 @@ def _case_d() -> dict:
     }
 
 
-class CaseRecord(Record):
-    case_id: str
-    narrative: str
-    compute: object  # () -> dict of recorded facts
-
-
-_REGISTRY: dict[str, CaseRecord] = {
-    "A_product_identity": CaseRecord(
-        "A_product_identity",
+# Each case id's narrative and the function that computes its recorded facts.
+_REGISTRY: dict[str, tuple[str, Callable[[], dict]]] = {
+    "A_product_identity": (
         "On eventually constant rational sequences with the product topology and "
         "pointwise multiplication, the identity map carries order intervals into "
         "order intervals, yet the image of every base neighborhood leaves all but "
         "finitely many coordinates unconstrained, so none of those images is bounded.",
         _case_a,
     ),
-    "B_zero_mult_identity": CaseRecord(
-        "B_zero_mult_identity",
+    "B_zero_mult_identity": (
         "Replacing pointwise multiplication with the zero product makes every set "
         "multiplicatively bounded, trivializing that reading; under the "
         "multiple-of-a-neighborhood reading the identity map is bounded in neither "
         "sense, while remaining order bounded.",
         _case_b,
     ),
-    "C_linfty_product_vs_norm": CaseRecord(
-        "C_linfty_product_vs_norm",
+    "C_linfty_product_vs_norm": (
         "Between the product topology and the sup-norm topology on the same "
         "sequences, the identity map is order bounded but not continuous: a "
         "sup-norm ball constrains every coordinate and no product-base "
         "neighborhood does.",
         _case_c,
     ),
-    "D_fring_failure_matrix": CaseRecord(
-        "D_fring_failure_matrix",
+    "D_fring_failure_matrix": (
         "Flattened 2x2 rational matrices under the entrywise order form a lattice "
         "ring that fails the disjointness axiom: with a the (1,1) unit and b = c "
         "the (2,1) unit, a and b are disjoint and c is positive, yet c*a equals b, "
@@ -156,17 +148,17 @@ def run_case(case_id: str, expected: dict | None = None) -> CaseReport:
     """Re-derive one case and diff it against the recorded expectation."""
     if case_id not in _REGISTRY:
         raise UnknownCase(f"no case named {case_id!r}; known: {', '.join(CASE_IDS)}")
-    record = _REGISTRY[case_id]
+    narrative, compute = _REGISTRY[case_id]
     expected_all = expected if expected is not None else load_expected()
     want = dict(expected_all[case_id])
     want.pop("headline", None)
-    got = record.compute()
+    got = compute()
     flat_want, flat_got = _flatten(want), _flatten(got)
     diffs = []
     for key in sorted(set(flat_want) | set(flat_got)):
         if flat_want.get(key) != flat_got.get(key):
             diffs.append(f"{key}: expected {flat_want.get(key)!r}, got {flat_got.get(key)!r}")
-    return CaseReport(case_id, not diffs, want, got, tuple(diffs), record.narrative)
+    return CaseReport(case_id, not diffs, want, got, tuple(diffs), narrative)
 
 
 def run_cases() -> list[CaseReport]:

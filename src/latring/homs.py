@@ -600,7 +600,8 @@ def decomposition_failure(space: Space, x, y1, y2, x1, x2) -> str | None:
 # Order boundedness.
 
 class OrderBoundedWitness(Record):
-    bounded: bool
+    """The interval [lo, hi] that holds T's image of [-probe, probe], and how many points checked it."""
+
     lo: object
     hi: object
     spot_checked: int
@@ -629,4 +630,4 @@ def is_order_bounded(T: Hom, probe) -> OrderBoundedWitness:
         if not (lo <= img and img <= hi):
             raise SoundnessBug(f"|T y| escaped the modulus bound at y={y!r}")
         checked += 1
-    return OrderBoundedWitness(True, lo, hi, checked)
+    return OrderBoundedWitness(lo, hi, checked)

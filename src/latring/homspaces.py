@@ -40,10 +40,10 @@ from .records import Record
 from .sampling import rng_for
 from .spaces import Multiplication, Space, SpaceKind, TopologyId, pos_part
 from .topology import (
-    BoundedVerdict,
     FiniteSet,
     Neighborhood,
     NbhdSet,
+    ReadingVerdict,
     SetDesc,
     bounds_group_bounded,
     bounds_multiplier,
@@ -59,24 +59,14 @@ from .topology import (
 # ---------------------------------------------------------------------------
 # Classification.
 
-class ReadingVerdict(Record):
-    """One boundedness reading's outcome, with its witness."""
-
-    holds: bool
-    vacuous: bool = False
-    via: Neighborhood | None = None        # neighborhood that works (nr)
-    refuting: Neighborhood | None = None   # codomain neighborhood that defeats every attempt
-    bad_set: SetDesc | None = None         # bounded set whose image escapes (br)
-    note: str = ""
-
-
 class BoundednessLabel(Record):
     ring: ReadingVerdict
     group: ReadingVerdict
 
 
 class ClassLabel(Record):
-    order_bounded: bool
+    """Every shipped homomorphism is order bounded: `order_witness` is its interval."""
+
     order_witness: OrderBoundedWitness
     nr: BoundednessLabel
     br: BoundednessLabel
@@ -86,7 +76,7 @@ class ClassLabel(Record):
 
     def flags(self) -> dict:
         return {
-            "order_bounded": self.order_bounded,
+            "order_bounded": True,
             "nr_ring": self.nr.ring.holds,
             "nr_ring_vacuous": self.nr.ring.vacuous,
             "nr_group": self.nr.group.holds,
@@ -97,7 +87,11 @@ class ClassLabel(Record):
         }
 
 
-def _image_ok(bounds: CoordBounds, codomain: Space, reading: str) -> BoundedVerdict:
+# The note of a ring reading that holds because the codomain's products vanish.
+_VANISHING = "products vanish in the codomain, so every image is multiplicatively bounded"
+
+
+def _image_ok(bounds: CoordBounds, codomain: Space, reading: str) -> ReadingVerdict:
     """One reading of boundedness decided for an image with these bounds."""
     if reading == "ring":
         return bounds_ring_bounded(bounds, codomain.topology, codomain.multiplication)
@@ -127,68 +121,48 @@ def _nr_label(T: Hom, domain: Space, codomain: Space) -> BoundednessLabel:
     U = _nr_candidate(T, domain)
     img = T.propagate_bounds((U0 if U is None else U).bounds())
 
+    # Every verdict is built with all its fields by position, skipping the keyword binding.
     def verdict(reading: str) -> ReadingVerdict:
         if reading == "ring" and codomain.multiplication is Multiplication.ZERO:
-            return ReadingVerdict(
-                True,
-                vacuous=True,
-                via=U0,
-                note="products vanish in the codomain, so every image is multiplicatively bounded",
-            )
+            return ReadingVerdict(True, True, U0, None, None, _VANISHING)
         v = _image_ok(img, codomain, reading)
         if U is None:
-            return ReadingVerdict(
-                False,
-                via=U0,
-                refuting=v.witness,
-                note="coefficients never vanish, so every base neighborhood keeps an unconstrained coordinate",
-            )
-        if v.bounded:
-            return ReadingVerdict(True, vacuous=v.vacuous, via=U)
-        return ReadingVerdict(False, via=U, refuting=v.witness)
+            note = "coefficients never vanish, so every base neighborhood keeps an unconstrained coordinate"
+            return ReadingVerdict(False, False, U0, v.refuting, None, note)
+        return ReadingVerdict(v.holds, v.vacuous, U, v.refuting, None, "")
 
-    return BoundednessLabel(ring=verdict("ring"), group=verdict("group"))
+    return BoundednessLabel(verdict("ring"), verdict("group"))
 
 
 def _br_verdict(T: Hom, domain: Space, codomain: Space, reading: str) -> ReadingVerdict:
     if reading == "ring" and codomain.multiplication is Multiplication.ZERO:
-        return ReadingVerdict(
-            True, vacuous=True, note="products vanish in the codomain, so every image is multiplicatively bounded"
-        )
+        return ReadingVerdict(True, True, None, None, None, _VANISHING)
     if domain.kind is SpaceKind.EVSEQ and domain.multiplication is Multiplication.ZERO:
         # With zero multiplication every set is multiplicatively bounded, the
         # whole space included, so the family quantified over contains
         # unbounded-coordinate sets.
         img = T.propagate_bounds(CoordBounds.sequence((), INF))
         v = _image_ok(img, codomain, reading)
-        if v.bounded:
-            return ReadingVerdict(True, vacuous=v.vacuous)
-        refuting, bad = v.witness, None
+        if v.holds:
+            return v
+        refuting, bad = v.refuting, None
         if domain.topology is TopologyId.EVSEQ_PRODUCT:
             # Exhibit a base neighborhood that leaves the coefficient support
             # unconstrained, and re-derive the refutation against it so the
             # (set, witness) pair checks out together.
             bad = NbhdSet(domain, Neighborhood.product({T.support_span()}, 1))
             bad_img = T.propagate_bounds(coordinate_bounds(bad))
-            refuting = _image_ok(bad_img, codomain, reading).witness
-        return ReadingVerdict(
-            False,
-            refuting=refuting,
-            bad_set=bad,
-            note="a multiplicatively bounded set may be unbounded coordinatewise here",
-        )
+            refuting = _image_ok(bad_img, codomain, reading).refuting
+        note = "a multiplicatively bounded set may be unbounded coordinatewise here"
+        return ReadingVerdict(False, False, None, refuting, bad, note)
     # Pointwise multiplication (or the integers): bounded sets have finite
     # per-coordinate bounds, and the shipped forms have finite coefficients,
     # so images stay finite; only a degenerate codomain criterion can fail.
     if domain.kind is SpaceKind.Z_DISCRETE and reading == "group":
         # The identity is the only homomorphism of the integers.
-        return ReadingVerdict(
-            False,
-            refuting=Neighborhood.discrete_zero(),
-            bad_set=FiniteSet(domain, (ZInt(5),)),
-            note="multiples of {0} stay {0}, so only the zero map has group-bounded images",
-        )
-    return ReadingVerdict(True, note="finite coefficient bounds keep finite-bound sets finite")
+        note = "multiples of {0} stay {0}, so only the zero map has group-bounded images"
+        return ReadingVerdict(False, False, None, Neighborhood.discrete_zero(), FiniteSet(domain, (ZInt(5),)), note)
+    return ReadingVerdict(True, False, None, None, None, "finite coefficient bounds keep finite-bound sets finite")
 
 
 def _continuity(T: Hom, domain: Space, codomain: Space):
@@ -213,7 +187,7 @@ def classify(T: Hom, domain: Space, codomain: Space) -> ClassLabel:
     _check_hom_fits(T, domain)
     _check_hom_fits(T, codomain)
     if domain.kind is SpaceKind.Z_DISCRETE:
-        order_witness = OrderBoundedWitness(True, ZInt(-1), ZInt(1), 0)
+        order_witness = OrderBoundedWitness(ZInt(-1), ZInt(1), 0)
     else:
         probe = (
             FinVec.constant(domain.dim, 1)
@@ -222,12 +196,8 @@ def classify(T: Hom, domain: Space, codomain: Space) -> ClassLabel:
         )
         order_witness = is_order_bounded(T, probe)
     nr = _nr_label(T, domain, codomain)
-    br = BoundednessLabel(
-        ring=_br_verdict(T, domain, codomain, "ring"),
-        group=_br_verdict(T, domain, codomain, "group"),
-    )
-    continuous, witness, note = _continuity(T, domain, codomain)
-    return ClassLabel(True, order_witness, nr, br, continuous, witness, note)
+    br = BoundednessLabel(_br_verdict(T, domain, codomain, "ring"), _br_verdict(T, domain, codomain, "group"))
+    return ClassLabel(order_witness, nr, br, *_continuity(T, domain, codomain))
 
 
 def _check_hom_fits(T: Hom, space: Space):
@@ -453,8 +423,8 @@ def nr_converges(net: HomNet, limit: Hom, U: Neighborhood) -> ConvergenceCertifi
 def br_converges(net: HomNet, limit: Hom, B: SetDesc) -> ConvergenceCertificate:
     """Uniform convergence on the bounded set B."""
     verdict = set_ring_bounded(B)
-    if not verdict.bounded:
-        raise NotBounded(f"{B!r} is not ring-bounded, witness {verdict.witness!r}")
+    if not verdict.holds:
+        raise NotBounded(f"{B!r} is not ring-bounded, witness {verdict.refuting!r}")
     return _uniform_convergence("br", net, limit, B, coordinate_bounds(B))
 
 
@@ -493,48 +463,38 @@ def cr_converges(net: HomNet, limit: Hom) -> ConvergenceCertificate:
 # ---------------------------------------------------------------------------
 # Uniqueness of limits (the Hausdorff mechanism).
 
-class UniquenessReport(Record):
-    mode: str
-    both_converged: bool
-    failed_limit: str | None
-    limits_equal: bool | None
-
-
 def limit_uniqueness_audit(
     net: HomNet, limit_a: Hom, limit_b: Hom, mode: str, region: SetDesc | None = None
-) -> UniquenessReport:
+) -> str | None:
     """If a net converges to two limits, they must be the same canonical form.
 
-    A failure here is a soundness bug in the deciders, never a tolerated
-    outcome; limits that differ simply fail the convergence precondition.
-    `region` is as for `converges`.
+    Returns the name (`"a"` or `"b"`) of the first limit the net does not
+    converge to, or None when it converges to both and they are equal.  Two
+    different certified limits are a soundness bug in the deciders, never a
+    tolerated outcome; limits that differ simply fail the convergence
+    precondition.  `region` is as for `converges`.
     """
     for name, limit in (("a", limit_a), ("b", limit_b)):
         if not converges(net, limit, mode, region).convergent:
-            return UniquenessReport(mode, False, name, None)
+            return name
     if limit_a != limit_b:
         raise SoundnessBug("two limits certified for one net")
-    return UniquenessReport(mode, True, None, True)
+    return None
 
 
 # ---------------------------------------------------------------------------
 # Uniform continuity of the positive-part map.
 
-class ContinuityAuditReport(Record):
-    mode: str
-    inequalities_checked: int
-    memberships_checked: int
-
-
 def lattice_continuity_audit(
     net_t: HomNet, net_s: HomNet, mode: str, region: SetDesc | None = None, seed: int = 0
-) -> ContinuityAuditReport:
+) -> int:
     """Check T_a+ (x) - S_a+ (x) <= (T_a - S_a)+ (x) exactly, and that the
     right side lands in the certified target, for sampled entries and points.
 
     The target V (and cr's outer W) is the codomain's canonical generator;
     the entries are alpha0, alpha0 + 3 and alpha0 + 7, with eight points x
-    each.  `region` is as for `converges`.
+    each.  Returns the number of points checked; a failed check raises
+    SoundnessBug.  `region` is as for `converges`.
     """
     diff = net_t.diff(net_s)
     cert = converges(diff, diff.term(1).scale(0), mode, region)
@@ -545,8 +505,7 @@ def lattice_continuity_audit(
     alpha0 = cert.alpha0_for(V, V)
     region_set, _, target = cert.frame(V, V)
     rng = rng_for(seed)
-    ineqs = 0
-    members = 0
+    checked = 0
     for off in (0, 3, 7):
         alpha = alpha0 + off
         t_pos = positive_part(net_t.term(alpha))
@@ -558,8 +517,7 @@ def lattice_continuity_audit(
             rhs = d_pos.apply(x)
             if not lhs <= rhs:
                 raise SoundnessBug(f"lattice inequality failed at alpha={alpha}, x={x!r}")
-            ineqs += 1
             if not target.member(rhs):
                 raise SoundnessBug(f"positive-part difference escaped the target at alpha={alpha}")
-            members += 1
-    return ContinuityAuditReport(mode, ineqs, members)
+            checked += 1
+    return checked

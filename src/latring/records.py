@@ -1,14 +1,14 @@
 """Immutable values and records, built without generating code.
 
 `Frozen` refuses assignment and deletion; its subclasses set their state
-once, through `object.__setattr__`, while they are built.  `Record` adds
-fields read from a subclass's annotations, in order, parents' fields first;
-a class attribute of the same name is the field's default.  Every record
-shares one `__init__` (positional or keyword arguments, then
-`__post_init__`), one class-checked `__eq__`, a `__hash__` of the field
-tuple and a `__repr__` of the form `Name(field=value, ...)`.  Each class's
-field tuple is read by one `operator.attrgetter`, made once when the class
-is defined.  A record keeps its fields in its `__dict__`, so a
+once, through `object.__setattr__` or straight into their `__dict__`, while
+they are built.  `Record` adds fields read from a subclass's annotations, in
+order, parents' fields first; a class attribute of the same name is the
+field's default.  Every record shares one `__init__` (positional or keyword
+arguments, then `__post_init__`), one class-checked `__eq__`, a `__hash__`
+of the field tuple and a `__repr__` of the form `Name(field=value, ...)`.
+Each class's field tuple is read by one `operator.attrgetter`, made once
+when the class is defined.  A record keeps its fields in its `__dict__`, so a
 `functools.cached_property` works on it, and copy and pickle restore that
 dictionary without calling `__init__`.
 
@@ -19,8 +19,6 @@ is raised, so importing latring does not import `dataclasses`.
 from __future__ import annotations
 
 from operator import attrgetter
-
-_set = object.__setattr__
 
 
 class Frozen:
@@ -61,8 +59,7 @@ class Record(Frozen):
         fields = self._fields
         if kwargs or len(args) != len(fields):
             args = self._bind(args, kwargs)
-        for name, value in zip(fields, args):
-            _set(self, name, value)
+        self.__dict__.update(zip(fields, args))  # one C call, past `Frozen.__setattr__`
         self.__post_init__()
 
     @classmethod

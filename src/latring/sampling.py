@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from functools import cache
 from itertools import repeat
 from operator import mul
 
-from .elements import FinVec, ZInt, aligned, coords, from_coords
+from .elements import EvSeq, FinVec, ZInt, aligned, from_coords
 from .scalars import over_lcm
-from .spaces import Space
+from .spaces import Space, SpaceKind
 
 
 def rng_for(seed: int) -> random.Random:
@@ -28,20 +27,15 @@ def rand_rat(rng: random.Random, span: int = 12) -> Fraction:
     return Fraction(rng.randint(-span, span), rng.randint(1, 8))
 
 
-# Each space's zero is the template for its coordinate layout; `Space.zero`
-# builds a new element per call, so it is kept rather than rebuilt per draw.
-_zero = cache(Space.zero)
-
-
 def _rand_element(rng: random.Random, space: Space, low: int, high: int, max_prefix: int):
-    zero = _zero(space)
-    if isinstance(zero, ZInt):
+    kind = space.kind
+    if kind is SpaceKind.Z_DISCRETE:
         return ZInt(rng.randint(low, high))
-    _, head, tail = coords(zero)
-    n = len(head) if tail is None else rng.randint(0, max_prefix) + 1
-    # Each coordinate draws its numerator, then its denominator; the tail comes last.
+    seq = kind is SpaceKind.EVSEQ
+    n = rng.randint(0, max_prefix) + 1 if seq else space.dim
+    # Each coordinate draws its numerator, then its denominator; a sequence's last one is also its tail.
     d, row = over_lcm(*zip(*[(rng.randint(low, high), rng.randint(1, 8)) for _ in range(n)]))
-    return from_coords(zero, d, row, row[-1])
+    return EvSeq.from_int_row(d, (*row, row[-1])) if seq else FinVec.from_int_row(d, row)
 
 
 def rand_element(rng: random.Random, space: Space, span: int = 12, max_prefix: int = 5):

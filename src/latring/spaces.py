@@ -215,16 +215,6 @@ def check_f_ring(space: Space, samples: Iterable[tuple], mul: Callable | None = 
     return FRingVerdict(True, None, checked, tuple(skipped))
 
 
-class ArchimedeanWitness(Record):
-    """Least n with n*x not<= y, or the report that x <= 0 (no witness owed)."""
-
-    n: int | None
-
-    @property
-    def x_nonpositive(self) -> bool:
-        return self.n is None
-
-
 def _least_exceeding(x: int, y: int) -> int | None:
     """Smallest positive n with n*x > y, or None if there is none."""
     if x > 0:
@@ -233,12 +223,15 @@ def _least_exceeding(x: int, y: int) -> int | None:
     return 1 if x > y else None
 
 
-def archimedean_witness(space: Space, x, y) -> ArchimedeanWitness:
-    """Witness that the order is Archimedean: if x not<= 0, some n*x escapes y."""
+def archimedean_witness(space: Space, x, y) -> int | None:
+    """Witness that the order is Archimedean: the least n with n*x not<= y.
+
+    None when x <= 0, where no witness is owed.
+    """
     space.validate(x), space.validate(y)
     if leq(space, x, space.zero()):
-        return ArchimedeanWitness(None)
+        return None
     (dx, xs), (dy, ys) = aligned(x, y)  # n x_i > y_i is n (a d_y) > b d_x on numerators a, b
     candidates = [n for n in (_least_exceeding(a * dy, b * dx) for a, b in zip(xs, ys)) if n is not None]
     # x not<= 0 guarantees a strictly positive coordinate, hence a finite witness.
-    return ArchimedeanWitness(min(candidates))
+    return min(candidates)

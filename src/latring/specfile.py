@@ -44,7 +44,14 @@ from .topology import (
 # coordinate up to the largest index, so this caps that work (about 0.1 s).
 MAX_COORD_INDEX = 10_000
 
-# The deepest an inline `image` set may nest its bases.  Reading, bounding
+# The largest dimension of a `qn` space.  Loading a spec builds every matrix
+# densely, the identity included, so a few bytes could ask for dim^2 entries:
+# at dim 512 a spec holding one identity loads in about 0.04 s and `classify`
+# takes 0.35 s; at 2000 the load alone takes about 1 s and 45 MB.
+MAX_DIM = 512
+
+# The most sets an `image` set may stack, itself and its bottom base
+# included, whether each base is written inline or named.  Reading, bounding
 # and writing a set each recurse once per level, so this keeps every one of
 # them far inside the interpreter's recursion limit.
 MAX_SET_DEPTH = 100
@@ -134,6 +141,8 @@ def parse_space(obj: dict, section: str = "space") -> Space:
     dim = obj.get("dim")
     if dim is not None and not _is_int(dim):
         raise SpecFileError(f"{section}: dim must be a JSON integer, got {dim!r}")
+    if dim is not None and dim > MAX_DIM:
+        raise SpecFileError(f"{section}: dim {dim} is above the cap of {MAX_DIM}")
     try:
         return Space(SpaceKind(kind), topology, Multiplication(mul), dim)
     except (LatringError, ValueError) as exc:
@@ -333,8 +342,19 @@ def _parse_set(obj: dict, doc: SpecDoc, section: str, depth: int = 1) -> SetDesc
         _check_keys(obj, {"kind", "hom", "base"}, section)
         hom, base = _require(obj, "hom", section), _require(obj, "base", section)
         hom = _ref(hom, doc.hom, parse_hom, (space, section))
-        return ImageSet(doc.codomain_space, hom, _ref(base, doc.set_desc, _parse_set, (doc, section, depth + 1)))
+        base = _ref(base, doc.set_desc, _parse_set, (doc, section, depth + 1))
+        if depth + _levels(base) > MAX_SET_DEPTH:  # only a named base can stack past the inline check
+            raise SpecFileError(f"{section}: image sets stack deeper than {MAX_SET_DEPTH} levels")
+        return ImageSet(doc.codomain_space, hom, base)
     raise SpecFileError(f"{section}: unknown set kind {kind!r}")
+
+
+def _levels(S: SetDesc) -> int:
+    """The sets an image set stacks, itself and its bottom base included: 1 for any other set."""
+    n = 1
+    while isinstance(S, ImageSet):
+        S, n = S.base, n + 1
+    return n
 
 
 def _parse_net(obj: dict, doc: SpecDoc, section: str) -> HomNet:

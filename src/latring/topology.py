@@ -440,24 +440,23 @@ def _sample_nbhd(U: Neighborhood, rng: random.Random):
 # ---------------------------------------------------------------------------
 # Boundedness deciders.
 
-class BoundedVerdict(Record):
-    """One reading of boundedness decided for a set.
+class ReadingVerdict(Record):
+    """One reading of boundedness decided, with its witnesses.
 
     Ring reading: VB and BV inside W, solvable for every base W?  Group
     reading: B inside n*U, solvable for every base U?  A negative verdict
     carries the base neighborhood that refutes it; `vacuous` marks the ring
-    reading under zero multiplication, where every set qualifies.
+    reading under zero multiplication, where every set qualifies.  A
+    homomorphism's label (`homspaces.classify`) adds the neighborhood that
+    works, the bounded set whose image escapes, and a note.
     """
 
-    bounded: bool
-    witness: Neighborhood | None = None
+    holds: bool
     vacuous: bool = False
-
-    def __init__(self, bounded: bool, witness: Neighborhood | None = None, vacuous: bool = False):
-        # Every boundedness decision builds one, so it sets its fields itself.
-        object.__setattr__(self, "bounded", bounded)
-        object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "vacuous", vacuous)
+    via: Neighborhood | None = None        # neighborhood that works (nr)
+    refuting: Neighborhood | None = None   # neighborhood that defeats every attempt
+    bad_set: SetDesc | None = None         # bounded set whose image escapes (br)
+    note: str = ""
 
 
 def refuting_nbhd(bounds: CoordBounds, topology: TopologyId) -> Neighborhood:
@@ -491,34 +490,35 @@ def refuting_nbhd(bounds: CoordBounds, topology: TopologyId) -> Neighborhood:
 
 def bounds_ring_bounded(
     bounds: CoordBounds, topology: TopologyId, multiplication: Multiplication
-) -> BoundedVerdict:
+) -> ReadingVerdict:
     """Ring-boundedness decision from a bound function alone."""
+    # Both deciders run in every classify and br check, so they pass every field by position.
     if multiplication is Multiplication.ZERO:
-        return BoundedVerdict(True, vacuous=True)
+        return ReadingVerdict(True, True, None, None, None, "")
     # On the integers V = {0} multiplies everything to {0}.
     if topology is not TopologyId.Z_DISCRETE_TOP and is_inf(bounds.overall_sup()):
-        return BoundedVerdict(False, witness=refuting_nbhd(bounds, topology))
-    return BoundedVerdict(True)
+        return ReadingVerdict(False, False, None, refuting_nbhd(bounds, topology), None, "")
+    return ReadingVerdict(True, False, None, None, None, "")
 
 
-def bounds_group_bounded(bounds: CoordBounds, topology: TopologyId) -> BoundedVerdict:
+def bounds_group_bounded(bounds: CoordBounds, topology: TopologyId) -> ReadingVerdict:
     """Group-boundedness decision from a bound function alone."""
     if topology is TopologyId.Z_DISCRETE_TOP:
         # n * {0} = {0}: only subsets of {0} qualify.
         if bounds.overall_sup() == 0:
-            return BoundedVerdict(True)
-        return BoundedVerdict(False, witness=Neighborhood.discrete_zero())
+            return ReadingVerdict(True, False, None, None, None, "")
+        return ReadingVerdict(False, False, None, Neighborhood.discrete_zero(), None, "")
     if is_inf(bounds.overall_sup()):
-        return BoundedVerdict(False, witness=refuting_nbhd(bounds, topology))
-    return BoundedVerdict(True)
+        return ReadingVerdict(False, False, None, refuting_nbhd(bounds, topology), None, "")
+    return ReadingVerdict(True, False, None, None, None, "")
 
 
-def set_ring_bounded(S: SetDesc) -> BoundedVerdict:
+def set_ring_bounded(S: SetDesc) -> ReadingVerdict:
     """Decide: for every base W there is a base V with V*S and S*V inside W."""
     return bounds_ring_bounded(coordinate_bounds(S), S.space.topology, S.space.multiplication)
 
 
-def set_group_bounded(S: SetDesc) -> BoundedVerdict:
+def set_group_bounded(S: SetDesc) -> ReadingVerdict:
     """Decide: for every base U there is a positive n with S inside n*U."""
     return bounds_group_bounded(coordinate_bounds(S), S.space.topology)
 
@@ -564,8 +564,8 @@ def _space_for(topology: TopologyId, dim: int = 2) -> Space:
 
 
 class HullPreservation(Record):
-    generators_verdict: BoundedVerdict
-    hull_verdict: BoundedVerdict
+    generators_verdict: ReadingVerdict
+    hull_verdict: ReadingVerdict
     bounds_equal: bool
 
 
@@ -574,7 +574,7 @@ def hull_bounded_preservation(S: SetDesc) -> HullPreservation:
     if not isinstance(S, FiniteSet):
         raise NotBounded("expects a finite set of elements")
     gen_verdict = set_ring_bounded(S)
-    if not gen_verdict.bounded:
+    if not gen_verdict.holds:
         raise NotBounded("the finite set is not ring-bounded, nothing to preserve")
     hull = SolidHull(S.space, S.elements)
     hull_verdict = set_ring_bounded(hull)

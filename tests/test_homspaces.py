@@ -140,15 +140,15 @@ def test_classification_witnesses_recheck():
             if verdict.holds and not verdict.vacuous:
                 img = T.propagate_bounds(verdict.via.bounds())
                 if reading == "ring":
-                    assert bounds_ring_bounded(img, cod.topology, cod.multiplication).bounded
+                    assert bounds_ring_bounded(img, cod.topology, cod.multiplication).holds
                 else:
-                    assert bounds_group_bounded(img, cod.topology).bounded
+                    assert bounds_group_bounded(img, cod.topology).holds
             elif not verdict.holds:
                 img = T.propagate_bounds(verdict.via.bounds())
                 if reading == "ring":
-                    assert not bounds_ring_bounded(img, cod.topology, cod.multiplication).bounded
+                    assert not bounds_ring_bounded(img, cod.topology, cod.multiplication).holds
                 else:
-                    assert not bounds_group_bounded(img, cod.topology).bounded
+                    assert not bounds_group_bounded(img, cod.topology).holds
 
 
 def test_case_b_witness_demonstrated_by_elements():
@@ -435,16 +435,14 @@ def test_limit_uniqueness_canonical_forms():
     same_other_form = SeqHom.diag_plus_block(
         EvSeq.of(0, tail=F(1, 2)), ((F(1),),)
     )
-    rep = limit_uniqueness_audit(net, base, same_other_form, "nr", NbhdSet(SUP, Neighborhood.sup_ball(1)))
-    assert rep.both_converged and rep.limits_equal
+    assert limit_uniqueness_audit(net, base, same_other_form, "nr", NbhdSet(SUP, Neighborhood.sup_ball(1))) is None
 
 
 def test_limit_uniqueness_corrupted_limit_fails_precondition():
     base = SeqHom.diagonal(EvSeq.of(1, tail=F(1, 2)))
     net = HomNet.closed(SUP, SUP, base, SeqHom.identity(), target=base)
     corrupted = base + SeqHom.diagonal(EvSeq.constant(1))
-    rep = limit_uniqueness_audit(net, base, corrupted, "nr", NbhdSet(SUP, Neighborhood.sup_ball(1)))
-    assert not rep.both_converged and rep.failed_limit == "b"
+    assert limit_uniqueness_audit(net, base, corrupted, "nr", NbhdSet(SUP, Neighborhood.sup_ball(1))) == "b"
 
 
 def test_limit_uniqueness_all_modes():
@@ -453,8 +451,7 @@ def test_limit_uniqueness_all_modes():
     net = HomNet.closed(Q3, Q3, base, decay, target=base)
     B = Interval(Q3, -FinVec.constant(3, 1), FinVec.constant(3, 1))
     for mode, region in (("nr", NbhdSet(Q3, Neighborhood.box((1, 1, 1)))), ("br", B), ("cr", None)):
-        rep = limit_uniqueness_audit(net, base, base + MatrixHom.zero(3), mode, region)
-        assert rep.both_converged and rep.limits_equal
+        assert limit_uniqueness_audit(net, base, base + MatrixHom.zero(3), mode, region) is None
 
 
 # ---------------------------------------------------------------------------
@@ -465,16 +462,13 @@ def test_lattice_continuity_nr_mode_matrix_plus_decay():
     D = MatrixHom(((2, 0, 1), (0, -2, 0), (1, 1, 0)))
     net_t = HomNet.closed(Q3, Q3, T, D)
     net_s = HomNet.constant(Q3, Q3, T)
-    report = lattice_continuity_audit(net_t, net_s, "nr", NbhdSet(Q3, Neighborhood.box((1, 1, 1))), seed=3)
-    assert report.inequalities_checked > 0
-    assert report.memberships_checked == report.inequalities_checked
+    assert lattice_continuity_audit(net_t, net_s, "nr", NbhdSet(Q3, Neighborhood.box((1, 1, 1))), seed=3) > 0
 
 
 def test_lattice_continuity_equal_nets_everything_zero():
     T = SeqHom.diagonal(EvSeq.of(2, tail=1))
     net = HomNet.closed(SUP, SUP, T, SeqHom.identity())
-    report = lattice_continuity_audit(net, net, "nr", NbhdSet(SUP, Neighborhood.sup_ball(1)), seed=5)
-    assert report.inequalities_checked > 0
+    assert lattice_continuity_audit(net, net, "nr", NbhdSet(SUP, Neighborhood.sup_ball(1)), seed=5) > 0
 
 
 def test_lattice_continuity_br_and_cr_modes():
@@ -482,8 +476,8 @@ def test_lattice_continuity_br_and_cr_modes():
     net_t = HomNet.closed(SUP, SUP, T, SeqHom.diagonal(EvSeq.constant(2)))
     net_s = HomNet.closed(SUP, SUP, T, SeqHom.diagonal(EvSeq.constant(1)))
     B = Interval(SUP, -EvSeq.constant(2), EvSeq.constant(2))
-    assert lattice_continuity_audit(net_t, net_s, "br", B, seed=7).inequalities_checked > 0
-    assert lattice_continuity_audit(net_t, net_s, "cr", seed=9).memberships_checked > 0
+    assert lattice_continuity_audit(net_t, net_s, "br", B, seed=7) > 0
+    assert lattice_continuity_audit(net_t, net_s, "cr", seed=9) > 0
 
 
 def test_lattice_continuity_requires_vanishing_difference():

@@ -14,27 +14,24 @@ import latring.cli  # noqa: F401  (imports every module that defines records)
 from latring import EvSeq, FinVec, InvalidElement, MatrixHom, Space, SpaceKind, TopologyId
 from latring.audits import CheckResult, LawInstance
 from latring.extended import CoordBounds
-from latring.gallery import CaseRecord, CaseReport, SuiteReport
+from latring.gallery import CaseReport, SuiteReport
 from latring.homs import ConeExtension, ConeMap, OrderBoundedWitness, SeqHom
 from latring.homspaces import (
     BoundednessLabel,
     ClassLabel,
-    ContinuityAuditReport,
     ConvergenceCertificate,
     HomNet,
-    ReadingVerdict,
-    UniquenessReport,
 )
 from latring.records import Record
-from latring.spaces import ArchimedeanWitness, FRingVerdict
+from latring.spaces import FRingVerdict
 from latring.topology import (
-    BoundedVerdict,
     FiniteSet,
     HullPreservation,
     ImageSet,
     Interval,
     NbhdSet,
     Neighborhood,
+    ReadingVerdict,
     SetDesc,
     SolidHull,
 )
@@ -46,7 +43,7 @@ ONE = MatrixHom(((1,),))
 NET = HomNet(Q1, Q1, terms=(ONE,))
 _verdict = ReadingVerdict(True)
 _label = BoundednessLabel(_verdict, ReadingVerdict(False, note="escapes"))
-_witness = OrderBoundedWitness(True, FinVec.of(-1), FinVec.of(1), 25)
+_witness = OrderBoundedWitness(FinVec.of(-1), FinVec.of(1), 25)
 
 # One instance's arguments per record class: the required fields, and keywords
 # where a check needs them; every field left out takes its default.
@@ -54,23 +51,19 @@ SAMPLES = {
     CheckResult: (("law", True, 3), {}),
     LawInstance: (("q1", Q1), {}),
     CoordBounds: (((F(1), F(2)),), {}),
-    CaseRecord: (("A", "narrative", dict), {}),
     CaseReport: (("A", True, {"x": 1}, {"x": 1}, (), "narrative"), {}),
     SuiteReport: (((), (), True), {}),
     SeqHom: ((EvSeq.of(1, tail=2),), {}),
     ConeMap: ((Q1,), {}),
     ConeExtension: ((ConeMap(Q1, ONE),), {}),
-    OrderBoundedWitness: ((True, FinVec.of(-1), FinVec.of(1), 25), {}),
+    OrderBoundedWitness: ((FinVec.of(-1), FinVec.of(1), 25), {}),
     ReadingVerdict: ((True,), {}),
     BoundednessLabel: ((_verdict, _verdict), {}),
-    ClassLabel: ((True, _witness, _label, _label, False, None, "note"), {}),
+    ClassLabel: ((_witness, _label, _label, False, None, "note"), {}),
     HomNet: ((Q1, Q1), {"terms": (ONE,)}),
     ConvergenceCertificate: (("nr", True, NET, ONE), {}),
-    UniquenessReport: (("nr", True, None, True), {}),
-    ContinuityAuditReport: (("nr", 3, 4), {}),
     Space: ((SpaceKind.QN, TopologyId.QN_BOX), {"dim": 2}),
     FRingVerdict: ((True, None, 3, ()), {}),
-    ArchimedeanWitness: ((2,), {}),
     Neighborhood: ((TopologyId.QN_BOX,), {"radii": (F(1),)}),
     SetDesc: ((Q1,), {}),
     Interval: ((Q1, FinVec.of(0), FinVec.of(1)), {}),
@@ -78,8 +71,7 @@ SAMPLES = {
     SolidHull: ((Q1, (FinVec.of(1),)), {}),
     NbhdSet: ((Q1, Neighborhood.box((1,))), {}),
     ImageSet: ((Q1, ONE, FiniteSet(Q1, (FinVec.of(1),))), {}),
-    BoundedVerdict: ((True,), {}),
-    HullPreservation: ((BoundedVerdict(True), BoundedVerdict(False), True), {}),
+    HullPreservation: ((ReadingVerdict(True), ReadingVerdict(False), True), {}),
 }
 
 
@@ -155,11 +147,12 @@ def test_records_with_equal_fields_of_two_classes_differ():
     points = (FinVec.of(1), FinVec.of(-2))
     assert FiniteSet(Q1, points) != SolidHull(Q1, points)
     assert Interval(Q1, *points[::-1]) != FiniteSet(Q1, points[::-1])
-    assert BoundedVerdict(True) != ReadingVerdict(True)
 
 
 def test_repr_keeps_the_dataclass_format():
-    assert repr(ArchimedeanWitness(2)) == "ArchimedeanWitness(n=2)"
+    assert repr(ReadingVerdict(True)) == (
+        "ReadingVerdict(holds=True, vacuous=False, via=None, refuting=None, bad_set=None, note='')"
+    )
     assert repr(Neighborhood.sup_ball(1)) == (
         "Neighborhood(topology=<TopologyId.EVSEQ_SUPNORM: 'evseq_supnorm'>, radii=None, coords=None, "
         "radius=Fraction(1, 1))"

@@ -29,6 +29,7 @@ from latring.cli import COMMANDS, main
 from latring.homs import ORACLE_DIM_CAP
 from latring.specfile import (
     MAX_COORD_INDEX,
+    MAX_DIM,
     MAX_SET_DEPTH,
     element_to_obj,
     parse_element,
@@ -816,6 +817,66 @@ def test_parse_specdoc_refuses_inline_sets_past_the_depth_cap():
     for depth in (MAX_SET_DEPTH, 600):
         with pytest.raises(SpecFileError, match=rf"^sets\.deep: inline sets nest deeper than {MAX_SET_DEPTH} levels$"):
             parse_specdoc(_deep_image_spec(depth))
+
+
+def _named_image_chain(links: int) -> str:
+    """A spec whose sets s0 (the unit box) .. s<links> each name the one before as an identity image's base."""
+    sets = {"s0": {"kind": "nbhd", "nbhd": {"topology": "qn_box", "radii": ["1", "1"]}}}
+    sets.update({f"s{i}": {"kind": "image", "hom": "t", "base": f"s{i - 1}"} for i in range(1, links + 1)})
+    return json.dumps({"space": {"kind": "qn", "dim": 2}, "homs": {"t": {"kind": "identity"}}, "sets": sets,
+                       "nets": {"n": {"kind": "table", "terms": ["t"], "target": "t"}}})
+
+
+def test_named_image_chains_count_toward_the_depth_cap(tmp_path, capsys):
+    # s<MAX_SET_DEPTH - 1> stacks MAX_SET_DEPTH sets, as deep as an inline chain may go.
+    top = f"s{MAX_SET_DEPTH - 1}"
+    assert parse_specdoc(_named_image_chain(MAX_SET_DEPTH - 1)).set_desc(top).space == Space.qn(2)
+    message = rf"^sets\.s{MAX_SET_DEPTH}: image sets stack deeper than {MAX_SET_DEPTH} levels$"
+    with pytest.raises(SpecFileError, match=message):
+        parse_specdoc(_named_image_chain(MAX_SET_DEPTH))
+    # A 2000-link chain is refused while it is read, naming the first set past the cap.
+    with pytest.raises(SpecFileError, match=message):
+        parse_specdoc(_named_image_chain(2000))
+    path = tmp_path / "chain.json"
+    path.write_text(_named_image_chain(2000))
+    argv = ["converge", "n", "--mode", "br", "--region", "s1999", "--spec", str(path)]
+    _assert_input_error(argv, f"sets.s{MAX_SET_DEPTH}: image sets stack deeper", capsys)
+
+
+def test_an_inline_set_on_a_named_chain_counts_both():
+    spec = json.loads(_named_image_chain(MAX_SET_DEPTH - 2))
+    inline = {"kind": "image", "hom": "t", "base": f"s{MAX_SET_DEPTH - 2}"}
+    spec["sets"]["top"] = {"kind": "image", "hom": "t", "base": inline}
+    with pytest.raises(SpecFileError, match=rf"^sets\.top: image sets stack deeper than {MAX_SET_DEPTH} levels$"):
+        parse_specdoc(json.dumps(spec))
+    spec["sets"]["top"] = inline
+    assert parse_specdoc(json.dumps(spec)).set_desc("top").space == Space.qn(2)
+
+
+def _dim_spec(dim: int, section: str) -> dict:
+    """A spec with `section` of dimension `dim`, the other space at the cap, and the identity.
+
+    A reader without the cap would build the identity densely, dim^2 entries, so a spec far past the cap
+    leaves it out.
+    """
+    spec = {"space": {"kind": "qn", "dim": MAX_DIM}, section: {"kind": "qn", "dim": dim}}
+    if dim <= 2 * MAX_DIM:
+        spec["homs"] = {"t": {"kind": "identity"}}
+    return spec
+
+
+def test_qn_dimension_at_the_cap_loads():
+    assert parse_specdoc(json.dumps(_dim_spec(MAX_DIM, "space"))).hom("t").n == MAX_DIM
+
+
+@pytest.mark.parametrize("section", ["space", "codomain_space"])
+@pytest.mark.parametrize("dim", [MAX_DIM + 1, 10**12])
+def test_qn_dimension_past_the_cap_exits_2_at_once(dim, section, tmp_path, capsys):
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(_dim_spec(dim, section)))
+    start = time.perf_counter()
+    _assert_input_error(["run", "--spec", str(path)], f"{section}: dim {dim} is above the cap of {MAX_DIM}", capsys)
+    assert time.perf_counter() - start < 1.0
 
 
 @pytest.mark.parametrize(

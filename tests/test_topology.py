@@ -123,33 +123,33 @@ def test_image_membership_with_free_coordinates():
 def test_ring_bounded_examples():
     zero_mult = Space.evseq(TopologyId.EVSEQ_PRODUCT, Multiplication.ZERO)
     v = set_ring_bounded(NbhdSet(zero_mult, Neighborhood.product({0}, 1)))
-    assert v.bounded and v.vacuous
+    assert v.holds and v.vacuous
 
     v = set_ring_bounded(NbhdSet(PROD, Neighborhood.product({0}, 1)))
-    assert not v.bounded
-    assert v.witness == Neighborhood.product({1}, 1)
+    assert not v.holds
+    assert v.refuting == Neighborhood.product({1}, 1)
 
     x_bar = EvSeq.of(4, tail=2)
     v = set_ring_bounded(Interval(PROD, -x_bar, x_bar))
-    assert v.bounded and not v.vacuous
+    assert v.holds and not v.vacuous
 
 
 def test_group_bounded_examples():
     S = FiniteSet(Q2, (FinVec.of(10, 0),))
     assert group_bound_multiplier(S, Neighborhood.box((1, 1))) == 10
-    assert set_group_bounded(S).bounded
+    assert set_group_bounded(S).holds
 
     v = set_group_bounded(NbhdSet(PROD, Neighborhood.product({0}, 1)))
-    assert not v.bounded and v.witness == Neighborhood.product({1}, 1)
+    assert not v.holds and v.refuting == Neighborhood.product({1}, 1)
 
     # Discrete integers: n * {0} = {0}, so nonzero singletons are unbounded.
     five = FiniteSet(ZD, (ZInt(5),))
     v = set_group_bounded(five)
-    assert not v.bounded and v.witness == Neighborhood.discrete_zero()
+    assert not v.holds and v.refuting == Neighborhood.discrete_zero()
     assert group_bound_multiplier(five, Neighborhood.discrete_zero()) is None
-    assert set_group_bounded(FiniteSet(ZD, (ZInt(0),))).bounded
+    assert set_group_bounded(FiniteSet(ZD, (ZInt(0),))).holds
     # ... while ring-boundedness on discrete Z is automatic (V = {0} works).
-    assert set_ring_bounded(five).bounded
+    assert set_ring_bounded(five).holds
 
 
 def test_group_decider_ignores_multiplication():
@@ -157,10 +157,10 @@ def test_group_decider_ignores_multiplication():
     U = Neighborhood.product({0}, 1)
     for space in (PROD, zero_mult):
         v = set_group_bounded(NbhdSet(space, U))
-        assert not v.bounded and v.witness == Neighborhood.product({1}, 1)
+        assert not v.holds and v.refuting == Neighborhood.product({1}, 1)
     # ... while the ring decider trivializes exactly under the zero product.
     assert set_ring_bounded(NbhdSet(zero_mult, U)).vacuous
-    assert not set_ring_bounded(NbhdSet(PROD, U)).bounded
+    assert not set_ring_bounded(NbhdSet(PROD, U)).holds
 
 
 def test_solidness_structural_verdicts():
@@ -231,10 +231,10 @@ def test_fatou_for_all_topologies():
 
 def test_hull_preservation_and_gate():
     rep = hull_bounded_preservation(FiniteSet(Q2, (FinVec.of(1, -2),)))
-    assert rep.generators_verdict.bounded and rep.hull_verdict.bounded and rep.bounds_equal
+    assert rep.generators_verdict.holds and rep.hull_verdict.holds and rep.bounds_equal
 
     rep = hull_bounded_preservation(FiniteSet(SUP, (EvSeq.of(3, tail=1),)))
-    assert rep.hull_verdict.bounded and rep.bounds_equal
+    assert rep.hull_verdict.holds and rep.bounds_equal
 
     with pytest.raises(NotBounded):
         hull_bounded_preservation(NbhdSet(PROD, Neighborhood.product({0}, 1)))
