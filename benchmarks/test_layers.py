@@ -2,11 +2,15 @@
 
 Each benchmark times one call of one layer on fixed seeded inputs: element
 lattice ops and the order, matrix and sequence apply, the vertex oracle,
-bound propagation, the two boundedness deciders, the convergence threshold
-of each mode, classification, the law suites, and a cold start of the CLI.
-This directory is outside the tier-1 `testpaths`; run it on its own, in a
-checkout of the parent commit and in the change, on the same machine, with
-each JSON written outside the checkouts:
+bound propagation, the two boundedness deciders, membership in a product
+neighborhood that constrains a far coordinate, the product V*W of two
+neighborhoods, the convergence threshold of each mode, classification, the
+law suites, and a cold start of the CLI.  Every case reads a neighborhood's
+radius function through `coordinate_bounds`, so one copy of this file times
+the parent commit and the change alike.  This directory is outside the
+tier-1 `testpaths`; run the change's copy of it on its own, in a checkout of
+the parent commit and in the change, on the same machine, with each JSON
+written outside the checkouts:
 
     PYTHONPATH=src python -m pytest benchmarks -q --benchmark-json PARENT.json
     PYTHONPATH=src python -m pytest benchmarks -q --benchmark-json CHANGE.json
@@ -15,6 +19,9 @@ then trim the two into the change's BENCH file and read its ratios:
 
     python benchmarks/bench_diff.py --write BENCH_<n>.json PARENT.json CHANGE.json
     python benchmarks/bench_diff.py BENCH_<n>.json
+
+One such pair shows only differences of about 2x or more on a shared host;
+`benchmarks/ab_ops.py` resolves smaller ones.
 """
 
 import subprocess
@@ -39,9 +46,11 @@ from latring import (
     TopologyId,
     classify,
     converges,
+    coordinate_bounds,
     sup_over_interval_oracle,
 )
 from latring.audits import INSTANCES, all_suites, lattice_law_suite
+from latring.homspaces import vw_box
 from latring.sampling import rand_element, rand_matrix_rows, rand_pos_element, rng_for
 from latring.topology import bounds_group_bounded, bounds_ring_bounded
 
@@ -103,12 +112,20 @@ def test_oracle_n8(benchmark):
 # The benchmarks below draw from their own generators, so the inputs above
 # stay what they were.
 
+PRODUCT = Space.evseq(TopologyId.EVSEQ_PRODUCT)
+
+
+def _radii(space, U):
+    """The radius function of a base neighborhood U of `space`."""
+    return coordinate_bounds(NbhdSet(space, U))
+
+
 def _propagate_inputs(kind):
     rng = rng_for(7)
     if kind == "matrix":
-        return MatrixHom(rand_matrix_rows(rng, 64)), Neighborhood.box((1,) * 64).bounds()
+        return MatrixHom(rand_matrix_rows(rng, 64)), _radii(Space.qn(64), Neighborhood.box((1,) * 64))
     h = SeqHom.diag_plus_block(EvSeq(rand_element(rng, Space.qn(12)).entries, 2), rand_matrix_rows(rng, 8))
-    return h, Neighborhood.product(range(16), 1).bounds()
+    return h, _radii(PRODUCT, Neighborhood.product(range(16), 1))
 
 
 @pytest.mark.parametrize("kind", ["matrix", "seq"])
@@ -122,7 +139,7 @@ def test_propagate_bounds(benchmark, kind):
 _T64, _BOX64 = _propagate_inputs("matrix")
 DECIDER_INPUTS = {
     "finite": (_T64.propagate_bounds(_BOX64), TopologyId.QN_BOX),
-    "unbounded": (SeqHom.identity().propagate_bounds(Neighborhood.product({0}, 1).bounds()),
+    "unbounded": (SeqHom.identity().propagate_bounds(_radii(PRODUCT, Neighborhood.product({0}, 1))),
                   TopologyId.EVSEQ_PRODUCT),
 }
 
@@ -137,6 +154,27 @@ def test_bounds_ring_bounded(benchmark, case):
 def test_bounds_group_bounded(benchmark, case):
     bounds, topology = DECIDER_INPUTS[case]
     benchmark(bounds_group_bounded, bounds, topology)
+
+
+# A product neighborhood that constrains coordinate 10^5, and a member of it.
+MEMBERSHIP_INPUTS = {
+    "product-far": (Neighborhood.product({0, 3, 10**5}, 1), EvSeq.of(Fraction(1, 2), 7, tail=Fraction(1, 4))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MEMBERSHIP_INPUTS))
+def test_member(benchmark, case):
+    U, x = MEMBERSHIP_INPUTS[case]
+    assert benchmark(U.member, x)
+
+
+VW_INPUTS = {"product": (Neighborhood.product({0, 1, 2, 5}, Fraction(1, 3)), Neighborhood.product({1, 2, 7}, 2))}
+
+
+@pytest.mark.parametrize("base", sorted(VW_INPUTS))
+def test_vw_box(benchmark, base):
+    V, W = VW_INPUTS[base]
+    assert benchmark(vw_box, V, W) == Neighborhood.product({1, 2}, Fraction(2, 3))
 
 
 def _certificate(mode):

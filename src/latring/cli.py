@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 from .audits import get_instance, lattice_law_suite
 from .elements import ZInt
-from .errors import InputError, InvalidArgument, LatringError, SpecFileError
+from .errors import InputError, InvalidArgument, LatringError, NotBounded, SpecFileError
 from .gallery import run_all
 from .homs import (
     ORACLE_DIM_CAP,
@@ -159,7 +159,10 @@ def cmd_converge(doc: SpecDoc, args: dict):
     if limit is None:
         raise InvalidArgument(f"net {net_name!r} carries no target to converge to")
     region = None if region_name is None else doc.set_desc(region_name)
-    cert = converges(net, limit, mode, region)
+    try:
+        cert = converges(net, limit, mode, region)
+    except NotBounded as exc:
+        raise NotBounded(f"region {region_name!r}: {exc}") from None
 
     # The canonical generator is the target V and, for cr, the outer W too.
     V = canonical_generator(net.codomain.topology, net.codomain.dim)

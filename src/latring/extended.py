@@ -9,7 +9,9 @@ explicitly (an unconstrained coordinate defeats every scaling).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Union
 
 from .records import Record
@@ -36,94 +38,115 @@ def is_inf(v: Extended) -> bool:
 
 
 def ext_mul(a: Extended, b: Extended) -> Extended:
-    if is_inf(a) and is_inf(b):
-        return INF
-    if is_inf(a):
-        return INF if b != 0 else Fraction(0)
-    if is_inf(b):
-        return INF if a != 0 else Fraction(0)
+    if a is INF or b is INF:
+        return Fraction(0) if a == 0 or b == 0 else INF
     return a * b
 
 
-def ext_max(values: Iterable[Extended]) -> Extended:
-    best: Extended = Fraction(0)
-    for v in values:
-        if is_inf(v):
-            return INF
-        if v > best:
-            best = v
-    return best
-
-
 def ext_le(a: Extended, b: Extended) -> bool:
-    if is_inf(b):
-        return True
-    if is_inf(a):
-        return False
-    return a <= b
+    return b is INF or (a is not INF and a <= b)
 
 
 class CoordBounds(Record):
-    """Per-coordinate bound function.
+    """Per-coordinate bound function, stored sparsely.
 
-    `head` covers the leading coordinates; `tail` covers every later index
-    (None for finite-dimensional carriers).  Canonical form trims trailing
-    head entries equal to the tail, mirroring EvSeq.
+    `pins` are (index, bound) pairs in index order; `tail` bounds every other
+    coordinate.  On finite-dimensional carriers the tail is None and the pins
+    cover every coordinate.  Canonical form drops each pin equal to the tail,
+    so two records are equal exactly when their functions are.
     """
 
-    head: tuple[Extended, ...]
+    pins: tuple[tuple[int, Extended], ...]
     tail: Extended | None = None
 
-    def __init__(self, head: Iterable[Extended], tail: Extended | None = None):
-        # Built in every bound propagation, so it sets its two fields itself.
-        head = list(head)
+    def __init__(self, pins: Iterable[tuple[int, Extended]], tail: Extended | None = None):
+        # Built in every bound propagation, so it sets its two fields itself; an INF tail is tested by identity.
         if tail is not None:
-            while head and head[-1] == tail:
-                head.pop()
-        object.__setattr__(self, "head", tuple(head))
-        object.__setattr__(self, "tail", tail)
+            pins = [p for p in pins if p[1] is not tail and (tail is INF or p[1] != tail)]
+        self.__dict__.update(pins=tuple(pins), tail=tail)
 
     @classmethod
     def finite_dim(cls, values: Iterable[Extended]) -> "CoordBounds":
-        return cls(tuple(values), None)
+        head = tuple(values)
+        b = cls(enumerate(head))
+        b.__dict__["head"] = head  # the dense view every Q^n decision reads
+        return b
 
     @classmethod
     def sequence(cls, head: Iterable[Extended], tail: Extended) -> "CoordBounds":
-        return cls(tuple(head), tail)
+        return cls(enumerate(head), tail)
+
+    @cached_property
+    def head(self) -> tuple[Extended, ...]:
+        """The bound of each index below `span()`, densely."""
+        out = [self.tail] * self.span()
+        for i, v in self.pins:
+            out[i] = v
+        return tuple(out)
 
     def at(self, i: int) -> Extended:
-        if i < len(self.head):
-            return self.head[i]
+        pins = self.pins
+        k = bisect_left(pins, (i,))
+        if k < len(pins) and pins[k][0] == i:
+            return pins[k][1]
         if self.tail is None:
-            raise IndexError(f"coordinate {i} outside a {len(self.head)}-dim bound")
+            raise IndexError(f"coordinate {i} outside a {len(pins)}-dim bound")
         return self.tail
 
     def span(self) -> int:
         """Indices 0..span-1 together with the tail describe every coordinate."""
-        return len(self.head)
+        return self.pins[-1][0] + 1 if self.pins else 0
 
     def overall_sup(self) -> Extended:
-        values = list(self.head)
-        if self.tail is not None:
-            values.append(self.tail)
-        return ext_max(values)
+        values = [v for _, v in self.pins] + ([] if self.tail is None else [self.tail])
+        return INF if any(v is INF for v in values) else max(values, default=Fraction(0))
+
+    def _union(self, other: "CoordBounds") -> list[tuple[int, Extended, Extended]]:
+        """(i, self.at(i), other.at(i)) at each index that either side pins, in index order."""
+        p, s, q, t = self.pins, self.tail, other.pins, other.tail
+        if (s is None or t is None) and not (s is t and len(p) == len(q)):
+            raise IndexError("bounds of different carriers or dimensions")
+        out, j, n = [], 0, len(q)
+        for i, a in p:
+            while j < n and q[j][0] < i:
+                out.append((q[j][0], s, q[j][1]))
+                j += 1
+            shared = j < n and q[j][0] == i
+            out.append((i, a, q[j][1] if shared else t))
+            j += shared
+        out += [(i, s, b) for i, b in q[j:]]
+        return out
 
     def paired(self, other: "CoordBounds"):
         """(self.at(i), other.at(i)) once for every distinct pair of coordinates.
 
-        On sequences the last index stands for every later one.
+        A straight zip on Q^n and Z; on sequences, the indices either side
+        pins, then the two tails, which stand for every other index.
         """
-        n = max(self.span(), other.span()) + (self.tail is not None)
-        return ((self.at(i), other.at(i)) for i in range(n))
+        if self.tail is None and other.tail is None and len(self.pins) == len(other.pins):
+            return zip(self.head, other.head)
+        return [(a, b) for _, a, b in self._union(other)] + [(self.tail, other.tail)]
+
+    def times(self, other: "CoordBounds") -> "CoordBounds":
+        """The coordinatewise product, with 0 * INF = 0 as in `ext_mul`."""
+        pins = [(i, ext_mul(a, b)) for i, a, b in self._union(other)]
+        return CoordBounds(pins, None if self.tail is None else ext_mul(self.tail, other.tail))
 
     def within(self, other: "CoordBounds") -> bool:
         """Every coordinate of self is at most the same coordinate of other."""
         return all(ext_le(a, b) for a, b in self.paired(other))
 
-    def first_infinite_index(self) -> int | None:
-        for i, v in enumerate(self.head):
-            if is_inf(v):
+    def first_index(self, pred) -> int | None:
+        """The least index whose bound satisfies `pred`, or None when none does."""
+        hit = self.tail is not None and pred(self.tail)
+        free = 0  # the index after the last pin seen
+        for i, v in self.pins:
+            if hit and i != free:
+                return free
+            if pred(v):
                 return i
-        if self.tail is not None and is_inf(self.tail):
-            return len(self.head)
-        return None
+            free = i + 1
+        return free if hit else None
+
+    def first_infinite_index(self) -> int | None:
+        return self.first_index(is_inf)

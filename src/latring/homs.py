@@ -25,6 +25,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from bisect import bisect_left
 from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import repeat
@@ -295,11 +296,12 @@ class SeqHom(Record):
             raise InvalidElement("sequence homomorphisms act on sequence bounds")
         k = self._block.n
         head = _bound_rows(self._block.int_rows, [b.at(j) for j in range(k)])
-        # The diagonal beyond the block, its tail last: that coordinate's bound is the tail's.
-        ((d, row),) = aligned(self._beyond, min_head=b.span() - k)
-        head += [ext_mul(Fraction(abs(a), d), b.at(j)) for j, a in enumerate(row, k)]
-        tail = head.pop()
-        return CoordBounds.sequence(head, tail)
+        # The diagonal beyond the block: its prefix index by index, then its tail on b's later pins and tail.
+        d, row = self._beyond.int_row
+        head += [ext_mul(Fraction(abs(a), d), b.at(j)) for j, a in enumerate(row[:-1], k)]
+        m, c = k + len(row) - 1, Fraction(abs(row[-1]), d)
+        far = [(i, ext_mul(c, v)) for i, v in b.pins[bisect_left(b.pins, (m,)):]]
+        return CoordBounds([*enumerate(head), *far], ext_mul(c, b.tail))
 
     def _combine(self, other, op) -> "SeqHom":
         other = _as_seq_hom(other)

@@ -11,6 +11,7 @@ table nets.
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import takewhile
@@ -119,7 +120,7 @@ def _nr_label(T: Hom, domain: Space, codomain: Space) -> BoundednessLabel:
     or of the canonical generator when there is none."""
     U0 = canonical_generator(domain.topology, domain.dim)
     U = _nr_candidate(T, domain)
-    img = T.propagate_bounds((U0 if U is None else U).bounds())
+    img = T.propagate_bounds((U0 if U is None else U).bounds)
 
     # Every verdict is built with all its fields by position, skipping the keyword binding.
     def verdict(reading: str) -> ReadingVerdict:
@@ -293,15 +294,10 @@ class HomNet(Record):
 # Convergence.
 
 def vw_box(V: Neighborhood, W: Neighborhood) -> Neighborhood:
-    """The product set V*W of two base boxes, as a box (radius products)."""
+    """The product set V*W of two base boxes: the box of the product of their radius functions."""
     if V.topology is not W.topology:
         raise InvalidElement("product of neighborhoods from different bases")
-    return Neighborhood(
-        V.topology,
-        radii=None if V.radii is None else tuple(a * b for a, b in zip(V.radii, W.radii)),
-        coords=None if V.coords is None else V.coords & W.coords,
-        radius=None if V.radius is None else V.radius * W.radius,
-    )
+    return Neighborhood(V.topology, V.bounds.times(W.bounds))
 
 
 class ConvergenceCertificate(Record):
@@ -330,7 +326,7 @@ class ConvergenceCertificate(Record):
         if W is None:
             raise InvalidArgument("cr certificates need the outer neighborhood W")
         U = self.choose_U(W)
-        return NbhdSet(self.net.domain, U), U.bounds(), vw_box(V, W)
+        return NbhdSet(self.net.domain, U), U.bounds, vw_box(V, W)
 
     def choose_U(self, W: Neighborhood) -> Neighborhood:
         """cr mode: the domain neighborhood answering the outer W."""
@@ -372,7 +368,7 @@ class ConvergenceCertificate(Record):
         """Exact recheck of the defining containment at one entry index."""
         _, bounds, target = self.frame(V, W)
         img = (self.net.term(alpha) - self.limit).propagate_bounds(bounds)
-        return img.within(target.bounds())
+        return img.within(target.bounds)
 
     def recheck(self, V: Neighborhood, W: Neighborhood | None = None) -> dict[int, bool]:
         """The threshold alpha0 and the entry seven past it, each with its exact recheck."""
@@ -385,7 +381,7 @@ class ConvergenceCertificate(Record):
         if self.convergent or self.witness is None:
             return False
         if self.residual_bounds is not None and self.residual_bounds.overall_sup() != 0:
-            return not self.residual_bounds.within(self.witness.bounds())
+            return not self.residual_bounds.within(self.witness.bounds)
         # Residual vanished, so divergence came from unbounded decay: the
         # containment fails at every index.
         return not self.verify_at(1, self.witness, self.witness)
@@ -417,14 +413,15 @@ def nr_converges(net: HomNet, limit: Hom, U: Neighborhood) -> ConvergenceCertifi
     """Uniform convergence on the neighborhood U."""
     if U.topology is not net.domain.topology:
         raise InvalidNeighborhood(f"{U!r} is not in the domain base")
-    return _uniform_convergence("nr", net, limit, NbhdSet(net.domain, U), U.bounds())
+    return _uniform_convergence("nr", net, limit, NbhdSet(net.domain, U), U.bounds)
 
 
 def br_converges(net: HomNet, limit: Hom, B: SetDesc) -> ConvergenceCertificate:
     """Uniform convergence on the bounded set B."""
     verdict = set_ring_bounded(B)
     if not verdict.holds:
-        raise NotBounded(f"{B!r} is not ring-bounded, witness {verdict.refuting!r}")
+        witness = json.dumps(verdict.refuting.render(), sort_keys=True)
+        raise NotBounded(f"the set is not ring-bounded, witness {witness}")
     return _uniform_convergence("br", net, limit, B, coordinate_bounds(B))
 
 
@@ -457,7 +454,7 @@ def cr_converges(net: HomNet, limit: Hom) -> ConvergenceCertificate:
     # eventual term must equal the limit outright; a nonzero map has a nonzero image bound on the
     # unit neighborhood (INF on a free product coordinate), so the uniform check there decides that.
     unit = canonical_generator(net.domain.topology, net.domain.dim)
-    return _uniform_convergence("cr", net, limit, None, unit.bounds())
+    return _uniform_convergence("cr", net, limit, None, unit.bounds)
 
 
 # ---------------------------------------------------------------------------

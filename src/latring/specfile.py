@@ -39,9 +39,9 @@ from .topology import (
     SolidHull,
 )
 
-# The largest coordinate index a product neighborhood may name.  A
-# neighborhood is decided through its radius function, which lists every
-# coordinate up to the largest index, so this caps that work (about 0.1 s).
+# The largest coordinate index a product neighborhood may name.  Its radius
+# function is sparse, but `sample_member` and membership in a diagonal image
+# build a dense `EvSeq` up to that index; this caps them (about 0.04 s).
 MAX_COORD_INDEX = 10_000
 
 # The largest dimension of a `qn` space.  Loading a spec builds every matrix

@@ -8,13 +8,14 @@ reduce to finitely many rational inequalities per parametric family of base
 neighborhoods.  Negative verdicts always carry a concrete refuting
 neighborhood.
 
-A base neighborhood {x : |x_i| <= r_i} is described completely by its radius
-function `Neighborhood.bounds()`: INF on a coordinate a product neighborhood
-leaves free, 0 for the discrete {0}.  Membership, containment of a bound
-function (`CoordBounds.within`) and the least multiple of a neighborhood that
-holds a set (`bounds_multiplier`) are each one body over that function for
-all four bases; only construction, rendering, sampling and the choice of a
-refuting neighborhood branch on the topology.
+A base neighborhood {x : |x_i| <= r_i} is its radius function
+`Neighborhood.bounds`, a sparse `CoordBounds` built once: INF on a coordinate
+a product neighborhood leaves free, 0 for the discrete {0}.  Membership,
+containment (`CoordBounds.within`), the least multiple of a neighborhood that
+holds a set (`bounds_multiplier`) and the product V*W are each one body over
+that function for all four bases, and walk its pins, not the index range;
+only construction, rendering, sampling and the choice of a refuting
+neighborhood branch on the topology.
 
 Sets are read through the coordinate view of `elements` (a head of explicit
 coordinates and an optional tail), so bounds, member sampling, non-solid
@@ -46,91 +47,71 @@ from .spaces import Multiplication, Space, TopologyId, abs_val, join
 # Neighborhoods.
 
 class Neighborhood(Record):
-    """A base zero neighborhood: a closed coordinate box.
+    """A base zero neighborhood: the closed coordinate box of its radius function `bounds`.
 
-    QN_BOX carries one radius per coordinate; EVSEQ_PRODUCT constrains a
-    finite coordinate set by one radius; EVSEQ_SUPNORM bounds every
-    coordinate by one radius; the discrete base neighborhood is {0}.
+    QN_BOX has one radius per coordinate, EVSEQ_PRODUCT one radius on a finite
+    coordinate set, EVSEQ_SUPNORM one radius on every coordinate; the discrete
+    base neighborhood is {0}.  `radii`, `coords` and `radius` read them back.
     """
 
     topology: TopologyId
-    radii: tuple[Fraction, ...] | None = None
-    coords: frozenset[int] | None = None
-    radius: Fraction | None = None
-
-    def __init__(self, topology: TopologyId, radii=None, coords=None, radius=None):
-        # Built in most ops, so it sets its fields itself rather than through `Record.__init__`.
-        object.__setattr__(self, "topology", topology)
-        object.__setattr__(self, "radii", radii)
-        object.__setattr__(self, "coords", coords)
-        object.__setattr__(self, "radius", radius)
-        if self.topology is TopologyId.QN_BOX:
-            if not self.radii or any(r <= 0 for r in self.radii):
-                raise InvalidElement("box neighborhoods need strictly positive radii")
-            if self.coords is not None or self.radius is not None:
-                raise InvalidElement("box neighborhoods carry only a radius vector")
-        elif self.topology is TopologyId.EVSEQ_PRODUCT:
-            if self.coords is None or any(i < 0 for i in self.coords):
-                raise InvalidElement("product neighborhoods need a finite coordinate set")
-            if self.radius is None or self.radius <= 0 or self.radii is not None:
-                raise InvalidElement("product neighborhoods need one positive radius")
-        elif self.topology is TopologyId.EVSEQ_SUPNORM:
-            if self.radius is None or self.radius <= 0:
-                raise InvalidElement("sup-norm balls need one positive radius")
-            if self.radii is not None or self.coords is not None:
-                raise InvalidElement("sup-norm balls carry only a radius")
-        else:
-            if self.radii is not None or self.coords is not None or self.radius is not None:
-                raise InvalidElement("the discrete base neighborhood is exactly {0}")
+    bounds: CoordBounds
 
     @classmethod
     def box(cls, radii: Sequence) -> "Neighborhood":
-        return cls(TopologyId.QN_BOX, radii=tuple(as_rat(r) for r in radii))
+        radii = tuple(as_rat(r) for r in radii)
+        if not radii or any(r <= 0 for r in radii):
+            raise InvalidElement("box neighborhoods need strictly positive radii")
+        return cls(TopologyId.QN_BOX, CoordBounds.finite_dim(radii))
 
     @classmethod
     def product(cls, coords: Iterable[int], radius) -> "Neighborhood":
-        return cls(TopologyId.EVSEQ_PRODUCT, coords=frozenset(coords), radius=as_rat(radius))
+        coords, radius = frozenset(coords), as_rat(radius)
+        if any(i < 0 for i in coords):
+            raise InvalidElement("product neighborhoods need a finite coordinate set")
+        if radius <= 0:
+            raise InvalidElement("product neighborhoods need one positive radius")
+        return cls(TopologyId.EVSEQ_PRODUCT, CoordBounds([(i, radius) for i in sorted(coords)], INF))
 
     @classmethod
     def sup_ball(cls, radius) -> "Neighborhood":
-        return cls(TopologyId.EVSEQ_SUPNORM, radius=as_rat(radius))
+        radius = as_rat(radius)
+        if radius <= 0:
+            raise InvalidElement("sup-norm balls need one positive radius")
+        return cls(TopologyId.EVSEQ_SUPNORM, CoordBounds((), radius))
 
     @classmethod
     def discrete_zero(cls) -> "Neighborhood":
-        return cls(TopologyId.Z_DISCRETE_TOP)
+        return cls(TopologyId.Z_DISCRETE_TOP, CoordBounds.finite_dim((Fraction(0),)))
 
-    def bounds(self) -> CoordBounds:
-        """The radius of each coordinate: INF where the box leaves it free.
+    @property
+    def radii(self) -> tuple[Fraction, ...] | None:
+        return self.bounds.head if self.topology is TopologyId.QN_BOX else None
 
-        Every decision about a neighborhood reads it through this function.
-        """
-        if self.topology is TopologyId.QN_BOX:
-            return CoordBounds.finite_dim(self.radii)
+    @property
+    def coords(self) -> frozenset[int] | None:
+        return frozenset([i for i, _ in self.bounds.pins]) if self.topology is TopologyId.EVSEQ_PRODUCT else None
+
+    @property
+    def radius(self) -> Fraction | None:
+        """The one radius of a sup-norm ball or product neighborhood; 1 for the whole space."""
         if self.topology is TopologyId.EVSEQ_PRODUCT:
-            span = max(self.coords) + 1 if self.coords else 0
-            head = tuple(self.radius if i in self.coords else INF for i in range(span))
-            return CoordBounds.sequence(head, INF)
-        if self.topology is TopologyId.EVSEQ_SUPNORM:
-            return CoordBounds.sequence((), self.radius)
-        return CoordBounds.finite_dim((Fraction(0),))
+            return next((r for _, r in self.bounds.pins), Fraction(1))
+        return self.bounds.tail if self.topology is TopologyId.EVSEQ_SUPNORM else None
 
     def member(self, x) -> bool:
-        radii = self.bounds()
-        _space_for(self.topology, len(radii.head)).validate(x)
-        return element_bounds(x).within(radii)
+        _space_for(self.topology, len(self.bounds.pins)).validate(x)
+        return element_bounds(x).within(self.bounds)
 
     def render(self) -> dict:
+        out = {"topology": self.topology.value}
         if self.topology is TopologyId.QN_BOX:
-            return {"topology": self.topology.value, "radii": [str(r) for r in self.radii]}
-        if self.topology is TopologyId.EVSEQ_PRODUCT:
-            return {
-                "topology": self.topology.value,
-                "coords": sorted(self.coords),
-                "radius": str(self.radius),
-            }
-        if self.topology is TopologyId.EVSEQ_SUPNORM:
-            return {"topology": self.topology.value, "radius": str(self.radius)}
-        return {"topology": self.topology.value}
+            out["radii"] = [str(r) for r in self.radii]
+        elif self.topology is TopologyId.EVSEQ_PRODUCT:
+            out["coords"] = sorted(self.coords)
+        if self.radius is not None:
+            out["radius"] = str(self.radius)
+        return out
 
 
 @cache  # a neighborhood is immutable, and classify and converge ask for this one several times an op
@@ -236,7 +217,8 @@ def solid_hull(space: Space, points: Sequence) -> SolidHull:
 def element_bounds(x) -> CoordBounds:
     """|x_i| at each coordinate of x."""
     d, head, tail = coords(x)
-    return CoordBounds(tuple(Fraction(abs(a), d) for a in head), None if tail is None else Fraction(abs(tail), d))
+    head = [Fraction(abs(a), d) for a in head]
+    return CoordBounds.finite_dim(head) if tail is None else CoordBounds.sequence(head, Fraction(abs(tail), d))
 
 
 def _points(S: SetDesc) -> tuple:
@@ -252,7 +234,7 @@ def coordinate_bounds(S: SetDesc) -> CoordBounds:
         # The largest |x_i| over the points is coordinate i of the join of their moduli.
         return element_bounds(reduce(partial(join, S.space), map(abs, _points(S))))
     if isinstance(S, NbhdSet):
-        return S.nbhd.bounds()
+        return S.nbhd.bounds
     if isinstance(S, ImageSet):
         return S.hom.propagate_bounds(coordinate_bounds(S.base))
     raise InvalidElement(f"unknown set form {S!r}")
@@ -351,7 +333,7 @@ def base_span(S: SetDesc) -> int:
     if isinstance(S, (Interval, FiniteSet, SolidHull)):
         return max(len(coords(p)[1]) for p in _points(S))
     if isinstance(S, NbhdSet):
-        return S.nbhd.bounds().span()
+        return S.nbhd.bounds.span()
     if isinstance(S, ImageSet):
         return base_span(S.base)
     raise InvalidElement(f"unknown set form {S!r}")
@@ -429,11 +411,8 @@ def _sample_nbhd(U: Neighborhood, rng: random.Random):
         r = EvSeq.constant(U.radius)
         return rand_between(rng, -r, r, min_head=rng.randint(0, 4))
     # Product neighborhood: free coordinates may wander anywhere.
-    span = (max(U.coords) + 1 if U.coords else 0) + rng.randint(0, 3)
-    entries = [
-        rand_in_interval(rng, -U.radius, U.radius) if i in U.coords else rand_rat(rng, span=30)
-        for i in range(span)
-    ]
+    coords, r, span = U.coords, U.radius, U.bounds.span() + rng.randint(0, 3)
+    entries = [rand_in_interval(rng, -r, r) if i in coords else rand_rat(rng, span=30) for i in range(span)]
     return EvSeq(tuple(entries), rand_rat(rng, span=30))
 
 
@@ -468,23 +447,15 @@ def refuting_nbhd(bounds: CoordBounds, topology: TopologyId) -> Neighborhood:
         j = bounds.first_infinite_index()
         if j is not None:
             return Neighborhood.product({j}, 1)
-        for j in range(bounds.span() + 1):
-            v = bounds.at(j)
-            if v != 0:
-                return Neighborhood.product({j}, v / 2)
-        raise SoundnessBug("no escaping coordinate found")
+        j = bounds.first_index(lambda v: v != 0)
+        if j is None:
+            raise SoundnessBug("no escaping coordinate found")
+        return Neighborhood.product({j}, bounds.at(j) / 2)
     if topology is TopologyId.EVSEQ_SUPNORM:
         sup = bounds.overall_sup()
         return Neighborhood.sup_ball(1 if is_inf(sup) else sup / 2)
     if topology is TopologyId.QN_BOX:
-        radii = []
-        for j in range(len(bounds.head)):
-            v = bounds.at(j)
-            if is_inf(v) or v == 0:
-                radii.append(Fraction(1))
-            else:
-                radii.append(v / 2)
-        return Neighborhood.box(radii)
+        return Neighborhood.box([1 if is_inf(v) or v == 0 else v / 2 for v in bounds.head])
     raise SoundnessBug("nothing escapes the discrete base")
 
 
@@ -535,7 +506,7 @@ def bounds_multiplier(bounds: CoordBounds, U: Neighborhood) -> int | None:
     an INF bound, and a radius of 0 (the discrete {0}) refuses any nonzero one.
     """
     n = 1
-    for v, r in bounds.paired(U.bounds()):
+    for v, r in bounds.paired(U.bounds):
         if is_inf(r) or v == 0:
             continue
         if is_inf(v) or r == 0:

@@ -94,7 +94,7 @@ def test_positive_part_keeps_the_nr_witness():
     assert label.nr.group.holds
     U = label.nr.group.via
     # beta-propagation: the positive part's image over the same U stays bounded.
-    pos_bounds = positive_part(finite).propagate_bounds(U.bounds())
+    pos_bounds = positive_part(finite).propagate_bounds(U.bounds)
     assert pos_bounds.first_infinite_index() is None
 
 
@@ -138,13 +138,13 @@ def test_classification_witnesses_recheck():
         label = classify(T, dom, cod)
         for reading, verdict in (("ring", label.nr.ring), ("group", label.nr.group)):
             if verdict.holds and not verdict.vacuous:
-                img = T.propagate_bounds(verdict.via.bounds())
+                img = T.propagate_bounds(verdict.via.bounds)
                 if reading == "ring":
                     assert bounds_ring_bounded(img, cod.topology, cod.multiplication).holds
                 else:
                     assert bounds_group_bounded(img, cod.topology).holds
             elif not verdict.holds:
-                img = T.propagate_bounds(verdict.via.bounds())
+                img = T.propagate_bounds(verdict.via.bounds)
                 if reading == "ring":
                     assert not bounds_ring_bounded(img, cod.topology, cod.multiplication).holds
                 else:
@@ -372,9 +372,9 @@ def test_converges_is_the_direct_decider_for_each_mode():
         assert nr == nr_converges(net, base, U)
         assert br == br_converges(net, base, B)
         assert cr == cr_converges(net, base)
-    assert nr.frame(U, W) == (NbhdSet(Q3, U), U.bounds(), U)
+    assert nr.frame(U, W) == (NbhdSet(Q3, U), U.bounds, U)
     assert br.frame(U, W) == (B, coordinate_bounds(B), U)
-    assert cr.frame(U, W) == (NbhdSet(Q3, cr.choose_U(W)), cr.choose_U(W).bounds(), vw_box(U, W))
+    assert cr.frame(U, W) == (NbhdSet(Q3, cr.choose_U(W)), cr.choose_U(W).bounds, vw_box(U, W))
 
 
 def test_recheck_is_the_threshold_and_seven_past_it():

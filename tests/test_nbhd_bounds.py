@@ -271,7 +271,7 @@ def test_threshold_and_recheck_agree_with_reference(case):
             assert cert.witness_refutes() == (not ref_within(residual, cert.witness))
         return
     if cert.mode == "cr":
-        target, region = vw_box(V, W), cert.choose_U(W).bounds()
+        target, region = vw_box(V, W), cert.choose_U(W).bounds
     else:
         target, region = V, cert.region_bounds
     alpha0 = cert.alpha0_for(V, W)

@@ -50,7 +50,7 @@ _witness = OrderBoundedWitness(FinVec.of(-1), FinVec.of(1), 25)
 SAMPLES = {
     CheckResult: (("law", True, 3), {}),
     LawInstance: (("q1", Q1), {}),
-    CoordBounds: (((F(1), F(2)),), {}),
+    CoordBounds: ((((0, F(1)), (1, F(2))),), {}),
     CaseReport: (("A", True, {"x": 1}, {"x": 1}, (), "narrative"), {}),
     SuiteReport: (((), (), True), {}),
     SeqHom: ((EvSeq.of(1, tail=2),), {}),
@@ -64,7 +64,7 @@ SAMPLES = {
     ConvergenceCertificate: (("nr", True, NET, ONE), {}),
     Space: ((SpaceKind.QN, TopologyId.QN_BOX), {"dim": 2}),
     FRingVerdict: ((True, None, 3, ()), {}),
-    Neighborhood: ((TopologyId.QN_BOX,), {"radii": (F(1),)}),
+    Neighborhood: ((TopologyId.QN_BOX, CoordBounds.finite_dim((F(1),))), {}),
     SetDesc: ((Q1,), {}),
     Interval: ((Q1, FinVec.of(0), FinVec.of(1)), {}),
     FiniteSet: ((Q1, (FinVec.of(1),)), {}),
@@ -154,8 +154,8 @@ def test_repr_keeps_the_dataclass_format():
         "ReadingVerdict(holds=True, vacuous=False, via=None, refuting=None, bad_set=None, note='')"
     )
     assert repr(Neighborhood.sup_ball(1)) == (
-        "Neighborhood(topology=<TopologyId.EVSEQ_SUPNORM: 'evseq_supnorm'>, radii=None, coords=None, "
-        "radius=Fraction(1, 1))"
+        "Neighborhood(topology=<TopologyId.EVSEQ_SUPNORM: 'evseq_supnorm'>, "
+        "bounds=CoordBounds(pins=(), tail=Fraction(1, 1)))"
     )
 
 

@@ -626,6 +626,19 @@ def test_converge_on_a_net_without_target_exits_2(tmp_path, capsys):
     _assert_input_error(["converge", "aimless", "--mode", "cr", "--spec", str(path)], message, capsys)
 
 
+def test_br_region_that_is_not_bounded_exits_2_naming_it(tmp_path, capsys):
+    # A product neighborhood leaves coordinate 1 free, so no V shrinks it into that neighborhood.
+    witness = '{"coords": [1], "radius": "1", "topology": "evseq_product"}'
+    message = f"error: region 'u0': the set is not ring-bounded, witness {witness}\n"
+    assert main(["converge", "vanishing", "--mode", "br", "--region", "u0", "--spec", EVSEQ_SPEC]) == 2
+    assert capsys.readouterr().err == message
+    spec = json.loads(Path(EVSEQ_SPEC).read_text())
+    spec["tasks"] = [{"op": "converge", "net": "vanishing", "mode": "br", "region": "u0"}]
+    path = tmp_path / "br.json"
+    path.write_text(json.dumps(spec))
+    _assert_input_error(["run", "--spec", str(path)], f"error: tasks[0]: region 'u0': the set", capsys)
+
+
 def _converge_report(spec, argv, tmp_path, capsys):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))

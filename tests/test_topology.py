@@ -47,11 +47,11 @@ def test_refuting_nbhd_on_finite_bounds():
     # Product base: with no free coordinate, halve the first nonzero bound.
     b = CoordBounds.sequence((F(0), F(3), F(5)), F(0))
     U = refuting_nbhd(b, TopologyId.EVSEQ_PRODUCT)
-    assert U == Neighborhood.product({1}, F(3, 2)) and not b.within(U.bounds())
+    assert U == Neighborhood.product({1}, F(3, 2)) and not b.within(U.bounds)
     # Q^n: halve each nonzero finite bound, radius 1 on a zero or INF coordinate.
     b = CoordBounds.finite_dim((F(0), INF, F(4)))
     U = refuting_nbhd(b, TopologyId.QN_BOX)
-    assert U == Neighborhood.box((1, 1, 2)) and not b.within(U.bounds())
+    assert U == Neighborhood.box((1, 1, 2)) and not b.within(U.bounds)
 
 
 def test_nbhd_membership_examples():
