@@ -5,9 +5,10 @@ lattice ops and the order, matrix and sequence apply, the vertex oracle,
 bound propagation, the two boundedness deciders, membership in a product
 neighborhood that constrains a far coordinate, the product V*W of two
 neighborhoods, the convergence threshold of each mode, classification, the
-law suites, and a cold start of the CLI.  Every case reads a neighborhood's
-radius function through `coordinate_bounds`, so one copy of this file times
-the parent commit and the change alike.  This directory is outside the
+law suites, building records (a `Space`, a `ReadingVerdict`, a matrix from
+integer rows), matrix addition, and a cold start of the CLI.  Every case
+reads a neighborhood's radius function through `coordinate_bounds`, so one
+copy of this file times the parent commit and the change alike.  This directory is outside the
 tier-1 `testpaths`; run the change's copy of it on its own, in a checkout of
 the parent commit and in the change, on the same machine, with each JSON
 written outside the checkouts:
@@ -52,7 +53,7 @@ from latring import (
 from latring.audits import INSTANCES, all_suites, lattice_law_suite
 from latring.homspaces import vw_box
 from latring.sampling import rand_element, rand_matrix_rows, rand_pos_element, rng_for
-from latring.topology import bounds_group_bounded, bounds_ring_bounded
+from latring.topology import ReadingVerdict, bounds_group_bounded, bounds_ring_bounded
 
 # Denominators up to 8, so a row mixes coprime ones and its common denominator grows.
 RNG = rng_for(2024)
@@ -175,6 +176,28 @@ VW_INPUTS = {"product": (Neighborhood.product({0, 1, 2, 5}, Fraction(1, 3)), Nei
 def test_vw_box(benchmark, base):
     V, W = VW_INPUTS[base]
     assert benchmark(vw_box, V, W) == Neighborhood.product({1, 2}, Fraction(2, 3))
+
+
+# Record construction, every field by position, and matrix addition, on Q^16 matrices.
+_RNG16 = rng_for(19)
+_T16, _S16 = MatrixHom(rand_matrix_rows(_RNG16, 16)), MatrixHom(rand_matrix_rows(_RNG16, 16))
+BUILDS = {
+    "space": (Space.qn, (8,)),
+    "reading_verdict": (ReadingVerdict, (True, False, None, None, None, "")),
+    "matrix16": (MatrixHom.from_int_rows, (_T16.int_rows,)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BUILDS))
+def test_build(benchmark, kind):
+    build, args = BUILDS[kind]
+    benchmark(build, *args)
+
+
+@pytest.mark.parametrize("n", [16])
+def test_matrix_add(benchmark, n):
+    T, S = {16: (_T16, _S16)}[n]
+    assert benchmark(T.__add__, S) == S + T
 
 
 def _certificate(mode):

@@ -64,8 +64,8 @@ class CheckResult(Record):
     name: str
     passed: bool
     cases: int
-    detail: str = ""
-    provenance: str = ""
+    detail: str
+    provenance: str
 
     def render(self) -> dict:
         return {
@@ -80,8 +80,7 @@ class CheckResult(Record):
 class LawInstance(Record):
     name: str
     space: Space
-    mul_override: Callable | None = None
-    description: str = ""
+    mul_override: Callable | None
 
     def product(self, a, b):
         if self.mul_override is not None:
@@ -92,32 +91,15 @@ class LawInstance(Record):
 INSTANCES: dict[str, LawInstance] = {
     inst.name: inst
     for inst in (
-        LawInstance("q1_pointwise", Space.qn(1), description="rationals"),
-        LawInstance("q2_pointwise", Space.qn(2), description="pairs of rationals"),
-        LawInstance("q3_pointwise", Space.qn(3), description="triples of rationals"),
-        LawInstance("q5_pointwise", Space.qn(5), description="5-tuples of rationals"),
-        LawInstance(
-            "evseq_product_pointwise",
-            Space.evseq(TopologyId.EVSEQ_PRODUCT),
-            description="eventually constant sequences, product topology",
-        ),
-        LawInstance(
-            "evseq_product_zero",
-            Space.evseq(TopologyId.EVSEQ_PRODUCT, Multiplication.ZERO),
-            description="eventually constant sequences with the zero product",
-        ),
-        LawInstance(
-            "evseq_supnorm_pointwise",
-            Space.evseq(TopologyId.EVSEQ_SUPNORM),
-            description="eventually constant sequences, sup-norm topology",
-        ),
-        LawInstance("z_discrete", Space.z_discrete(), description="integers, discrete topology"),
-        LawInstance(
-            "matrix2_entrywise",
-            Space.qn(4),
-            mul_override=matrix2_mul,
-            description="flattened 2x2 matrices with entrywise order; fails the disjointness axiom",
-        ),
+        LawInstance("q1_pointwise", Space.qn(1), None),
+        LawInstance("q2_pointwise", Space.qn(2), None),
+        LawInstance("q3_pointwise", Space.qn(3), None),
+        LawInstance("q5_pointwise", Space.qn(5), None),
+        LawInstance("evseq_product_pointwise", Space.evseq(TopologyId.EVSEQ_PRODUCT), None),
+        LawInstance("evseq_product_zero", Space.evseq(TopologyId.EVSEQ_PRODUCT, Multiplication.ZERO), None),
+        LawInstance("evseq_supnorm_pointwise", Space.evseq(TopologyId.EVSEQ_SUPNORM), None),
+        LawInstance("z_discrete", Space.z_discrete(), None),
+        LawInstance("matrix2_entrywise", Space.qn(4), matrix2_mul),
     )
 }
 
@@ -273,7 +255,7 @@ def cone_extension_suite(seed: int = 0, cases: int = 200) -> list[CheckResult]:
         n = rng.randint(1, 4)
         T = MatrixHom(rand_matrix_rows(rng, n))
         space = Space.qn(n)
-        ext = extend_from_cone(ConeMap(space, hom=T), samples=5, seed=rng.randint(0, 10**6))
+        ext = extend_from_cone(ConeMap(space, T, ()), samples=5, seed=rng.randint(0, 10**6))
         x = rand_element(rng, space)
         return None if ext.apply(x) == T.apply(x) else f"extension drifted from {T!r} at {x!r}"
 
@@ -282,7 +264,8 @@ def cone_extension_suite(seed: int = 0, cases: int = 200) -> list[CheckResult]:
     space = Space.qn(2)
     bad = ConeMap(
         space,
-        table=(
+        None,
+        (
             (FinVec.of(1, 0), FinVec.of(1, 0)),
             (FinVec.of(0, 1), FinVec.of(0, 0)),
             (FinVec.of(1, 1), FinVec.of(5, 5)),

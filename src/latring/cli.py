@@ -20,7 +20,7 @@ from typing import NamedTuple
 from .audits import get_instance, lattice_law_suite
 from .elements import ZInt
 from .errors import InputError, InvalidArgument, LatringError, NotBounded, SpecFileError
-from .gallery import run_all
+from .gallery import render_nbhd, run_all
 from .homs import (
     ORACLE_DIM_CAP,
     MatrixHom,
@@ -58,7 +58,7 @@ def cmd_classify(doc: SpecDoc, args: dict):
         "flags": label.flags(),
         "nr": _reading_pair(label.nr),
         "br": _reading_pair(label.br),
-        "continuity_witness": _maybe_nbhd(label.continuity_witness),
+        "continuity_witness": render_nbhd(label.continuity_witness),
         "continuity_note": label.continuity_note,
         "order_witness": {
             "lo": _render_value(label.order_witness.lo),
@@ -75,8 +75,8 @@ def _reading_pair(pair) -> dict:
         doc = {
             "holds": v.holds,
             "vacuous": v.vacuous,
-            "via": _maybe_nbhd(v.via),
-            "refuting": _maybe_nbhd(v.refuting),
+            "via": render_nbhd(v.via),
+            "refuting": render_nbhd(v.refuting),
             "note": v.note,
         }
         if v.bad_set is not None:
@@ -84,10 +84,6 @@ def _reading_pair(pair) -> dict:
         return doc
 
     return {"ring": one(pair.ring), "group": one(pair.group)}
-
-
-def _maybe_nbhd(U):
-    return None if U is None else U.render()
 
 
 def _render_value(x):
@@ -180,7 +176,7 @@ def cmd_converge(doc: SpecDoc, args: dict):
         passed = cert.witness_refutes()
         result = {
             "verdict": "NOT_CONVERGENT",
-            "witness": _maybe_nbhd(cert.witness),
+            "witness": render_nbhd(cert.witness),
             "witness_recheck": "PASS" if passed else "FAIL",
             "provenance": "uniform-convergence definitions with witness recheck",
         }

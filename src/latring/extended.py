@@ -57,7 +57,7 @@ class CoordBounds(Record):
     """
 
     pins: tuple[tuple[int, Extended], ...]
-    tail: Extended | None = None
+    tail: Extended | None
 
     def __init__(self, pins: Iterable[tuple[int, Extended]], tail: Extended | None = None):
         # Built in every bound propagation, so it sets its two fields itself; an INF tail is tested by identity.

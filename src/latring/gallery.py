@@ -11,7 +11,7 @@ import json
 from importlib import resources
 from typing import Callable
 
-from .elements import FinVec
+from .audits import FRING_PLANTED_TRIPLE, all_suites
 from .errors import UnknownCase
 from .homs import identity_on
 from .homspaces import classify
@@ -25,11 +25,8 @@ from .spaces import (
     meet,
 )
 
-_E11 = FinVec.of(1, 0, 0, 0)
-_E21 = FinVec.of(0, 0, 1, 0)
 
-
-def _render_nbhd(nbhd) -> dict | None:
+def render_nbhd(nbhd) -> dict | None:
     return None if nbhd is None else nbhd.render()
 
 
@@ -37,30 +34,14 @@ def _classify_case(domain: Space, codomain: Space) -> dict:
     label = classify(identity_on(domain), domain, codomain)
     return {
         "flags": label.flags(),
-        "nr_group_refuting": _render_nbhd(label.nr.group.refuting),
-        "continuity_witness": _render_nbhd(label.continuity_witness),
+        "nr_group_refuting": render_nbhd(label.nr.group.refuting),
+        "continuity_witness": render_nbhd(label.continuity_witness),
     }
-
-
-def _case_a() -> dict:
-    space = Space.evseq(TopologyId.EVSEQ_PRODUCT)
-    return _classify_case(space, space)
-
-
-def _case_b() -> dict:
-    space = Space.evseq(TopologyId.EVSEQ_PRODUCT, Multiplication.ZERO)
-    return _classify_case(space, space)
-
-
-def _case_c() -> dict:
-    domain = Space.evseq(TopologyId.EVSEQ_PRODUCT)
-    codomain = Space.evseq(TopologyId.EVSEQ_SUPNORM)
-    return _classify_case(domain, codomain)
 
 
 def _case_d() -> dict:
     space = Space.qn(4)
-    a, b, c = _E11, _E21, _E21
+    a, b, c = FRING_PLANTED_TRIPLE
     verdict = check_f_ring(space, [(a, b, c)], mul=matrix2_mul)
     ca = matrix2_mul(c, a)
     ac = matrix2_mul(a, c)
@@ -74,28 +55,34 @@ def _case_d() -> dict:
     }
 
 
-# Each case id's narrative and the function that computes its recorded facts.
-_REGISTRY: dict[str, tuple[str, Callable[[], dict]]] = {
+_PRODUCT = Space.evseq(TopologyId.EVSEQ_PRODUCT)
+_PRODUCT_ZERO = Space.evseq(TopologyId.EVSEQ_PRODUCT, Multiplication.ZERO)
+
+# Each case id's narrative, the function that computes its recorded facts, and that function's arguments.
+_REGISTRY: dict[str, tuple[str, Callable[..., dict], tuple]] = {
     "A_product_identity": (
         "On eventually constant rational sequences with the product topology and "
         "pointwise multiplication, the identity map carries order intervals into "
         "order intervals, yet the image of every base neighborhood leaves all but "
         "finitely many coordinates unconstrained, so none of those images is bounded.",
-        _case_a,
+        _classify_case,
+        (_PRODUCT, _PRODUCT),
     ),
     "B_zero_mult_identity": (
         "Replacing pointwise multiplication with the zero product makes every set "
         "multiplicatively bounded, trivializing that reading; under the "
         "multiple-of-a-neighborhood reading the identity map is bounded in neither "
         "sense, while remaining order bounded.",
-        _case_b,
+        _classify_case,
+        (_PRODUCT_ZERO, _PRODUCT_ZERO),
     ),
     "C_linfty_product_vs_norm": (
         "Between the product topology and the sup-norm topology on the same "
         "sequences, the identity map is order bounded but not continuous: a "
         "sup-norm ball constrains every coordinate and no product-base "
         "neighborhood does.",
-        _case_c,
+        _classify_case,
+        (_PRODUCT, Space.evseq(TopologyId.EVSEQ_SUPNORM)),
     ),
     "D_fring_failure_matrix": (
         "Flattened 2x2 rational matrices under the entrywise order form a lattice "
@@ -103,6 +90,7 @@ _REGISTRY: dict[str, tuple[str, Callable[[], dict]]] = {
         "the (2,1) unit, a and b are disjoint and c is positive, yet c*a equals b, "
         "so (c*a) meet b is nonzero.",
         _case_d,
+        (),
     ),
 }
 
@@ -148,11 +136,11 @@ def run_case(case_id: str, expected: dict | None = None) -> CaseReport:
     """Re-derive one case and diff it against the recorded expectation."""
     if case_id not in _REGISTRY:
         raise UnknownCase(f"no case named {case_id!r}; known: {', '.join(CASE_IDS)}")
-    narrative, compute = _REGISTRY[case_id]
+    narrative, compute, args = _REGISTRY[case_id]
     expected_all = expected if expected is not None else load_expected()
     want = dict(expected_all[case_id])
     want.pop("headline", None)
-    got = compute()
+    got = compute(*args)
     flat_want, flat_got = _flatten(want), _flatten(got)
     diffs = []
     for key in sorted(set(flat_want) | set(flat_got)):
@@ -173,8 +161,6 @@ class SuiteReport(Record):
 
 def run_all(seed: int = 0, cases: int = 1000) -> SuiteReport:
     """All named cases plus the randomized law suites of every module."""
-    from .audits import all_suites  # local import: audits drives gallery cases too
-
     case_reports = run_cases()
     laws = all_suites(seed=seed, cases=cases)
     passed = all(c.passed for c in case_reports) and all(r.passed for r in laws)

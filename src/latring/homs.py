@@ -42,7 +42,7 @@ from .errors import (
     SoundnessBug,
 )
 from .extended import INF, CoordBounds, ext_mul, is_inf
-from .records import Frozen, Record
+from .records import Record
 from .sampling import rand_between, rand_pos_element
 from .scalars import IntRow, as_rat, combine_rows, over_lcm, rat_row, reduced_row
 from .spaces import Space, SpaceKind, abs_val, is_positive, join, meet, neg_part, pos_part
@@ -69,10 +69,10 @@ def _row_products(rows: Sequence[IntRow], xs: Sequence[int], den: int = 1) -> tu
 _ZERO = Fraction(0)
 
 
-class MatrixHom(Frozen):
+class MatrixHom(Record):
     """n x n rational matrix acting on Q^n, and at n = 1 on the integers of Z.
 
-    The working form is `int_rows`: row i as `(d_i, nums_i)` with entries
+    The one field is `int_rows`: row i as `(d_i, nums_i)` with entries
     nums_i[j] / d_i, d_i > 0 and gcd(d_i, *nums_i) == 1, so each matrix has
     exactly one such form and `==` and hash compare it directly.  Arithmetic
     results are built from integer rows; the Fraction `rows` of such a result
@@ -82,15 +82,14 @@ class MatrixHom(Frozen):
     maps an integer of Z to itself.  Instances are immutable.
     """
 
-    __slots__ = ("_rows", "_ints")
+    int_rows: tuple[IntRow, ...]
 
     def __init__(self, rows: Iterable[Iterable]):
         rows = _rows_tuple(rows)
         n = len(rows)
         if n == 0 or any(len(r) != n for r in rows):
             raise InvalidElement("matrix homomorphisms must be square and nonempty")
-        object.__setattr__(self, "_rows", rows)
-        object.__setattr__(self, "_ints", tuple([(d, tuple(nums)) for d, nums in map(rat_row, rows)]))
+        self.__dict__.update(rows=rows, int_rows=tuple([(d, tuple(nums)) for d, nums in map(rat_row, rows)]))
 
     @classmethod
     def from_int_rows(cls, ints: tuple[IntRow, ...]) -> "MatrixHom":
@@ -99,12 +98,8 @@ class MatrixHom(Frozen):
         n = 0 only for the empty block of a diagonal sequence operator.
         """
         T = object.__new__(cls)
-        object.__setattr__(T, "_rows", None)
-        object.__setattr__(T, "_ints", ints)
+        T.__dict__["int_rows"] = ints
         return T
-
-    def __reduce__(self):
-        return MatrixHom.from_int_rows, (self._ints,)
 
     @classmethod
     def identity(cls, n: int) -> "MatrixHom":
@@ -114,28 +109,13 @@ class MatrixHom(Frozen):
     def zero(cls, n: int) -> "MatrixHom":
         return cls.from_int_rows(((1, (0,) * n),) * n)
 
-    @property
+    @cached_property
     def rows(self) -> tuple[tuple[Fraction, ...], ...]:
-        if self._rows is None:
-            rows = tuple([tuple([Fraction(a, d) for a in nums]) for d, nums in self._ints])
-            object.__setattr__(self, "_rows", rows)
-        return self._rows
-
-    @property
-    def int_rows(self) -> tuple[IntRow, ...]:
-        return self._ints
+        return tuple([tuple([Fraction(a, d) for a in nums]) for d, nums in self.int_rows])
 
     @property
     def n(self) -> int:
-        return len(self._ints)
-
-    def __eq__(self, other):
-        if other.__class__ is not MatrixHom:
-            return NotImplemented
-        return self.int_rows == other.int_rows
-
-    def __hash__(self) -> int:
-        return hash(self.int_rows)
+        return len(self.int_rows)
 
     def apply(self, x: FinVec) -> FinVec:
         if not isinstance(x, FinVec) or x.dim != self.n:
@@ -237,8 +217,7 @@ class SeqHom(Record):
         if k < len(ints):
             beyond = _diagonal_then(ints, k, beyond)
             block = MatrixHom.from_int_rows(tuple([reduced_row(d, nums[:k]) for d, nums in ints[:k]]))
-        object.__setattr__(self, "_block", block)
-        object.__setattr__(self, "_beyond", beyond)
+        self.__dict__.update(_block=block, _beyond=beyond)
 
     @classmethod
     def diagonal(cls, coeffs: EvSeq) -> "SeqHom":
@@ -497,8 +476,8 @@ class ConeMap(Record):
     """
 
     space: Space
-    hom: Hom | None = None
-    table: tuple = ()
+    hom: Hom | None
+    table: tuple
 
     def __post_init__(self):
         for x, value in self.table:

@@ -122,7 +122,6 @@ def _nr_label(T: Hom, domain: Space, codomain: Space) -> BoundednessLabel:
     U = _nr_candidate(T, domain)
     img = T.propagate_bounds((U0 if U is None else U).bounds)
 
-    # Every verdict is built with all its fields by position, skipping the keyword binding.
     def verdict(reading: str) -> ReadingVerdict:
         if reading == "ring" and codomain.multiplication is Multiplication.ZERO:
             return ReadingVerdict(True, True, U0, None, None, _VANISHING)
@@ -223,10 +222,10 @@ class HomNet(Record):
 
     domain: Space
     codomain: Space
-    base: Hom | None = None
-    decay: Hom | None = None
-    terms: tuple | None = None
-    target: Hom | None = None
+    base: Hom | None
+    decay: Hom | None
+    terms: tuple | None
+    target: Hom | None
 
     def __post_init__(self):
         if self.domain.kind is SpaceKind.Z_DISCRETE:
@@ -241,8 +240,6 @@ class HomNet(Record):
                 _check_hom_fits(T, self.domain)
                 _check_hom_fits(T, self.codomain)
 
-    # Spec files build nets in every op; passing every field by position
-    # skips the keyword binding of `Record.__init__`.
     @classmethod
     def closed(cls, domain: Space, codomain: Space, base: Hom, decay: Hom, target: Hom | None = None):
         return cls(domain, codomain, base, decay, None, target)
@@ -313,10 +310,10 @@ class ConvergenceCertificate(Record):
     convergent: bool
     net: HomNet
     limit: Hom
-    region: SetDesc | None = None         # the domain set of nr and br
-    region_bounds: CoordBounds | None = None
-    residual_bounds: CoordBounds | None = None
-    witness: Neighborhood | None = None   # refuting V when not convergent
+    region: SetDesc | None         # the domain set of nr and br
+    region_bounds: CoordBounds | None
+    residual_bounds: CoordBounds | None
+    witness: Neighborhood | None   # refuting V when not convergent
 
     def frame(self, V: Neighborhood, W: Neighborhood | None = None) -> tuple[SetDesc, CoordBounds, Neighborhood]:
         """The domain set the convergence is uniform on, its coordinate bounds, and the target:
@@ -436,7 +433,6 @@ def _uniform_convergence(
         if decay_img.first_infinite_index() is not None:
             escaping = decay_img
     witness = None if escaping is None else refuting_nbhd(escaping, net.codomain.topology)
-    # Every field by position, as for `HomNet`.
     return ConvergenceCertificate(mode, escaping is None, net, limit, region, region_bounds, residual_img, witness)
 
 

@@ -46,21 +46,10 @@ TOPOLOGIES_FOR_KIND = {
 class Space(Record):
     kind: SpaceKind
     topology: TopologyId
-    multiplication: Multiplication = Multiplication.POINTWISE
-    dim: int | None = None
+    multiplication: Multiplication
+    dim: int | None
 
-    def __init__(
-        self,
-        kind: SpaceKind,
-        topology: TopologyId,
-        multiplication: Multiplication = Multiplication.POINTWISE,
-        dim: int | None = None,
-    ):
-        # Built in most ops, so it sets its fields itself rather than through `Record.__init__`.
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "topology", topology)
-        object.__setattr__(self, "multiplication", multiplication)
-        object.__setattr__(self, "dim", dim)
+    def __post_init__(self):
         if self.topology not in TOPOLOGIES_FOR_KIND[self.kind]:
             raise InvalidElement(f"{self.topology.value} does not fit carrier {self.kind.value}")
         if self.kind is SpaceKind.QN:
@@ -81,11 +70,11 @@ class Space(Record):
         topology: TopologyId = TopologyId.EVSEQ_PRODUCT,
         multiplication: Multiplication = Multiplication.POINTWISE,
     ) -> "Space":
-        return cls(SpaceKind.EVSEQ, topology, multiplication)
+        return cls(SpaceKind.EVSEQ, topology, multiplication, None)
 
     @classmethod
     def z_discrete(cls) -> "Space":
-        return cls(SpaceKind.Z_DISCRETE, TopologyId.Z_DISCRETE_TOP)
+        return cls(SpaceKind.Z_DISCRETE, TopologyId.Z_DISCRETE_TOP, Multiplication.POINTWISE, None)
 
     def validate(self, x):
         if self.kind is SpaceKind.QN:

@@ -431,11 +431,11 @@ class ReadingVerdict(Record):
     """
 
     holds: bool
-    vacuous: bool = False
-    via: Neighborhood | None = None        # neighborhood that works (nr)
-    refuting: Neighborhood | None = None   # neighborhood that defeats every attempt
-    bad_set: SetDesc | None = None         # bounded set whose image escapes (br)
-    note: str = ""
+    vacuous: bool
+    via: Neighborhood | None        # neighborhood that works (nr)
+    refuting: Neighborhood | None   # neighborhood that defeats every attempt
+    bad_set: SetDesc | None         # bounded set whose image escapes (br)
+    note: str
 
 
 def refuting_nbhd(bounds: CoordBounds, topology: TopologyId) -> Neighborhood:
@@ -463,7 +463,6 @@ def bounds_ring_bounded(
     bounds: CoordBounds, topology: TopologyId, multiplication: Multiplication
 ) -> ReadingVerdict:
     """Ring-boundedness decision from a bound function alone."""
-    # Both deciders run in every classify and br check, so they pass every field by position.
     if multiplication is Multiplication.ZERO:
         return ReadingVerdict(True, True, None, None, None, "")
     # On the integers V = {0} multiplies everything to {0}.

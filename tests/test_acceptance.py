@@ -72,12 +72,13 @@ def test_criterion_3_cone_extension():
     for _ in range(200):
         n = rng.randint(1, 4)
         T = MatrixHom(rand_matrix_rows(rng, n))
-        ext = extend_from_cone(ConeMap(Space.qn(n), hom=T), samples=3, seed=rng.randint(0, 999))
+        ext = extend_from_cone(ConeMap(Space.qn(n), T, ()), samples=3, seed=rng.randint(0, 999))
         x = rand_element(rng, Space.qn(n))  # mixed-sign input
         ok = ok and ext.apply(x) == T.apply(x)
     planted = ConeMap(
         Space.qn(2),
-        table=(
+        None,
+        (
             (FinVec.of(1, 0), FinVec.of(1, 0)),
             (FinVec.of(0, 1), FinVec.of(0, 0)),
             (FinVec.of(1, 1), FinVec.of(5, 5)),

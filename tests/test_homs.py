@@ -134,12 +134,12 @@ def test_hom_join_meet_identities():
 
 
 def test_cone_extension_examples():
-    doubling = ConeMap(Space.qn(1), hom=MatrixHom(((2,),)))
+    doubling = ConeMap(Space.qn(1), MatrixHom(((2,),)), ())
     ext = extend_from_cone(doubling)
     assert ext.apply(FinVec.of(-3)) == FinVec.of(-6)
 
     upper = MatrixHom(((1, 1), (0, 1)))
-    ext = extend_from_cone(ConeMap(Space.qn(2), hom=upper))
+    ext = extend_from_cone(ConeMap(Space.qn(2), upper, ()))
     x = FinVec.of(-1, 2)
     # f(x+) - f(x-) = f((0,2)) - f((1,0)) = (2,2) - (1,0).
     assert ext.apply(x) == FinVec.of(1, 2) == upper.apply(x)
@@ -150,7 +150,8 @@ def test_cone_extension_examples():
 def test_cone_extension_rejects_planted_table():
     bad = ConeMap(
         Space.qn(2),
-        table=(
+        None,
+        (
             (FinVec.of(1, 0), FinVec.of(1, 0)),
             (FinVec.of(0, 1), FinVec.of(0, 0)),
             (FinVec.of(1, 1), FinVec.of(5, 5)),
@@ -166,7 +167,7 @@ def test_cone_extension_reproduces_matrices():
     for _ in range(200):
         n = rng.randint(1, 4)
         T = MatrixHom(rand_matrix_rows(rng, n))
-        ext = extend_from_cone(ConeMap(Space.qn(n), hom=T), samples=3, seed=rng.randint(0, 999))
+        ext = extend_from_cone(ConeMap(Space.qn(n), T, ()), samples=3, seed=rng.randint(0, 999))
         for _ in range(3):
             x = rand_element(rng, Space.qn(n))
             assert ext.apply(x) == T.apply(x)

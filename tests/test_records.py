@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import latring.cli  # noqa: F401  (imports every module that defines records)
-from latring import EvSeq, FinVec, InvalidElement, MatrixHom, Space, SpaceKind, TopologyId
+from latring import EvSeq, FinVec, InvalidElement, MatrixHom, Multiplication, Space, SpaceKind, TopologyId
 from latring.audits import CheckResult, LawInstance
 from latring.extended import CoordBounds
 from latring.gallery import CaseReport, SuiteReport
@@ -40,38 +40,39 @@ _SRC = Path(__file__).resolve().parents[1] / "src"
 
 Q1 = Space.qn(1)
 ONE = MatrixHom(((1,),))
-NET = HomNet(Q1, Q1, terms=(ONE,))
-_verdict = ReadingVerdict(True)
-_label = BoundednessLabel(_verdict, ReadingVerdict(False, note="escapes"))
+NET = HomNet(Q1, Q1, None, None, (ONE,), None)
+_verdict = ReadingVerdict(True, False, None, None, None, "")
+_escapes = ReadingVerdict(False, False, None, None, None, "escapes")
+_label = BoundednessLabel(_verdict, _escapes)
 _witness = OrderBoundedWitness(FinVec.of(-1), FinVec.of(1), 25)
 
-# One instance's arguments per record class: the required fields, and keywords
-# where a check needs them; every field left out takes its default.
+# One instance's arguments per record class, every field (or constructor argument) by position.
 SAMPLES = {
-    CheckResult: (("law", True, 3), {}),
-    LawInstance: (("q1", Q1), {}),
-    CoordBounds: ((((0, F(1)), (1, F(2))),), {}),
-    CaseReport: (("A", True, {"x": 1}, {"x": 1}, (), "narrative"), {}),
-    SuiteReport: (((), (), True), {}),
-    SeqHom: ((EvSeq.of(1, tail=2),), {}),
-    ConeMap: ((Q1,), {}),
-    ConeExtension: ((ConeMap(Q1, ONE),), {}),
-    OrderBoundedWitness: ((FinVec.of(-1), FinVec.of(1), 25), {}),
-    ReadingVerdict: ((True,), {}),
-    BoundednessLabel: ((_verdict, _verdict), {}),
-    ClassLabel: ((_witness, _label, _label, False, None, "note"), {}),
-    HomNet: ((Q1, Q1), {"terms": (ONE,)}),
-    ConvergenceCertificate: (("nr", True, NET, ONE), {}),
-    Space: ((SpaceKind.QN, TopologyId.QN_BOX), {"dim": 2}),
-    FRingVerdict: ((True, None, 3, ()), {}),
-    Neighborhood: ((TopologyId.QN_BOX, CoordBounds.finite_dim((F(1),))), {}),
-    SetDesc: ((Q1,), {}),
-    Interval: ((Q1, FinVec.of(0), FinVec.of(1)), {}),
-    FiniteSet: ((Q1, (FinVec.of(1),)), {}),
-    SolidHull: ((Q1, (FinVec.of(1),)), {}),
-    NbhdSet: ((Q1, Neighborhood.box((1,))), {}),
-    ImageSet: ((Q1, ONE, FiniteSet(Q1, (FinVec.of(1),))), {}),
-    HullPreservation: ((ReadingVerdict(True), ReadingVerdict(False), True), {}),
+    CheckResult: ("law", True, 3, "", ""),
+    LawInstance: ("q1", Q1, None),
+    CoordBounds: (((0, F(1)), (1, F(2))), None),
+    CaseReport: ("A", True, {"x": 1}, {"x": 1}, (), "narrative"),
+    SuiteReport: ((), (), True),
+    MatrixHom: (((1, F(1, 2)), (-3, 0)),),
+    SeqHom: (EvSeq.of(1, tail=2), ()),
+    ConeMap: (Q1, None, ()),
+    ConeExtension: (ConeMap(Q1, ONE, ()),),
+    OrderBoundedWitness: (FinVec.of(-1), FinVec.of(1), 25),
+    ReadingVerdict: (True, False, None, None, None, ""),
+    BoundednessLabel: (_verdict, _verdict),
+    ClassLabel: (_witness, _label, _label, False, None, "note"),
+    HomNet: (Q1, Q1, None, None, (ONE,), None),
+    ConvergenceCertificate: ("nr", True, NET, ONE, None, None, None, None),
+    Space: (SpaceKind.QN, TopologyId.QN_BOX, Multiplication.POINTWISE, 2),
+    FRingVerdict: (True, None, 3, ()),
+    Neighborhood: (TopologyId.QN_BOX, CoordBounds.finite_dim((F(1),))),
+    SetDesc: (Q1,),
+    Interval: (Q1, FinVec.of(0), FinVec.of(1)),
+    FiniteSet: (Q1, (FinVec.of(1),)),
+    SolidHull: (Q1, (FinVec.of(1),)),
+    NbhdSet: (Q1, Neighborhood.box((1,))),
+    ImageSet: (Q1, ONE, FiniteSet(Q1, (FinVec.of(1),))),
+    HullPreservation: (_verdict, _escapes, True),
 }
 
 
@@ -86,8 +87,7 @@ RECORDS = sorted({c for c in _record_classes() if c.__module__.startswith("latri
 
 
 def _sample(cls):
-    args, kwargs = SAMPLES[cls]
-    return cls(*args, **kwargs)
+    return cls(*SAMPLES[cls])
 
 
 def test_every_record_class_has_a_sample():
@@ -118,18 +118,18 @@ def test_record_contract(cls):
     else:
         assert hash(x) == want
 
-    # Defaults fill in; a missing, unknown or extra argument is refused.
-    args, kwargs = SAMPLES[cls]
+    # Built from its field values alone; a keyword, or a missing or extra argument, is refused.
+    args = SAMPLES[cls]
     if cls.__init__ is Record.__init__:
-        for f in cls._fields[len(args):]:
-            if f not in kwargs:
-                assert getattr(x, f) == cls._defaults[f]
+        assert args == values and cls(*values) == x
+        with pytest.raises(TypeError):
+            cls(*values[:-1], **{cls._fields[-1]: values[-1]})
     with pytest.raises(TypeError):
         cls()
     with pytest.raises(TypeError):
-        cls(*args, no_such_field=1, **kwargs)
+        cls(*args, no_such_field=1)
     with pytest.raises(TypeError):
-        cls(*args, *values, **kwargs)
+        cls(*args, *values)
 
     for name in (*cls._fields, "no_such_field"):
         with pytest.raises(FrozenInstanceError):
@@ -150,7 +150,7 @@ def test_records_with_equal_fields_of_two_classes_differ():
 
 
 def test_repr_keeps_the_dataclass_format():
-    assert repr(ReadingVerdict(True)) == (
+    assert repr(_verdict) == (
         "ReadingVerdict(holds=True, vacuous=False, via=None, refuting=None, bad_set=None, note='')"
     )
     assert repr(Neighborhood.sup_ball(1)) == (
@@ -159,22 +159,17 @@ def test_repr_keeps_the_dataclass_format():
     )
 
 
-def test_keyword_and_positional_construction_agree():
-    full = ReadingVerdict(True, False, None, None, None, "x")
-    assert ReadingVerdict(True, note="x") == ReadingVerdict(holds=True, note="x") == full
-    for kwargs, message in [
-        ({"holds": False}, "multiple values for argument 'holds'"),
-        ({"bogus": 1}, "an unexpected keyword argument 'bogus'"),
-    ]:
-        with pytest.raises(TypeError, match=message):
-            ReadingVerdict(True, **kwargs)
-    with pytest.raises(TypeError, match="missing required argument 'holds'"):
-        ReadingVerdict(note="x")
+def test_records_are_built_by_position_only():
+    for kwargs in ({"note": "x"}, {"bogus": 1}):
+        with pytest.raises(TypeError, match="unexpected keyword argument"):
+            ReadingVerdict(True, False, None, None, None, **kwargs)
+    with pytest.raises(TypeError, match="takes 6 arguments but 1 were given"):
+        ReadingVerdict(True)
     with pytest.raises(TypeError, match="takes 6 arguments but 7 were given"):
         ReadingVerdict(True, False, None, None, None, "x", "y")
     # `__post_init__` runs on every construction: an empty table net is refused.
     with pytest.raises(InvalidElement, match="table nets need at least one term"):
-        HomNet(Q1, Q1, terms=())
+        HomNet(Q1, Q1, None, None, (), None)
 
 
 def test_cli_import_loads_no_code_generation_modules():

@@ -145,6 +145,6 @@ def test_space_validation():
     with pytest.raises(InvalidElement):
         Space.qn(0)
     with pytest.raises(InvalidElement):
-        Space(SpaceKind.Z_DISCRETE, TopologyId.Z_DISCRETE_TOP, Multiplication.ZERO)
+        Space(SpaceKind.Z_DISCRETE, TopologyId.Z_DISCRETE_TOP, Multiplication.ZERO, None)
     with pytest.raises(InvalidElement):
-        Space(SpaceKind.EVSEQ, TopologyId.QN_BOX)
+        Space(SpaceKind.EVSEQ, TopologyId.QN_BOX, Multiplication.POINTWISE, None)
