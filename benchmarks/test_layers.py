@@ -3,7 +3,8 @@
 Each benchmark times one call of one layer on fixed seeded inputs: element
 lattice ops and the order, matrix and sequence apply, the vertex oracle,
 bound propagation, the two boundedness deciders, membership in a product
-neighborhood that constrains a far coordinate, the product V*W of two
+neighborhood that constrains a far coordinate and in a diagonal image of
+one, the product V*W of two
 neighborhoods, the convergence threshold of each mode, classification, the
 law suites, building records (a `Space`, a `ReadingVerdict`, a matrix from
 integer rows), matrix addition, and a cold start of the CLI.  Every case
@@ -37,6 +38,7 @@ from latring import (
     EvSeq,
     FinVec,
     HomNet,
+    ImageSet,
     Interval,
     MatrixHom,
     Multiplication,
@@ -48,6 +50,7 @@ from latring import (
     classify,
     converges,
     coordinate_bounds,
+    set_contains,
     sup_over_interval_oracle,
 )
 from latring.audits import INSTANCES, all_suites, lattice_law_suite
@@ -167,6 +170,28 @@ MEMBERSHIP_INPUTS = {
 def test_member(benchmark, case):
     U, x = MEMBERSHIP_INPUTS[case]
     assert benchmark(U.member, x)
+
+
+# Membership in a diagonal image of a product neighborhood that constrains
+# coordinate 10^5: one member and one non-member, each decided per round.
+IMAGE_MEMBERSHIP_INPUTS = {
+    "product-far": (
+        ImageSet(PRODUCT, SeqHom.diagonal(EvSeq.of(2, 0, tail=3)), NbhdSet(PRODUCT, Neighborhood.product({10**5}, 1))),
+        EvSeq.of(7, 0, tail=3),
+        EvSeq.of(7, 0, tail=6),
+    ),
+}
+
+
+def _member_and_not(S, x, y):
+    return set_contains(S, x), set_contains(S, y)
+
+
+@pytest.mark.parametrize("case", sorted(IMAGE_MEMBERSHIP_INPUTS))
+def test_image_member(benchmark, case):
+    # A fixed round count: at a dense walk one call takes a few tenths of a second.
+    args = IMAGE_MEMBERSHIP_INPUTS[case]
+    assert benchmark.pedantic(_member_and_not, args=args, rounds=10, iterations=1, warmup_rounds=1) == (True, False)
 
 
 VW_INPUTS = {"product": (Neighborhood.product({0, 1, 2, 5}, Fraction(1, 3)), Neighborhood.product({1, 2, 7}, 2))}

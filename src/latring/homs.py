@@ -117,6 +117,12 @@ class MatrixHom(Record):
     def n(self) -> int:
         return len(self.int_rows)
 
+    @property
+    def diag(self) -> FinVec:
+        """The diagonal entries, as `SeqHom.diag` gives a sequence operator's."""
+        ints = self.int_rows
+        return FinVec.from_int_row(*over_lcm([nums[i] for i, (_, nums) in enumerate(ints)], [d for d, _ in ints]))
+
     def apply(self, x: FinVec) -> FinVec:
         if not isinstance(x, FinVec) or x.dim != self.n:
             raise InvalidElement(f"expected a {self.n}-dim FinVec, got {x!r}")

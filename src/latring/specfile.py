@@ -40,8 +40,8 @@ from .topology import (
 )
 
 # The largest coordinate index a product neighborhood may name.  Its radius
-# function is sparse, but `sample_member` and membership in a diagonal image
-# build a dense `EvSeq` up to that index; this caps them (about 0.04 s).
+# function is sparse, but `sample_member` builds a dense `EvSeq` up to that
+# index; this caps it (about 0.04 s).
 MAX_COORD_INDEX = 10_000
 
 # The largest dimension of a `qn` space.  Loading a spec builds every matrix
@@ -277,12 +277,10 @@ def set_to_obj(S: SetDesc) -> dict:
         return {"kind": "solid_hull", "generators": [element_to_obj(x) for x in S.generators]}
     if isinstance(S, NbhdSet):
         return {"kind": "nbhd", "nbhd": S.nbhd.render()}
-    if isinstance(S, ImageSet):
-        # The spec format writes the identity of Z by its kind, not as a 1x1 matrix.
-        z_identity = S.space.kind is SpaceKind.Z_DISCRETE and S.hom == identity_on(S.space)
-        hom = {"kind": "identity"} if z_identity else S.hom.render()
-        return {"kind": "image", "hom": hom, "base": set_to_obj(S.base)}
-    raise SpecFileError(f"cannot serialize {S!r}")
+    # The spec format writes the identity of Z by its kind, not as a 1x1 matrix.
+    z_identity = S.space.kind is SpaceKind.Z_DISCRETE and S.hom == identity_on(S.space)
+    hom = {"kind": "identity"} if z_identity else S.hom.render()
+    return {"kind": "image", "hom": hom, "base": set_to_obj(S.base)}
 
 
 # ---------------------------------------------------------------------------

@@ -21,8 +21,9 @@ Sets are read through the coordinate view of `elements` (a head of explicit
 coordinates and an optional tail), so bounds, member sampling, non-solid
 witnesses and image membership are each one body for Q^n, sequences and Z.
 Membership in an image is decided over a finite base for every form, and
-over any base for the identity of Z and for diagonal sequence operators; a
-matrix or block image of an infinite base is refused.
+over any interval, hull or neighborhood for every diagonal form, by pulling x
+back through the coefficients; a non-diagonal image of an infinite base is
+refused.
 """
 
 from __future__ import annotations
@@ -36,10 +37,9 @@ from typing import Iterable, Sequence
 from .elements import EvSeq, FinVec, ZInt, aligned, coords, from_coords
 from .errors import EmptyInput, InvalidElement, NotBounded, SoundnessBug
 from .extended import INF, CoordBounds, is_inf
-from .homs import SeqHom, identity_on
 from .records import Record
 from .sampling import rand_between, rand_in_interval, rand_rat
-from .scalars import as_rat
+from .scalars import as_rat, rat_row
 from .spaces import Multiplication, Space, TopologyId, abs_val, join
 
 
@@ -68,7 +68,7 @@ class Neighborhood(Record):
     def product(cls, coords: Iterable[int], radius) -> "Neighborhood":
         coords, radius = frozenset(coords), as_rat(radius)
         if any(i < 0 for i in coords):
-            raise InvalidElement("product neighborhoods need a finite coordinate set")
+            raise InvalidElement("product neighborhoods need coordinate indices >= 0")
         if radius <= 0:
             raise InvalidElement("product neighborhoods need one positive radius")
         return cls(TopologyId.EVSEQ_PRODUCT, CoordBounds([(i, radius) for i in sorted(coords)], INF))
@@ -235,9 +235,7 @@ def coordinate_bounds(S: SetDesc) -> CoordBounds:
         return element_bounds(reduce(partial(join, S.space), map(abs, _points(S))))
     if isinstance(S, NbhdSet):
         return S.nbhd.bounds
-    if isinstance(S, ImageSet):
-        return S.hom.propagate_bounds(coordinate_bounds(S.base))
-    raise InvalidElement(f"unknown set form {S!r}")
+    return S.hom.propagate_bounds(coordinate_bounds(S.base))
 
 
 # ---------------------------------------------------------------------------
@@ -256,22 +254,19 @@ def is_solid(S: SetDesc) -> bool:
     if isinstance(S, FiniteSet):
         zero = S.space.zero()
         return all(x == zero for x in S.elements)
-    if isinstance(S, ImageSet):
-        # A diagonal image of a solid box is again a symmetric box; matrix
-        # images are generally slanted, so they are not claimed solid.
-        return S.hom.is_diagonal() and is_solid(S.base)
-    raise InvalidElement(f"unknown set form {S!r}")
+    # A diagonal image of a solid box is again a symmetric box; matrix
+    # images are generally slanted, so they are not claimed solid.
+    return S.hom.is_diagonal() and is_solid(S.base)
 
 
 def is_order_closed(S: SetDesc) -> bool:
-    """Structural verdict: closed boxes, finite unions of them, and finite sets qualify."""
-    if isinstance(S, (NbhdSet, SolidHull, Interval, FiniteSet)):
-        return True
-    if isinstance(S, ImageSet):
-        # Images of closed rational boxes under the shipped forms are rational
-        # polyhedra, hence contain every coordinatewise limit they admit.
-        return is_order_closed(S.base)
-    raise InvalidElement(f"unknown set form {S!r}")
+    """Structural verdict, true of every form.
+
+    Closed boxes, finite unions of them and finite sets qualify, and images of
+    these under the shipped forms are rational polyhedra, hence contain every
+    coordinatewise limit they admit.
+    """
+    return True
 
 
 def non_solid_witness(S: SetDesc) -> tuple | None:
@@ -311,34 +306,6 @@ def _shrink_candidates(y):
     return [y.scale(Fraction(num, 7)) for num in range(6, -1, -1)]
 
 
-def zero_clamped_value(S: SetDesc, i: int) -> Fraction:
-    """A feasible value at coordinate i of S, as close to zero as the set allows.
-
-    Supplies preimage coordinates that a zero coefficient leaves free when
-    testing membership in a diagonal image.
-    """
-    if isinstance(S, (NbhdSet, SolidHull)):
-        return Fraction(0)
-    if isinstance(S, Interval):
-        return min(max(Fraction(0), S.lo.at(i)), S.hi.at(i))
-    raise InvalidElement(f"no coordinatewise filler for {S!r}")
-
-
-def base_span(S: SetDesc) -> int:
-    """Indices from this one on all share the same per-coordinate constraint.
-
-    On sequences that is past every explicit head; on Q^n and Z it is the
-    number of coordinates, past which there are none.
-    """
-    if isinstance(S, (Interval, FiniteSet, SolidHull)):
-        return max(len(coords(p)[1]) for p in _points(S))
-    if isinstance(S, NbhdSet):
-        return S.nbhd.bounds.span()
-    if isinstance(S, ImageSet):
-        return base_span(S.base)
-    raise InvalidElement(f"unknown set form {S!r}")
-
-
 # ---------------------------------------------------------------------------
 # Membership and member sampling.
 
@@ -353,36 +320,44 @@ def set_contains(S: SetDesc, x) -> bool:
         return any(ax <= abs_val(S.space, y) for y in S.generators)
     if isinstance(S, NbhdSet):
         return S.nbhd.member(x)
-    if isinstance(S, ImageSet):
-        return _image_contains(S, x)
-    raise InvalidElement(f"unknown set form {S!r}")
+    return _image_contains(S, x)
 
 
 def _image_contains(S: ImageSet, x) -> bool:
-    """x in T(B): search a finite base, else pull x back through T.
+    """x in T(B): search a finite base, else pull x back through a diagonal T.
 
-    Only the identity of Z and diagonal sequence operators are pulled back; a
-    matrix or block image of an infinite base raises InvalidElement.
+    The coefficients, x and an interval's ends are read as aligned integer
+    rows, where a sequence's last index stands for its tail.  A nonzero
+    coefficient c takes x_i back to x_i / c; a zero one needs x_i = 0 and
+    leaves the preimage coordinate free, so it takes the value nearest 0 that
+    the base allows.  A non-diagonal image of an infinite base raises
+    InvalidElement.
     """
     T, base = S.hom, S.base
     if isinstance(base, FiniteSet):
         return any(T.apply(u) == x for u in base.elements)
-    if isinstance(x, ZInt) and T == identity_on(S.space):
-        return set_contains(base, x)
-    if not isinstance(T, SeqHom) or T.off:
-        raise InvalidElement("membership through a matrix or block image is only decided for finite bases")
-    a = T.diag
-    span = max(len(a.prefix), len(x.prefix), base_span(base))
+    if not T.is_diagonal():
+        raise InvalidElement("membership through a non-diagonal image is only decided for finite bases")
+    ends = (base.lo, base.hi) if isinstance(base, Interval) else ()
+    rows = aligned(T.diag, x, *ends)
+    if len({len(row) for _, row in rows}) != 1:
+        raise InvalidElement(f"{T!r} does not act on {x!r}")
+    (da, a), (dx, xs), *end_rows = rows
+    if end_rows:
+        (dl, lo), (dh, hi) = end_rows
     entries = []
-    for i in range(span + 1):  # index span stands for the tail
-        if a.at(i) != 0:
-            entries.append(x.at(i) / a.at(i))
-        elif x.at(i) != 0:
+    for i, (c, v) in enumerate(zip(a, xs)):
+        if c:
+            entries.append(Fraction(v * da, c * dx))
+        elif v:
             return False
+        elif end_rows:
+            entries.append(min(max(Fraction(0), Fraction(lo[i], dl)), Fraction(hi[i], dh)))
+        elif isinstance(base, (NbhdSet, SolidHull)):
+            entries.append(Fraction(0))
         else:
-            # Coefficient zero leaves the preimage coordinate free.
-            entries.append(zero_clamped_value(base, i))
-    return set_contains(base, EvSeq(tuple(entries), entries[-1]))
+            raise InvalidElement(f"no coordinatewise filler for {base!r}")
+    return set_contains(base, x.from_int_row(*rat_row(entries)))
 
 
 def sample_member(S: SetDesc, rng: random.Random):
@@ -396,9 +371,7 @@ def sample_member(S: SetDesc, rng: random.Random):
         return rand_between(rng, -y, y)
     if isinstance(S, NbhdSet):
         return _sample_nbhd(S.nbhd, rng)
-    if isinstance(S, ImageSet):
-        return S.hom.apply(sample_member(S.base, rng))
-    raise InvalidElement(f"unknown set form {S!r}")
+    return S.hom.apply(sample_member(S.base, rng))
 
 
 def _sample_nbhd(U: Neighborhood, rng: random.Random):
@@ -533,20 +506,11 @@ def _space_for(topology: TopologyId, dim: int = 2) -> Space:
     return Space.evseq(topology)
 
 
-class HullPreservation(Record):
-    generators_verdict: ReadingVerdict
-    hull_verdict: ReadingVerdict
-    bounds_equal: bool
-
-
-def hull_bounded_preservation(S: SetDesc) -> HullPreservation:
-    """Solid hulls of bounded finite sets stay bounded, with identical bounds."""
+def hull_bounded_preservation(S: SetDesc) -> bool:
+    """Does the solid hull of a ring-bounded finite set stay ring-bounded, with identical bounds?"""
     if not isinstance(S, FiniteSet):
         raise NotBounded("expects a finite set of elements")
-    gen_verdict = set_ring_bounded(S)
-    if not gen_verdict.holds:
+    if not set_ring_bounded(S).holds:
         raise NotBounded("the finite set is not ring-bounded, nothing to preserve")
     hull = SolidHull(S.space, S.elements)
-    hull_verdict = set_ring_bounded(hull)
-    same = coordinate_bounds(S) == coordinate_bounds(hull)
-    return HullPreservation(gen_verdict, hull_verdict, same)
+    return set_ring_bounded(hull).holds and coordinate_bounds(S) == coordinate_bounds(hull)

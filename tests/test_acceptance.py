@@ -150,8 +150,7 @@ def test_criterion_8_solid_hull():
         inst = INSTANCES[names[i % len(names)]]
         pts = tuple(rand_element(rng, inst.space) for _ in range(rng.randint(1, 4)))
         S = FiniteSet(inst.space, pts)
-        rep = hull_bounded_preservation(S)
-        ok = ok and rep.hull_verdict.holds and rep.bounds_equal
+        ok = ok and hull_bounded_preservation(S)
     _verdict(8, "solid hulls of bounded finite sets stay bounded, same bounds", ok, time.monotonic() - t0, 5)
 
 

@@ -295,9 +295,9 @@ EXPECTED_IMAGE_MEMBERSHIP: dict = {'block(seq-finite)': [True, False, False, Fal
  'identity(z-nbhd)': [True, False, False, False],
  'identity(z-zero)': [True, False, False, False],
  'identity-matrix(q2-finite)': [True, False, False, False],
- 'identity-matrix(q2-hull)': ['InvalidElement', 'InvalidElement', 'InvalidElement', 'InvalidElement'],
- 'identity-matrix(q2-interval)': ['InvalidElement', 'InvalidElement', 'InvalidElement', 'InvalidElement'],
- 'identity-matrix(q2-nbhd)': ['InvalidElement', 'InvalidElement', 'InvalidElement', 'InvalidElement'],
+ 'identity-matrix(q2-hull)': [False, True, False, True],
+ 'identity-matrix(q2-interval)': [False, False, False, False],
+ 'identity-matrix(q2-nbhd)': [True, True, False, False],
  'identity-matrix(q2-zero)': [False, True, False, False],
  'matrix(q2-finite)': [False, False, True, True],
  'matrix(q2-hull)': ['InvalidElement', 'InvalidElement', 'InvalidElement', 'InvalidElement'],

@@ -26,7 +26,6 @@ from latring.records import Record
 from latring.spaces import FRingVerdict
 from latring.topology import (
     FiniteSet,
-    HullPreservation,
     ImageSet,
     Interval,
     NbhdSet,
@@ -72,7 +71,6 @@ SAMPLES = {
     SolidHull: (Q1, (FinVec.of(1),)),
     NbhdSet: (Q1, Neighborhood.box((1,))),
     ImageSet: (Q1, ONE, FiniteSet(Q1, (FinVec.of(1),))),
-    HullPreservation: (_verdict, _escapes, True),
 }
 
 

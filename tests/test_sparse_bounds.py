@@ -18,6 +18,7 @@ from latring import (
     INF,
     CoordBounds,
     EvSeq,
+    ImageSet,
     NbhdSet,
     Neighborhood,
     SeqHom,
@@ -26,6 +27,7 @@ from latring import (
     TopologyId,
     coordinate_bounds,
     group_bound_multiplier,
+    set_contains,
 )
 from latring.homspaces import vw_box
 from latring.topology import refuting_nbhd
@@ -69,6 +71,14 @@ def test_far_group_bound_multiplier():
     S = SolidHull(PRODUCT, (EvSeq.of(9, 9, 9, 3, tail=5),))
     assert _quick(group_bound_multiplier, S, U) == 5
     assert _quick(group_bound_multiplier, SolidHull(PRODUCT, (EvSeq.of(9, 9, 9, 3, tail=0),)), U) == 3
+
+
+def test_far_diagonal_image_membership():
+    # The pull-back walks the explicit heads of x and the coefficients, not the base's pins.
+    far = NbhdSet(PRODUCT, Neighborhood.product({FAR}, 1))
+    S = ImageSet(PRODUCT, SeqHom.diagonal(EvSeq.of(2, 0, tail=3)), far)
+    assert _quick(set_contains, S, EvSeq.of(7, 0, tail=3))       # preimage tail 1 fits at FAR
+    assert not _quick(set_contains, S, EvSeq.of(7, 0, tail=6))   # preimage tail 2 escapes at FAR
 
 
 def test_far_vw_box():

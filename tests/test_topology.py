@@ -5,6 +5,8 @@ from fractions import Fraction as F
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latring import (
     EvSeq,
@@ -12,6 +14,8 @@ from latring import (
     FiniteSet,
     ImageSet,
     Interval,
+    InvalidElement,
+    MatrixHom,
     Multiplication,
     NbhdSet,
     Neighborhood,
@@ -27,6 +31,8 @@ from latring import (
     hull_bounded_preservation,
     is_order_closed,
     is_solid,
+    join,
+    meet,
     sample_member,
     set_contains,
     set_group_bounded,
@@ -118,6 +124,89 @@ def test_image_membership_with_free_coordinates():
     assert set_contains(img2, EvSeq.of(2, 0, tail=3))
     assert not set_contains(img2, EvSeq.of(2, 1, tail=3))   # coordinate 1 must be 0
     assert not set_contains(img2, EvSeq.of(4, 0, tail=3))   # preimage escapes the base
+    # A free coordinate is filled only from an interval, hull or neighborhood.
+    with pytest.raises(InvalidElement, match="no coordinatewise filler"):
+        set_contains(ImageSet(PROD, SeqHom.zero(), img2), EvSeq.zero())
+
+
+def test_image_that_does_not_act_on_its_elements_is_refused():
+    q2_box = NbhdSet(Q2, Neighborhood.box((1, 1)))
+    mismatched = [
+        (ImageSet(Q2, MatrixHom.identity(3), q2_box), FinVec.of(0, 0)),
+        (ImageSet(Q2, SeqHom.identity(), q2_box), FinVec.of(0, 0)),
+        (ImageSet(PROD, MatrixHom.identity(2), NbhdSet(PROD, Neighborhood.product({0}, 1))), EvSeq.of(0, tail=0)),
+    ]
+    for S, x in mismatched:
+        with pytest.raises(InvalidElement, match="does not act on"):
+            set_contains(S, x)
+
+
+def test_product_neighborhood_refuses_a_negative_index():
+    with pytest.raises(InvalidElement, match="product neighborhoods need coordinate indices >= 0"):
+        Neighborhood.product({0, -1}, 1)
+
+
+# Diagonal images on Q^n and on both sequence topologies, over interval, hull
+# and neighborhood bases.
+_coefficients = st.sampled_from([F(0), F(1), F(-1), F(2), F(1, 3), F(-5, 2)])
+_values = st.sampled_from([F(0), F(1), F(-2), F(1, 2), F(7, 3)])
+
+
+@st.composite
+def diagonal_images(draw):
+    """(D, B, elements): a diagonal homomorphism, a base set, and a strategy for elements of its space."""
+    space = draw(st.sampled_from([Space.qn(draw(st.integers(1, 4))), PROD, SUP]))
+    if space.dim:
+        n = space.dim
+        D = MatrixHom([[draw(_coefficients) if i == j else 0 for j in range(n)] for i in range(n)])
+        elements = st.lists(_values, min_size=n, max_size=n).map(FinVec)
+    else:
+        D = SeqHom.diagonal(EvSeq(draw(st.lists(_coefficients, max_size=4)), draw(_coefficients)))
+        elements = st.builds(EvSeq, st.lists(_values, max_size=4), _values)
+    kind = draw(st.sampled_from(["interval", "hull", "nbhd"]))
+    if kind == "interval":
+        a, b = draw(elements), draw(elements)
+        B = Interval(space, meet(space, a, b), join(space, a, b))
+    elif kind == "hull":
+        B = SolidHull(space, tuple(draw(st.lists(elements, min_size=1, max_size=3))))
+    else:
+        radii = st.sampled_from([F(1, 2), F(1), F(3)])
+        if space.dim:
+            U = Neighborhood.box(draw(st.lists(radii, min_size=space.dim, max_size=space.dim)))
+        elif space.topology is TopologyId.EVSEQ_PRODUCT:
+            U = Neighborhood.product(draw(st.frozensets(st.integers(0, 6), max_size=3)), draw(radii))
+        else:
+            U = Neighborhood.sup_ball(draw(radii))
+        B = NbhdSet(space, U)
+    return D, B, elements
+
+
+def _diagonal_unit(D):
+    """An element that is 1 at the first coordinate where D's coefficient is 0, and 0 elsewhere; None if none is."""
+    _, nums = D.diag.int_row
+    if 0 not in nums:
+        return None
+    i = nums.index(0)
+    if isinstance(D, MatrixHom):
+        return FinVec.from_int_row(1, [int(j == i) for j in range(len(nums))])
+    # On a sequence the last entry of the row is the tail: a zero there leaves every later index free.
+    return EvSeq.from_int_row(1, [int(j == i) for j in range(len(nums))])
+
+
+@settings(max_examples=300)
+@given(diagonal_images(), st.integers(0, 2**16), st.data())
+def test_diagonal_image_membership_pulls_back(image, seed, data):
+    D, B, elements = image
+    S = ImageSet(B.space, D, B)
+    y = sample_member(B, rng_for(seed))
+    assert set_contains(S, D.apply(y))
+    unit = _diagonal_unit(D)
+    if unit is not None:
+        assert not set_contains(S, D.apply(y) + unit)
+    if isinstance(D, MatrixHom) and 0 not in D.diag.int_row[1]:
+        inverse = MatrixHom([[1 / c if i == j else 0 for j, c in enumerate(D.diag.entries)] for i in range(D.n)])
+        for x in (D.apply(y), data.draw(elements), D.apply(data.draw(elements))):
+            assert set_contains(S, x) == set_contains(B, inverse.apply(x))
 
 
 def test_ring_bounded_examples():
@@ -230,11 +319,8 @@ def test_fatou_for_all_topologies():
 
 
 def test_hull_preservation_and_gate():
-    rep = hull_bounded_preservation(FiniteSet(Q2, (FinVec.of(1, -2),)))
-    assert rep.generators_verdict.holds and rep.hull_verdict.holds and rep.bounds_equal
-
-    rep = hull_bounded_preservation(FiniteSet(SUP, (EvSeq.of(3, tail=1),)))
-    assert rep.hull_verdict.holds and rep.bounds_equal
+    assert hull_bounded_preservation(FiniteSet(Q2, (FinVec.of(1, -2),)))
+    assert hull_bounded_preservation(FiniteSet(SUP, (EvSeq.of(3, tail=1),)))
 
     with pytest.raises(NotBounded):
         hull_bounded_preservation(NbhdSet(PROD, Neighborhood.product({0}, 1)))
