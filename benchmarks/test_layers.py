@@ -7,12 +7,13 @@ neighborhood that constrains a far coordinate and in a diagonal image of
 one, the product V*W of two
 neighborhoods, the convergence threshold of each mode, classification, the
 law suites, building records (a `Space`, a `ReadingVerdict`, a matrix from
-integer rows), matrix addition, and a cold start of the CLI.  Every case
-reads a neighborhood's radius function through `coordinate_bounds`, so one
-copy of this file times the parent commit and the change alike.  This directory is outside the
-tier-1 `testpaths`; run the change's copy of it on its own, in a checkout of
-the parent commit and in the change, on the same machine, with each JSON
-written outside the checkouts:
+integer rows), matrix addition, reading a Q^64 spec file's matrices (with
+repeated literals and with every literal distinct), and a cold start of the
+CLI.  Every case reads a neighborhood's radius function through
+`coordinate_bounds`, so one copy of this file times the parent commit and the
+change alike.  This directory is outside the tier-1 `testpaths`; run the
+change's copy of it on its own, in a checkout of the parent commit and in the
+change, on the same machine, with each JSON written outside the checkouts:
 
     PYTHONPATH=src python -m pytest benchmarks -q --benchmark-json PARENT.json
     PYTHONPATH=src python -m pytest benchmarks -q --benchmark-json CHANGE.json
@@ -26,6 +27,7 @@ One such pair shows only differences of about 2x or more on a shared host;
 `benchmarks/ab_ops.py` resolves smaller ones.
 """
 
+import json
 import subprocess
 import sys
 from fractions import Fraction
@@ -56,6 +58,7 @@ from latring import (
 from latring.audits import INSTANCES, all_suites, lattice_law_suite
 from latring.homspaces import vw_box
 from latring.sampling import rand_element, rand_matrix_rows, rand_pos_element, rng_for
+from latring.specfile import parse_specdoc
 from latring.topology import ReadingVerdict, bounds_group_bounded, bounds_ring_bounded
 
 # Denominators up to 8, so a row mixes coprime ones and its common denominator grows.
@@ -277,6 +280,36 @@ def _classify_inputs(kind):
 def test_classify(benchmark, kind):
     T, space = _classify_inputs(kind)
     benchmark(classify, T, space, space)
+
+
+def _spec_text(kind):
+    """A Q^64 spec of three matrix homs, as JSON text.
+
+    `repeated` draws entries as the spec-tasks workload does (numerators -9..9
+    over denominators 1..8), so each matrix repeats about 140 distinct
+    literals; the two `distinct-*` cases hold 4096 distinct literals each,
+    fractions over 1..8 or integers below 10^6 in magnitude.
+    """
+    rng, n = rng_for(23), 64
+
+    def matrix():
+        if kind == "repeated":
+            return [[str(v) for v in row] for row in rand_matrix_rows(rng, n)]
+        nums = rng.sample(range(-(10**6), 10**6), n * n)
+        if kind == "distinct-fractions":
+            literals = [f"{p}/{rng.randint(2, 8)}" for p in nums]
+        else:
+            literals = [str(p) for p in nums]
+        return [literals[i * n:(i + 1) * n] for i in range(n)]
+
+    homs = {name: {"kind": "matrix", "rows": matrix()} for name in ("t", "m", "t2")}
+    return json.dumps({"space": {"kind": "qn", "dim": n}, "homs": homs})
+
+
+@pytest.mark.parametrize("kind", ["q64-repeated", "q64-distinct-fractions", "q64-distinct-ints"])
+def test_parse_specdoc(benchmark, kind):
+    text = _spec_text(kind.removeprefix("q64-"))
+    assert len(benchmark(parse_specdoc, text).homs) == 3
 
 
 @pytest.mark.parametrize("instance", ["q3", "evseq"])

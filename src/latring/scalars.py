@@ -16,7 +16,10 @@ sequences and matrix rows are all held this way.  `read_row` reads a list of
 literals straight into one: the whole row is checked against the grammar in
 one match and split at `/`, and a row that fails anywhere on that path is
 read again literal by literal through `read_rat`, so it accepts exactly what
-`read_rat` accepts and raises the error of its first bad literal.
+`read_rat` accepts and raises the error of its first bad literal.  `read_rows`
+reads the rows of a matrix as a whole, each distinct literal once and every
+row from lookups; it reads row by row through `read_row` where few literals
+repeat or where a literal would be refused.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import re
 from fractions import Fraction
 from itertools import repeat
 from operator import mul
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .errors import InvalidElement
 
@@ -125,3 +128,52 @@ def read_row(values: list) -> IntRow:
         pairs = [read_rat(v) for v in values]
         parts = [p for p, _ in pairs], [q for _, q in pairs]
     return reduced_row(*over_lcm(*parts))
+
+
+def _repeated_literals(rows: list[list]) -> list | None:
+    """The distinct entries of `rows`, or None if they are unhashable or more than half the entries.
+
+    Rows that cover a quarter of the entries without repeating one give up
+    early too: entries drawn from a pool small enough to fill at most half
+    the matrix repeat within a quarter of it all but surely once the matrix
+    has a few dozen entries, and where they do not, the rows are read as
+    before, at the same cost.
+    """
+    total, seen, read = sum(map(len, rows)), set(), 0
+    try:
+        for row in rows:
+            seen.update(row)
+            read += len(row)
+            if 2 * len(seen) > total or (len(seen) == read and 4 * read >= total):
+                return None
+    except TypeError:
+        return None
+    return list(seen)
+
+
+def read_rows(rows: list[list]) -> Iterator[IntRow]:
+    """The rows of one matrix as `read_row` reads each of them, yielded one at a time.
+
+    Matrices repeat small literals (a Q^64 one of the spec-tasks benchmark
+    holds about 140 distinct literals in 4096 entries), so the distinct
+    literals of all rows are split and converted to integers once, in one
+    `_split_row` pass, and each row is built from two lookups per entry.
+    Where more than half the entries are distinct, the lookups would cost
+    more than the repeats save: each row is then read by `read_row`, and a
+    matrix without repeats costs about what it did row by row.  Rows are
+    read by `read_row` too where the distinct literals cannot be read in one
+    pass (an unhashable entry, or anything `_split_row` leaves to
+    `read_rat`), so the first bad literal in row order raises its usual
+    error.  Only strings take the lookup path: `_split_row` refuses any other
+    entry, which matters because 1, True and 1.0 are one key of a set.  The
+    rows are yielded lazily, so a caller can refuse a row before the next one
+    is built.
+    """
+    distinct = _repeated_literals(rows)
+    parts = None if distinct is None else _split_row(distinct)
+    if parts is None:
+        yield from map(read_row, rows)
+        return
+    num_of, den_of = (dict(zip(distinct, part)) for part in parts)
+    for row in rows:
+        yield reduced_row(*over_lcm(list(map(num_of.__getitem__, row)), list(map(den_of.__getitem__, row))))

@@ -4,15 +4,16 @@ The format is JSON with sections `space`, `codomain_space`, `elements`,
 `homs`, `sets`, `nets`, and `tasks`.  A rational literal is a JSON integer
 or a string of the grammar `[+-]?[0-9]+(/[0-9]+)?` (see `scalars.read_rat`);
 decimal points, exponents, spaces and non-ASCII digits are refused, and a
-refused literal names its section.  Each row of a matrix or of a sequence
-operator's block is read in one pass (`scalars.read_row`) into one reduced
-integer row over a common denominator, and refused, naming its section,
-when that denominator or a numerator has more digits than the interpreter
-prints (4300 by default): no work is done on a result that could not be
-reported.  Unknown keys are errors, not warnings, and so is a key repeated in
-one object; every named reference must resolve, and every entry is read,
-used or not.  Task names are distinct.  Serializing any shipped
-descriptor and re-parsing it yields an equal descriptor.
+refused literal names its section.  A matrix or a sequence operator's block
+is read as a whole (`scalars.read_rows`), each distinct literal once, into
+reduced integer rows over their common denominators; each row is refused,
+naming its section, before the next is built, when its denominator or a
+numerator has more digits than the interpreter prints (4300 by default): no
+work is done on a result that could not be reported.  Unknown keys are
+errors, not warnings, and so is a key repeated in one object; every named
+reference must resolve, and every entry is read, used or not.  Task names are
+distinct.  Serializing any shipped descriptor and re-parsing it yields an
+equal descriptor.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .elements import EvSeq, FinVec, ZInt
 from .errors import EmptyInput, InvalidElement, LatringError, SpecFileError, UnknownName
 from .homs import Hom, MatrixHom, SeqHom, identity_on
 from .homspaces import HomNet
-from .scalars import IntRow, read_rat, read_row
+from .scalars import IntRow, read_rat, read_row, read_rows
 from .spaces import TOPOLOGIES_FOR_KIND, Multiplication, Space, SpaceKind, TopologyId
 from .topology import (
     FiniteSet,
@@ -191,10 +192,9 @@ def element_to_obj(x) -> dict:
 # ---------------------------------------------------------------------------
 # Homomorphisms.
 
-def _int_row(values: list, section: str) -> IntRow:
-    """One matrix or block row of literals as a reduced integer row, within the printing limit."""
-    d, nums = row = _read(read_row, values, section)
-    limit = sys.get_int_max_str_digits()
+def _fits(row: IntRow, limit: int, section: str) -> IntRow:
+    """A matrix or block row, refused if an integer of it has more than `limit` digits (0: no limit)."""
+    d, nums = row
     big = max(d, max(nums), -min(nums))
     # Beyond `limit` digits means big >= 10**limit, so big has over 3 * limit bits.
     if limit and big.bit_length() > 3 * limit and big >= 10**limit:
@@ -203,13 +203,15 @@ def _int_row(values: list, section: str) -> IntRow:
 
 
 def _square_rows(rows, section: str, side: int | None = None) -> list[IntRow]:
-    """A square list of lists of literals, `side` by `side` when `side` is given, read row by row."""
+    """A square list of lists of literals, `side` by `side` when `side` is given, read as one matrix."""
     if not isinstance(rows, list):
         raise SpecFileError(f"{section}: rows must be a list of lists")
     side = len(rows) if side is None else side
     if len(rows) != side or any(not isinstance(row, list) or len(row) != side for row in rows):
         raise SpecFileError(f"{section}: rows must form a {side}x{side} list of lists")
-    return [_int_row(row, section) for row in rows]
+    # Each row is checked before the next is built, so an oversized row stops the read at once.
+    read, limit = read_rows(rows), sys.get_int_max_str_digits()
+    return [_fits(_read(next, read, section), limit, section) for _ in rows]
 
 
 def _require_kind(space: Space, kind: SpaceKind, hom_kind: str, section: str):

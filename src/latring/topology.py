@@ -330,8 +330,8 @@ def _image_contains(S: ImageSet, x) -> bool:
     rows, where a sequence's last index stands for its tail.  A nonzero
     coefficient c takes x_i back to x_i / c; a zero one needs x_i = 0 and
     leaves the preimage coordinate free, so it takes the value nearest 0 that
-    the base allows.  A non-diagonal image of an infinite base raises
-    InvalidElement.
+    the base allows.  On Z, x is no member when its preimage is not an
+    integer.  A non-diagonal image of an infinite base raises InvalidElement.
     """
     T, base = S.hom, S.base
     if isinstance(base, FiniteSet):
@@ -357,6 +357,8 @@ def _image_contains(S: ImageSet, x) -> bool:
             entries.append(Fraction(0))
         else:
             raise InvalidElement(f"no coordinatewise filler for {base!r}")
+    if isinstance(x, ZInt) and entries[0].denominator != 1:
+        return False  # the preimage is not an integer, so nothing in the base maps onto x
     return set_contains(base, x.from_int_row(*rat_row(entries)))
 
 

@@ -6,10 +6,14 @@ straight into integer rows must be indistinguishable from `MatrixHom` built
 from the same entries as Fractions.  `read_row`, which reads a whole row in
 one pass, must agree with reading it literal by literal through `read_rat`:
 the same integer row for a good row, the same error for a bad one.
+`read_rows`, which reads each distinct literal of a matrix once, must agree
+with `read_row` row by row, and a matrix in a spec must be refused with the
+message, and in the order, that reading it row by row gives.
 """
 
 import json
 import math
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -18,7 +22,7 @@ from hypothesis import strategies as st
 
 from latring import EvSeq, FinVec, MatrixHom, Neighborhood, Space, SpecFileError
 from latring.errors import InvalidElement
-from latring.scalars import as_rat, read_rat, read_row, reduced_row
+from latring.scalars import as_rat, read_rat, read_row, read_rows, reduced_row
 from latring.specfile import parse_element, parse_hom, parse_nbhd, parse_specdoc
 
 
@@ -191,3 +195,62 @@ def test_element_rows_refuse_a_bad_entry_as_per_literal_reading_does(row, bad, d
     assert _refusal(parse_element, {"prefix": row}, Space.evseq(), "sets.u") == expected
     good = [v for v in row if _refusal(read_rat, v) is None]
     assert _refusal(parse_element, {"prefix": good}, Space.evseq(), "sets.u") == "sets.u: missing 'tail'"
+
+
+# ---------------------------------------------------------------------------
+# Whole matrices: `read_rows` reads each distinct literal once, and must give
+# what `read_row` gives row by row, whether literals repeat or not.
+
+@st.composite
+def repeating_matrices(draw) -> list[list]:
+    """Rows of 1 to 8 entries drawn from a pool of 1 to 4 literals, so most entries repeat."""
+    entry = draw(st.sampled_from([literals(), st.integers(-9, 9).map(str), _INTEGERS.map(str)]))
+    pool = draw(st.lists(entry, min_size=1, max_size=4))
+    n, m = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    return [[draw(st.sampled_from(pool)) for _ in range(m)] for _ in range(n)]
+
+
+@st.composite
+def distinct_matrices(draw) -> list[list]:
+    """Rows of 1 to 6 entries whose literals are all distinct."""
+    n, m = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    flat = draw(st.lists(literals(), min_size=n * m, max_size=n * m, unique=True))
+    return [flat[i * m:(i + 1) * m] for i in range(n)]
+
+
+@settings(max_examples=300)
+@given(st.one_of(repeating_matrices(), distinct_matrices()))
+def test_matrix_pass_matches_row_by_row_reading(rows):
+    assert list(read_rows(rows)) == [read_row(r) for r in rows]
+
+
+@settings(max_examples=200)
+@given(st.integers(1, 6), st.sampled_from(BAD_ENTRIES), st.data())
+def test_a_bad_matrix_entry_is_refused_wherever_it_stands(n, bad, data):
+    pool = data.draw(st.lists(literals(), min_size=1, max_size=4))
+    rows = [[data.draw(st.sampled_from(pool)) for _ in range(n)] for _ in range(n)]
+    k, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+    rows[k][j] = bad
+    expected = f"bad rational literal in 'homs.t': {_refusal(read_rat, bad)}"
+    assert _refusal(parse_hom, {"kind": "matrix", "rows": rows}, Space.qn(n), "homs.t") == expected
+
+
+def test_a_matrix_mixing_json_integers_and_strings():
+    assert _refusal(parse_hom, {"kind": "matrix", "rows": [["1", True], ["1", "1"]]}, Space.qn(2), "homs.t") == (
+        "bad rational literal in 'homs.t': booleans are not rational scalars"
+    )
+    # 1 and "1" are different entries; both read as 1.
+    rows = [[1, "1"], ["1", 1]]
+    assert list(read_rows(rows)) == [read_row(r) for r in rows] == [(1, (1, 1))] * 2
+    assert parse_hom({"kind": "matrix", "rows": rows}, Space.qn(2), "homs.t") == MatrixHom([[1, 1], [1, 1]])
+
+
+def test_an_oversized_row_is_refused_before_a_bad_literal_in_a_later_row():
+    # Row 0 has a common denominator of about 16 * 500 digits; row 1 holds a bad literal.
+    m = math.lcm(*range(1, 17)) * 10**494
+    row = [f"1/{2 * i * m + 1}" for i in range(1, 17)]
+    rows = [row, ["abc"] + ["0"] * 15] + [["0"] * 16] * 14
+    limit = sys.get_int_max_str_digits()
+    assert _refusal(parse_hom, {"kind": "matrix", "rows": rows}, Space.qn(16), "homs.t") == (
+        f"homs.t: a row has an integer beyond the {limit}-digit limit for printing"
+    )

@@ -477,6 +477,10 @@ def _literal_cases():
         ({"space": {"kind": "z", "topology": "evseq_product"}}, "space: evseq_product does not fit carrier z"),
         ({"space": {"kind": "z", "dim": 1}}, "space: z carries no dimension"),
         *_literal_cases(),
+        ({"space": {"kind": "qn", "dim": 2, "multiplication": "convolution"}},
+         "space: multiplication must be pointwise or zero"),
+        ({"space": {"kind": "qn", "dim": 1}, "tasks": {"t": {"op": "laws", "instance": "q3_pointwise"}}},
+         "section 'tasks' must be a list"),
     ],
 )
 def test_space_and_section_types_exit_2(spec, section, tmp_path, capsys):

@@ -129,6 +129,17 @@ def test_image_membership_with_free_coordinates():
         set_contains(ImageSet(PROD, SeqHom.zero(), img2), EvSeq.zero())
 
 
+@pytest.mark.parametrize(
+    "base",
+    [NbhdSet(ZD, Neighborhood.discrete_zero()), FiniteSet(ZD, (ZInt(0),)), Interval(ZD, ZInt(-1), ZInt(1))],
+    ids=["nbhd", "finite", "interval"],
+)
+def test_integer_image_of_a_non_unit_matrix(base):
+    # 3 pulls back to 3/2 under x -> 2x, which is no integer, so 3 is no member.
+    img = ImageSet(ZD, MatrixHom([[2]]), base)
+    assert [set_contains(img, ZInt(n)) for n in (3, 4, 0)] == [False, False, True]
+
+
 def test_image_that_does_not_act_on_its_elements_is_refused():
     q2_box = NbhdSet(Q2, Neighborhood.box((1, 1)))
     mismatched = [
