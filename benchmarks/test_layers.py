@@ -2,7 +2,7 @@
 
 Each benchmark times one call of one layer on fixed seeded inputs: element
 lattice ops and the order, matrix and sequence apply, the vertex oracle,
-bound propagation, the two boundedness deciders, membership in a product
+bound propagation, the two boundedness deciders, the solidity decider, membership in a product
 neighborhood that constrains a far coordinate and in a diagonal image of
 one, the product V*W of two
 neighborhoods, the convergence threshold of each mode, classification, the
@@ -39,6 +39,7 @@ import latring
 from latring import (
     EvSeq,
     FinVec,
+    FiniteSet,
     HomNet,
     ImageSet,
     Interval,
@@ -47,8 +48,10 @@ from latring import (
     NbhdSet,
     Neighborhood,
     SeqHom,
+    SolidHull,
     Space,
     TopologyId,
+    ZInt,
     classify,
     converges,
     coordinate_bounds,
@@ -59,7 +62,7 @@ from latring.audits import INSTANCES, all_suites, lattice_law_suite
 from latring.homspaces import vw_box
 from latring.sampling import rand_element, rand_matrix_rows, rand_pos_element, rng_for
 from latring.specfile import parse_specdoc
-from latring.topology import ReadingVerdict, bounds_group_bounded, bounds_ring_bounded
+from latring.topology import ReadingVerdict, bounds_group_bounded, bounds_ring_bounded, non_solid_witness
 
 # Denominators up to 8, so a row mixes coprime ones and its common denominator grows.
 RNG = rng_for(2024)
@@ -195,6 +198,19 @@ def test_image_member(benchmark, case):
     # A fixed round count: at a dense walk one call takes a few tenths of a second.
     args = IMAGE_MEMBERSHIP_INPUTS[case]
     assert benchmark.pedantic(_member_and_not, args=args, rounds=10, iterations=1, warmup_rounds=1) == (True, False)
+
+
+# Two solid sets: the integers -30..30, and a diagonal image of a solid hull.
+SOLIDITY_INPUTS = {
+    "z-finite-61": FiniteSet(Space.z_discrete(), tuple(map(ZInt, range(-30, 31)))),
+    "seq-diagonal-hull": ImageSet(PRODUCT, SeqHom.diagonal(EvSeq.of(2, 0, tail=3)),
+                                  SolidHull(PRODUCT, (EvSeq.of(2, tail=-1), EvSeq.of(0, 0, 3, tail=Fraction(1, 2))))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SOLIDITY_INPUTS))
+def test_non_solid_witness(benchmark, case):
+    assert benchmark(non_solid_witness, SOLIDITY_INPUTS[case]) is None
 
 
 VW_INPUTS = {"product": (Neighborhood.product({0, 1, 2, 5}, Fraction(1, 3)), Neighborhood.product({1, 2, 7}, 2))}

@@ -84,13 +84,11 @@ from .topology import (
     fatou_check,
     group_bound_multiplier,
     hull_bounded_preservation,
-    is_order_closed,
     is_solid,
     sample_member,
     set_contains,
     set_group_bounded,
     set_ring_bounded,
-    solid_hull,
 )
 
 __version__ = "0.1.0"

@@ -253,10 +253,6 @@ class EvSeq(_RowElement):
             raise InvalidElement("sequence indices start at 0")
         return self._values()[min(i, len(self._nums) - 1)]
 
-    def canonical(self) -> "EvSeq":
-        # Construction already canonicalizes; re-running is the identity.
-        return EvSeq.from_int_row(self._d, self._nums)
-
     def _pair(self, other) -> tuple[IntRow, IntRow]:
         if not isinstance(other, EvSeq):
             raise InvalidElement(f"expected EvSeq, got {other!r}")

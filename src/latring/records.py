@@ -4,10 +4,10 @@
 subclass's annotations, in order, parents' fields first, and has one way to
 be built: every field by position.  Every record shares one `__init__` (an
 arity check, the fields into the instance `__dict__` in one call, then
-`__post_init__`), one class-checked `__eq__`, a `__hash__` of the field tuple
-and a `__repr__` of the form `Name(field=value, ...)`.  Each class's field
-tuple is read by one `operator.attrgetter`, made once when the class is
-defined.  Because a record keeps its fields in its `__dict__`, a
+`__post_init__`), one class-checked `__eq__` and `__hash__` over its key,
+and a `__repr__` of the form `Name(field=value, ...)`.  A class's key is one
+`operator.attrgetter` of its fields, made once when the class is defined: the
+field tuple, or a one-field record's value itself.  Because a record keeps its fields in its `__dict__`, a
 `functools.cached_property` works on it, and copy and pickle restore that
 dictionary without calling `__init__`.  Only the slotted elements of
 `elements` set their state through `object.__setattr__`.
@@ -47,11 +47,7 @@ class Record(Frozen):
         super().__init_subclass__(**kwargs)
         own = [name for name in cls.__dict__.get("__annotations__", {}) if name not in cls._fields]
         cls._fields = fields = cls._fields + tuple(own)
-        if len(fields) == 1:
-            get = attrgetter(fields[0])
-            cls._key = staticmethod(lambda x: (get(x),))
-        else:
-            cls._key = attrgetter(*fields)
+        cls._key = attrgetter(*fields)
 
     def __init__(self, *args):
         fields = self._fields
@@ -73,5 +69,5 @@ class Record(Frozen):
         return hash(self._key(self))
 
     def __repr__(self) -> str:
-        fields = ", ".join([f"{f}={v!r}" for f, v in zip(self._fields, self._key(self))])
+        fields = ", ".join([f"{f}={getattr(self, f)!r}" for f in self._fields])
         return f"{self.__class__.__qualname__}({fields})"

@@ -40,11 +40,6 @@ from .topology import (
     SolidHull,
 )
 
-# The largest coordinate index a product neighborhood may name.  Its radius
-# function is sparse, but `sample_member` builds a dense `EvSeq` up to that
-# index; this caps it (about 0.04 s).
-MAX_COORD_INDEX = 10_000
-
 # The largest dimension of a `qn` space.  Loading a spec builds every matrix
 # densely, the identity included, so a few bytes could ask for dim^2 entries:
 # at dim 512 a spec holding one identity loads in about 0.04 s and `classify`
@@ -256,10 +251,6 @@ def parse_nbhd(obj: dict, section: str) -> Neighborhood:
         coords = _list(obj, "coords", section)
         if not all(_is_int(c) and c >= 0 for c in coords):
             raise SpecFileError(f"{section}: 'coords' must list coordinate indices >= 0, got {coords!r}")
-        if coords and max(coords) > MAX_COORD_INDEX:
-            raise SpecFileError(
-                f"{section}: coordinate index {max(coords)} is above the cap of {MAX_COORD_INDEX}"
-            )
         return Neighborhood.product(frozenset(coords), _rat(_require(obj, "radius", section), section))
     if top == "evseq_supnorm":
         _check_keys(obj, {"topology", "radius"}, section)

@@ -23,7 +23,9 @@ witnesses and image membership are each one body for Q^n, sequences and Z.
 Membership in an image is decided over a finite base for every form, and
 over any interval, hull or neighborhood for every diagonal form, by pulling x
 back through the coefficients; a non-diagonal image of an infinite base is
-refused.
+refused.  An image of a finite set is read as the finite set of its points.
+Solidity has one decider, `non_solid_witness`: "not solid" comes with a pair
+(x, y) that re-checks, and what it cannot decide raises InvalidElement.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ import math
 import random
 from fractions import Fraction
 from functools import cache, partial, reduce
+from itertools import chain
 from typing import Iterable, Sequence
 
 from .elements import EvSeq, FinVec, ZInt, aligned, coords, from_coords
@@ -40,7 +43,7 @@ from .extended import INF, CoordBounds, is_inf
 from .records import Record
 from .sampling import rand_between, rand_in_interval, rand_rat
 from .scalars import as_rat, rat_row
-from .spaces import Multiplication, Space, TopologyId, abs_val, join
+from .spaces import Multiplication, Space, SpaceKind, TopologyId, abs_val, join, meet
 
 
 # ---------------------------------------------------------------------------
@@ -195,20 +198,14 @@ class NbhdSet(SetDesc):
 class ImageSet(SetDesc):
     """Image of a box-like set under a diagonal or matrix homomorphism.
 
-    `space` is the codomain.  Bounds are propagated through the coefficient
-    moduli, which is the exact per-coordinate supremum over the symmetric
-    box spanned by the base's bounds.
+    `space` is the codomain.  An image of a finite set has the exact bounds
+    of its points T u.  Otherwise bounds are propagated through the
+    coefficient moduli, which is the exact per-coordinate supremum over the
+    symmetric box spanned by the base's bounds.
     """
 
     hom: object
     base: SetDesc
-
-
-def solid_hull(space: Space, points: Sequence) -> SolidHull:
-    """Smallest solid superset of a finite set."""
-    if not points:
-        raise EmptyInput("solid hull of nothing")
-    return SolidHull(space, tuple(points))
 
 
 # ---------------------------------------------------------------------------
@@ -222,57 +219,40 @@ def element_bounds(x) -> CoordBounds:
 
 
 def _points(S: SetDesc) -> tuple:
-    """The elements spanning an interval, finite set or solid hull."""
+    """The elements spanning an interval, finite set or solid hull; each T u of an image of a finite set."""
     if isinstance(S, Interval):
         return S.lo, S.hi
+    if isinstance(S, ImageSet):
+        return tuple(map(S.hom.apply, S.base.elements))
     return S.elements if isinstance(S, FiniteSet) else S.generators
 
 
 def coordinate_bounds(S: SetDesc) -> CoordBounds:
     """Exact supremum of |x_i| over x in S, per coordinate (INF when unconstrained)."""
-    if isinstance(S, (Interval, FiniteSet, SolidHull)):
-        # The largest |x_i| over the points is coordinate i of the join of their moduli.
-        return element_bounds(reduce(partial(join, S.space), map(abs, _points(S))))
     if isinstance(S, NbhdSet):
         return S.nbhd.bounds
-    return S.hom.propagate_bounds(coordinate_bounds(S.base))
+    if isinstance(S, ImageSet) and not isinstance(S.base, FiniteSet):
+        return S.hom.propagate_bounds(coordinate_bounds(S.base))
+    # The largest |x_i| over the points is coordinate i of the join of their moduli.
+    return element_bounds(reduce(partial(join, S.space), map(abs, _points(S))))
 
 
 # ---------------------------------------------------------------------------
-# Structural solidity / order closedness.
-
-def _symmetric_interval(S: Interval) -> bool:
-    return S.lo == -S.hi
-
+# Solidity: one decider, whose "not solid" carries a witness.
 
 def is_solid(S: SetDesc) -> bool:
-    """Structural verdict: |x| <= |y| with y in S forces x in S."""
-    if isinstance(S, (NbhdSet, SolidHull)):
-        return True
-    if isinstance(S, Interval):
-        return _symmetric_interval(S)
-    if isinstance(S, FiniteSet):
-        zero = S.space.zero()
-        return all(x == zero for x in S.elements)
-    # A diagonal image of a solid box is again a symmetric box; matrix
-    # images are generally slanted, so they are not claimed solid.
-    return S.hom.is_diagonal() and is_solid(S.base)
-
-
-def is_order_closed(S: SetDesc) -> bool:
-    """Structural verdict, true of every form.
-
-    Closed boxes, finite unions of them and finite sets qualify, and images of
-    these under the shipped forms are rational polyhedra, hence contain every
-    coordinatewise limit they admit.
-    """
-    return True
+    """|x| <= |y| with y in S forces x in S: no non-solid witness exists."""
+    return non_solid_witness(S) is None
 
 
 def non_solid_witness(S: SetDesc) -> tuple | None:
-    """For a non-solid verdict, a pair (x, y) with y in S, |x| <= |y|, x not in S."""
-    if is_solid(S):
-        return None
+    """A pair (x, y) with y in S, |x| <= |y| and x not in S; None when S is solid.
+
+    Raises InvalidElement where S is not decided: a non-diagonal image of an
+    infinite base, or such an image on Z under a map other than +-1.
+    """
+    if isinstance(S, (NbhdSet, SolidHull)):
+        return None  # a union of boxes [-r, r]
     if isinstance(S, Interval):
         # Flip the sign of the first coordinate where lo and hi are not
         # mirror images, on whichever endpoint has the larger modulus there.
@@ -284,26 +264,53 @@ def non_solid_witness(S: SetDesc) -> tuple | None:
                 if not set_contains(S, x):
                     return (x, y)
         return None
-    if isinstance(S, FiniteSet):
-        for y in S.elements:
-            if y == S.space.zero():
-                continue
-            for x in _shrink_candidates(y):
-                if not set_contains(S, x):
-                    return (x, y)
+    if isinstance(S, FiniteSet) or isinstance(S.base, FiniteSet):
+        return _finite_witness(_points(S))
+    return _image_witness(S)
+
+
+def _finite_witness(points: tuple) -> tuple | None:
+    """The search over a finite set's points, one hash lookup a candidate.
+
+    On Z: the first integer missing on the walks from a largest point n, then from -n, toward 0.
+    Elsewhere only {0} is solid: were 6y/7 in S for every y, so would be each (6/7)^k y.
+    """
+    if isinstance(points[0], ZInt):
+        members = set(map(int, points))
+        n = max(map(int, points), key=abs)
+        step = 1 if n > 0 else -1
+        for k in chain(range(n - step, -step, -step), range(-n, step, step)):
+            if k not in members:
+                return (ZInt(k), ZInt(n))
+        return None
+    members = set(points)
+    for y in points:
+        x = y.scale(Fraction(6, 7))
+        if x not in members:
+            return (x, y)
     return None
 
 
-def _shrink_candidates(y):
-    """Points between y and 0, nearest y first: unit steps for an integer, sevenths of y otherwise.
+def _image_witness(S: ImageSet) -> tuple | None:
+    """An image of an interval, hull, neighborhood or image: {0}, or under a diagonal T.
 
-    The unit steps are made one at a time, as the search reaches them.
+    T pulls x back coordinatewise, so T(B) is solid when B is, and it takes
+    [lo, hi] onto the interval between T lo and T hi; on Z both need T = +-1.
     """
-    if isinstance(y, ZInt):
-        n = int(y)
-        step = 1 if n > 0 else -1
-        return map(ZInt, range(n - step, -step, -step))
-    return [y.scale(Fraction(num, 7)) for num in range(6, -1, -1)]
+    T, base, space = S.hom, S.base, S.space
+    if not T.is_diagonal() or (space.kind is SpaceKind.Z_DISCRETE and abs(T.diag) != FinVec.of(1)):
+        if coordinate_bounds(S).overall_sup() != 0:
+            raise InvalidElement(f"solidity of an image under {T!r} is not decided")
+        return None  # the image is {0}
+    if isinstance(base, Interval):
+        lo, hi = T.apply(base.lo), T.apply(base.hi)
+        return non_solid_witness(Interval(space, meet(space, lo, hi), join(space, lo, hi)))
+    witness = non_solid_witness(base)
+    if witness is None:
+        return None
+    if not all(T.diag.int_row[1]):
+        raise InvalidElement(f"solidity of an image under {T!r} is not decided: a zero coefficient")
+    return tuple(map(T.apply, witness))  # T is one to one, so T x stays out of T(B)
 
 
 # ---------------------------------------------------------------------------
@@ -490,13 +497,14 @@ def bounds_multiplier(bounds: CoordBounds, U: Neighborhood) -> int | None:
 
 
 def fatou_check(topology: TopologyId) -> bool:
-    """Every base neighborhood is solid and order closed (closed boxes are)."""
+    """Every base neighborhood is solid, which makes the base a Fatou base.
+
+    A base neighborhood is a closed coordinate box {x : |x_i| <= r_i}, so it
+    is also order closed: on these coordinatewise lattices order convergence
+    forces convergence at every coordinate, and each |x_i| <= r_i survives it.
+    """
     space = _space_for(topology)
-    for U in base_generators(topology, dim=space.dim):
-        s = NbhdSet(space, U)
-        if not (is_solid(s) and is_order_closed(s)):
-            return False
-    return True
+    return all(is_solid(NbhdSet(space, U)) for U in base_generators(topology, dim=space.dim))
 
 
 def _space_for(topology: TopologyId, dim: int = 2) -> Space:

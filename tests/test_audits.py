@@ -56,14 +56,22 @@ def test_a_broken_split_names_only_x(monkeypatch):
 
 
 def test_an_unstable_canonical_form_names_its_sequence(monkeypatch):
-    real = EvSeq.canonical
+    # A drifting index value, then a drifting tail that breaks the rebuild, each fail every case.
+    real_at, real_tail = EvSeq.at, EvSeq.tail
     seen = []
 
-    def drifting(self):
+    def drifting_at(self, i):
         seen.append(self)
-        return real(self) + EvSeq.constant(1)
+        return real_at(self, i) + 1
 
-    monkeypatch.setattr(EvSeq, "canonical", drifting)
-    result = audits.canonical_idempotence_suite(seed=0, cases=12)
-    assert (result.passed, result.cases) == (False, 12)
-    assert result.detail == f"canonical form unstable for {seen[0]!r}"
+    def drifting_tail(self):
+        seen.append(self)
+        return real_tail.fget(self) + 1
+
+    for name, drift in (("at", drifting_at), ("tail", property(drifting_tail))):
+        seen.clear()
+        with monkeypatch.context() as m:
+            m.setattr(EvSeq, name, drift)
+            result = audits.canonical_idempotence_suite(seed=0, cases=12)
+            assert (result.passed, result.cases) == (False, 12)
+            assert result.detail == f"canonical form unstable for {seen[0]!r}"

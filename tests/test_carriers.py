@@ -13,6 +13,8 @@ through their radius function; regenerate them only for an intended change.
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latring import (
     EvSeq,
@@ -36,7 +38,8 @@ from latring import (
     sample_member,
     set_contains,
 )
-from latring.sampling import rng_for
+from latring.audits import rand_setdesc
+from latring.sampling import rand_between, rng_for
 from latring.topology import base_generators, non_solid_witness
 
 Q2 = Space.qn(2)
@@ -112,9 +115,9 @@ def _bounds_doc(S) -> tuple:
     return tuple(str(v) for v in b.head), None if b.tail is None else str(b.tail)
 
 
-# Pinned values (strings for exact rationals; "InvalidElement" where membership is not decided).
+# Pinned values (strings for exact rationals; "InvalidElement" where membership or solidity is not decided).
 
-EXPECTED_BOUNDS: dict = {'block(seq-finite)': (('3', '9/2'), '1'),
+EXPECTED_BOUNDS: dict = {'block(seq-finite)': (('1', '7/2'), '1'),
  'block(seq-hull)': (('3', '3', '6'), '2'),
  'block(seq-interval)': (('7', '19/2'), '2'),
  'block(seq-nbhd)': (('INF', 'INF', '3'), 'INF'),
@@ -134,7 +137,7 @@ EXPECTED_BOUNDS: dict = {'block(seq-finite)': (('3', '9/2'), '1'),
  'identity-matrix(q2-interval)': (('3', '2'), None),
  'identity-matrix(q2-nbhd)': (('1', '5/2'), None),
  'identity-matrix(q2-zero)': (('0', '0'), None),
- 'matrix(q2-finite)': (('5', '2'), None),
+ 'matrix(q2-finite)': (('3', '2'), None),
  'matrix(q2-hull)': (('8', '3'), None),
  'matrix(q2-interval)': (('7', '2'), None),
  'matrix(q2-nbhd)': (('6', '5/2'), None),
@@ -239,10 +242,10 @@ EXPECTED_SAMPLES: dict = {'block(seq-finite)': ['EvSeq([], tail=0)',
  'z-zero': ['0', '0', '0', '0']}
 
 EXPECTED_SOLID: dict = {'block(seq-finite)': False,
- 'block(seq-hull)': False,
- 'block(seq-interval)': False,
- 'block(seq-nbhd)': False,
- 'block(seq-zero)': False,
+ 'block(seq-hull)': 'InvalidElement',
+ 'block(seq-interval)': 'InvalidElement',
+ 'block(seq-nbhd)': 'InvalidElement',
+ 'block(seq-zero)': True,
  'diagonal(seq-finite)': False,
  'diagonal(seq-hull)': True,
  'diagonal(seq-interval)': False,
@@ -259,10 +262,10 @@ EXPECTED_SOLID: dict = {'block(seq-finite)': False,
  'identity-matrix(q2-nbhd)': True,
  'identity-matrix(q2-zero)': True,
  'matrix(q2-finite)': False,
- 'matrix(q2-hull)': False,
- 'matrix(q2-interval)': False,
- 'matrix(q2-nbhd)': False,
- 'matrix(q2-zero)': False,
+ 'matrix(q2-hull)': 'InvalidElement',
+ 'matrix(q2-interval)': 'InvalidElement',
+ 'matrix(q2-nbhd)': 'InvalidElement',
+ 'matrix(q2-zero)': True,
  'q2-finite': False,
  'q2-hull': True,
  'q2-interval': False,
@@ -305,11 +308,11 @@ EXPECTED_IMAGE_MEMBERSHIP: dict = {'block(seq-finite)': [True, False, False, Fal
  'matrix(q2-nbhd)': ['InvalidElement', 'InvalidElement', 'InvalidElement', 'InvalidElement'],
  'matrix(q2-zero)': [False, True, False, False]}
 
-EXPECTED_MULTIPLIERS: dict = {'block(seq-finite)': {'evseq_product[0]': 3,
-                       'evseq_product[1]': 14,
+EXPECTED_MULTIPLIERS: dict = {'block(seq-finite)': {'evseq_product[0]': 1,
+                       'evseq_product[1]': 11,
                        'evseq_product[2]': 1,
-                       'evseq_supnorm[0]': 5,
-                       'evseq_supnorm[1]': 23,
+                       'evseq_supnorm[0]': 4,
+                       'evseq_supnorm[1]': 18,
                        'evseq_supnorm[2]': 2},
  'block(seq-hull)': {'evseq_product[0]': 3,
                      'evseq_product[1]': 18,
@@ -375,7 +378,7 @@ EXPECTED_MULTIPLIERS: dict = {'block(seq-finite)': {'evseq_product[0]': 3,
  'identity-matrix(q2-interval)': {'qn_box[0]': 3, 'qn_box[1]': 4, 'qn_box[2]': 2},
  'identity-matrix(q2-nbhd)': {'qn_box[0]': 3, 'qn_box[1]': 5, 'qn_box[2]': 1},
  'identity-matrix(q2-zero)': {'qn_box[0]': 1, 'qn_box[1]': 1, 'qn_box[2]': 1},
- 'matrix(q2-finite)': {'qn_box[0]': 5, 'qn_box[1]': 5, 'qn_box[2]': 2},
+ 'matrix(q2-finite)': {'qn_box[0]': 3, 'qn_box[1]': 4, 'qn_box[2]': 2},
  'matrix(q2-hull)': {'qn_box[0]': 8, 'qn_box[1]': 8, 'qn_box[2]': 4},
  'matrix(q2-interval)': {'qn_box[0]': 7, 'qn_box[1]': 7, 'qn_box[2]': 3},
  'matrix(q2-nbhd)': {'qn_box[0]': 6, 'qn_box[1]': 6, 'qn_box[2]': 3},
@@ -446,16 +449,45 @@ def test_seeded_samples_pinned(name):
 
 @pytest.mark.parametrize("name", sorted(SETS))
 def test_solidity_pinned(name):
-    assert is_solid(SETS[name]) == EXPECTED_SOLID[name]
+    try:
+        solid = is_solid(SETS[name])
+    except InvalidElement:
+        solid = "InvalidElement"
+    assert solid == EXPECTED_SOLID[name]
 
 
-@pytest.mark.parametrize("name", sorted(n for n in BASES if not EXPECTED_SOLID[n]))
+def _check_solidity_verdict(S, rng) -> None:
+    """The decider refuses, or its witness re-checks, or points below sampled members are members."""
+    try:
+        witness = non_solid_witness(S)
+    except InvalidElement:
+        return
+    if witness is not None:
+        x, y = witness
+        assert set_contains(S, y) and abs(x) <= abs(y) and not set_contains(S, x), (S, witness)
+        return
+    for _ in range(8):
+        y = abs(sample_member(S, rng))
+        x = rand_between(rng, -y, y)
+        try:
+            member = set_contains(S, x)
+        except InvalidElement:
+            continue  # a {0}-bounded image under a non-diagonal map: membership is not decided
+        assert member, (S, x)
+
+
+@pytest.mark.parametrize("name", sorted(SETS))
 def test_non_solid_witness_checks_out(name):
-    S = SETS[name]
-    x, y = non_solid_witness(S)
-    assert set_contains(S, y)
-    assert not set_contains(S, x)
-    assert abs(x) <= abs(y)
+    _check_solidity_verdict(SETS[name], rng_for(3))
+
+
+@settings(max_examples=100)
+@given(st.integers(0, 2**32 - 1))
+def test_solidity_verdicts_of_random_sets_check_out(seed):
+    # One random set on each box-base space: 400 sets over the examples.
+    rng = rng_for(seed)
+    for space in (Q2, Space.qn(5), SEQ, Space.evseq(TopologyId.EVSEQ_SUPNORM)):
+        _check_solidity_verdict(rand_setdesc(rng, space), rng)
 
 
 @pytest.mark.parametrize("name", sorted(IMAGES))

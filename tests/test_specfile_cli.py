@@ -28,7 +28,6 @@ from latring import errors
 from latring.cli import COMMANDS, main
 from latring.homs import ORACLE_DIM_CAP
 from latring.specfile import (
-    MAX_COORD_INDEX,
     MAX_DIM,
     MAX_SET_DEPTH,
     element_to_obj,
@@ -466,10 +465,8 @@ def _literal_cases():
         ({"space": {"kind": "qn", "dim": 1},
           "sets": {"u": {"kind": "interval", "lo": {"entries": ["2"]}, "hi": {"entries": ["1"]}}}},
          "sets.u: interval needs lo <= hi"),
-        ({"space": {"kind": "evseq"},
-          "sets": {"u": {"kind": "nbhd", "nbhd": {"topology": "evseq_product", "coords": [0, 10**9],
-                                                  "radius": "1"}}}},
-         f"sets.u: coordinate index 1000000000 is above the cap of {MAX_COORD_INDEX}"),
+        ({"space": {"kind": "qn", "dim": 1}, "homs": {"t": {"kind": "rotation"}}},
+         "homs.t: unknown homomorphism kind 'rotation'"),
         ({"space": {"kind": "qn", "dim": 1}, "codomain_space": {"kind": "z"}},
          "codomain_space: must have the kind and dim of 'space'"),
         ({"space": {"kind": "qn", "dim": 1}, "codomain_space": {"kind": "qn", "dim": 2}},
@@ -481,6 +478,12 @@ def _literal_cases():
          "space: multiplication must be pointwise or zero"),
         ({"space": {"kind": "qn", "dim": 1}, "tasks": {"t": {"op": "laws", "instance": "q3_pointwise"}}},
          "section 'tasks' must be a list"),
+        ({"space": {"kind": "evseq"}, "sets": {"u": {"kind": "nbhd", "nbhd": {"topology": "evseq_supnorm",
+                                                                             "radius": "0"}}}},
+         "sets.u: sup-norm balls need one positive radius"),
+        ({"space": {"kind": "qn", "dim": 1}, "sets": {"u": {"kind": "solid_hull", "generators": []}}},
+         "sets.u: solid hull needs at least one generator"),
+        ({"space": {"kind": "qn", "dim": 1}, "sets": {"u": {"kind": "blob"}}}, "sets.u: unknown set kind 'blob'"),
     ],
 )
 def test_space_and_section_types_exit_2(spec, section, tmp_path, capsys):
@@ -709,23 +712,40 @@ def test_posp_beyond_the_oracle_cap_exits_2(space, hom, dim, tmp_path, capsys):
     _assert_input_error(["posp", "big", "--spec", str(path)], message, capsys)
 
 
-def _with_coords(coords, tmp_path):
-    spec = json.loads(Path(EVSEQ_SPEC).read_text())
-    spec["sets"]["u0"]["nbhd"]["coords"] = coords
+def test_far_product_coordinate_is_decided_at_once(tmp_path, capsys):
+    # Every decision reads the sparse radius function, so a pin at 10^9 costs what a pin at 1 does.
+    far = 10**9
+    spec = {
+        "space": {"kind": "evseq", "topology": "evseq_product"},
+        "elements": {"x": {"prefix": ["1", "-2"], "tail": "1/2"}, "y1": {"prefix": ["3"], "tail": "1"},
+                     "y2": {"prefix": ["-1", "4"], "tail": "0"}},
+        "homs": {"ident": {"kind": "identity"}, "zero": {"kind": "diagonal", "prefix": [], "tail": "0"},
+                 "damped": {"kind": "diagonal", "prefix": ["3"], "tail": "1"},
+                 "head": {"kind": "diagonal", "prefix": ["1"], "tail": "0"},
+                 "swap": {"kind": "diag_plus_finite", "tail": "1", "block": [["0", "1"], ["1", "0"]]}},
+        "sets": {"u0": {"kind": "nbhd", "nbhd": {"topology": "evseq_product", "coords": [0, far], "radius": "1"}},
+                 "u1": {"kind": "nbhd", "nbhd": {"topology": "evseq_product", "coords": [far], "radius": "1/2"}},
+                 "cut": {"kind": "image", "hom": "head", "base": "u0"}},
+        "nets": {"vanishing": {"kind": "closed", "base": "zero", "decay": "damped", "target": "zero"},
+                 "stuck": {"kind": "closed", "base": "ident", "decay": "zero", "target": "zero"}},
+    }
+    converge = [("vanishing", "nr", "u0"), ("stuck", "nr", "u0"), ("vanishing", "nr", "u1"),
+                ("vanishing", "br", "cut"), ("stuck", "br", "cut")]
+    spec["tasks"] = [{"name": f"t{i}", "op": "converge", "net": net, "mode": mode, "region": region}
+                     for i, (net, mode, region) in enumerate(converge)]
+    spec["tasks"] += [{"name": "cr", "op": "converge", "net": "vanishing", "mode": "cr"},
+                      {"name": "classify", "op": "classify", "hom": "swap"},
+                      {"name": "split", "op": "decompose", "x": "x", "y1": "y1", "y2": "y2"}]
     path = tmp_path / "far.json"
     path.write_text(json.dumps(spec))
-    return ["converge", "vanishing", "--mode", "nr", "--region", "u0", "--spec", str(path)]
-
-
-def test_far_product_coordinate_exits_2_at_once(tmp_path, capsys):
-    start = time.perf_counter()
-    _assert_input_error(_with_coords([1000000], tmp_path), f"above the cap of {MAX_COORD_INDEX}", capsys)
-    assert time.perf_counter() - start < 1.0
-
-
-def test_product_coordinate_at_the_cap_is_decided(tmp_path, capsys):
-    assert main(_with_coords([MAX_COORD_INDEX], tmp_path)) == 0
-    assert "PASS" in capsys.readouterr().out
+    commands = [["run"], ["classify", "swap"], ["converge", "vanishing", "--mode", "cr"],
+                ["posp", "swap", "--cases", "20"], ["decompose", "x", "y1", "y2"]]
+    commands += [["converge", net, "--mode", mode, "--region", region] for net, mode, region in converge]
+    for argv in commands:
+        start = time.perf_counter()
+        assert main(argv + ["--spec", str(path)]) in (0, 1), argv
+        assert time.perf_counter() - start < 1.0, argv
+    capsys.readouterr()
 
 
 def test_result_beyond_the_printable_digit_limit_exits_2(tmp_path, capsys):

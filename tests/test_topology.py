@@ -29,7 +29,6 @@ from latring import (
     fatou_check,
     group_bound_multiplier,
     hull_bounded_preservation,
-    is_order_closed,
     is_solid,
     join,
     meet,
@@ -37,7 +36,6 @@ from latring import (
     set_contains,
     set_group_bounded,
     set_ring_bounded,
-    solid_hull,
 )
 from latring.extended import INF, CoordBounds, ext_le, is_inf
 from latring.sampling import rand_element, rng_for
@@ -68,20 +66,20 @@ def test_nbhd_membership_examples():
 
 
 def test_solid_hull_membership():
-    hull = solid_hull(Q2, [FinVec.of(1, -2)])
+    hull = SolidHull(Q2, (FinVec.of(1, -2),))
     assert set_contains(hull, FinVec.of(1, 2))
     assert set_contains(hull, FinVec.of(-1, F(3, 2)))
     assert not set_contains(hull, FinVec.of(2, 0))
 
-    two = solid_hull(Q2, [FinVec.of(1, 0), FinVec.of(0, 1)])
+    two = SolidHull(Q2, (FinVec.of(1, 0), FinVec.of(0, 1)))
     assert not set_contains(two, FinVec.of(1, 1))  # neither generator dominates
     assert set_contains(two, FinVec.of(0, -1))
 
 
 def test_solid_hull_idempotent_membership():
     rng = rng_for(5)
-    hull = solid_hull(Q2, [FinVec.of(2, -1), FinVec.of(0, 3)])
-    hull2 = solid_hull(Q2, list(hull.generators))
+    hull = SolidHull(Q2, (FinVec.of(2, -1), FinVec.of(0, 3)))
+    hull2 = SolidHull(Q2, tuple(hull.generators))
     for _ in range(200):
         x = rand_element(rng, Q2)
         assert set_contains(hull, x) == set_contains(hull2, x)
@@ -296,6 +294,59 @@ def test_non_solid_witness_of_a_large_integer_takes_one_step():
     assert time.perf_counter() - start < 1
 
 
+def test_solidity_has_one_decider():
+    assert is_solid(FiniteSet(ZD, (ZInt(-1), ZInt(0), ZInt(1))))
+    assert non_solid_witness(FiniteSet(ZD, (ZInt(0), ZInt(1)))) == (ZInt(-1), ZInt(1))
+    # A diagonal image of an interval is the interval between the images of its ends.
+    flip = ImageSet(Q2, MatrixHom([[-1, 0], [0, 3]]), Interval(Q2, FinVec.of(-2, -1), FinVec.of(2, 1)))
+    assert is_solid(flip)
+    x, y = non_solid_witness(ImageSet(Q2, MatrixHom([[0, 0], [0, 2]]), Interval(Q2, FinVec.of(0, 0), FinVec.of(1, 1))))
+    assert (x, y) == (FinVec.of(0, -2), FinVec.of(0, 2))
+    # A non-diagonal image of a box is not decided, nor is n -> 2n on Z: never "not solid" without a witness.
+    swap = MatrixHom([[0, 1], [1, 0]])
+    for S in (ImageSet(Q2, swap, NbhdSet(Q2, Neighborhood.box((1, 2)))),
+              ImageSet(ZD, MatrixHom([[2]]), Interval(ZD, ZInt(-3), ZInt(3)))):
+        with pytest.raises(InvalidElement, match="not decided"):
+            is_solid(S)
+    # Every image of {0} is {0}.
+    assert is_solid(ImageSet(Q2, swap, SolidHull(Q2, (FinVec.zero(2),))))
+    # A one-to-one diagonal image of an image pushes the base's witness forward.
+    inner = ImageSet(Q2, MatrixHom.identity(2), Interval(Q2, FinVec.of(0, 0), FinVec.of(1, 1)))
+    assert non_solid_witness(ImageSet(Q2, MatrixHom([[2, 0], [0, 3]]), inner)) == (FinVec.of(-2, 3), FinVec.of(2, 3))
+    with pytest.raises(InvalidElement):
+        is_solid(ImageSet(Q2, MatrixHom([[0, 0], [0, 3]]), inner))
+
+
+def _solid_by_brute_force(ints: set[int]) -> bool:
+    m = max(map(abs, ints))
+    return set(range(-m, m + 1)) <= ints
+
+
+@settings(max_examples=300)
+@given(st.sets(st.integers(-6, 6), min_size=1), st.integers(-6, 6), st.integers(-6, 6), st.sampled_from([-1, 1]),
+       st.integers(-3, 3))
+def test_is_solid_on_z_is_brute_force(ints, a, b, unit, c):
+    lo, hi = min(a, b), max(a, b)
+    finite = FiniteSet(ZD, tuple(map(ZInt, sorted(ints))))
+    interval = Interval(ZD, ZInt(lo), ZInt(hi))
+    cases = [
+        (finite, ints),
+        (ImageSet(ZD, MatrixHom([[c]]), finite), {c * n for n in ints}),
+        (interval, set(range(lo, hi + 1))),
+        (ImageSet(ZD, MatrixHom([[unit]]), interval), {unit * n for n in range(lo, hi + 1)}),
+        (SolidHull(ZD, (ZInt(a), ZInt(b))), set(range(-max(abs(a), abs(b)), max(abs(a), abs(b)) + 1))),
+    ]
+    for S, members in cases:
+        assert is_solid(S) == _solid_by_brute_force(members), S
+
+
+def test_a_large_solid_integer_set_is_decided_at_once():
+    S = FiniteSet(ZD, tuple(map(ZInt, range(-10**5, 10**5 + 1))))
+    start = time.perf_counter()
+    assert is_solid(S)
+    assert time.perf_counter() - start < 1
+
+
 def test_solid_sets_pass_spot_checks():
     rng = rng_for(23)
     solids = [
@@ -316,7 +367,6 @@ def test_order_closedness_via_monotone_sequences():
     # Closed boxes contain the limits of monotone sequences from inside.
     U = Neighborhood.box((1, 2))
     S = NbhdSet(Q2, U)
-    assert is_order_closed(S)
     corner = FinVec.of(1, 2)
     for k in range(1, 20):
         assert set_contains(S, corner.scale(F(k - 1, k)))       # increasing to the corner
