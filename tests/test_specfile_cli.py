@@ -712,6 +712,31 @@ def test_posp_beyond_the_oracle_cap_exits_2(space, hom, dim, tmp_path, capsys):
     _assert_input_error(["posp", "big", "--spec", str(path)], message, capsys)
 
 
+def _with_coords(coords, tmp_path):
+    spec = json.loads(Path(EVSEQ_SPEC).read_text())
+    spec["sets"]["u0"]["nbhd"]["coords"] = ["FAR"]
+    path = tmp_path / "far.json"
+    # Written by hand: json.dumps refuses an integer past the digit limit.
+    path.write_text(json.dumps(spec).replace('["FAR"]', "[" + ", ".join(map(str, coords)) + "]"))
+    return ["converge", "vanishing", "--mode", "nr", "--region", "u0", "--spec", str(path)]
+
+
+def test_far_product_coordinate_exits_2_at_once(tmp_path, capsys):
+    # Every index that can be read is decided (see the test below); one too long
+    # to read as an integer is refused while the file is parsed.
+    far = "1" + "0" * sys.get_int_max_str_digits()
+    start = time.perf_counter()
+    _assert_input_error(_with_coords([far], tmp_path), "not valid JSON: Exceeds the limit", capsys)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_product_coordinate_at_the_cap_is_decided(tmp_path, capsys):
+    # 10^4, where coordinate indices were once capped, and far beyond it.
+    for coord in (10**4, 10**4 + 1, 10**9):
+        assert main(_with_coords([coord], tmp_path)) == 0
+        assert "PASS" in capsys.readouterr().out
+
+
 def test_far_product_coordinate_is_decided_at_once(tmp_path, capsys):
     # Every decision reads the sparse radius function, so a pin at 10^9 costs what a pin at 1 does.
     far = 10**9
