@@ -127,10 +127,14 @@ class CoordBounds(Record):
             return zip(self.head, other.head)
         return [(a, b) for _, a, b in self._union(other)] + [(self.tail, other.tail)]
 
+    def combine(self, other: "CoordBounds", op) -> "CoordBounds":
+        """op(self.at(i), other.at(i)) at every coordinate."""
+        pins = [(i, op(a, b)) for i, a, b in self._union(other)]
+        return CoordBounds(pins, None if self.tail is None else op(self.tail, other.tail))
+
     def times(self, other: "CoordBounds") -> "CoordBounds":
         """The coordinatewise product, with 0 * INF = 0 as in `ext_mul`."""
-        pins = [(i, ext_mul(a, b)) for i, a, b in self._union(other)]
-        return CoordBounds(pins, None if self.tail is None else ext_mul(self.tail, other.tail))
+        return self.combine(other, ext_mul)
 
     def within(self, other: "CoordBounds") -> bool:
         """Every coordinate of self is at most the same coordinate of other."""

@@ -414,8 +414,11 @@ def nr_converges(net: HomNet, limit: Hom, U: Neighborhood) -> ConvergenceCertifi
 
 
 def br_converges(net: HomNet, limit: Hom, B: SetDesc) -> ConvergenceCertificate:
-    """Uniform convergence on the bounded set B."""
-    verdict = set_ring_bounded(B)
+    """Uniform convergence on the bounded set B; a B whose bounds are not decided is refused."""
+    try:
+        verdict = set_ring_bounded(B)
+    except InvalidElement as exc:
+        raise NotBounded(str(exc)) from None
     if not verdict.holds:
         witness = json.dumps(verdict.refuting.render(), sort_keys=True)
         raise NotBounded(f"the set is not ring-bounded, witness {witness}")

@@ -20,12 +20,13 @@ neighborhood branch on the topology.
 Sets are read through the coordinate view of `elements` (a head of explicit
 coordinates and an optional tail), so bounds, member sampling, non-solid
 witnesses and image membership are each one body for Q^n, sequences and Z.
-Membership in an image is decided over a finite base for every form, and
-over any interval, hull or neighborhood for every diagonal form, by pulling x
-back through the coefficients; a non-diagonal image of an infinite base is
-refused.  An image of a finite set is read as the finite set of its points.
-Solidity has one decider, `non_solid_witness`: "not solid" comes with a pair
-(x, y) that re-checks, and what it cannot decide raises InvalidElement.
+Bounds, solidity and membership first `fold` an image chain into one image
+(finite sets and diagonal chains fold; any other chain is not decided), then
+bound an image box by box: over T[lo, hi] the largest |x_i| is |T c| + |T| h
+for the center c and half-width h.  Membership pulls x back through a diagonal
+T; a non-diagonal image of an infinite base is refused.  Solidity has one
+decider, `non_solid_witness`: "not solid" comes with a pair (x, y) that
+re-checks, and what it cannot decide raises InvalidElement.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from typing import Iterable, Sequence
 from .elements import EvSeq, FinVec, ZInt, aligned, coords, from_coords
 from .errors import EmptyInput, InvalidElement, NotBounded, SoundnessBug
 from .extended import INF, CoordBounds, is_inf
+from .homs import diagonal_product
 from .records import Record
 from .sampling import rand_between, rand_in_interval, rand_rat
 from .scalars import as_rat, rat_row
@@ -196,12 +198,11 @@ class NbhdSet(SetDesc):
 
 
 class ImageSet(SetDesc):
-    """Image of a box-like set under a diagonal or matrix homomorphism.
+    """Image of a set under a diagonal or matrix homomorphism; `space` is the codomain.
 
-    `space` is the codomain.  An image of a finite set has the exact bounds
-    of its points T u.  Otherwise bounds are propagated through the
-    coefficient moduli, which is the exact per-coordinate supremum over the
-    symmetric box spanned by the base's bounds.
+    After `fold`, its bounds are exact: one box for an interval's image, the
+    join of the generators' boxes for a hull's, `propagate_bounds` for a
+    neighborhood's.
     """
 
     hom: object
@@ -218,23 +219,40 @@ def element_bounds(x) -> CoordBounds:
     return CoordBounds.finite_dim(head) if tail is None else CoordBounds.sequence(head, Fraction(abs(tail), d))
 
 
-def _points(S: SetDesc) -> tuple:
-    """The elements spanning an interval, finite set or solid hull; each T u of an image of a finite set."""
-    if isinstance(S, Interval):
-        return S.lo, S.hi
-    if isinstance(S, ImageSet):
-        return tuple(map(S.hom.apply, S.base.elements))
-    return S.elements if isinstance(S, FiniteSet) else S.generators
+def fold(S: SetDesc) -> SetDesc:
+    """S with an image of a finite set read as its points T u, and a diagonal chain as one image.
+
+    Any other image of an image raises InvalidElement.
+    """
+    if not isinstance(S, ImageSet):
+        return S
+    T, base = S.hom, fold(S.base)
+    if isinstance(base, FiniteSet):
+        return FiniteSet(S.space, tuple(map(T.apply, base.elements)))
+    if not isinstance(base, ImageSet):
+        return S
+    if not (T.is_diagonal() and base.hom.is_diagonal()):
+        raise InvalidElement("an image of an image is not decided unless both maps are diagonal")
+    return ImageSet(S.space, diagonal_product(T, base.hom), base.base)
 
 
 def coordinate_bounds(S: SetDesc) -> CoordBounds:
     """Exact supremum of |x_i| over x in S, per coordinate (INF when unconstrained)."""
+    S = fold(S)
     if isinstance(S, NbhdSet):
         return S.nbhd.bounds
-    if isinstance(S, ImageSet) and not isinstance(S.base, FiniteSet):
-        return S.hom.propagate_bounds(coordinate_bounds(S.base))
+    if isinstance(S, ImageSet):
+        T, base = S.hom, S.base
+        if isinstance(base, Interval):  # |T c| + |T| h, doubled so that Z stays integral
+            spread = T.propagate_bounds(element_bounds(base.hi - base.lo))
+            return element_bounds(T.apply(base.lo + base.hi)).combine(spread, lambda a, b: (a + b) / 2)
+        if isinstance(base, SolidHull):  # boxes [-|y|, |y|], centered at 0
+            boxes = [T.propagate_bounds(element_bounds(y)) for y in base.generators]
+            return reduce(partial(CoordBounds.combine, op=max), boxes)
+        return T.propagate_bounds(base.nbhd.bounds)
     # The largest |x_i| over the points is coordinate i of the join of their moduli.
-    return element_bounds(reduce(partial(join, S.space), map(abs, _points(S))))
+    points = (S.lo, S.hi) if isinstance(S, Interval) else S.elements if isinstance(S, FiniteSet) else S.generators
+    return element_bounds(reduce(partial(join, S.space), map(abs, points)))
 
 
 # ---------------------------------------------------------------------------
@@ -248,9 +266,10 @@ def is_solid(S: SetDesc) -> bool:
 def non_solid_witness(S: SetDesc) -> tuple | None:
     """A pair (x, y) with y in S, |x| <= |y| and x not in S; None when S is solid.
 
-    Raises InvalidElement where S is not decided: a non-diagonal image of an
-    infinite base, or such an image on Z under a map other than +-1.
+    Raises InvalidElement where S is not decided: a chain `fold` refuses, a non-diagonal
+    image of an infinite base, or such an image on Z under a map other than +-1.
     """
+    S = fold(S)
     if isinstance(S, (NbhdSet, SolidHull)):
         return None  # a union of boxes [-r, r]
     if isinstance(S, Interval):
@@ -264,8 +283,8 @@ def non_solid_witness(S: SetDesc) -> tuple | None:
                 if not set_contains(S, x):
                     return (x, y)
         return None
-    if isinstance(S, FiniteSet) or isinstance(S.base, FiniteSet):
-        return _finite_witness(_points(S))
+    if isinstance(S, FiniteSet):
+        return _finite_witness(S.elements)
     return _image_witness(S)
 
 
@@ -292,10 +311,10 @@ def _finite_witness(points: tuple) -> tuple | None:
 
 
 def _image_witness(S: ImageSet) -> tuple | None:
-    """An image of an interval, hull, neighborhood or image: {0}, or under a diagonal T.
+    """An image of an interval, hull or neighborhood: {0}, or under a diagonal T.
 
-    T pulls x back coordinatewise, so T(B) is solid when B is, and it takes
-    [lo, hi] onto the interval between T lo and T hi; on Z both need T = +-1.
+    T pulls x back coordinatewise, so T(B) is a union of boxes when B is, and
+    it takes [lo, hi] onto the interval between T lo and T hi; on Z both need T = +-1.
     """
     T, base, space = S.hom, S.base, S.space
     if not T.is_diagonal() or (space.kind is SpaceKind.Z_DISCRETE and abs(T.diag) != FinVec.of(1)):
@@ -305,12 +324,7 @@ def _image_witness(S: ImageSet) -> tuple | None:
     if isinstance(base, Interval):
         lo, hi = T.apply(base.lo), T.apply(base.hi)
         return non_solid_witness(Interval(space, meet(space, lo, hi), join(space, lo, hi)))
-    witness = non_solid_witness(base)
-    if witness is None:
-        return None
-    if not all(T.diag.int_row[1]):
-        raise InvalidElement(f"solidity of an image under {T!r} is not decided: a zero coefficient")
-    return tuple(map(T.apply, witness))  # T is one to one, so T x stays out of T(B)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -318,6 +332,7 @@ def _image_witness(S: ImageSet) -> tuple | None:
 
 def set_contains(S: SetDesc, x) -> bool:
     S.space.validate(x)
+    S = fold(S)
     if isinstance(S, Interval):
         return S.lo <= x and x <= S.hi
     if isinstance(S, FiniteSet):
@@ -331,18 +346,16 @@ def set_contains(S: SetDesc, x) -> bool:
 
 
 def _image_contains(S: ImageSet, x) -> bool:
-    """x in T(B): search a finite base, else pull x back through a diagonal T.
+    """x in T(B) for an interval, hull or neighborhood B: pull x back through a diagonal T.
 
     The coefficients, x and an interval's ends are read as aligned integer
     rows, where a sequence's last index stands for its tail.  A nonzero
     coefficient c takes x_i back to x_i / c; a zero one needs x_i = 0 and
     leaves the preimage coordinate free, so it takes the value nearest 0 that
     the base allows.  On Z, x is no member when its preimage is not an
-    integer.  A non-diagonal image of an infinite base raises InvalidElement.
+    integer.  A non-diagonal T raises InvalidElement.
     """
     T, base = S.hom, S.base
-    if isinstance(base, FiniteSet):
-        return any(T.apply(u) == x for u in base.elements)
     if not T.is_diagonal():
         raise InvalidElement("membership through a non-diagonal image is only decided for finite bases")
     ends = (base.lo, base.hi) if isinstance(base, Interval) else ()
@@ -358,12 +371,8 @@ def _image_contains(S: ImageSet, x) -> bool:
             entries.append(Fraction(v * da, c * dx))
         elif v:
             return False
-        elif end_rows:
-            entries.append(min(max(Fraction(0), Fraction(lo[i], dl)), Fraction(hi[i], dh)))
-        elif isinstance(base, (NbhdSet, SolidHull)):
-            entries.append(Fraction(0))
         else:
-            raise InvalidElement(f"no coordinatewise filler for {base!r}")
+            entries.append(min(max(Fraction(0), Fraction(lo[i], dl)), Fraction(hi[i], dh)) if end_rows else Fraction(0))
     if isinstance(x, ZInt) and entries[0].denominator != 1:
         return False  # the preimage is not an integer, so nothing in the base maps onto x
     return set_contains(base, x.from_int_row(*rat_row(entries)))

@@ -138,7 +138,7 @@ EXPECTED_BOUNDS: dict = {'block(seq-finite)': (('1', '7/2'), '1'),
  'identity-matrix(q2-nbhd)': (('1', '5/2'), None),
  'identity-matrix(q2-zero)': (('0', '0'), None),
  'matrix(q2-finite)': (('3', '2'), None),
- 'matrix(q2-hull)': (('8', '3'), None),
+ 'matrix(q2-hull)': (('19/3', '3'), None),
  'matrix(q2-interval)': (('7', '2'), None),
  'matrix(q2-nbhd)': (('6', '5/2'), None),
  'matrix(q2-zero)': (('0', '0'), None),
@@ -379,7 +379,7 @@ EXPECTED_MULTIPLIERS: dict = {'block(seq-finite)': {'evseq_product[0]': 1,
  'identity-matrix(q2-nbhd)': {'qn_box[0]': 3, 'qn_box[1]': 5, 'qn_box[2]': 1},
  'identity-matrix(q2-zero)': {'qn_box[0]': 1, 'qn_box[1]': 1, 'qn_box[2]': 1},
  'matrix(q2-finite)': {'qn_box[0]': 3, 'qn_box[1]': 4, 'qn_box[2]': 2},
- 'matrix(q2-hull)': {'qn_box[0]': 8, 'qn_box[1]': 8, 'qn_box[2]': 4},
+ 'matrix(q2-hull)': {'qn_box[0]': 7, 'qn_box[1]': 7, 'qn_box[2]': 3},
  'matrix(q2-interval)': {'qn_box[0]': 7, 'qn_box[1]': 7, 'qn_box[2]': 3},
  'matrix(q2-nbhd)': {'qn_box[0]': 6, 'qn_box[1]': 6, 'qn_box[2]': 3},
  'matrix(q2-zero)': {'qn_box[0]': 1, 'qn_box[1]': 1, 'qn_box[2]': 1},

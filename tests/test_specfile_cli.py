@@ -646,6 +646,33 @@ def test_br_region_that_is_not_bounded_exits_2_naming_it(tmp_path, capsys):
     _assert_input_error(["run", "--spec", str(path)], f"error: tasks[0]: region 'u0': the set", capsys)
 
 
+def test_br_region_on_an_image_chain(tmp_path, capsys):
+    # t s = 0, so `outer` is {0}; its bounds need the composite of two non-diagonal maps, so it is not decided.
+    block = [["0"] * 6 for _ in range(6)]
+    block[0][5] = block[1][5] = "1"
+    spec = json.loads(Path(EVSEQ_SPEC).read_text())
+    spec["homs"].update({
+        "s": {"kind": "diag_plus_finite", "prefix": [], "tail": "0", "block": block},
+        "t": {"kind": "diag_plus_finite", "prefix": [], "tail": "0", "block": [["1", "-1"], ["0", "0"]]},
+        "cut": {"kind": "diagonal", "prefix": ["2"], "tail": "0"},
+    })
+    spec["sets"].update({
+        "inner": {"kind": "image", "hom": "s", "base": "u0"},
+        "outer": {"kind": "image", "hom": "t", "base": "inner"},
+        # `damped` leaves every coordinate but 0 free; `cut` zeroes them, so the chain is bounded.
+        "chain": {"kind": "image", "hom": "cut", "base": {"kind": "image", "hom": "damped", "base": "u0"}},
+    })
+    path = tmp_path / "chains.json"
+    path.write_text(json.dumps(spec))
+    argv = ["converge", "vanishing", "--mode", "br", "--spec", str(path), "--region"]
+    message = "error: region 'outer': an image of an image is not decided unless both maps are diagonal\n"
+    assert main([*argv, "outer"]) == 2
+    assert capsys.readouterr() == ("", message)
+    assert main([*argv, "chain", "--format", "machine"]) == 0
+    result = json.loads(capsys.readouterr().out)["results"]["converge:vanishing:br"]
+    assert (result["verdict"], result["recheck_at_alpha0_and_plus7"]) == ("CONVERGENT", "PASS")
+
+
 def _converge_report(spec, argv, tmp_path, capsys):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))

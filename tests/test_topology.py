@@ -1,6 +1,8 @@
 """Neighborhoods, symbolic sets, bound functions, and the boundedness deciders."""
 
 from fractions import Fraction as F
+from functools import reduce
+from itertools import product
 
 import time
 
@@ -122,9 +124,83 @@ def test_image_membership_with_free_coordinates():
     assert set_contains(img2, EvSeq.of(2, 0, tail=3))
     assert not set_contains(img2, EvSeq.of(2, 1, tail=3))   # coordinate 1 must be 0
     assert not set_contains(img2, EvSeq.of(4, 0, tail=3))   # preimage escapes the base
-    # A free coordinate is filled only from an interval, hull or neighborhood.
-    with pytest.raises(InvalidElement, match="no coordinatewise filler"):
-        set_contains(ImageSet(PROD, SeqHom.zero(), img2), EvSeq.zero())
+    # A diagonal image of a diagonal image is one image, under the product of the diagonals.
+    assert set_contains(ImageSet(PROD, SeqHom.zero(), img2), EvSeq.zero())
+
+
+def test_image_bounds_are_exact_box_by_box():
+    shear = MatrixHom([[1, -1], [0, 1]])
+    assert coordinate_bounds(ImageSet(Q2, shear, Interval(Q2, FinVec.of(0, 0), FinVec.of(1, 1)))).head == (1, 1)
+    assert coordinate_bounds(ImageSet(Q2, shear, FiniteSet(Q2, (FinVec.of(1, 1),)))).head == (0, 1)
+    hull = SolidHull(Q2, (FinVec.of(1, 0), FinVec.of(0, 1)))
+    assert coordinate_bounds(ImageSet(Q2, MatrixHom([[1, 1], [0, 1]]), hull)).head == (1, 1)
+    # A non-diagonal chain is not decided, even where its composite is 0.
+    block = [[0] * 6 for _ in range(6)]
+    block[0][5] = block[1][5] = 1
+    s = SeqHom.diag_plus_block(EvSeq.zero(), block)
+    t = SeqHom.diag_plus_block(EvSeq.zero(), [[1, -1], [0, 0]])
+    outer = ImageSet(PROD, t, ImageSet(PROD, s, NbhdSet(PROD, Neighborhood.product({0}, 1))))
+    for decide in (coordinate_bounds, set_ring_bounded, is_solid):
+        with pytest.raises(InvalidElement, match="not decided"):
+            decide(outer)
+    with pytest.raises(InvalidElement, match="not decided"):
+        set_contains(outer, EvSeq.zero())
+
+
+_RATS = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def images_and_boxes(draw):
+    """An image set on Q^1..Q^4 or on Z, its maps as rows (innermost first), and the boxes [lo, hi] of its base.
+
+    The base is a finite set, a hull, an interval or a neighborhood; a chain of two maps is diagonal, or over a
+    finite set.
+    """
+    on_z = draw(st.integers(0, 4)) == 0
+    dim = 1 if on_z else draw(st.integers(1, 4))
+    space, scalars = (ZD, st.integers(-5, 5)) if on_z else (Space.qn(dim), _RATS)
+    vectors = st.lists(scalars, min_size=dim, max_size=dim)
+    make = (lambda v: ZInt(v[0])) if on_z else FinVec
+    kind = draw(st.sampled_from(["finite", "hull", "interval", "nbhd"]))
+    if kind == "interval":
+        a, b = draw(vectors), draw(vectors)
+        boxes = [(list(map(min, a, b)), list(map(max, a, b)))]
+        base = Interval(space, *map(make, boxes[0]))
+    elif kind == "nbhd":
+        radii = [0] if on_z else [abs(r) + F(1, 4) for r in draw(vectors)]
+        boxes = [([-r for r in radii], radii)]
+        base = NbhdSet(space, Neighborhood.discrete_zero() if on_z else Neighborhood.box(radii))
+    else:
+        points = draw(st.lists(vectors, min_size=1, max_size=3))
+        if kind == "finite":
+            boxes, base = [(p, p) for p in points], FiniteSet(space, tuple(map(make, points)))
+        else:
+            boxes = [([-abs(a) for a in p], [abs(a) for a in p]) for p in points]
+            base = SolidHull(space, tuple(map(make, points)))
+    links = draw(st.integers(1, 2))
+    coefficients = st.integers(-3, 3) if on_z else _RATS
+    diagonal = links == 2 and kind != "finite"
+    maps = [[[draw(coefficients) if i == j or not diagonal else 0 for j in range(dim)] for i in range(dim)]
+            for _ in range(links)]
+    S = base
+    for rows in maps:
+        S = ImageSet(space, MatrixHom(rows), S)
+    return S, maps, boxes
+
+
+@settings(max_examples=300)
+@given(images_and_boxes())
+def test_image_bounds_are_the_largest_vertex_image(case):
+    # A linear map takes its extremes over a box at the box's vertices, so this brute force is exact.
+    S, maps, boxes = case
+
+    def image(v):
+        return reduce(lambda x, rows: [sum(a * b for a, b in zip(row, x)) for row in rows], maps, v)
+
+    corners = [image(v) for lo, hi in boxes for v in product(*zip(lo, hi))]
+    expected = tuple(max(abs(x[i]) for x in corners) for i in range(len(boxes[0][0])))
+    assert coordinate_bounds(S).head == expected
 
 
 @pytest.mark.parametrize(
@@ -310,11 +386,10 @@ def test_solidity_has_one_decider():
             is_solid(S)
     # Every image of {0} is {0}.
     assert is_solid(ImageSet(Q2, swap, SolidHull(Q2, (FinVec.zero(2),))))
-    # A one-to-one diagonal image of an image pushes the base's witness forward.
+    # A diagonal image of a diagonal image is one image, a zero coefficient included.
     inner = ImageSet(Q2, MatrixHom.identity(2), Interval(Q2, FinVec.of(0, 0), FinVec.of(1, 1)))
     assert non_solid_witness(ImageSet(Q2, MatrixHom([[2, 0], [0, 3]]), inner)) == (FinVec.of(-2, 3), FinVec.of(2, 3))
-    with pytest.raises(InvalidElement):
-        is_solid(ImageSet(Q2, MatrixHom([[0, 0], [0, 3]]), inner))
+    assert non_solid_witness(ImageSet(Q2, MatrixHom([[0, 0], [0, 3]]), inner)) == (FinVec.of(0, -3), FinVec.of(0, 3))
 
 
 def _solid_by_brute_force(ints: set[int]) -> bool:
