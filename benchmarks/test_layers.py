@@ -1,15 +1,16 @@
 """Per-layer micro-benchmarks on pytest-benchmark.
 
 Each benchmark times one call of one layer on fixed seeded inputs: element
-lattice ops and the order, matrix and sequence apply, the vertex oracle,
-bound propagation, the two boundedness deciders, the solidity decider, membership in a product
-neighborhood that constrains a far coordinate and in a diagonal image of
-one, the product V*W of two
+lattice ops and the order, an element's radius function, matrix and sequence
+apply, the vertex oracle, bound propagation, the two boundedness deciders,
+the solidity decider, membership in a product neighborhood that constrains a
+far coordinate and in a diagonal image of one, the product V*W of two
 neighborhoods, the convergence threshold of each mode, classification, the
-law suites, building records (a `Space`, a `ReadingVerdict`, a matrix from
-integer rows), matrix addition, reading a Q^64 spec file's matrices (with
-repeated literals and with every literal distinct), and a cold start of the
-CLI.  Every case reads a neighborhood's radius function through
+order-boundedness spot check, the law suites, building records (a `Space`, a
+`ReadingVerdict`, a matrix from integer rows), matrix addition, reading a
+Q^64 spec file's matrices (with repeated literals, with every literal
+distinct, and with 2048 prime denominators), and a cold start of the CLI.
+Every case reads a neighborhood's radius function through
 `coordinate_bounds`, so one copy of this file times the parent commit and the
 change alike.  This directory is outside the tier-1 `testpaths`; run the
 change's copy of it on its own, in a checkout of the parent commit and in the
@@ -55,6 +56,7 @@ from latring import (
     classify,
     converges,
     coordinate_bounds,
+    is_order_bounded,
     set_contains,
     sup_over_interval_oracle,
 )
@@ -62,7 +64,13 @@ from latring.audits import INSTANCES, all_suites, lattice_law_suite
 from latring.homspaces import vw_box
 from latring.sampling import rand_element, rand_matrix_rows, rand_pos_element, rng_for
 from latring.specfile import parse_specdoc
-from latring.topology import ReadingVerdict, bounds_group_bounded, bounds_ring_bounded, non_solid_witness
+from latring.topology import (
+    ReadingVerdict,
+    bounds_group_bounded,
+    bounds_ring_bounded,
+    element_bounds,
+    non_solid_witness,
+)
 
 # Denominators up to 8, so a row mixes coprime ones and its common denominator grows.
 RNG = rng_for(2024)
@@ -98,6 +106,11 @@ def test_le(benchmark, kind):
     x, y = ELEMENTS[kind]
     # An element below its join: every coordinate is compared.
     benchmark(x.__le__, x.join(y))
+
+
+@pytest.mark.parametrize("kind", sorted(ELEMENTS))
+def test_element_bounds(benchmark, kind):
+    benchmark(element_bounds, ELEMENTS[kind][0])
 
 
 @pytest.mark.parametrize("n", [8, 64])
@@ -298,17 +311,44 @@ def test_classify(benchmark, kind):
     benchmark(classify, T, space, space)
 
 
+@pytest.mark.parametrize("kind", ["q64"])
+def test_is_order_bounded(benchmark, kind):
+    T, space = _classify_inputs(kind)
+    assert benchmark(is_order_bounded, T, FinVec.constant(space.dim, 1)).spot_checked == 25
+
+
+def _primes(count):
+    out, k = [], 2
+    while len(out) < count:
+        if all(k % p for p in out if p * p <= k):
+            out.append(k)
+        k += 1
+    return out
+
+
+PRIMES = _primes(2048)
+
+
 def _spec_text(kind):
     """A Q^64 spec of three matrix homs, as JSON text.
 
     `repeated` draws entries as the spec-tasks workload does (numerators -9..9
     over denominators 1..8), so each matrix repeats about 140 distinct
     literals; the two `distinct-*` cases hold 4096 distinct literals each,
-    fractions over 1..8 or integers below 10^6 in magnitude.
+    fractions over 1..8 or integers below 10^6 in magnitude.  In
+    `prime-denominators` each row holds 32 distinct literals 1/p twice, 2048
+    primes in all, so the matrix's common denominator has over 25000 bits.
     """
     rng, n = rng_for(23), 64
 
     def matrix():
+        if kind == "prime-denominators":
+            rows = []
+            for i in range(n):
+                row = [f"1/{p}" for p in PRIMES[32 * i:32 * i + 32]] * 2
+                rng.shuffle(row)
+                rows.append(row)
+            return rows
         if kind == "repeated":
             return [[str(v) for v in row] for row in rand_matrix_rows(rng, n)]
         nums = rng.sample(range(-(10**6), 10**6), n * n)
@@ -322,7 +362,9 @@ def _spec_text(kind):
     return json.dumps({"space": {"kind": "qn", "dim": n}, "homs": homs})
 
 
-@pytest.mark.parametrize("kind", ["q64-repeated", "q64-distinct-fractions", "q64-distinct-ints"])
+@pytest.mark.parametrize(
+    "kind", ["q64-repeated", "q64-distinct-fractions", "q64-distinct-ints", "q64-prime-denominators"]
+)
 def test_parse_specdoc(benchmark, kind):
     text = _spec_text(kind.removeprefix("q64-"))
     assert len(benchmark(parse_specdoc, text).homs) == 3

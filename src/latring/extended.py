@@ -66,6 +66,13 @@ class CoordBounds(Record):
         self.__dict__.update(pins=tuple(pins), tail=tail)
 
     @classmethod
+    def from_canonical(cls, pins: Iterable[tuple[int, Extended]], tail: Extended | None) -> "CoordBounds":
+        """The bound with these pins and tail, which the caller has already cut to canonical form."""
+        b = object.__new__(cls)
+        b.__dict__.update(pins=tuple(pins), tail=tail)
+        return b
+
+    @classmethod
     def finite_dim(cls, values: Iterable[Extended]) -> "CoordBounds":
         head = tuple(values)
         b = cls(enumerate(head))

@@ -29,7 +29,7 @@ from bisect import bisect_left
 from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import repeat
-from operator import add, mul, sub
+from operator import add, lshift, mul, sub
 from typing import Iterable, Sequence
 
 from .elements import EvSeq, FinVec, aligned
@@ -129,6 +129,39 @@ class MatrixHom(Record):
         xd, xs = x.int_row
         d, nums = _row_products(self.int_rows, xs)
         return x.from_int_row(d * xd, nums)
+
+    def apply_many(self, xs: Sequence[FinVec]) -> list[FinVec]:
+        """`[self.apply(x) for x in xs]`, with one integer product per row (Kronecker substitution).
+
+        The inputs are brought to one denominator D, and coordinate j of all
+        of them is packed into one integer, input k in the k-th digit of w
+        bits, with w wide enough for every signed row sum.  Row i of every
+        image is then the digits of one sum of products of row i's
+        numerators with the packed columns, unpacked with their signs.
+        """
+        for x in xs:
+            if not isinstance(x, FinVec) or x.dim != self.n:
+                raise InvalidElement(f"expected a {self.n}-dim FinVec, got {x!r}")
+        if not xs:
+            return []
+        D = math.lcm(*{x.int_row[0] for x in xs})
+        vecs = [[a * (D // d) for a in nums] for d, nums in (x.int_row for x in xs)]
+        rows = self.int_rows
+        L = math.lcm(*(d for d, _ in rows))
+        scales = [L // d for d, _ in rows]
+        # Each |row sum| is at most the row's sum of |a| * scale times the largest |x numerator|; w adds a sign bit.
+        top = max(sum(map(abs, nums)) * m for (_, nums), m in zip(rows, scales))
+        w = (top * max([max(map(abs, v)) for v in vecs])).bit_length() + 1
+        shifts = range(0, w * len(xs), w)
+        packed = [sum(map(lshift, col, shifts)) for col in zip(*vecs)]
+        # A bias of 2^(w-1) in every digit makes each digit nonnegative, so it unpacks with a mask.
+        half, mask = 1 << (w - 1), (1 << w) - 1
+        bias = sum([half << s for s in shifts])
+        digits = [
+            [((t >> s) & mask) - half for s in shifts]
+            for t in (sum(map(mul, nums, packed)) * m + bias for (_, nums), m in zip(rows, scales))
+        ]
+        return [x.from_int_row(L * D, nums) for x, nums in zip(xs, zip(*digits))]
 
     def propagate_bounds(self, b: CoordBounds) -> CoordBounds:
         if b.tail is not None:
@@ -275,6 +308,10 @@ class SeqHom(Record):
         m = L // bd
         nums += [b * v * m for b, v in zip(bs, xs[k:])]
         return EvSeq.from_int_row(L * xd, nums)
+
+    def apply_many(self, xs: Sequence[EvSeq]) -> list[EvSeq]:
+        """`apply` at each x in turn."""
+        return [self.apply(x) for x in xs]
 
     def propagate_bounds(self, b: CoordBounds) -> CoordBounds:
         if b.tail is None:
@@ -596,9 +633,11 @@ class OrderBoundedWitness(Record):
 def is_order_bounded(T: Hom, probe) -> OrderBoundedWitness:
     """Witness interval [-|T| probe, |T| probe] for the image of [-probe, probe].
 
-    The containment is spot-checked on 25 seeded y in [-probe, probe]:
-    `T.apply(y)` is compared with the bound that `modulus(T).apply` gave, so
-    two code paths meet.  Each y is drawn coordinate by coordinate: every
+    The containment is spot-checked on 25 seeded y in [-probe, probe]: their
+    images under T are compared exactly with the bound that
+    `modulus(T).apply` gave, so two code paths meet.  A matrix maps all 25 in
+    one packed integer product (`MatrixHom.apply_many`); a sequence operator
+    applies itself to each.  Each y is drawn coordinate by coordinate: every
     coordinate of Q^n, the one integer of Z, and on sequences each coordinate
     below `T.support_span()` and then the tail.
     """
@@ -609,11 +648,8 @@ def is_order_bounded(T: Hom, probe) -> OrderBoundedWitness:
         raise InvalidElement("probe must be positive")
     head = T.support_span() if isinstance(T, SeqHom) else 0
     rng = random.Random(0)
-    checked = 0
-    for _ in range(25):
-        y = rand_between(rng, below, probe, min_head=head)
-        img = T.apply(y)
+    ys = [rand_between(rng, below, probe, min_head=head) for _ in range(25)]
+    for y, img in zip(ys, T.apply_many(ys)):
         if not (lo <= img and img <= hi):
             raise SoundnessBug(f"|T y| escaped the modulus bound at y={y!r}")
-        checked += 1
-    return OrderBoundedWitness(lo, hi, checked)
+    return OrderBoundedWitness(lo, hi, len(ys))

@@ -17,9 +17,10 @@ literals straight into one: the whole row is checked against the grammar in
 one match and split at `/`, and a row that fails anywhere on that path is
 read again literal by literal through `read_rat`, so it accepts exactly what
 `read_rat` accepts and raises the error of its first bad literal.  `read_rows`
-reads the rows of a matrix as a whole, each distinct literal once and every
-row from lookups; it reads row by row through `read_row` where few literals
-repeat or where a literal would be refused.
+reads the rows of a matrix as a whole, each distinct literal once, over one
+denominator for the whole matrix, and every row from lookups; it reads row by
+row through `read_row` where few literals repeat or where a literal would be
+refused.
 """
 
 from __future__ import annotations
@@ -40,6 +41,14 @@ _SEP = "\x00"
 _ROW = re.compile(f"{_GRAMMAR}(?:{_SEP}{_GRAMMAR})*")
 
 IntRow = tuple[int, tuple[int, ...]]
+
+# `read_rows` puts a matrix over one denominator D only while D has at most
+# this many bits.  On 64x64 matrices of numerators -9..9 whose rows each mix
+# four of the matrix's prime denominators, one shared D cost as much as one
+# lcm per row at 60 bits, 0.8x at 43 and 1.25x at 65 (past 60 bits CPython's
+# `math.gcd` leaves its two-digit fast path).  48 bits leaves the numerators
+# over D room below that.
+MAX_SHARED_DEN_BITS = 48
 
 
 def read_rat(value) -> tuple[int, int]:
@@ -151,13 +160,28 @@ def _repeated_literals(rows: list[list]) -> list | None:
     return list(seen)
 
 
+def _shared_den(dens: list[int]) -> int | None:
+    """The lcm of `dens`, or None once it has more than `MAX_SHARED_DEN_BITS` bits."""
+    D = 1
+    for q in set(dens):
+        D = math.lcm(D, q)
+        if D.bit_length() > MAX_SHARED_DEN_BITS:
+            return None
+    return D
+
+
 def read_rows(rows: list[list]) -> Iterator[IntRow]:
     """The rows of one matrix as `read_row` reads each of them, yielded one at a time.
 
     Matrices repeat small literals (a Q^64 one of the spec-tasks benchmark
     holds about 140 distinct literals in 4096 entries), so the distinct
     literals of all rows are split and converted to integers once, in one
-    `_split_row` pass, and each row is built from two lookups per entry.
+    `_split_row` pass.  Each becomes its numerator over D, the lcm of all
+    their denominators, and each row is then one lookup per entry and one
+    gcd that reduces it: a reduced row is unique, so it is the row
+    `read_row` gives.  Where D has more than `MAX_SHARED_DEN_BITS` bits, the
+    numerators over it would cost more than the lookups save, and each row
+    is put over its own denominators' lcm instead, as `read_row` does.
     Where more than half the entries are distinct, the lookups would cost
     more than the repeats save: each row is then read by `read_row`, and a
     matrix without repeats costs about what it did row by row.  Rows are
@@ -174,6 +198,12 @@ def read_rows(rows: list[list]) -> Iterator[IntRow]:
     if parts is None:
         yield from map(read_row, rows)
         return
-    num_of, den_of = (dict(zip(distinct, part)) for part in parts)
+    D = _shared_den(parts[1])
+    if D is None:
+        num_of, den_of = (dict(zip(distinct, part)) for part in parts)
+        for row in rows:
+            yield reduced_row(*over_lcm(list(map(num_of.__getitem__, row)), list(map(den_of.__getitem__, row))))
+        return
+    over_D = {lit: p * (D // q) for lit, p, q in zip(distinct, *parts)}
     for row in rows:
-        yield reduced_row(*over_lcm(list(map(num_of.__getitem__, row)), list(map(den_of.__getitem__, row))))
+        yield reduced_row(D, list(map(over_D.__getitem__, row)))

@@ -215,8 +215,12 @@ class ImageSet(SetDesc):
 def element_bounds(x) -> CoordBounds:
     """|x_i| at each coordinate of x."""
     d, head, tail = coords(x)
-    head = [Fraction(abs(a), d) for a in head]
-    return CoordBounds.finite_dim(head) if tail is None else CoordBounds.sequence(head, Fraction(abs(tail), d))
+    if tail is None:
+        return CoordBounds.finite_dim([Fraction(abs(a), d) for a in head])
+    # Pins equal to the tail are dropped on their integer numerators, not compared as Fractions.
+    t = abs(tail)
+    pins = [(i, Fraction(abs(a), d)) for i, a in enumerate(head) if abs(a) != t]
+    return CoordBounds.from_canonical(pins, Fraction(t, d))
 
 
 def fold(S: SetDesc) -> SetDesc:

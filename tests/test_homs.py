@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from latring import homs
 from latring import (
     INF,
     ConeMap,
@@ -191,6 +192,31 @@ def test_decompose_examples():
     assert (x1, x2) == (FinVec.of(2), FinVec.of(1))
     with pytest.raises(DecompositionPrereqViolated):
         riesz_decompose(q1, FinVec.of(5), FinVec.of(-2), FinVec.of(2))
+
+
+# Each postcondition of a split, broken by a planted x1 and x2 on Q^2.
+DECOMPOSITION_FAILURES = {
+    "x1 + x2 must reassemble x": ((1, 1), (2, 0), (0, 2), (1, 0), (0, 0)),
+    "|x1| <= |y1| must hold": ((1, 1), (2, 0), (0, 2), (1, 1), (0, 0)),
+    "|x2| <= |y2| must hold": ((1, 1), (2, 0), (0, 2), (0, 0), (1, 1)),
+    "positive x must split into positive parts": ((1, 1), (2, 2), (2, 2), (2, -1), (-1, 2)),
+}
+
+
+@pytest.mark.parametrize("message", sorted(DECOMPOSITION_FAILURES))
+def test_decomposition_failure_names_the_broken_postcondition(message):
+    x, y1, y2, x1, x2 = (FinVec.of(*v) for v in DECOMPOSITION_FAILURES[message])
+    q2 = Space.qn(2)
+    assert homs.decomposition_failure(q2, x, y1, y2, x1, x2) == message
+    # The correct split of the same x passes every postcondition.
+    assert homs.decomposition_failure(q2, x, y1, y2, *riesz_decompose(q2, x, y1, y2)) is None
+
+
+def test_riesz_decompose_refuses_a_split_that_fails_its_postconditions(monkeypatch):
+    # With the meet made to return its first argument, x1 = x join -|y1| = 3 is not below |y1| = 2.
+    monkeypatch.setattr(homs, "meet", lambda space, a, b: a)
+    with pytest.raises(SoundnessBug, match=r"\|x1\| <= \|y1\| must hold"):
+        riesz_decompose(Space.qn(1), FinVec.of(3), FinVec.of(-2), FinVec.of(2))
 
 
 def test_decompose_random_audit():
@@ -453,11 +479,10 @@ def test_seq_apply_examples():
 
 
 # ---------------------------------------------------------------------------
-# The order-boundedness spot check on sequences.
+# The order-boundedness spot check: what it draws, and faults it must catch.
 
-def _sampled_inputs(monkeypatch, T, probe):
-    from latring import homs
-
+def _recorded_draws(monkeypatch) -> list:
+    """The list that every later `rand_between` draw of the spot check is appended to."""
     drawn = []
     draw = homs.rand_between
 
@@ -466,6 +491,11 @@ def _sampled_inputs(monkeypatch, T, probe):
         return drawn[-1]
 
     monkeypatch.setattr(homs, "rand_between", recording)
+    return drawn
+
+
+def _sampled_inputs(monkeypatch, T, probe):
+    drawn = _recorded_draws(monkeypatch)
     w = is_order_bounded(T, probe)
     assert w.spot_checked == len(drawn) == 25
     return drawn
@@ -496,6 +526,64 @@ def test_spot_check_catches_a_fault_seen_only_off_the_constants():
     assert T.apply(EvSeq.constant(1)) == SeqHom(T.diag, T.off).apply(EvSeq.constant(1))
     with pytest.raises(SoundnessBug):
         is_order_bounded(T, EvSeq.constant(1))
+
+
+class _PackedFault(MatrixHom):
+    """Correct, except that the eighth image of `apply_many` is off by 100 at coordinate 0."""
+
+    def apply_many(self, xs):
+        images = super().apply_many(xs)
+        images[7] = images[7] + FinVec.of(100, *[0] * (self.n - 1))
+        return images
+
+
+def test_spot_check_catches_a_fault_in_one_packed_image(monkeypatch):
+    T = _PackedFault.from_int_rows(T_EXAMPLE.int_rows)
+    drawn = _recorded_draws(monkeypatch)
+    with pytest.raises(SoundnessBug) as caught:
+        is_order_bounded(T, FinVec.of(1, 1))
+    assert len(drawn) == 25 and str(caught.value) == f"|T y| escaped the modulus bound at y={drawn[7]!r}"
+
+
+# ---------------------------------------------------------------------------
+# The packed kernel against one apply per vector.  Numerators up to 2^80 on
+# both sides make a digit wider than 64 bits; a denominator of 2^67 + 1 next
+# to small ones mixes the rows' denominators.
+
+packed_rats = st.builds(
+    F, st.one_of(st.integers(-30, 30), st.integers(-(2**80), 2**80)), st.sampled_from([1, 3, 5, 7, 8, 2**67 + 1])
+)
+
+
+@st.composite
+def packed_cases(draw):
+    n = draw(st.integers(1, 8))
+    vector = st.lists(packed_rats, min_size=n, max_size=n)
+    rows = [[F(0)] * n if draw(st.integers(0, 4)) == 0 else draw(vector) for _ in range(n)]
+    ys = [FinVec(tuple(draw(vector))) for _ in range(draw(st.integers(1, 30)))]
+    return MatrixHom(tuple(map(tuple, rows))), ys
+
+
+@given(packed_cases())
+def test_packed_kernel_matches_one_apply_per_vector(case):
+    T, ys = case
+    assert T.apply_many(ys) == [T.apply(y) for y in ys]
+
+
+def test_packed_kernel_examples():
+    big = 2**75 + 3
+    T = MatrixHom(((big, F(-big, 7)), (F(1, 3), -1)))
+    ys = [FinVec.of(big, -big), FinVec.of(F(-big, 5), F(1, 2)), FinVec.zero(2)]
+    assert T.apply_many(ys) == [T.apply(y) for y in ys]
+    assert MatrixHom.zero(2).apply_many(ys) == [FinVec.zero(2)] * 3
+    # The 1x1 map on Z gives integers of Z, and refuses a result that is not one, as `apply` does.
+    images = MatrixHom(((-3,),)).apply_many([ZInt(2), ZInt(-big)])
+    assert images == [ZInt(-6), ZInt(3 * big)] and all(type(z) is ZInt for z in images)
+    with pytest.raises(InvalidElement, match="expected an integer"):
+        MatrixHom(((F(1, 2),),)).apply_many([ZInt(2), ZInt(3)])
+    with pytest.raises(InvalidElement, match="expected a 2-dim FinVec"):
+        T.apply_many([FinVec.of(1, 2), FinVec.of(1)])
+    assert T.apply_many([]) == []
 
 
 # ---------------------------------------------------------------------------

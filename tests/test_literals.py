@@ -14,6 +14,7 @@ message, and in the order, that reading it row by row gives.
 import json
 import math
 import sys
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -22,7 +23,7 @@ from hypothesis import strategies as st
 
 from latring import EvSeq, FinVec, MatrixHom, Neighborhood, Space, SpecFileError
 from latring.errors import InvalidElement
-from latring.scalars import as_rat, read_rat, read_row, read_rows, reduced_row
+from latring.scalars import MAX_SHARED_DEN_BITS, as_rat, read_rat, read_row, read_rows, reduced_row
 from latring.specfile import parse_element, parse_hom, parse_nbhd, parse_specdoc
 
 
@@ -222,6 +223,51 @@ def distinct_matrices(draw) -> list[list]:
 @given(st.one_of(repeating_matrices(), distinct_matrices()))
 def test_matrix_pass_matches_row_by_row_reading(rows):
     assert list(read_rows(rows)) == [read_row(r) for r in rows]
+
+
+def _primes(count: int) -> list[int]:
+    out, k = [], 2
+    while len(out) < count:
+        if all(k % p for p in out if p * p <= k):
+            out.append(k)
+        k += 1
+    return out
+
+
+# The first 16 primes: their lcm has 65 bits, so a matrix drawing on a few of
+# them reads over one shared denominator and one drawing on most falls back.
+_DENS = _primes(16)
+
+
+@st.composite
+def shared_den_matrices(draw) -> list[list[str]]:
+    """Rows of 1 to 12 literals from a pool holding a literal over each of some of the first 16 primes."""
+    dens = draw(st.one_of(st.lists(st.sampled_from(_DENS), min_size=1, max_size=16, unique=True), st.just(_DENS)))
+    numerator = st.integers(-(10**6), 10**6)
+    pool = [f"{draw(numerator)}/{q}" for q in dens] + draw(st.lists(st.integers(-9, 9).map(str), max_size=8))
+    n, m = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    return [[draw(st.sampled_from(pool)) for _ in range(m)] for _ in range(n)]
+
+
+@settings(max_examples=300)
+@given(shared_den_matrices())
+def test_matrix_pass_over_one_denominator_matches_row_by_row_reading(rows):
+    assert list(read_rows(rows)) == [read_row(r) for r in rows]
+
+
+def test_a_matrix_whose_shared_denominator_is_too_wide_is_read_in_time():
+    # 64 rows, each of 32 distinct literals 1/p twice over: 2048 primes, and an lcm of over 25000 bits.
+    primes = _primes(2048)
+    rows = [[f"1/{p}" for p in primes[32 * i:32 * i + 32]] * 2 for i in range(64)]
+    assert math.lcm(*primes).bit_length() > MAX_SHARED_DEN_BITS
+    # Best of three: about 5 to 8 ms row by row, and over 200 ms over the whole lcm.
+    best = math.inf
+    for _ in range(3):
+        start = time.perf_counter()
+        read = list(read_rows(rows))
+        best = min(best, time.perf_counter() - start)
+    assert read == [read_row(r) for r in rows]
+    assert best < 0.06
 
 
 @settings(max_examples=200)

@@ -30,7 +30,7 @@ from latring import (
     set_contains,
 )
 from latring.homspaces import vw_box
-from latring.topology import refuting_nbhd
+from latring.topology import element_bounds, refuting_nbhd
 
 FAR = 10**9
 PRODUCT = Space.evseq(TopologyId.EVSEQ_PRODUCT)
@@ -176,3 +176,14 @@ def test_sparse_decisions_agree_with_dense_ones(f, g):
 def test_pins_equal_to_the_tail_are_dropped():
     assert CoordBounds(((0, F(1)), (4, INF), (9, F(2))), INF) == CoordBounds(((0, F(1)), (9, F(2))), INF)
     assert CoordBounds.sequence((F(0), F(0)), F(0)) == CoordBounds((), F(0))
+    assert element_bounds(EvSeq.of(-1, 2, 1, tail=-1)).pins == ((1, F(2)),)
+
+
+small_rats = st.builds(F, st.integers(-4, 4), st.integers(1, 3))
+
+
+@given(st.lists(small_rats, max_size=10), small_rats)
+def test_element_bounds_match_the_canonical_form_of_each_modulus(prefix, tail):
+    # Entries of equal modulus and either sign, so many pins equal the tail and are dropped.
+    x = EvSeq(prefix, tail)
+    assert element_bounds(x) == CoordBounds.sequence([abs(x.at(i)) for i in range(len(x.prefix))], abs(tail))
