@@ -5,11 +5,13 @@ lattice ops and the order, an element's radius function, matrix and sequence
 apply, the vertex oracle, bound propagation, the two boundedness deciders,
 the solidity decider, membership in a product neighborhood that constrains a
 far coordinate and in a diagonal image of one, the product V*W of two
-neighborhoods, the convergence threshold of each mode, classification, the
-order-boundedness spot check, the law suites, building records (a `Space`, a
-`ReadingVerdict`, a matrix from integer rows), matrix addition, reading a
-Q^64 spec file's matrices (with repeated literals, with every literal
-distinct, and with 2048 prime denominators), and a cold start of the CLI.
+neighborhoods, the convergence threshold of each mode, the exact recheck at
+one entry index (`verify_at`) and a certificate's `recheck`, each on a fresh
+certificate, classification, the order-boundedness spot check, the law
+suites, building records (a `Space`, a `ReadingVerdict`, a matrix from
+integer rows), matrix addition, reading a Q^64 spec file's matrices (with
+repeated literals, with every literal distinct, and with 2048 prime
+denominators), and a cold start of the CLI.
 Every case reads a neighborhood's radius function through
 `coordinate_bounds`, so one copy of this file times the parent commit and the
 change alike.  This directory is outside the tier-1 `testpaths`; run the
@@ -295,6 +297,59 @@ def test_alpha0_for(benchmark, mode):
     cert, V, W = _certificate(mode)
     assert cert.convergent
     benchmark(cert.alpha0_for, V, W)
+
+
+def _q32_net(form):
+    """A closed-form or 4-term table net on Q^32 whose base is its limit, and the unit box."""
+    rng = rng_for(29)
+    q32 = Space.qn(32)
+    base, decay = MatrixHom(rand_matrix_rows(rng, 32)), MatrixHom(rand_matrix_rows(rng, 32))
+    if form == "closed":
+        net = HomNet.closed(q32, q32, base, decay, target=base)
+    else:
+        net = HomNet.table(q32, q32, [base + decay.scale(Fraction(1, a)) for a in (1, 2, 3)] + [base], target=base)
+    return net, base, NbhdSet(q32, Neighborhood.box((1,) * 32))
+
+
+# Each case: (build a fresh certificate, V, W, alpha).  Every round gets a new
+# certificate, as every `converge` command does, so a difference or frame a
+# certificate keeps is not carried from one round to the next.
+def _verify_at_case(case):
+    if case.startswith("q32-"):
+        net, base, unit = _q32_net(case.removeprefix("q32-"))
+        return lambda: converges(net, base, "nr", unit), Neighborhood.box((Fraction(1, 5),) * 32), None, 1
+    rng = rng_for(31)
+    h = SeqHom.diag_plus_block(EvSeq(rand_element(rng, Space.qn(12)).entries, 2), rand_matrix_rows(rng, 8))
+    decay = SeqHom.diag_plus_block(EvSeq(rand_element(rng, Space.qn(16)).entries, 0), rand_matrix_rows(rng, 8))
+    net = HomNet.closed(PRODUCT, PRODUCT, h, decay, target=h)
+    U = NbhdSet(PRODUCT, Neighborhood.product(range(16), 1))
+    return lambda: converges(net, h, "nr", U), Neighborhood.product(range(16), Fraction(1, 5)), None, 3
+
+
+@pytest.mark.parametrize("case", ["q32-closed", "q32-table", "seq"])
+def test_verify_at(benchmark, case):
+    fresh, V, W, alpha = _verify_at_case(case)
+    assert fresh().convergent
+    benchmark.pedantic(lambda cert: cert.verify_at(alpha, V, W), setup=lambda: ((fresh(),), {}), rounds=100)
+
+
+def _recheck_case(mode):
+    if mode == "cr-table":
+        _, V, W = _certificate(mode)
+        return lambda: _certificate(mode)[0], V, W
+    net, base, unit = _q32_net("closed")
+    V = Neighborhood.box((Fraction(1, 5),) * 32)
+    if mode == "nr":
+        return lambda: converges(net, base, "nr", unit), V, None
+    B = Interval(Space.qn(32), -FinVec.constant(32, 2), FinVec.constant(32, 2))
+    return lambda: converges(net, base, "br", B), V, None
+
+
+@pytest.mark.parametrize("mode", ["nr", "br", "cr-table"])
+def test_recheck(benchmark, mode):
+    fresh, V, W = _recheck_case(mode)
+    assert all(fresh().recheck(V, W).values())
+    benchmark.pedantic(lambda cert: cert.recheck(V, W), setup=lambda: ((fresh(),), {}), rounds=50)
 
 
 def _classify_inputs(kind):

@@ -456,9 +456,8 @@ def convergence_recheck_suite() -> CheckResult:
     for mode, (net, limit, region, pairs) in _sample_nets().items():
         cert = converges(net, limit, mode, region)
         if not cert.convergent:
-            return CheckResult(
-                "certificate-recheck", False, len(outcomes), f"{mode} net unexpectedly divergent", "convergence"
-            )
+            detail = f"{mode} net unexpectedly divergent"
+            return CheckResult("certificate-recheck", False, len(outcomes), detail, "convergence certificates")
         outcomes += [None if ok else f"{mode} recheck failed at alpha={alpha}"
                      for V, W in pairs for alpha, ok in cert.recheck(V, W).items()]
     return _tally("certificate-recheck", "convergence certificates", outcomes)

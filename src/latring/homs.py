@@ -185,6 +185,22 @@ class MatrixHom(Record):
     def __neg__(self) -> "MatrixHom":
         return MatrixHom.from_int_rows(tuple([(d, tuple([-a for a in nums])) for d, nums in self.int_rows]))
 
+    def add_scaled(self, other, factor) -> "MatrixHom":
+        """`self + other.scale(factor)` in one integer pass: each row over one common denominator, reduced once.
+
+        Reduced rows are unique, so the result is the matrix the two-step form builds.
+        """
+        other = _as_matrix(other, self.n)
+        q = as_rat(factor)
+        p, r = q.numerator, q.denominator
+        out = []
+        for (d, a), (e, b) in zip(self.int_rows, other.int_rows):
+            e *= r
+            g = math.gcd(d, e)
+            m, k = e // g, p * (d // g)
+            out.append(reduced_row(d * m, list(map(add, map(mul, a, repeat(m)), map(mul, b, repeat(k))))))
+        return MatrixHom.from_int_rows(tuple(out))
+
     def scale(self, factor) -> "MatrixHom":
         q = as_rat(factor)
         p, r = q.numerator, q.denominator
@@ -222,7 +238,9 @@ class SeqHom(Record):
     row or column with a nonzero off-diagonal entry, or 0 if none has one (a
     diagonal operator holds an empty block), so two operators act identically
     exactly when their parts are equal.  All arithmetic and `apply` run on
-    the parts with the matrix and element code.
+    the parts with the matrix and element code.  The block is given as a
+    `MatrixHom` (a spec file's, read as integer rows) or as rows of rationals;
+    its diagonal adds to `diag`.
     `diag` (the full diagonal) and `off` (the off-diagonal block as Fractions,
     with zero diagonal) are made only when read.
     """
@@ -230,15 +248,16 @@ class SeqHom(Record):
     _block: MatrixHom
     _beyond: EvSeq
 
-    def __init__(self, diag: EvSeq, off: Iterable[Iterable] = ()):
+    def __init__(self, diag: EvSeq, off: MatrixHom | Iterable[Iterable] = ()):
         if not isinstance(diag, EvSeq):
             raise InvalidElement("diagonal coefficients must form an EvSeq")
-        off = _rows_tuple(off)
-        k = len(off)
-        if any(len(r) != k for r in off):
-            raise InvalidElement("finite block must be square")
-        block, beyond = _split(diag, k)
-        self._settle(block + MatrixHom(off) if k else block, beyond)
+        if not isinstance(off, MatrixHom):
+            rows = _rows_tuple(off)
+            if any(len(r) != len(rows) for r in rows):
+                raise InvalidElement("finite block must be square")
+            off = MatrixHom(rows) if rows else MatrixHom.from_int_rows(())
+        block, beyond = _split(diag, off.n)
+        self._settle(block + off, beyond)
 
     @classmethod
     def _of(cls, block: MatrixHom, beyond: EvSeq) -> "SeqHom":
@@ -271,7 +290,7 @@ class SeqHom(Record):
         return cls(EvSeq.zero(), ())
 
     @classmethod
-    def diag_plus_block(cls, coeffs: EvSeq, block: Iterable[Iterable]) -> "SeqHom":
+    def diag_plus_block(cls, coeffs: EvSeq, block: MatrixHom | Iterable[Iterable]) -> "SeqHom":
         return cls(coeffs, block)
 
     @cached_property
@@ -339,6 +358,14 @@ class SeqHom(Record):
 
     def __neg__(self) -> "SeqHom":
         return SeqHom._of(-self._block, -self._beyond)
+
+    def add_scaled(self, other, factor) -> "SeqHom":
+        """`self + other.scale(factor)`, the blocks in one `MatrixHom.add_scaled` pass on the parts."""
+        other = _as_seq_hom(other)
+        q = as_rat(factor)
+        n = max(self._block.n, other._block.n)
+        (a, s), (b, t) = self._parts(n), other._parts(n)
+        return SeqHom._of(a.add_scaled(b, q), s + t.scale(q))
 
     def scale(self, factor) -> "SeqHom":
         q = as_rat(factor)

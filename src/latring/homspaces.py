@@ -53,7 +53,6 @@ from .topology import (
     coordinate_bounds,
     refuting_nbhd,
     sample_member,
-    set_ring_bounded,
 )
 
 
@@ -260,7 +259,7 @@ class HomNet(Record):
         if alpha < 1:
             raise InvalidArgument("net indices start at 1")
         if self.is_closed_form:
-            return self.base + self.decay.scale(Fraction(1, alpha))
+            return self.base.add_scaled(self.decay, Fraction(1, alpha))
         return self.terms[min(alpha, len(self.terms)) - 1]
 
     def eventual_term(self) -> Hom:
@@ -300,10 +299,18 @@ def vw_box(V: Neighborhood, W: Neighborhood) -> Neighborhood:
 class ConvergenceCertificate(Record):
     """Outcome of a convergence check, re-verifiable at any entry index.
 
+    It keeps what the check computed: `residual`, the eventual term minus the
+    limit, with `residual_bounds`, its image bound on the region, and for a
+    convergent closed-form nr or br net `decay_bounds`, the decay's image
+    bound there.  `verify_at(a)` bounds the a-th difference term(a) - limit.
+    On a closed-form net that is `residual + decay/a`, built in one integer
+    pass per row (`add_scaled`) without building term(a); on a table net it is
+    a term minus the limit, built at most once per certificate, on first use.
     For closed-form nets the entry threshold is solved from the decay image
-    bounds as a function of the target radius; table nets fall back to a
-    scan back from the last entry.  The outer neighborhood W of the methods
-    below is cr's: nr and br certificates ignore it.
+    bound as a function of the target radius; table nets fall back to a scan
+    back from the last entry, which stops at the first entry that fails.  The
+    outer neighborhood W of the methods below is cr's: nr and br certificates
+    ignore it, and a cr certificate builds its U and V*W once per (V, W).
     """
 
     mode: str
@@ -312,7 +319,9 @@ class ConvergenceCertificate(Record):
     limit: Hom
     region: SetDesc | None         # the domain set of nr and br
     region_bounds: CoordBounds | None
+    residual: Hom                  # eventual_term() - limit
     residual_bounds: CoordBounds | None
+    decay_bounds: CoordBounds | None
     witness: Neighborhood | None   # refuting V when not convergent
 
     def frame(self, V: Neighborhood, W: Neighborhood | None = None) -> tuple[SetDesc, CoordBounds, Neighborhood]:
@@ -322,8 +331,19 @@ class ConvergenceCertificate(Record):
             return self.region, self.region_bounds, V
         if W is None:
             raise InvalidArgument("cr certificates need the outer neighborhood W")
-        U = self.choose_U(W)
-        return NbhdSet(self.net.domain, U), U.bounds, vw_box(V, W)
+        # Keyed by identity, which costs no hash of the radii.  An entry is used
+        # only for the very V and W it holds: a pickled or deep-copied
+        # certificate keeps the old ids as keys, and new objects may reuse them.
+        key = (id(V), id(W))
+        hit = self._frames.get(key)
+        if hit is None or hit[0] is not V or hit[1] is not W:
+            U = self.choose_U(W)
+            hit = self._frames[key] = (V, W, (NbhdSet(self.net.domain, U), U.bounds, vw_box(V, W)))
+        return hit[2]
+
+    @cached_property
+    def _frames(self) -> dict:
+        return {}
 
     def choose_U(self, W: Neighborhood) -> Neighborhood:
         """cr mode: the domain neighborhood answering the outer W."""
@@ -342,7 +362,28 @@ class ConvergenceCertificate(Record):
         if self.net.is_closed_form:
             return self.net.decay
         # Table nets: any coefficient ever touched matters for support.
-        return reduce(add, [(t - self.limit).entrywise_abs() for t in self.net.terms])
+        n = len(self.net.terms)
+        return reduce(add, [self._difference(a).entrywise_abs() for a in range(1, n + 1)])
+
+    @cached_property
+    def _table_differences(self) -> list:
+        """Each table term minus the limit, filled in on first use; the last is the residual."""
+        diffs = [None] * len(self.net.terms)
+        diffs[-1] = self.residual
+        return diffs
+
+    def _difference(self, alpha: int) -> Hom:
+        """term(alpha) - limit."""
+        if alpha < 1:
+            raise InvalidArgument("net indices start at 1")
+        net = self.net
+        if net.is_closed_form:
+            return self.residual.add_scaled(net.decay, Fraction(1, alpha))
+        k = min(alpha, len(net.terms)) - 1
+        diffs = self._table_differences
+        if diffs[k] is None:
+            diffs[k] = net.terms[k] - self.limit
+        return diffs[k]
 
     def alpha0_for(self, V: Neighborhood, W: Neighborhood | None = None) -> int:
         """Least entry index from which every term's difference sits inside the target."""
@@ -354,9 +395,11 @@ class ConvergenceCertificate(Record):
             n = len(self.net.terms)
             held = takewhile(lambda a0: self.verify_at(a0, V, W), range(n, 0, -1))
             return min(held, default=n)
-        # The term difference is decay/alpha, so alpha0 is the least
-        # multiple of the target that holds the decay image.
-        alpha0 = bounds_multiplier(self.net.decay.propagate_bounds(bounds), target)
+        # The term difference is decay/alpha, so alpha0 is the least multiple
+        # of the target that holds the decay image: bounded once on nr's and
+        # br's fixed region, and on cr's U for each W.
+        decay_img = self.decay_bounds if self.mode != "cr" else self.net.decay.propagate_bounds(bounds)
+        alpha0 = bounds_multiplier(decay_img, target)
         if alpha0 is None:
             raise SoundnessBug("a convergent certificate cannot carry unbounded decay")
         return alpha0
@@ -364,8 +407,7 @@ class ConvergenceCertificate(Record):
     def verify_at(self, alpha: int, V: Neighborhood, W: Neighborhood | None = None) -> bool:
         """Exact recheck of the defining containment at one entry index."""
         _, bounds, target = self.frame(V, W)
-        img = (self.net.term(alpha) - self.limit).propagate_bounds(bounds)
-        return img.within(target.bounds)
+        return self._difference(alpha).propagate_bounds(bounds).within(target.bounds)
 
     def recheck(self, V: Neighborhood, W: Neighborhood | None = None) -> dict[int, bool]:
         """The threshold alpha0 and the entry seven past it, each with its exact recheck."""
@@ -414,29 +456,38 @@ def nr_converges(net: HomNet, limit: Hom, U: Neighborhood) -> ConvergenceCertifi
 
 
 def br_converges(net: HomNet, limit: Hom, B: SetDesc) -> ConvergenceCertificate:
-    """Uniform convergence on the bounded set B; a B whose bounds are not decided is refused."""
+    """Uniform convergence on the bounded set B; a B whose bounds are not decided is refused.
+
+    B is bounded once: its ring-boundedness is decided on the coordinate
+    bounds that the convergence check reads.
+    """
     try:
-        verdict = set_ring_bounded(B)
+        bounds = coordinate_bounds(B)
     except InvalidElement as exc:
         raise NotBounded(str(exc)) from None
+    verdict = bounds_ring_bounded(bounds, B.space.topology, B.space.multiplication)
     if not verdict.holds:
         witness = json.dumps(verdict.refuting.render(), sort_keys=True)
         raise NotBounded(f"the set is not ring-bounded, witness {witness}")
-    return _uniform_convergence("br", net, limit, B, coordinate_bounds(B))
+    return _uniform_convergence("br", net, limit, B, bounds)
 
 
 def _uniform_convergence(
     mode: str, net: HomNet, limit: Hom, region: SetDesc | None, region_bounds: CoordBounds
 ) -> ConvergenceCertificate:
-    residual_img = (net.eventual_term() - limit).propagate_bounds(region_bounds)
+    residual = net.eventual_term() - limit
+    residual_img = residual.propagate_bounds(region_bounds)
     escaping = residual_img if residual_img.overall_sup() != 0 else None
+    decay_img = None
     # cr's inner radius shrinks at will, so its decay never escapes.
     if escaping is None and net.is_closed_form and mode != "cr":
         decay_img = net.decay.propagate_bounds(region_bounds)
         if decay_img.first_infinite_index() is not None:
             escaping = decay_img
     witness = None if escaping is None else refuting_nbhd(escaping, net.codomain.topology)
-    return ConvergenceCertificate(mode, escaping is None, net, limit, region, region_bounds, residual_img, witness)
+    return ConvergenceCertificate(
+        mode, escaping is None, net, limit, region, region_bounds, residual, residual_img, decay_img, witness
+    )
 
 
 def cr_converges(net: HomNet, limit: Hom) -> ConvergenceCertificate:

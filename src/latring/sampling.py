@@ -73,6 +73,13 @@ def rand_between(rng: random.Random, lo, hi, min_head: int = 0):
     if isinstance(lo, ZInt):
         return ZInt(rng.randint(int(lo), int(hi)))
     (dl, lo_row), (dh, hi_row) = aligned(lo, hi, min_head=min_head)
-    draw = rng.randrange  # the same draw as rng.randint(0, 24), one call shallower
-    row = [24 * a + draw(25) * (c - a) for a, c in zip(map(mul, lo_row, repeat(dh)), map(mul, hi_row, repeat(dl)))]
+    # Each k is rng.randrange(25) (so rng.randint(0, 24)) without its calls:
+    # CPython draws 5 random bits until they fall below 25.
+    bits, ks = rng.getrandbits, []
+    for _ in lo_row:
+        k = bits(5)
+        while k >= 25:
+            k = bits(5)
+        ks.append(k)
+    row = [24 * a + k * (c - a) for a, c, k in zip(map(mul, lo_row, repeat(dh)), map(mul, hi_row, repeat(dl)), ks)]
     return from_coords(lo, 24 * dl * dh, row, row[-1])

@@ -170,8 +170,15 @@ def _shared_den(dens: list[int]) -> int | None:
     return D
 
 
-def read_rows(rows: list[list]) -> Iterator[IntRow]:
-    """The rows of one matrix as `read_row` reads each of them, yielded one at a time.
+def largest(row: IntRow) -> int:
+    """The largest magnitude of an integer of the row, its denominator included."""
+    d, nums = row
+    return max(d, max(nums), -min(nums))
+
+
+def read_rows(rows: list[list]) -> Iterator[tuple[IntRow, int]]:
+    """The rows of one matrix as `read_row` reads each of them, yielded one at a time,
+    each with a bound on the magnitude of its integers.
 
     Matrices repeat small literals (a Q^64 one of the spec-tasks benchmark
     holds about 140 distinct literals in 4096 entries), so the distinct
@@ -192,18 +199,25 @@ def read_rows(rows: list[list]) -> Iterator[IntRow]:
     entry, which matters because 1, True and 1.0 are one key of a set.  The
     rows are yielded lazily, so a caller can refuse a row before the next one
     is built.
+
+    The bound is each row's `largest` integer, except over one shared D: a
+    reduced row there divides D and its numerators over D by one gcd, so the
+    largest of D and every numerator over D bounds all rows at once.
     """
     distinct = _repeated_literals(rows)
     parts = None if distinct is None else _split_row(distinct)
     if parts is None:
-        yield from map(read_row, rows)
+        for row in map(read_row, rows):
+            yield row, largest(row)
         return
     D = _shared_den(parts[1])
     if D is None:
         num_of, den_of = (dict(zip(distinct, part)) for part in parts)
         for row in rows:
-            yield reduced_row(*over_lcm(list(map(num_of.__getitem__, row)), list(map(den_of.__getitem__, row))))
+            row = reduced_row(*over_lcm(list(map(num_of.__getitem__, row)), list(map(den_of.__getitem__, row))))
+            yield row, largest(row)
         return
     over_D = {lit: p * (D // q) for lit, p, q in zip(distinct, *parts)}
+    bound = max(D, *map(abs, over_D.values()))
     for row in rows:
-        yield reduced_row(D, list(map(over_D.__getitem__, row)))
+        yield reduced_row(D, list(map(over_D.__getitem__, row))), bound

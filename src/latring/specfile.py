@@ -28,7 +28,7 @@ from .elements import EvSeq, FinVec, ZInt
 from .errors import EmptyInput, InvalidElement, LatringError, SpecFileError, UnknownName
 from .homs import Hom, MatrixHom, SeqHom, identity_on
 from .homspaces import HomNet
-from .scalars import IntRow, read_rat, read_row, read_rows
+from .scalars import IntRow, largest, read_rat, read_row, read_rows
 from .spaces import TOPOLOGIES_FOR_KIND, Multiplication, Space, SpaceKind, TopologyId
 from .topology import (
     FiniteSet,
@@ -187,12 +187,15 @@ def element_to_obj(x) -> dict:
 # ---------------------------------------------------------------------------
 # Homomorphisms.
 
-def _fits(row: IntRow, limit: int, section: str) -> IntRow:
-    """A matrix or block row, refused if an integer of it has more than `limit` digits (0: no limit)."""
-    d, nums = row
-    big = max(d, max(nums), -min(nums))
-    # Beyond `limit` digits means big >= 10**limit, so big has over 3 * limit bits.
-    if limit and big.bit_length() > 3 * limit and big >= 10**limit:
+def _fits(read: tuple[IntRow, int], limit: int, section: str) -> IntRow:
+    """A matrix or block row, refused if an integer of it has more than `limit` digits (0: no limit).
+
+    `read` is the row and a bound on its integers (see `read_rows`); a bound
+    within the limit clears the row without looking at it.
+    """
+    row, bound = read
+    # Beyond `limit` digits means at least 10**limit, so over 3 * limit bits.
+    if limit and bound.bit_length() > 3 * limit and largest(row) >= 10**limit:
         raise SpecFileError(f"{section}: a row has an integer beyond the {limit}-digit limit for printing")
     return row
 
@@ -229,7 +232,7 @@ def parse_hom(obj: dict, space: Space, section: str) -> Hom:
     if kind == "diag_plus_finite":
         _check_keys(obj, {"kind", "prefix", "tail", "block"}, section)
         _require_kind(space, SpaceKind.EVSEQ, kind, section)
-        block = [[Fraction(a, d) for a in nums] for d, nums in _square_rows(obj.get("block"), section)]
+        block = MatrixHom.from_int_rows(tuple(_square_rows(obj.get("block"), section)))
         return SeqHom.diag_plus_block(_evseq(obj, section), block)
     if kind == "identity":
         _check_keys(obj, {"kind"}, section)

@@ -75,3 +75,15 @@ def test_an_unstable_canonical_form_names_its_sequence(monkeypatch):
             result = audits.canonical_idempotence_suite(seed=0, cases=12)
             assert (result.passed, result.cases) == (False, 12)
             assert result.detail == f"canonical form unstable for {seen[0]!r}"
+
+
+def test_a_divergent_sample_net_fails_the_recheck_suite(monkeypatch):
+    clean = audits.convergence_recheck_suite()
+    assert clean.passed
+    nets = audits._sample_nets()
+    net, limit, region, pairs = nets["br"]
+    # The br net's terms tend to its nonzero base, so it does not converge to zero; nr's four rechecks come first.
+    monkeypatch.setattr(audits, "_sample_nets", lambda: {**nets, "br": (net, limit.scale(0), region, pairs)})
+    broken = audits.convergence_recheck_suite()
+    assert (broken.passed, broken.cases, broken.detail) == (False, 4, "br net unexpectedly divergent")
+    assert (broken.name, broken.provenance) == (clean.name, clean.provenance)

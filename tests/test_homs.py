@@ -395,6 +395,7 @@ def test_integer_ops_match_entrywise_fraction_formulas(case):
     _same_hom(T - S, _entrywise(lambda a, b: a - b, rows_t, rows_s))
     _same_hom(-T, _entrywise(lambda a: -a, rows_t))
     _same_hom(T.scale(q), _entrywise(lambda a: q * a, rows_t))
+    _same_hom(T.add_scaled(S, q), _entrywise(lambda a, b: a + q * b, rows_t, rows_s))
     _same_hom(T.positive_part(), _entrywise(lambda a: max(a, F(0)), rows_t))
     _same_hom(T.entrywise_abs(), _entrywise(abs, rows_t))
     bound = T.entrywise_abs() + S.entrywise_abs()
@@ -628,9 +629,11 @@ def seq_homs(draw):
     block = draw(fraction_rows(k)) if draw(st.integers(0, 3)) else ((F(0),) * k,) * k
     prefix, tail = draw(st.lists(op_rats, max_size=6)), draw(op_rats)
     h = SeqHom.diag_plus_block(EvSeq(tuple(prefix), tail), block)
-    # The other path: the same operator as the result of arithmetic.
-    path = draw(st.sampled_from(["public", "scale", "sum"]))
-    if path == "scale":
+    # The other paths: the block given as a matrix, or the same operator as the result of arithmetic.
+    path = draw(st.sampled_from(["public", "matrix", "scale", "sum"]))
+    if path == "matrix":
+        h = SeqHom.diag_plus_block(EvSeq(tuple(prefix), tail), MatrixHom(block) if k else MatrixHom.from_int_rows(()))
+    elif path == "scale":
         h = h.scale(2).scale(F(1, 2))
     elif path == "sum":
         g = SeqHom.diag_plus_block(EvSeq.of(F(1, 3), tail=-1), ((0, 0, 1), (0, 0, 0), (F(2, 7), 0, 0)))
@@ -660,6 +663,7 @@ def test_seq_hom_ops_match_fraction_formulas(first, second, q):
     _same_seq_hom(h - g, _entrywise_window(lambda u, v: u - v, a, b), s - t)
     _same_seq_hom(-h, _entrywise_window(lambda u: -u, a), -s)
     _same_seq_hom(h.scale(q), _entrywise_window(lambda u: q * u, a), q * s)
+    _same_seq_hom(h.add_scaled(g, q), _entrywise_window(lambda u, v: u + q * v, a, b), s + q * t)
     _same_seq_hom(h.positive_part(), _entrywise_window(lambda u: max(u, F(0)), a), max(s, F(0)))
     _same_seq_hom(h.entrywise_abs(), _entrywise_window(abs, a), abs(s))
     _same_seq_hom(hom_join(h, g), _entrywise_window(max, a, b), max(s, t))

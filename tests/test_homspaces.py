@@ -31,7 +31,7 @@ from latring import (
     nr_converges,
     positive_part,
 )
-from latring.homspaces import HomNet, vw_box
+from latring.homspaces import ConvergenceCertificate, HomNet, vw_box
 
 PROD = Space.evseq(TopologyId.EVSEQ_PRODUCT)
 PROD_ZERO = Space.evseq(TopologyId.EVSEQ_PRODUCT, Multiplication.ZERO)
@@ -210,6 +210,34 @@ def test_witness_refutes_survives_transient_zero_crossings():
     assert not cert.convergent
     assert cert.verify_at(64, cert.witness)  # the crossing: 1 - 64/64 = 0
     assert cert.witness_refutes()            # but the limit still escapes
+
+
+def _with_witness(cert: ConvergenceCertificate, witness: Neighborhood) -> ConvergenceCertificate:
+    """The certificate with its witness replaced."""
+    return ConvergenceCertificate(*[witness if f == "witness" else getattr(cert, f) for f in cert._fields])
+
+
+def test_witness_refutes_is_false_on_a_witness_the_difference_fits_inside():
+    # The residual escapes: the constant identity on Q^2 bounds the unit box by (1, 1), not by zero.
+    q2 = Space.qn(2)
+    cert = nr_converges(HomNet.constant(q2, q2, identity_on(q2)), MatrixHom.zero(2), Neighborhood.box((1, 1)))
+    assert not cert.convergent and cert.witness_refutes()
+    assert not _with_witness(cert, Neighborhood.box((1, 1))).witness_refutes()
+    # The residual vanishes and the decay leaves every coordinate past 0 free, but bounds coordinate 0 by 1.
+    net = HomNet.closed(PROD, PROD, SeqHom.zero(), SeqHom.identity(), target=SeqHom.zero())
+    cert = nr_converges(net, SeqHom.zero(), Neighborhood.product({0}, 1))
+    assert (cert.convergent, cert.witness, cert.witness_refutes()) == (False, Neighborhood.product({1}, 1), True)
+    assert not _with_witness(cert, Neighborhood.product({0}, 1)).witness_refutes()
+
+
+def test_recheck_fails_where_the_threshold_is_planted_too_small(monkeypatch):
+    net = HomNet.closed(SUP, SUP, SeqHom.zero(), SeqHom.identity(), target=SeqHom.zero())
+    cert = nr_converges(net, SeqHom.zero(), Neighborhood.sup_ball(1))
+    V = Neighborhood.sup_ball(F(1, 3))
+    assert cert.recheck(V) == {3: True, 10: True}
+    # The difference at 2 is the identity halved, which escapes the ball of radius 1/3.
+    monkeypatch.setattr(ConvergenceCertificate, "alpha0_for", lambda self, V, W=None: 2)
+    assert cert.recheck(V) == {2: False, 9: True}
 
 
 def test_nr_wrong_base_rejected():
@@ -415,6 +443,12 @@ def test_table_net_thresholds():
     assert cert.alpha0_for(Neighborhood.sup_ball(F(1, 3))) == 4  # first index with 1/4 <= 1/3
     assert cert.alpha0_for(Neighborhood.sup_ball(2)) == 1
     assert cert.verify_at(4, Neighborhood.sup_ball(F(1, 3)))
+    # Entry 0 does not exist, on a table or a closed-form net, though a table's differences are indexed from 0.
+    net = HomNet.closed(SUP, SUP, SeqHom.zero(), SeqHom.identity())
+    closed = nr_converges(net, SeqHom.zero(), Neighborhood.sup_ball(1))
+    for c in (cert, closed):
+        with pytest.raises(InvalidArgument, match="net indices start at 1"):
+            c.verify_at(0, Neighborhood.sup_ball(1))
 
 
 @pytest.mark.parametrize("n, qualifying", [(70, 70), (200, 200), (150, 100)])

@@ -21,9 +21,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latring import EvSeq, FinVec, MatrixHom, Neighborhood, Space, SpecFileError
+from latring import EvSeq, FinVec, MatrixHom, Neighborhood, SeqHom, Space, SpecFileError
 from latring.errors import InvalidElement
-from latring.scalars import MAX_SHARED_DEN_BITS, as_rat, read_rat, read_row, read_rows, reduced_row
+from latring.scalars import MAX_SHARED_DEN_BITS, as_rat, largest, read_rat, read_row, read_rows, reduced_row
 from latring.specfile import parse_element, parse_hom, parse_nbhd, parse_specdoc
 
 
@@ -202,6 +202,15 @@ def test_element_rows_refuse_a_bad_entry_as_per_literal_reading_does(row, bad, d
 # Whole matrices: `read_rows` reads each distinct literal once, and must give
 # what `read_row` gives row by row, whether literals repeat or not.
 
+def _read_matrix(rows: list[list]) -> list:
+    """The rows `read_rows` yields, each checked against the bound it comes with."""
+    read = []
+    for row, bound in read_rows(rows):
+        assert largest(row) <= bound
+        read.append(row)
+    return read
+
+
 @st.composite
 def repeating_matrices(draw) -> list[list]:
     """Rows of 1 to 8 entries drawn from a pool of 1 to 4 literals, so most entries repeat."""
@@ -222,7 +231,7 @@ def distinct_matrices(draw) -> list[list]:
 @settings(max_examples=300)
 @given(st.one_of(repeating_matrices(), distinct_matrices()))
 def test_matrix_pass_matches_row_by_row_reading(rows):
-    assert list(read_rows(rows)) == [read_row(r) for r in rows]
+    assert _read_matrix(rows) == [read_row(r) for r in rows]
 
 
 def _primes(count: int) -> list[int]:
@@ -252,7 +261,7 @@ def shared_den_matrices(draw) -> list[list[str]]:
 @settings(max_examples=300)
 @given(shared_den_matrices())
 def test_matrix_pass_over_one_denominator_matches_row_by_row_reading(rows):
-    assert list(read_rows(rows)) == [read_row(r) for r in rows]
+    assert _read_matrix(rows) == [read_row(r) for r in rows]
 
 
 def test_a_matrix_whose_shared_denominator_is_too_wide_is_read_in_time():
@@ -264,9 +273,9 @@ def test_a_matrix_whose_shared_denominator_is_too_wide_is_read_in_time():
     best = math.inf
     for _ in range(3):
         start = time.perf_counter()
-        read = list(read_rows(rows))
+        list(read_rows(rows))
         best = min(best, time.perf_counter() - start)
-    assert read == [read_row(r) for r in rows]
+    assert _read_matrix(rows) == [read_row(r) for r in rows]
     assert best < 0.06
 
 
@@ -287,7 +296,7 @@ def test_a_matrix_mixing_json_integers_and_strings():
     )
     # 1 and "1" are different entries; both read as 1.
     rows = [[1, "1"], ["1", 1]]
-    assert list(read_rows(rows)) == [read_row(r) for r in rows] == [(1, (1, 1))] * 2
+    assert _read_matrix(rows) == [read_row(r) for r in rows] == [(1, (1, 1))] * 2
     assert parse_hom({"kind": "matrix", "rows": rows}, Space.qn(2), "homs.t") == MatrixHom([[1, 1], [1, 1]])
 
 
@@ -300,3 +309,32 @@ def test_an_oversized_row_is_refused_before_a_bad_literal_in_a_later_row():
     assert _refusal(parse_hom, {"kind": "matrix", "rows": rows}, Space.qn(16), "homs.t") == (
         f"homs.t: a row has an integer beyond the {limit}-digit limit for printing"
     )
+
+
+def test_a_matrix_over_one_shared_denominator_is_checked_against_the_limit():
+    limit = sys.get_int_max_str_digits()
+    big = "9" * limit  # the largest integer of `limit` digits
+    # Each literal repeats, so both matrices read over one shared D = 2, and the bound
+    # that comes with every row, 2 * big, has a digit too many.
+    refused, fits = [[big, "1/2"], [big, "1/2"]], [[big, big], ["1/2", "1/2"]]
+    for rows in (refused, fits):
+        assert [bound for _, bound in read_rows(rows)] == [2 * int(big)] * 2
+    # Row 0 of `refused` is (2 * big, 1) over 2: refused.
+    assert _refusal(parse_hom, {"kind": "matrix", "rows": refused}, Space.qn(2), "homs.t") == (
+        f"homs.t: a row has an integer beyond the {limit}-digit limit for printing"
+    )
+    # Row 0 of `fits` is (2 * big, 2 * big) over 2, which reduces to (big, big) over 1: read.
+    T = parse_hom({"kind": "matrix", "rows": fits}, Space.qn(2), "homs.t")
+    assert T.int_rows == ((1, (int(big), int(big))), (2, (1, 1)))
+
+
+@settings(max_examples=60)
+@given(literal_matrices())
+def test_spec_block_matches_fraction_block(rows):
+    # A diag_plus_finite block is read as integer rows and handed to `SeqHom` as a matrix.
+    doc = parse_specdoc(json.dumps({
+        "space": {"kind": "evseq"},
+        "homs": {"h": {"kind": "diag_plus_finite", "prefix": ["1/2"], "tail": "3", "block": rows}},
+    }))
+    block = tuple(tuple(F(s) for s in row) for row in rows)
+    assert doc.hom("h") == SeqHom.diag_plus_block(EvSeq.of(F(1, 2), tail=3), block)

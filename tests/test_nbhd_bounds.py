@@ -221,6 +221,40 @@ def certificates(draw):
 
 
 @st.composite
+def certified_nets(draw):
+    """A closed-form or table net on Q^1..Q^6 or on sequences in either topology,
+    its certificate in any mode, and one or two targets (V, W) from the codomain
+    base that share W, so a cr frame kept for one V is not read for the other."""
+    mode = draw(st.sampled_from(["nr", "br", "cr"]))
+    if draw(st.booleans()):
+        dim = draw(st.integers(1, 6))
+        dom = cod = Space.qn(dim)
+        homs, zero, U, targets = matrices(dim), MatrixHom.zero(dim), draw(boxes(dim)), boxes(dim)
+        B = draw(st.lists(finvecs(dim), min_size=1, max_size=3).map(lambda ys: SolidHull(dom, tuple(ys))))
+    else:
+        dom = Space.evseq(draw(st.sampled_from([PRODUCT, SUPNORM])))
+        cod = dom if mode == "cr" else Space.evseq(draw(st.sampled_from([dom.topology, SUPNORM])))
+        homs, zero, U, targets = seq_homs, SeqHom.zero(), draw(seq_nbhds(dom.topology)), seq_nbhds(cod.topology)
+        B = draw(st.lists(evseqs, min_size=1, max_size=3).map(lambda ys: SolidHull(dom, tuple(ys))))
+    if draw(st.booleans()):
+        net = HomNet.closed(dom, cod, draw(homs), draw(homs))
+    else:
+        net = HomNet.table(dom, cod, draw(st.lists(homs, min_size=1, max_size=5)))
+    eventual = net.eventual_term()
+    limit = draw(st.sampled_from([eventual, zero]) | homs)
+    cert = converges(net, limit, mode, {"nr": NbhdSet(dom, U), "br": B, "cr": None}[mode])
+    W = draw(targets) if mode == "cr" else None
+    return cert, [(V, W) for V in draw(st.lists(targets, min_size=1, max_size=2))]
+
+
+def ref_difference(net: HomNet, limit, alpha: int):
+    """term(alpha) - limit, the closed form built as base + decay.scale(1/alpha)."""
+    if net.is_closed_form:
+        return net.base + net.decay.scale(F(1, alpha)) - limit
+    return net.terms[min(alpha, len(net.terms)) - 1] - limit
+
+
+@st.composite
 def endomorphism_nets(draw):
     """A closed-form or table net of endomorphisms under pointwise products, and a limit."""
     if draw(st.booleans()):
@@ -279,6 +313,31 @@ def test_threshold_and_recheck_agree_with_reference(case):
     for alpha in (1, alpha0, alpha0 + 3):
         img = (cert.net.term(alpha) - cert.limit).propagate_bounds(region)
         assert cert.verify_at(alpha, V, W) == ref_within(img, target)
+
+
+@settings(max_examples=200, deadline=None)
+@given(certified_nets())
+def test_verify_at_bounds_the_difference_built_from_the_terms(case):
+    """verify_at(a) reads each difference term(a) - limit from the certificate's
+    residual and decay (or its table), and must decide what the difference
+    built from the net's terms decides; a table's threshold is then the least
+    entry from which every later entry holds."""
+    cert, pairs = case
+    for V, W in pairs:
+        if cert.mode == "cr":
+            target, region = vw_box(V, W), cert.choose_U(W).bounds
+        else:
+            target, region = V, coordinate_bounds(cert.region)
+        held = {
+            alpha: ref_within(ref_difference(cert.net, cert.limit, alpha).propagate_bounds(region), target)
+            for alpha in range(1, 21)
+        }
+        # Twice over, last entry first the second time, so a difference read back from the table is checked too.
+        for alphas in (range(1, 21), range(20, 0, -1)):
+            assert {alpha: cert.verify_at(alpha, V, W) for alpha in alphas} == held
+        if cert.convergent and not cert.net.is_closed_form:
+            n = len(cert.net.terms)
+            assert cert.alpha0_for(V, W) == min(a for a in range(1, n + 1) if all(held[b] for b in range(a, n + 1)))
 
 
 @settings(max_examples=300)

@@ -61,7 +61,7 @@ SAMPLES = {
     BoundednessLabel: (_verdict, _verdict),
     ClassLabel: (_witness, _label, _label, False, None, "note"),
     HomNet: (Q1, Q1, None, None, (ONE,), None),
-    ConvergenceCertificate: ("nr", True, NET, ONE, None, None, None, None),
+    ConvergenceCertificate: ("nr", True, NET, ONE, None, None, ONE, None, None, None),
     Space: (SpaceKind.QN, TopologyId.QN_BOX, Multiplication.POINTWISE, 2),
     FRingVerdict: (True, None, 3, ()),
     Neighborhood: (TopologyId.QN_BOX, CoordBounds.finite_dim((F(1),))),

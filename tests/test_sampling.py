@@ -85,6 +85,16 @@ def test_between_matches_fraction_formula(seed, case):
     assert rng.getstate() == ref.getstate()
 
 
+def test_each_draw_is_randrange_25_over_many_seeds():
+    # `rand_between` draws each k with the rejection loop of CPython's `randrange`
+    # written out: on an interpreter that draws otherwise, the two part here.
+    lo, hi = FinVec.zero(64), FinVec.constant(64, 24)
+    for seed in range(500):
+        rng, ref = random.Random(seed), random.Random(seed)
+        assert rand_between(rng, lo, hi).entries == tuple(ref.randrange(25) for _ in range(64))
+        assert rng.getstate() == ref.getstate()
+
+
 def test_point_examples():
     k = random.Random(0).randint(0, 24)
     rng = random.Random(0)

@@ -26,6 +26,7 @@ from latring import (
 )
 from latring import errors
 from latring.cli import COMMANDS, main
+from latring.homspaces import ConvergenceCertificate
 from latring.homs import ORACLE_DIM_CAP
 from latring.specfile import (
     MAX_DIM,
@@ -671,6 +672,17 @@ def test_br_region_on_an_image_chain(tmp_path, capsys):
     assert main([*argv, "chain", "--format", "machine"]) == 0
     result = json.loads(capsys.readouterr().out)["results"]["converge:vanishing:br"]
     assert (result["verdict"], result["recheck_at_alpha0_and_plus7"]) == ("CONVERGENT", "PASS")
+
+
+def test_a_threshold_planted_too_small_fails_the_recheck(monkeypatch, capsys):
+    argv = ["converge", "shrinking", "--mode", "br", "--region", "probe_interval", "--spec", QN2_SPEC]
+    assert main([*argv, "--format", "machine"]) == 0
+    result = json.loads(capsys.readouterr().out)["results"]["converge:shrinking:br"]
+    assert (result["alpha0"], result["recheck_at_alpha0_and_plus7"]) == (2, "PASS")
+    monkeypatch.setattr(ConvergenceCertificate, "alpha0_for", lambda self, V, W=None: 1)
+    assert main([*argv, "--format", "machine"]) == 1
+    result = json.loads(capsys.readouterr().out)["results"]["converge:shrinking:br"]
+    assert (result["alpha0"], result["recheck_at_alpha0_and_plus7"]) == (1, "FAIL")
 
 
 def _converge_report(spec, argv, tmp_path, capsys):
