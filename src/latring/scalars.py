@@ -186,19 +186,17 @@ def read_rows(rows: list[list]) -> Iterator[tuple[IntRow, int]]:
     `_split_row` pass.  Each becomes its numerator over D, the lcm of all
     their denominators, and each row is then one lookup per entry and one
     gcd that reduces it: a reduced row is unique, so it is the row
-    `read_row` gives.  Where D has more than `MAX_SHARED_DEN_BITS` bits, the
-    numerators over it would cost more than the lookups save, and each row
-    is put over its own denominators' lcm instead, as `read_row` does.
-    Where more than half the entries are distinct, the lookups would cost
-    more than the repeats save: each row is then read by `read_row`, and a
-    matrix without repeats costs about what it did row by row.  Rows are
-    read by `read_row` too where the distinct literals cannot be read in one
-    pass (an unhashable entry, or anything `_split_row` leaves to
-    `read_rat`), so the first bad literal in row order raises its usual
-    error.  Only strings take the lookup path: `_split_row` refuses any other
-    entry, which matters because 1, True and 1.0 are one key of a set.  The
-    rows are yielded lazily, so a caller can refuse a row before the next one
-    is built.
+    `read_row` gives.  Where more than half the entries are distinct, the
+    lookups would cost more than the repeats save, and where D has more than
+    `MAX_SHARED_DEN_BITS` bits, the numerators over it would: each row is
+    then read by `read_row`, and a matrix without repeats costs about what
+    it did row by row.  Rows are read by `read_row` too where the distinct
+    literals cannot be read in one pass (an unhashable entry, or anything
+    `_split_row` leaves to `read_rat`), so the first bad literal in row order
+    raises its usual error.  Only strings take the lookup path: `_split_row`
+    refuses any other entry, which matters because 1, True and 1.0 are one
+    key of a set.  The rows are yielded lazily, so a caller can refuse a row
+    before the next one is built.
 
     The bound is each row's `largest` integer, except over one shared D: a
     reduced row there divides D and its numerators over D by one gcd, so the
@@ -206,15 +204,9 @@ def read_rows(rows: list[list]) -> Iterator[tuple[IntRow, int]]:
     """
     distinct = _repeated_literals(rows)
     parts = None if distinct is None else _split_row(distinct)
-    if parts is None:
-        for row in map(read_row, rows):
-            yield row, largest(row)
-        return
-    D = _shared_den(parts[1])
+    D = None if parts is None else _shared_den(parts[1])
     if D is None:
-        num_of, den_of = (dict(zip(distinct, part)) for part in parts)
-        for row in rows:
-            row = reduced_row(*over_lcm(list(map(num_of.__getitem__, row)), list(map(den_of.__getitem__, row))))
+        for row in map(read_row, rows):
             yield row, largest(row)
         return
     over_D = {lit: p * (D // q) for lit, p, q in zip(distinct, *parts)}

@@ -12,8 +12,9 @@ numerator has more digits than the interpreter prints (4300 by default): no
 work is done on a result that could not be reported.  Unknown keys are
 errors, not warnings, and so is a key repeated in one object; every named
 reference must resolve, and every entry is read, used or not.  Task names are
-distinct.  Serializing any shipped descriptor and re-parsing it yields an
-equal descriptor.
+distinct, and a task carries only the keys its op reads: `seed` and `cases`
+on a `laws` or `posp` task, `region` on a `converge` task.  Serializing any
+shipped descriptor and re-parsing it yields an equal descriptor.
 """
 
 from __future__ import annotations
@@ -370,15 +371,15 @@ def _parse_net(obj: dict, doc: SpecDoc, section: str) -> HomNet:
     raise SpecFileError(f"{section}: unknown net kind {kind!r}")
 
 
-# Each op's required arguments, all names.  Any task may also carry a `name`,
-# `seed` and `cases` (integers), and a converge task a `region`; any other
-# key, another op's argument included, is refused.
+# Each op's required arguments, all names, and the optional keys it reads:
+# `region` (a name), `seed` and `cases` (JSON integers).  Any task may also
+# carry a `name`; any other key, another op's argument included, is refused.
 _TASK_ARGS = {
-    "classify": ("hom",),
-    "posp": ("hom",),
-    "decompose": ("x", "y1", "y2"),
-    "converge": ("net", "mode"),
-    "laws": ("instance",),
+    "classify": (("hom",), ()),
+    "posp": (("hom",), ("seed", "cases")),
+    "decompose": (("x", "y1", "y2"), ()),
+    "converge": (("net", "mode"), ("region",)),
+    "laws": (("instance",), ("seed", "cases")),
 }
 
 
@@ -388,9 +389,9 @@ def _parse_task(task, section: str) -> dict:
     op = _require(task, "op", section)
     if not isinstance(op, str) or op not in _TASK_ARGS:
         raise SpecFileError(f"{section}: unknown op {op!r}")
-    region = ("region",) if op == "converge" else ()
-    _check_keys(task, {"name", "op", "seed", "cases", *_TASK_ARGS[op], *region}, section)
-    for key in _TASK_ARGS[op]:
+    required, optional = _TASK_ARGS[op]
+    _check_keys(task, {"name", "op", *required, *optional}, section)
+    for key in required:
         if key not in task:
             raise SpecFileError(f"{section}: a {op} task needs {key!r}")
         if not isinstance(task[key], str):

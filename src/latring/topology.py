@@ -536,4 +536,6 @@ def hull_bounded_preservation(S: SetDesc) -> bool:
     if not set_ring_bounded(S).holds:
         raise NotBounded("the finite set is not ring-bounded, nothing to preserve")
     hull = SolidHull(S.space, S.elements)
-    return set_ring_bounded(hull).holds and coordinate_bounds(S) == coordinate_bounds(hull)
+    # The bounds once more box by box, a route that shares no line with how `coordinate_bounds` reads points.
+    boxes = reduce(partial(CoordBounds.combine, op=max), map(element_bounds, S.elements))
+    return set_ring_bounded(hull).holds and coordinate_bounds(S) == boxes == coordinate_bounds(hull)

@@ -1,7 +1,9 @@
 """The law suites' failure path: a broken law fails its suite with the first
 failing case as the detail, counts every case, and leaves the other laws alone."""
 
-from latring import audits
+import itertools
+
+from latring import audits, homs, homspaces
 from latring.elements import EvSeq, FinVec
 
 
@@ -86,4 +88,31 @@ def test_a_divergent_sample_net_fails_the_recheck_suite(monkeypatch):
     monkeypatch.setattr(audits, "_sample_nets", lambda: {**nets, "br": (net, limit.scale(0), region, pairs)})
     broken = audits.convergence_recheck_suite()
     assert (broken.passed, broken.cases, broken.detail) == (False, 4, "br net unexpectedly divergent")
+    assert (broken.name, broken.provenance) == (clean.name, clean.provenance)
+
+
+def test_a_cone_extension_that_accepts_a_non_additive_table_fails_its_suite(monkeypatch):
+    clean = audits.cone_extension_suite(seed=1, cases=20)
+    assert all(r.passed for r in clean)
+    real = homs.extend_from_cone
+    # Extends a homomorphism as before, and accepts every table without auditing it.
+    monkeypatch.setattr(homs, "extend_from_cone", lambda f: real(f) if f.hom is not None else None)
+    reproduce, rejected = audits.cone_extension_suite(seed=1, cases=20)
+    assert reproduce == clean[0]
+    assert (rejected.name, rejected.passed, rejected.cases, rejected.detail) == (
+        "cone-extension-rejects-non-additive", False, 1, "no rejection")
+
+
+def test_a_planted_positive_part_fails_the_continuity_suite(monkeypatch):
+    clean = audits.lattice_continuity_suite(seed=0)
+    assert clean.passed and clean.cases == 72
+    # A million times each positive part of T_a - S_a, the third of the audit's three per entry.
+    calls = itertools.count()
+    monkeypatch.setattr(
+        homspaces, "positive_part",
+        lambda T: T.positive_part().scale(10**6) if next(calls) % 3 == 2 else T.positive_part(),
+    )
+    broken = audits.lattice_continuity_suite(seed=0)
+    assert (broken.passed, broken.cases) == (False, 0)
+    assert broken.detail.startswith("positive-part difference escaped the target at alpha=")
     assert (broken.name, broken.provenance) == (clean.name, clean.provenance)

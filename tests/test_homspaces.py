@@ -1,5 +1,6 @@
 """Classification labels, convergence certificates, uniqueness, lattice continuity."""
 
+import itertools
 from fractions import Fraction as F
 
 import pytest
@@ -31,6 +32,8 @@ from latring import (
     nr_converges,
     positive_part,
 )
+from latring import homspaces
+from latring.errors import SoundnessBug
 from latring.homspaces import ConvergenceCertificate, HomNet, vw_box
 
 PROD = Space.evseq(TopologyId.EVSEQ_PRODUCT)
@@ -59,6 +62,13 @@ def test_classify_identity_zero_multiplication():
     assert f["br_ring"] and f["br_ring_vacuous"]
     assert not f["nr_group"] and not f["br_group"]
     assert f["continuous"]
+
+
+def test_classify_zero_map_under_zero_multiplication_is_group_bounded():
+    # Zero multiplication puts unbounded sets in the br family, but the zero map sends each to {0}.
+    verdict = classify(SeqHom.zero(), PROD_ZERO, PROD_ZERO).br.group
+    assert (verdict.holds, verdict.vacuous, verdict.via, verdict.refuting, verdict.bad_set) == (
+        True, False, None, None, None)
 
 
 def test_classify_identity_product_to_supnorm():
@@ -212,9 +222,14 @@ def test_witness_refutes_survives_transient_zero_crossings():
     assert cert.witness_refutes()            # but the limit still escapes
 
 
+def _with_field(cert: ConvergenceCertificate, name: str, value) -> ConvergenceCertificate:
+    """The certificate with one field replaced."""
+    return ConvergenceCertificate(*[value if f == name else getattr(cert, f) for f in cert._fields])
+
+
 def _with_witness(cert: ConvergenceCertificate, witness: Neighborhood) -> ConvergenceCertificate:
     """The certificate with its witness replaced."""
-    return ConvergenceCertificate(*[witness if f == "witness" else getattr(cert, f) for f in cert._fields])
+    return _with_field(cert, "witness", witness)
 
 
 def test_witness_refutes_is_false_on_a_witness_the_difference_fits_inside():
@@ -228,6 +243,42 @@ def test_witness_refutes_is_false_on_a_witness_the_difference_fits_inside():
     cert = nr_converges(net, SeqHom.zero(), Neighborhood.product({0}, 1))
     assert (cert.convergent, cert.witness, cert.witness_refutes()) == (False, Neighborhood.product({1}, 1), True)
     assert not _with_witness(cert, Neighborhood.product({0}, 1)).witness_refutes()
+
+
+def test_witness_refutes_nothing_without_a_negative_verdict():
+    # A convergent certificate has no witness to recheck, and nor does a negative one stripped of its witness.
+    net = HomNet.closed(SUP, SUP, SeqHom.zero(), SeqHom.identity(), target=SeqHom.zero())
+    cert = nr_converges(net, SeqHom.zero(), Neighborhood.sup_ball(1))
+    assert cert.convergent and not cert.witness_refutes()
+    cert = nr_converges(HomNet.constant(PROD, PROD, SeqHom.identity()), SeqHom.zero(), Neighborhood.product({0}, 1))
+    assert cert.witness_refutes() and not _with_witness(cert, None).witness_refutes()
+
+
+def test_alpha0_refuses_a_convergent_certificate_with_unbounded_decay():
+    # The identity decay leaves coordinate 1 free on the region {0}: planted as convergent, no
+    # multiple of a target that bounds coordinate 1 holds it.
+    net = HomNet.closed(PROD, PROD, SeqHom.zero(), SeqHom.identity(), target=SeqHom.zero())
+    cert = nr_converges(net, SeqHom.zero(), Neighborhood.product({0}, 1))
+    assert not cert.convergent and cert.decay_bounds.first_infinite_index() == 1
+    with pytest.raises(SoundnessBug, match="^a convergent certificate cannot carry unbounded decay$"):
+        _with_field(cert, "convergent", True).alpha0_for(Neighborhood.product({1}, 1))
+
+
+def test_a_certificate_refuses_questions_outside_its_mode():
+    from latring import InvalidNeighborhood
+
+    net = HomNet.closed(PROD, PROD, SeqHom.zero(), SeqHom.identity(), target=SeqHom.zero())
+    nr = nr_converges(net, SeqHom.zero(), Neighborhood.product({0}, 1))
+    cr = cr_converges(net, SeqHom.zero())
+    V = Neighborhood.product({0}, 1)
+    with pytest.raises(InvalidArgument, match="^no threshold exists: the net does not converge$"):
+        nr.alpha0_for(V)
+    with pytest.raises(InvalidArgument, match="^only cr certificates choose U per W$"):
+        nr.choose_U(V)
+    with pytest.raises(InvalidArgument, match="^cr certificates need the outer neighborhood W$"):
+        cr.alpha0_for(V)
+    with pytest.raises(InvalidNeighborhood, match="^W must come from the domain base$"):
+        cr.choose_U(Neighborhood.sup_ball(1))
 
 
 def test_recheck_fails_where_the_threshold_is_planted_too_small(monkeypatch):
@@ -488,6 +539,17 @@ def test_limit_uniqueness_all_modes():
         assert limit_uniqueness_audit(net, base, base + MatrixHom.zero(3), mode, region) is None
 
 
+def test_limit_uniqueness_refuses_two_certified_limits(monkeypatch):
+    # Deciders planted to certify any limit: two different certified limits of one net are a soundness bug.
+    base = SeqHom.diagonal(EvSeq.of(1, tail=F(1, 2)))
+    net = HomNet.closed(SUP, SUP, base, SeqHom.identity(), target=base)
+    real = homspaces.converges
+    monkeypatch.setattr(homspaces, "converges", lambda net, limit, mode, region=None: real(net, net.target, mode, region))
+    corrupted = base + SeqHom.diagonal(EvSeq.constant(1))
+    with pytest.raises(SoundnessBug, match="^two limits certified for one net$"):
+        limit_uniqueness_audit(net, base, corrupted, "nr", NbhdSet(SUP, Neighborhood.sup_ball(1)))
+
+
 # ---------------------------------------------------------------------------
 # Lattice continuity of the positive-part map.
 
@@ -519,6 +581,34 @@ def test_lattice_continuity_requires_vanishing_difference():
     net_s = HomNet.constant(SUP, SUP, SeqHom.zero())
     with pytest.raises(InvalidArgument):
         lattice_continuity_audit(net_t, net_s, "nr", NbhdSet(SUP, Neighborhood.sup_ball(1)))
+
+
+def plant_difference_part(monkeypatch, wrong):
+    """Plant `wrong(D)` as the audit's positive part of each difference D = T_a - S_a.
+
+    The audit takes three positive parts per entry, of T_a, S_a and D in that order.
+    """
+    calls = itertools.count()
+    monkeypatch.setattr(homspaces, "positive_part", lambda T: wrong(T) if next(calls) % 3 == 2 else T.positive_part())
+
+
+@pytest.mark.parametrize(
+    "wrong, message",
+    [
+        (lambda D: D.scale(0), "^lattice inequality failed at alpha="),
+        (lambda D: D.positive_part().scale(10**6), "^positive-part difference escaped the target at alpha="),
+    ],
+    ids=["inequality", "target"],
+)
+def test_lattice_continuity_refuses_a_planted_positive_part(wrong, message, monkeypatch):
+    # T_a - S_a = I/(2a) > 0: zero is below T_a+ - S_a+ at every x > 0, and a million times it escapes the box.
+    I = MatrixHom.identity(3)
+    net_t, net_s = HomNet.closed(Q3, Q3, I, I), HomNet.closed(Q3, Q3, I, I.scale(F(1, 2)))
+    region = NbhdSet(Q3, Neighborhood.box((1, 1, 1)))
+    assert lattice_continuity_audit(net_t, net_s, "nr", region) == 24
+    plant_difference_part(monkeypatch, wrong)
+    with pytest.raises(SoundnessBug, match=message):
+        lattice_continuity_audit(net_t, net_s, "nr", region)
 
 
 def test_pointwise_lattice_inequality_holds_by_hand():

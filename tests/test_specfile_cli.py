@@ -29,6 +29,7 @@ from latring.cli import COMMANDS, main
 from latring.homspaces import ConvergenceCertificate
 from latring.homs import ORACLE_DIM_CAP
 from latring.specfile import (
+    _TASK_ARGS,
     MAX_DIM,
     MAX_SET_DEPTH,
     element_to_obj,
@@ -343,7 +344,9 @@ def _standalone_argv(task: dict, spec: str) -> list[str]:
         argv += ["--mode", task["mode"], *(["--region", task["region"]] if "region" in task else [])]
     if op != "laws":
         argv += ["--spec", spec]
-    return [*argv, "--seed", str(task.get("seed", 0)), "--cases", str(task.get("cases", 1000))]
+    if op in ("laws", "posp"):
+        argv += ["--seed", str(task.get("seed", 0)), "--cases", str(task.get("cases", 1000))]
+    return argv
 
 
 def _machine_results(argv, capsys) -> dict:
@@ -611,10 +614,7 @@ def test_run_checks_its_own_cases_before_any_task(capsys):
     "argv",
     [
         ["laws", "q3_pointwise"],
-        ["classify", "t", "--spec", QN2_SPEC],
         ["posp", "t", "--spec", QN2_SPEC],
-        ["decompose", "x", "y1", "y2", "--spec", QN2_SPEC],
-        ["converge", "shrinking", "--mode", "br", "--region", "probe_interval", "--spec", QN2_SPEC],
         ["gallery"],
         ["run", "--spec", QN2_SPEC],
     ],
@@ -623,6 +623,52 @@ def test_run_checks_its_own_cases_before_any_task(capsys):
 def test_every_command_refuses_cases_below_one(argv, cases, capsys):
     message = f"error: --cases must be a positive integer, got {cases}"
     _assert_input_error([*argv, "--cases", cases], message, capsys)
+
+
+@pytest.mark.parametrize("option", [["--seed", "3"], ["--cases", "5"]], ids=["seed", "cases"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "t", "--spec", QN2_SPEC],
+        ["decompose", "x", "y1", "y2", "--spec", QN2_SPEC],
+        ["converge", "shrinking", "--mode", "br", "--region", "probe_interval", "--spec", QN2_SPEC],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_commands_that_draw_no_cases_refuse_seed_and_cases(argv, option, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, *option])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(option)}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [("seed", 3), ("cases", 5)])
+@pytest.mark.parametrize(
+    "task",
+    [
+        {"op": "classify", "hom": "t"},
+        {"op": "decompose", "x": "x", "y1": "y1", "y2": "y2"},
+        {"op": "converge", "net": "shrinking", "mode": "br", "region": "probe_interval"},
+    ],
+    ids=lambda task: task["op"],
+)
+def test_a_task_that_draws_no_cases_refuses_seed_and_cases(task, key, value, tmp_path, capsys):
+    spec = json.loads(Path(QN2_SPEC).read_text())
+    spec["tasks"].append({**task, key: value})
+    path = tmp_path / "tasks.json"
+    path.write_text(json.dumps(spec))
+    _assert_input_error(["run", "--spec", str(path)], f"unknown key(s) ['{key}'] in section 'tasks[4]'", capsys)
+
+
+def test_each_task_takes_its_commands_arguments():
+    # A task's required keys are its command's positionals (and converge's
+    # required --mode); its optional keys are the command's other options.
+    assert set(_TASK_ARGS) == set(COMMANDS) - {"gallery", "run"}
+    for op, (required, optional) in _TASK_ARGS.items():
+        command = COMMANDS[op]
+        flags = {flag.removeprefix("--") for flag, _ in command.options}
+        assert required == command.positional + (("mode",) if op == "converge" else ())
+        assert set(optional) == flags - {"mode"}
 
 
 def test_converge_on_a_net_without_target_exits_2(tmp_path, capsys):
@@ -735,6 +781,41 @@ def test_posp_on_a_sequence_operator(hom, positive_part, tmp_path, capsys):
     result = json.loads(capsys.readouterr().out)["results"]["posp:h"]
     assert result["positive_part"] == positive_part
     assert result["oracle_agreement"] == "20/20" and result["tail_agreement"] is True
+
+
+_POSITIVE_PART = SeqHom.positive_part
+
+
+def _keeps_block_negatives(self):
+    return SeqHom.diag_plus_block(self.diag.pos_part(), [list(row) for row in self.off])
+
+
+def _leaves_coordinate_9(self):
+    # Adds back the negative part of coordinate 9, past the oracle's window of 8.
+    t9 = min(self.diag.at(9), F(0))
+    return _POSITIVE_PART(self) + SeqHom.diagonal(EvSeq.of(*[0] * 9, t9, tail=0))
+
+
+@pytest.mark.parametrize(
+    "fault, hom, oracle_ok, tail_ok",
+    [
+        (_keeps_block_negatives,
+         {"kind": "diag_plus_finite", "prefix": ["1", "-2"], "tail": "-1/2", "block": [["0", "3"], ["-1", "0"]]},
+         False, True),
+        (_leaves_coordinate_9,
+         {"kind": "diagonal", "prefix": ["1", "2", "3", "4", "5", "6", "7", "8", "9", "-10", "11"], "tail": "1"},
+         True, False),
+    ],
+    ids=["block-negatives", "coordinate-9"],
+)
+def test_posp_checks_the_positive_part_it_prints(fault, hom, oracle_ok, tail_ok, monkeypatch, tmp_path, capsys):
+    # A wrong positive part is caught where it is wrong: inside the oracle's window, or past it.
+    path = tmp_path / "seq.json"
+    path.write_text(json.dumps({"space": {"kind": "evseq"}, "homs": {"h": hom}}))
+    monkeypatch.setattr(SeqHom, "positive_part", fault)
+    assert main(["posp", "h", "--cases", "20", "--spec", str(path), "--format", "machine"]) == 1
+    result = json.loads(capsys.readouterr().out)["results"]["posp:h"]
+    assert (result["oracle_agreement"] == "20/20", result["tail_agreement"]) == (oracle_ok, tail_ok)
 
 
 @pytest.mark.parametrize(

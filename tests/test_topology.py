@@ -39,6 +39,7 @@ from latring import (
     set_group_bounded,
     set_ring_bounded,
 )
+from latring.errors import SoundnessBug
 from latring.extended import INF, CoordBounds, ext_le, is_inf
 from latring.sampling import rand_element, rng_for
 from latring.topology import non_solid_witness, refuting_nbhd
@@ -58,6 +59,20 @@ def test_refuting_nbhd_on_finite_bounds():
     b = CoordBounds.finite_dim((F(0), INF, F(4)))
     U = refuting_nbhd(b, TopologyId.QN_BOX)
     assert U == Neighborhood.box((1, 1, 2)) and not b.within(U.bounds)
+
+
+@pytest.mark.parametrize(
+    "bounds, topology, message",
+    [
+        (CoordBounds.sequence((), F(0)), TopologyId.EVSEQ_PRODUCT, "^no escaping coordinate found$"),
+        (CoordBounds.finite_dim((F(1),)), TopologyId.Z_DISCRETE_TOP, "^nothing escapes the discrete base$"),
+    ],
+    ids=["all-zero-product", "discrete"],
+)
+def test_refuting_nbhd_refuses_bounds_that_nothing_refutes(bounds, topology, message):
+    # Every product neighborhood holds the zero bounds, and {0} is never asked to refute.
+    with pytest.raises(SoundnessBug, match=message):
+        refuting_nbhd(bounds, topology)
 
 
 def test_nbhd_membership_examples():
