@@ -614,13 +614,23 @@ def test_run_checks_its_own_cases_before_any_task(capsys):
     "argv",
     [
         ["laws", "q3_pointwise"],
+        ["classify", "t", "--spec", QN2_SPEC],
         ["posp", "t", "--spec", QN2_SPEC],
+        ["decompose", "x", "y1", "y2", "--spec", QN2_SPEC],
+        ["converge", "shrinking", "--mode", "br", "--region", "probe_interval", "--spec", QN2_SPEC],
         ["gallery"],
         ["run", "--spec", QN2_SPEC],
     ],
     ids=lambda argv: argv[0],
 )
 def test_every_command_refuses_cases_below_one(argv, cases, capsys):
+    if "--cases" not in dict(COMMANDS[argv[0]].options):
+        # A command that draws no cases takes no --cases: the parser refuses it.
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--cases", cases])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: --cases {cases}" in capsys.readouterr().err
+        return
     message = f"error: --cases must be a positive integer, got {cases}"
     _assert_input_error([*argv, "--cases", cases], message, capsys)
 
