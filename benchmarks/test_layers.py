@@ -9,9 +9,10 @@ neighborhoods, the convergence threshold of each mode, the exact recheck at
 one entry index (`verify_at`) and a certificate's `recheck`, each on a fresh
 certificate, classification, the order-boundedness spot check, the law
 suites, building records (a `Space`, a `ReadingVerdict`, a matrix from
-integer rows), matrix addition, reading a Q^64 spec file's matrices (with
-repeated literals, with every literal distinct, and with 2048 prime
-denominators), and a cold start of the CLI.
+integer rows), matrix addition, reading the rows of one matrix (the shapes
+the perfbench workloads read, and 2048 prime denominators), reading a Q^64
+spec file's matrices (with repeated literals, with every literal distinct,
+and with 2048 prime denominators), and a cold start of the CLI.
 Every case reads a neighborhood's radius function through
 `coordinate_bounds`, so one copy of this file times the parent commit and the
 change alike.  This directory is outside the tier-1 `testpaths`; run the
@@ -65,6 +66,7 @@ from latring import (
 from latring.audits import INSTANCES, all_suites, lattice_law_suite
 from latring.homspaces import vw_box
 from latring.sampling import rand_element, rand_matrix_rows, rand_pos_element, rng_for
+from latring.scalars import read_rows
 from latring.specfile import parse_specdoc
 from latring.topology import (
     ReadingVerdict,
@@ -384,37 +386,39 @@ def _primes(count):
 PRIMES = _primes(2048)
 
 
-def _spec_text(kind):
-    """A Q^64 spec of three matrix homs, as JSON text.
+def _literal_rows(kind, rng, n=64):
+    """An n x n matrix of literal strings, as a spec file holds it.
 
-    `repeated` draws entries as the spec-tasks workload does (numerators -9..9
-    over denominators 1..8), so each matrix repeats about 140 distinct
-    literals; the two `distinct-*` cases hold 4096 distinct literals each,
+    `repeated` draws entries as the perfbench workloads do (numerators -9..9
+    over denominators 1..8), so a Q^64 matrix repeats about 140 distinct
+    literals; the two `distinct-*` kinds hold n^2 distinct literals each,
     fractions over 1..8 or integers below 10^6 in magnitude.  In
-    `prime-denominators` each row holds 32 distinct literals 1/p twice, 2048
-    primes in all, so the matrix's common denominator has over 25000 bits.
+    `prime-denominators` (n = 64 only) each row holds 32 distinct literals
+    1/p twice, 2048 primes in all, so the matrix's common denominator has
+    over 25000 bits.
     """
-    rng, n = rng_for(23), 64
+    if kind == "prime-denominators":
+        rows = []
+        for i in range(n):
+            row = [f"1/{p}" for p in PRIMES[32 * i:32 * i + 32]] * 2
+            rng.shuffle(row)
+            rows.append(row)
+        return rows
+    if kind == "repeated":
+        return [[str(v) for v in row] for row in rand_matrix_rows(rng, n)]
+    nums = rng.sample(range(-(10**6), 10**6), n * n)
+    if kind == "distinct-fractions":
+        literals = [f"{p}/{rng.randint(2, 8)}" for p in nums]
+    else:
+        literals = [str(p) for p in nums]
+    return [literals[i * n:(i + 1) * n] for i in range(n)]
 
-    def matrix():
-        if kind == "prime-denominators":
-            rows = []
-            for i in range(n):
-                row = [f"1/{p}" for p in PRIMES[32 * i:32 * i + 32]] * 2
-                rng.shuffle(row)
-                rows.append(row)
-            return rows
-        if kind == "repeated":
-            return [[str(v) for v in row] for row in rand_matrix_rows(rng, n)]
-        nums = rng.sample(range(-(10**6), 10**6), n * n)
-        if kind == "distinct-fractions":
-            literals = [f"{p}/{rng.randint(2, 8)}" for p in nums]
-        else:
-            literals = [str(p) for p in nums]
-        return [literals[i * n:(i + 1) * n] for i in range(n)]
 
-    homs = {name: {"kind": "matrix", "rows": matrix()} for name in ("t", "m", "t2")}
-    return json.dumps({"space": {"kind": "qn", "dim": n}, "homs": homs})
+def _spec_text(kind):
+    """A Q^64 spec of three matrix homs of one `_literal_rows` kind, as JSON text."""
+    rng = rng_for(23)
+    homs = {name: {"kind": "matrix", "rows": _literal_rows(kind, rng)} for name in ("t", "m", "t2")}
+    return json.dumps({"space": {"kind": "qn", "dim": 64}, "homs": homs})
 
 
 @pytest.mark.parametrize(
@@ -423,6 +427,24 @@ def _spec_text(kind):
 def test_parse_specdoc(benchmark, kind):
     text = _spec_text(kind.removeprefix("q64-"))
     assert len(benchmark(parse_specdoc, text).homs) == 3
+
+
+# The matrix shapes the perfbench workloads read: posp-oracle's dense Q^8 and
+# spec-tasks' 5x5 blocks, both with denominators up to 8, and Q^64 with
+# repeated literals; then the prime-denominator Q^64, read over per-row lcms.
+READ_ROWS = {
+    "q8-dense": ("repeated", 8),
+    "block-5x5": ("repeated", 5),
+    "q64-repeated": ("repeated", 64),
+    "q64-prime-denominators": ("prime-denominators", 64),
+}
+
+
+@pytest.mark.parametrize("case", list(READ_ROWS))
+def test_read_rows(benchmark, case):
+    kind, n = READ_ROWS[case]
+    rows = _literal_rows(kind, rng_for(23), n)
+    assert len(benchmark(lambda: list(read_rows(rows)))) == n
 
 
 @pytest.mark.parametrize("instance", ["q3", "evseq"])

@@ -150,7 +150,8 @@ def run_case(case_id: str, expected: dict | None = None) -> CaseReport:
 
 
 def run_cases() -> list[CaseReport]:
-    return [run_case(case_id) for case_id in _REGISTRY]
+    expected = load_expected()
+    return [run_case(case_id, expected) for case_id in _REGISTRY]
 
 
 class SuiteReport(Record):

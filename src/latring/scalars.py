@@ -17,10 +17,9 @@ literals straight into one: the whole row is checked against the grammar in
 one match and split at `/`, and a row that fails anywhere on that path is
 read again literal by literal through `read_rat`, so it accepts exactly what
 `read_rat` accepts and raises the error of its first bad literal.  `read_rows`
-reads the rows of a matrix as a whole, each distinct literal once, over one
-denominator for the whole matrix, and every row from lookups; it reads row by
-row through `read_row` where few literals repeat or where a literal would be
-refused.
+reads a matrix through one table of its distinct literals, each read once, and
+builds every row from lookups into it; it reads row by row through `read_row`
+where a literal would be refused.
 """
 
 from __future__ import annotations
@@ -139,27 +138,6 @@ def read_row(values: list) -> IntRow:
     return reduced_row(*over_lcm(*parts))
 
 
-def _repeated_literals(rows: list[list]) -> list | None:
-    """The distinct entries of `rows`, or None if they are unhashable or more than half the entries.
-
-    Rows that cover a quarter of the entries without repeating one give up
-    early too: entries drawn from a pool small enough to fill at most half
-    the matrix repeat within a quarter of it all but surely once the matrix
-    has a few dozen entries, and where they do not, the rows are read as
-    before, at the same cost.
-    """
-    total, seen, read = sum(map(len, rows)), set(), 0
-    try:
-        for row in rows:
-            seen.update(row)
-            read += len(row)
-            if 2 * len(seen) > total or (len(seen) == read and 4 * read >= total):
-                return None
-    except TypeError:
-        return None
-    return list(seen)
-
-
 def _shared_den(dens: list[int]) -> int | None:
     """The lcm of `dens`, or None once it has more than `MAX_SHARED_DEN_BITS` bits."""
     D = 1
@@ -180,36 +158,41 @@ def read_rows(rows: list[list]) -> Iterator[tuple[IntRow, int]]:
     """The rows of one matrix as `read_row` reads each of them, yielded one at a time,
     each with a bound on the magnitude of its integers.
 
-    Matrices repeat small literals (a Q^64 one of the spec-tasks benchmark
-    holds about 140 distinct literals in 4096 entries), so the distinct
-    literals of all rows are split and converted to integers once, in one
-    `_split_row` pass.  Each becomes its numerator over D, the lcm of all
-    their denominators, and each row is then one lookup per entry and one
-    gcd that reduces it: a reduced row is unique, so it is the row
-    `read_row` gives.  Where more than half the entries are distinct, the
-    lookups would cost more than the repeats save, and where D has more than
-    `MAX_SHARED_DEN_BITS` bits, the numerators over it would: each row is
-    then read by `read_row`, and a matrix without repeats costs about what
-    it did row by row.  Rows are read by `read_row` too where the distinct
-    literals cannot be read in one pass (an unhashable entry, or anything
-    `_split_row` leaves to `read_rat`), so the first bad literal in row order
-    raises its usual error.  Only strings take the lookup path: `_split_row`
-    refuses any other entry, which matters because 1, True and 1.0 are one
-    key of a set.  The rows are yielded lazily, so a caller can refuse a row
-    before the next one is built.
+    The distinct literals of all rows are split and converted to integers
+    once, in one `_split_row` pass, into one table, and every row is built
+    from lookups into it; a reduced row is unique, so it is the row
+    `read_row` gives.  While D, the lcm of all the table's denominators, has
+    at most `MAX_SHARED_DEN_BITS` bits, the table gives each literal's
+    numerator over D and a row is one gcd that reduces its lookups; past
+    that, each row's lookups go over the row's own lcm.  Where the table
+    cannot be built (an unhashable entry, or anything `_split_row` leaves to
+    `read_rat`), each row is read by `read_row`, so the first bad literal in
+    row order raises its usual error.  Only strings reach the table:
+    `_split_row` refuses any other entry, which matters because 1, True and
+    1.0 are one key of a set.  The rows are yielded lazily, so a caller can
+    refuse a row before the next one is built.
 
     The bound is each row's `largest` integer, except over one shared D: a
     reduced row there divides D and its numerators over D by one gcd, so the
     largest of D and every numerator over D bounds all rows at once.
     """
-    distinct = _repeated_literals(rows)
-    parts = None if distinct is None else _split_row(distinct)
-    D = None if parts is None else _shared_den(parts[1])
-    if D is None:
+    try:
+        distinct = list(set().union(*rows))
+        parts = _split_row(distinct)
+    except TypeError:  # an unhashable entry
+        parts = None
+    if parts is None:
         for row in map(read_row, rows):
             yield row, largest(row)
         return
-    over_D = {lit: p * (D // q) for lit, p, q in zip(distinct, *parts)}
-    bound = max(D, *map(abs, over_D.values()))
+    D = _shared_den(parts[1])
+    if D is None:
+        num_of, den_of = (dict(zip(distinct, column)) for column in parts)
+        for row in rows:
+            read = reduced_row(*over_lcm([num_of[lit] for lit in row], [den_of[lit] for lit in row]))
+            yield read, largest(read)
+        return
+    over = over_lcm(*parts)[1]
+    over_D, bound = dict(zip(distinct, over)), largest((D, over))
     for row in rows:
         yield reduced_row(D, list(map(over_D.__getitem__, row))), bound

@@ -530,12 +530,13 @@ def _space_for(topology: TopologyId, dim: int = 2) -> Space:
 
 
 def hull_bounded_preservation(S: SetDesc) -> bool:
-    """Does the solid hull of a ring-bounded finite set stay ring-bounded, with identical bounds?"""
+    """Does the solid hull of a finite set keep the set's coordinate bounds?
+
+    A finite set's bounds are finite, so the set is ring-bounded, and so is a
+    hull with the same bounds: ring-boundedness is read from the bounds alone.
+    """
     if not isinstance(S, FiniteSet):
         raise NotBounded("expects a finite set of elements")
-    if not set_ring_bounded(S).holds:
-        raise NotBounded("the finite set is not ring-bounded, nothing to preserve")
-    hull = SolidHull(S.space, S.elements)
     # The bounds once more box by box, a route that shares no line with how `coordinate_bounds` reads points.
     boxes = reduce(partial(CoordBounds.combine, op=max), map(element_bounds, S.elements))
-    return set_ring_bounded(hull).holds and coordinate_bounds(S) == boxes == coordinate_bounds(hull)
+    return coordinate_bounds(S) == boxes == coordinate_bounds(SolidHull(S.space, S.elements))

@@ -2,9 +2,11 @@
 failing case as the detail, counts every case, and leaves the other laws alone."""
 
 import itertools
+import operator
 
-from latring import audits, homs, homspaces
+from latring import audits, homs, homspaces, topology
 from latring.elements import EvSeq, FinVec
+from latring.topology import SolidHull
 
 
 def _perturb_call(monkeypatch, name, at, bump):
@@ -116,3 +118,16 @@ def test_a_planted_positive_part_fails_the_continuity_suite(monkeypatch):
     assert (broken.passed, broken.cases) == (False, 0)
     assert broken.detail.startswith("positive-part difference escaped the target at alpha=")
     assert (broken.name, broken.provenance) == (clean.name, clean.provenance)
+
+
+def test_a_hull_whose_bounds_differ_from_its_generators_fails_the_hull_suite(monkeypatch):
+    assert audits.solid_hull_suite(0, 20).passed
+    real = topology.coordinate_bounds
+
+    def doubled(S):
+        bounds = real(S)
+        return bounds.combine(bounds, operator.add) if isinstance(S, SolidHull) else bounds
+
+    monkeypatch.setattr(topology, "coordinate_bounds", doubled)
+    broken = audits.solid_hull_suite(0, 20)
+    assert (broken.passed, broken.detail) == (False, "hull mismatch on q2_pointwise")

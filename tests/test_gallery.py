@@ -2,7 +2,7 @@
 
 import pytest
 
-from latring import UnknownCase
+from latring import UnknownCase, gallery
 from latring.gallery import CASE_IDS, load_expected, run_all, run_case
 
 
@@ -49,3 +49,11 @@ def test_narratives_present():
     for case_id in CASE_IDS:
         report = run_case(case_id)
         assert len(report.narrative) > 40
+
+
+def test_run_cases_reads_the_expectations_once(monkeypatch):
+    reads = []
+    monkeypatch.setattr(gallery, "load_expected", lambda: reads.append(1) or load_expected())
+    reports = gallery.run_cases()
+    assert [r.case_id for r in reports] == list(CASE_IDS) and all(r.passed for r in reports)
+    assert len(reads) == 1

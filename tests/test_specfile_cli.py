@@ -969,6 +969,25 @@ def test_the_exit_code_of_an_error_comes_from_its_type(error, monkeypatch, capsy
     assert captured.out == ""
 
 
+def _laws_raising(monkeypatch, error: Exception):
+    def raises(doc, args):
+        raise error
+
+    monkeypatch.setitem(COMMANDS, "laws", COMMANDS["laws"]._replace(run=raises))
+
+
+def test_a_recursion_error_exits_2_as_input_nested_too_deeply(monkeypatch, capsys):
+    _laws_raising(monkeypatch, RecursionError("planted"))
+    assert main(["laws", "q2_pointwise"]) == 2
+    assert capsys.readouterr() == ("", "error: input nested too deeply to evaluate\n")
+
+
+def test_a_value_error_other_than_the_digit_limit_propagates(monkeypatch):
+    _laws_raising(monkeypatch, ValueError("planted"))
+    with pytest.raises(ValueError, match="^planted$"):
+        main(["laws", "q2_pointwise"])
+
+
 def _deep_image_spec(depth: int) -> str:
     """A spec whose set `deep` is `depth` inline identity images of the unit box (written without recursion)."""
     box = '{"kind": "nbhd", "nbhd": {"topology": "qn_box", "radii": ["1", "1"]}}'
